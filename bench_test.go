@@ -716,8 +716,9 @@ func BenchmarkParetoFrontCDCM(b *testing.B) {
 
 // BenchmarkTieredSearchCDCM is the two-tier evaluation headline: CDCM
 // searches end to end, single-tier (every candidate fully simulated,
-// the pre-two-tier behaviour) versus tier-A (certified lower-bound
-// filter, bit-identical results) versus tier-A+B (opt-in calibrated
+// the pre-two-tier behaviour, run on the bare engines) versus tier-A
+// (certified lower-bound filter for hill, certified Metropolis rejection
+// for SA, bit-identical results) versus tier-B (opt-in calibrated
 // surrogate with exact repricing of survivors). Two instances: the
 // paper's Figure-3 example (2x2, light contention — the bound skips
 // most of the hill climber's neighbourhood) and the largest Table-1
@@ -785,6 +786,35 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 		}
 	})
 
+	// singleTierSA is the unfiltered baseline: the bare annealer over a
+	// bare CDCM evaluator, every candidate simulated. Explore would attach
+	// tier A, so this leg builds the engine itself.
+	singleTierSA := func(b *testing.B, mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CDCG) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			cdcm, err := core.NewCDCM(mesh, cfg, tech, g)
+			if err != nil {
+				b.Fatal(err)
+			}
+			res, err := (&search.Annealer{
+				Problem: search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: cdcm},
+				Seed:    saBudget.Seed, TempSteps: saBudget.TempSteps,
+				MovesPerTemp: saBudget.MovesPerTemp, Alpha: saBudget.Alpha,
+			}).Run()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.BoundSkips != 0 || res.ExactEvals != res.Evaluations {
+				b.Fatalf("bare engine reports tier counters: %+v", res)
+			}
+			if i == 0 {
+				b.ReportMetric(float64(res.ExactEvals), "exact")
+			}
+		}
+	}
+	// tieredSA runs SA through Explore, which attaches tier A (certified
+	// Metropolis rejection) and, with surrogate set, tier B instead.
 	tieredSA := func(b *testing.B, mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CDCG, surrogate bool) {
 		opts := saBudget
 		opts.Surrogate = surrogate
@@ -800,10 +830,17 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 			}
 			if i == 0 {
 				b.ReportMetric(float64(res.Search.ExactEvals), "exact")
+				if !surrogate {
+					b.ReportMetric(float64(res.Search.BoundSkips), "skips")
+				}
 			}
 		}
 	}
 	b.Run("Figure3SASingleTier", func(b *testing.B) {
+		mesh, cfg, g := fig3(b)
+		singleTierSA(b, mesh, cfg, energy.PaperExample(), g)
+	})
+	b.Run("Figure3SATierA", func(b *testing.B) {
 		mesh, cfg, g := fig3(b)
 		tieredSA(b, mesh, cfg, energy.PaperExample(), g, false)
 	})
@@ -812,6 +849,10 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 		tieredSA(b, mesh, cfg, energy.PaperExample(), g, true)
 	})
 	b.Run("Large12x10SASingleTier", func(b *testing.B) {
+		mesh, cfg, g := largeInstance(b)
+		singleTierSA(b, mesh, cfg, energy.Tech007, g)
+	})
+	b.Run("Large12x10SATierA", func(b *testing.B) {
 		mesh, cfg, g := largeInstance(b)
 		tieredSA(b, mesh, cfg, energy.Tech007, g, false)
 	})

@@ -45,9 +45,15 @@
 // exact dynamic energy plus static energy over the uncontended
 // critical path is provably ≤ the simulated contended cost, so the
 // strict-improvement engines (hill climber, tabu) skip any swap whose
-// bound already fails the incumbent without running the simulator —
-// always on under core.Explore, bit-identical by construction, and
-// allocation-free (//nocvet:noalloc) on the bound-compare path. Tier B
+// bound already fails the incumbent without running the simulator, and
+// exact-priced SA skips the simulation of any move whose Metropolis
+// rejection the bound already certifies: lb > cost proves d > 0, so the
+// uniform u is drawn before pricing, and exp(−(lb−cost)/T)·(1+1e-9) < u
+// implies u ≥ exp(−d/T) because float subtraction, division by T > 0
+// and (up to the slack) exp are monotone. Tier A is always on under
+// core.Explore (SA only without tier B), bit-identical by
+// construction, and allocation-free (//nocvet:noalloc) on the
+// bound-compare path. Tier B
 // is an opt-in calibrated surrogate (core.Options.Surrogate, default
 // off) for SA and ParetoSA: an analytic predictor least-squares-fitted
 // per instance against a deterministic, seed-keyed sample of exact

@@ -49,6 +49,10 @@ type CWM struct {
 
 	kCache   []int16 // routers per (srcTile, dstTile) pair, lazily filled
 	numTiles int     // cached Mesh.NumTiles(), the kCache stride
+	// routeBuf is the reused route buffer of the kCache miss path, so a
+	// lane filling its cache pair by pair allocates per longest route,
+	// not per pair.
+	routeBuf []topology.TileID
 
 	// flat is true on depth-1 grids, which have no vertical links: every
 	// vertical-traffic code path below is skipped, keeping the 2-D hot
@@ -143,16 +147,18 @@ func (c *CWM) routers(src, dst topology.TileID) (int, error) {
 // count) on a cache miss; kept out of routers so the hot-path hit check
 // inlines into the evaluation loops.
 func (c *CWM) routersSlow(src, dst topology.TileID) (int, error) {
-	r, err := c.Mesh.Route(c.Cfg.Routing, src, dst)
+	var err error
+	c.routeBuf, err = c.Mesh.AppendRoute(c.routeBuf[:0], c.Cfg.Routing, src, dst)
 	if err != nil {
 		return 0, err
 	}
+	k := len(c.routeBuf)
 	idx := int(src)*c.numTiles + int(dst)
-	c.kCache[idx] = int16(r.K())
+	c.kCache[idx] = int16(k)
 	if !c.flat {
 		c.vCache[idx] = int16(c.Mesh.VerticalHops(src, dst))
 	}
-	return r.K(), nil
+	return k, nil
 }
 
 // Cost implements search.Objective: EDyNoC in joules. The per-edge sum

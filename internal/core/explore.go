@@ -288,13 +288,19 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 			newObjective = func() (search.Objective, error) { return cdcmBase.Clone(), nil }
 
 			// Two-tier seam (search.TieredObjective). Tier A — the certified
-			// lower bound — attaches unconditionally to the strict-improvement
-			// engines: it is bit-identical by construction, so there is no
-			// reason to make it optional. Tier B — the calibrated surrogate —
-			// attaches only on request to the Metropolis engines that can
-			// exact-reprice their accepted moves.
+			// lower bound — attaches unconditionally to the engines that can
+			// use it without changing a bit of their output: the
+			// strict-improvement engines skip swaps it proves cannot win,
+			// and exact-priced SA skips the simulation of moves whose
+			// Metropolis rejection it already certifies (see
+			// search.Annealer). A surrogate walk decides on surrogate
+			// deltas instead, so SA with tier B gets no bound. Tier B —
+			// the calibrated surrogate — attaches only on request to the
+			// Metropolis engines that can exact-reprice their accepted
+			// moves.
 			needBound := strategy == StrategyCDCM &&
-				(opts.Method == MethodHill || opts.Method == MethodTabu)
+				(opts.Method == MethodHill || opts.Method == MethodTabu ||
+					(opts.Method == MethodSA && !opts.Surrogate))
 			needSurr := opts.Surrogate &&
 				(strategy == StrategyPareto || (strategy == StrategyCDCM && opts.Method == MethodSA))
 			if needBound || needSurr {

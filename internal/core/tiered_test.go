@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/appgen"
@@ -361,7 +362,7 @@ func TestSurrogateSADeterministicAcrossWorkers(t *testing.T) {
 			t.Fatalf("workers=%d: no exact evaluations at all", workers)
 		}
 		if res.Search.BoundSkips != 0 {
-			t.Fatalf("workers=%d: SA reports %d bound skips; tier A is hill/tabu only",
+			t.Fatalf("workers=%d: surrogate SA reports %d bound skips; tier A never joins a surrogate walk",
 				workers, res.Search.BoundSkips)
 		}
 		checkTierSum(t, fmt.Sprintf("workers=%d", workers), res.Search)
@@ -525,4 +526,184 @@ func TestExploreHillTabuUsesBound(t *testing.T) {
 			t.Fatalf("%v: Explore run diverges from bare engine", mth)
 		}
 	}
+}
+
+// countingBound counts how often an annealer rebinds its tier-A bound:
+// more than one ResetBound per restart means a reheat jumped the walk.
+type countingBound struct {
+	*cdcmBound
+	resets int
+}
+
+func (b *countingBound) ResetBound(mp mapping.Mapping) (float64, error) {
+	b.resets++
+	return b.cdcmBound.ResetBound(mp)
+}
+
+// saTrace is what one annealing run reports: the result plus the final
+// Accepted/Rejected counts of each restart's progress stream.
+type saTrace struct {
+	res      *search.Result
+	accepted map[int]int64
+	rejected map[int]int64
+}
+
+// checkSATraceEqual asserts that a tiered annealing run retraced a bare
+// one: same winner, same cost bits, same counts and move decisions.
+func checkSATraceEqual(t *testing.T, name string, bare, tiered saTrace) {
+	t.Helper()
+	b, r := bare.res, tiered.res
+	if !mapping.Equal(b.Best, r.Best) {
+		t.Fatalf("%s: tiered best %v != bare best %v", name, r.Best, b.Best)
+	}
+	if math.Float64bits(b.BestCost) != math.Float64bits(r.BestCost) ||
+		math.Float64bits(b.InitialCost) != math.Float64bits(r.InitialCost) {
+		t.Fatalf("%s: tiered costs (%x, initial %x) != bare (%x, initial %x)", name,
+			math.Float64bits(r.BestCost), math.Float64bits(r.InitialCost),
+			math.Float64bits(b.BestCost), math.Float64bits(b.InitialCost))
+	}
+	if b.Evaluations != r.Evaluations || b.Improvements != r.Improvements {
+		t.Fatalf("%s: tiered (evals %d, impr %d) != bare (evals %d, impr %d)", name,
+			r.Evaluations, r.Improvements, b.Evaluations, b.Improvements)
+	}
+	if len(bare.accepted) == 0 {
+		t.Fatalf("%s: no progress snapshots", name)
+	}
+	for i, acc := range bare.accepted {
+		if tiered.accepted[i] != acc || tiered.rejected[i] != bare.rejected[i] {
+			t.Fatalf("%s restart %d: tiered accepted/rejected %d/%d != bare %d/%d", name, i,
+				tiered.accepted[i], tiered.rejected[i], acc, bare.rejected[i])
+		}
+	}
+	if r.BoundSkips == 0 {
+		t.Fatalf("%s: bound never rejected a move", name)
+	}
+	if b.BoundSkips != 0 || b.ExactEvals != b.Evaluations {
+		t.Fatalf("%s: bare run reports tier counters (%d skips, %d/%d exact)", name,
+			b.BoundSkips, b.ExactEvals, b.Evaluations)
+	}
+	checkTierSum(t, name+"/bare", b)
+	checkTierSum(t, name+"/tiered", r)
+}
+
+// TestTierASABitIdentical pins certified Metropolis rejection: an
+// Annealer over TieredObjective{Exact, Bound} must retrace the bare-CDCM
+// walk bit for bit — Best, BestCost, InitialCost, Evaluations,
+// Improvements and every restart's accepted/rejected decisions — while
+// skipping the simulation of moves the bound already rejects. Covered on
+// 2-D mesh, 3-D mesh and 3-D torus with reheats (which rebind the bound),
+// and through MultiAnnealer at one and two workers.
+func TestTierASABitIdentical(t *testing.T) {
+	cfg, tech := tieredCfg(), energy.Tech007
+	for _, grid := range tieredGrids(t) {
+		cdcm, err := NewCDCM(grid.mesh, cfg, tech, grid.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lbSkel, err := newTexecLB(cfg, grid.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var bounds []*countingBound
+		var mu sync.Mutex
+		tieredObj := func() (search.Objective, error) {
+			bnd, err := newCDCMBound(grid.mesh, cfg, tech, grid.g, lbSkel)
+			if err != nil {
+				return nil, err
+			}
+			cb := &countingBound{cdcmBound: bnd}
+			mu.Lock()
+			bounds = append(bounds, cb)
+			mu.Unlock()
+			return &search.TieredObjective{Exact: cdcm.Clone(), Bound: cb}, nil
+		}
+		bareObj := func() (search.Objective, error) { return cdcm.Clone(), nil }
+		base := search.Annealer{
+			Problem:   search.Problem{Mesh: grid.mesh, NumCores: grid.g.NumCores()},
+			Seed:      7,
+			TempSteps: 80, MovesPerTemp: 30, Alpha: 0.8, StallSteps: 8, Reheats: 2,
+		}
+		run := func(restarts, workers int, factory search.ObjectiveFactory) saTrace {
+			tr := saTrace{accepted: map[int]int64{}, rejected: map[int]int64{}}
+			var pmu sync.Mutex
+			a := base
+			a.OnProgress = func(p search.Progress) {
+				pmu.Lock()
+				tr.accepted[p.Restart], tr.rejected[p.Restart] = p.Accepted, p.Rejected
+				pmu.Unlock()
+			}
+			var err error
+			if restarts == 0 {
+				if a.Problem.Obj, err = factory(); err != nil {
+					t.Fatal(err)
+				}
+				tr.res, err = a.Run()
+			} else {
+				tr.res, err = (&search.MultiAnnealer{Base: a, Restarts: restarts,
+					Workers: workers, NewObjective: factory}).Run()
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", grid.name, err)
+			}
+			return tr
+		}
+
+		checkSATraceEqual(t, grid.name+"/single", run(0, 1, bareObj), run(0, 1, tieredObj))
+		if bounds[0].resets < 2 {
+			t.Fatalf("%s: the walk never reheated (%d bound resets)", grid.name, bounds[0].resets)
+		}
+		bare := run(3, 1, bareObj)
+		for _, workers := range []int{1, 2} {
+			checkSATraceEqual(t, fmt.Sprintf("%s/restarts3/workers%d", grid.name, workers),
+				bare, run(3, workers, tieredObj))
+		}
+	}
+}
+
+// TestExploreSAUsesBound pins the Explore wiring of certified Metropolis
+// rejection: plain CDCM SA attaches tier A and still reproduces the
+// bare-engine walk bit for bit; SA with the tier-B surrogate attaches no
+// bound (its decisions run on surrogate deltas) and reports no skips.
+func TestExploreSAUsesBound(t *testing.T) {
+	mesh, g := deltaInstance(t, 3, 3, 8)
+	cfg, tech := noc.Default(), energy.Tech007
+	opts := Options{Method: MethodSA, Seed: 13, TempSteps: 20, MovesPerTemp: 20}
+	res, err := Explore(StrategyCDCM, mesh, cfg, tech, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Search.BoundSkips == 0 {
+		t.Fatal("Explore did not attach the tier-A bound to SA")
+	}
+	checkTierSum(t, "sa", res.Search)
+	cdcm, err := NewCDCM(mesh, cfg, tech, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := (&search.Annealer{
+		Problem: search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: cdcm},
+		Seed:    13, TempSteps: 20, MovesPerTemp: 20,
+	}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !mapping.Equal(bare.Best, res.Best) ||
+		math.Float64bits(bare.BestCost) != math.Float64bits(res.Search.BestCost) ||
+		bare.Evaluations != res.Search.Evaluations ||
+		bare.Improvements != res.Search.Improvements {
+		t.Fatal("Explore SA run diverges from the bare engine")
+	}
+
+	opts.Surrogate = true
+	surr, err := Explore(StrategyCDCM, mesh, cfg, tech, g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if surr.Search.BoundSkips != 0 {
+		t.Fatalf("surrogate SA reports %d bound skips, want 0", surr.Search.BoundSkips)
+	}
+	if surr.Search.SurrogateEvals == 0 {
+		t.Fatal("surrogate SA priced nothing on the surrogate")
+	}
+	checkTierSum(t, "sa+surrogate", surr.Search)
 }

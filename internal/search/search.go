@@ -266,6 +266,18 @@ func (a *Annealer) Run() (*Result, error) {
 		}
 	}
 
+	// Tier-A certified Metropolis rejection (see TieredObjective): nil
+	// unless the objective carries a bound and candidates are priced with
+	// full exact Cost calls — a delta-capable exact objective is already
+	// cheaper than any bound probe, and a surrogate walk decides on
+	// surrogate deltas the bound does not order.
+	var bnd LowerBoundObjective
+	if !useDelta && !useSurr {
+		if bnd, err = bindBound(a.Problem.Obj, cur); err != nil {
+			return nil, err
+		}
+	}
+
 	// A 1-tile mesh admits exactly one mapping, so it is already the
 	// optimum — and propose() below could never draw two distinct tiles:
 	// without this return the calibration pass would spin forever.
@@ -346,6 +358,9 @@ func (a *Annealer) Run() (*Result, error) {
 	// incumbent (and so Best/BestCost) only ever holds exact values.
 	accept := func(ta, tb topology.TileID, newCost float64) error {
 		mapping.SwapTiles(cur, occ, ta, tb)
+		if bnd != nil {
+			bnd.CommitBound(ta, tb)
+		}
 		switch {
 		case useDelta:
 			newCost = dobj.Commit(ta, tb)
@@ -438,6 +453,11 @@ func (a *Annealer) Run() (*Result, error) {
 					return nil, err
 				}
 			}
+			if bnd != nil {
+				if _, err := bnd.ResetBound(cur); err != nil {
+					return nil, err
+				}
+			}
 			stalled = 0
 		}
 		improvedThisStep := false
@@ -448,12 +468,37 @@ func (a *Annealer) Run() (*Result, error) {
 				}
 			}
 			ta, tb := propose()
+			// Certified rejection: lb > cost proves d > 0, so the walk
+			// is certain to draw its Metropolis variate for this move.
+			// Drawing it before pricing leaves the RNG stream unchanged,
+			// and when the bound alone already rejects, the exact
+			// pricing is skipped; see certainReject.
+			var u float64
+			drawn := false
+			if bnd != nil {
+				lb, err := bnd.SwapBound(occ, ta, tb)
+				if err != nil {
+					return nil, err
+				}
+				if lb > cost {
+					u, drawn = rng.Float64(), true
+					if certainReject(lb-cost, temp, u) {
+						res.Evaluations++
+						res.BoundSkips++
+						rejected++
+						continue
+					}
+				}
+			}
 			c, d, err := price(ta, tb)
 			if err != nil {
 				return nil, err
 			}
 			countEval()
-			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
+			if d > 0 && !drawn {
+				u = rng.Float64()
+			}
+			if d <= 0 || u < math.Exp(-d/temp) {
 				if err := accept(ta, tb, c); err != nil {
 					return nil, err
 				}
@@ -477,8 +522,8 @@ func (a *Annealer) Run() (*Result, error) {
 		if a.OnProgress != nil {
 			a.OnProgress(Progress{Engine: "SA", Step: step + 1, Steps: steps,
 				Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-				SurrogateEvals: res.SurrogateEvals,
-				Accepted:       accepted, Rejected: rejected,
+				BoundSkips: res.BoundSkips, SurrogateEvals: res.SurrogateEvals,
+				Accepted: accepted, Rejected: rejected,
 				BestCost: res.BestCost})
 		}
 	}
@@ -488,4 +533,23 @@ func (a *Annealer) Run() (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// certainReject reports whether the Metropolis test u < exp(−d/temp) is
+// certain to fail for every exact delta d ≥ dlb, where dlb = lb − cost > 0
+// comes from a certified lower bound lb ≤ c on the candidate's exact cost
+// c. The float argument: d = c − cost ≥ lb − cost = dlb because float
+// subtraction is monotone in its first operand, and −d/temp ≤ −dlb/temp
+// because division by a positive temp is monotone and negation is exact.
+// math.Exp is monotone up to rounding below one ulp (2⁻⁵²); u is 0 or at
+// least 2⁻⁵³, so the comparison only matters where exp is a normal float,
+// and the 1e-9 relative slack covers any such non-monotonicity many times
+// over. Hence exp(−d/temp) ≤ exp(−dlb/temp)·(1+1e-9) < u, and the exact
+// walk would reject too. At temp → 0 exp underflows to 0 and every u > 0
+// rejects, exactly as the exact test does; u == 0 never skips (0 < 0 is
+// false), so a move the exact test could still accept is always priced.
+//
+//nocvet:noalloc
+func certainReject(dlb, temp, u float64) bool {
+	return math.Exp(-dlb/temp)*(1+1e-9) < u
 }

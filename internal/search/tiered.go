@@ -23,7 +23,13 @@ var errNoVector = errors.New("search: tiered objective's exact tier is not a Vec
 //     swaps whose bound already proves they cannot beat the incumbent
 //     threshold — the skipped candidates are exactly the ones the exact
 //     scan would have rejected, so Best, BestCost and the accept/reject
-//     trajectory stay bit-identical to the unfiltered run.
+//     trajectory stay bit-identical to the unfiltered run. The Annealer
+//     uses it for certified Metropolis rejection: lb > cost proves the
+//     exact delta d > 0, so the walk draws its uniform u before pricing
+//     and skips the simulation when exp(−(lb−cost)/T)·(1+1e-9) < u —
+//     the exact test u < exp(−d/T) is then certain to fail (see
+//     certainReject for the float argument), and a priced move reuses
+//     the drawn u, so the RNG stream and the walk are unchanged.
 //   - Tier B, Surrogate, is an opt-in calibrated approximation (a
 //     DeltaObjective fitted against exact evaluations at build time).
 //     The Metropolis engines (Annealer, ParetoSA) walk on surrogate
@@ -71,7 +77,8 @@ type TieredObjective struct {
 	// Exact is the authoritative pricer (the CDCM evaluator in core).
 	Exact Objective
 	// Bound, when non-nil, is the tier-A certified lower bound used by
-	// the strict-improvement engines. It must satisfy
+	// the strict-improvement engines and, when it walks on exact prices,
+	// the Annealer. It must satisfy
 	// Bound ≤ Exact.Cost on the computed float64s for every candidate.
 	Bound LowerBoundObjective
 	// Surrogate, when non-nil, is the tier-B calibrated approximation the

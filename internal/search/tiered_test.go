@@ -3,6 +3,7 @@ package search
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/mapping"
@@ -375,4 +376,95 @@ func TestProgressTierCountersMonotone(t *testing.T) {
 	if last := snaps[len(snaps)-1]; last.SurrogateEvals == 0 {
 		t.Fatal("sa: snapshots never saw a surrogate evaluation")
 	}
+}
+
+// TestCertainRejectEdges pins the skip rule of certified Metropolis
+// rejection at its edges — temp → 0, where exp underflows to 0, and
+// u == 0, which the exact test can still accept — and as a property:
+// whenever the rule skips for a bound delta dlb, the exact test
+// u < exp(−d/temp) fails for every d ≥ dlb.
+func TestCertainRejectEdges(t *testing.T) {
+	tiny := math.SmallestNonzeroFloat64
+	minU := 1.0 / (1 << 53) // the smallest positive rng.Float64 draw
+	for _, tc := range []struct {
+		name         string
+		dlb, temp, u float64
+		want         bool
+	}{
+		{"underflow-min-u", 1e-12, tiny, minU, true},
+		{"underflow-u0", 1e-12, tiny, 0, false},
+		{"zero-temp", 1, 0, 0.5, true},
+		{"zero-temp-u0", 1, 0, 0, false},
+		{"hot", 1, 1e6, 0.999, false},
+		{"cold", 50, 1, 0.5, true},
+	} {
+		if got := certainReject(tc.dlb, tc.temp, tc.u); got != tc.want {
+			t.Errorf("%s: certainReject(%g, %g, %g) = %v, want %v",
+				tc.name, tc.dlb, tc.temp, tc.u, got, tc.want)
+		}
+		if tc.want && tc.u < math.Exp(-tc.dlb/tc.temp) {
+			t.Errorf("%s: skipped a move the exact test accepts", tc.name)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(17))
+	skips := 0
+	for i := 0; i < 200000; i++ {
+		temp := math.Exp(rng.Float64()*80 - 40)
+		dlb := temp * rng.ExpFloat64() * 4
+		if dlb <= 0 {
+			continue
+		}
+		u := rng.Float64()
+		if !certainReject(dlb, temp, u) {
+			continue
+		}
+		skips++
+		for _, d := range []float64{dlb, math.Nextafter(dlb, math.Inf(1)), dlb * (1 + 1e-12), dlb * 2} {
+			if u < math.Exp(-d/temp) {
+				t.Fatalf("skip at dlb=%g temp=%g u=%g, but d=%g is accepted", dlb, temp, u, d)
+			}
+		}
+	}
+	if skips == 0 {
+		t.Fatal("property sweep never exercised a skip")
+	}
+}
+
+// TestAnnealerTierABitIdentical pins certified Metropolis rejection at
+// the engine level with the synthetic bound: an Annealer over
+// TieredObjective{Exact, Bound} reproduces the bare walk bit for bit,
+// including through reheats, while skipping exact pricings.
+func TestAnnealerTierABitIdentical(t *testing.T) {
+	p, w := testProblem(t, 4, 3, 10)
+	run := func(obj Objective) *Result {
+		prob := p
+		prob.Obj = obj
+		res, err := (&Annealer{Problem: prob, Seed: 5, TempSteps: 60, MovesPerTemp: 30,
+			Alpha: 0.8, StallSteps: 4, Reheats: 2}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	bare := run(w)
+	bnd := &boundWire{w: w, eps: 1e-9}
+	tiered := run(&TieredObjective{Exact: w, Bound: bnd})
+	if !mapping.Equal(bare.Best, tiered.Best) ||
+		math.Float64bits(bare.BestCost) != math.Float64bits(tiered.BestCost) ||
+		bare.Evaluations != tiered.Evaluations || bare.Improvements != tiered.Improvements {
+		t.Fatalf("tiered SA (%v, %g, %d evals, %d impr) != bare (%v, %g, %d evals, %d impr)",
+			tiered.Best, tiered.BestCost, tiered.Evaluations, tiered.Improvements,
+			bare.Best, bare.BestCost, bare.Evaluations, bare.Improvements)
+	}
+	if tiered.BoundSkips == 0 || tiered.ExactEvals >= bare.ExactEvals {
+		t.Fatalf("bound saved nothing: %d skips, %d vs %d exact", tiered.BoundSkips,
+			tiered.ExactEvals, bare.ExactEvals)
+	}
+	if bnd.resets < 2 || bnd.commits == 0 {
+		t.Fatalf("bound not rebound on reheat or never committed (resets %d, commits %d)",
+			bnd.resets, bnd.commits)
+	}
+	checkTierInvariant(t, "sa/bare", bare)
+	checkTierInvariant(t, "sa/tiered", tiered)
 }

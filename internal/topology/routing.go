@@ -137,49 +137,57 @@ func (r Route) Hops() int {
 // route. RouteFA routes exactly like RouteXY here; its fault-avoiding
 // behaviour only engages through RouteFault with a non-empty FaultSet.
 func (m *Mesh) Route(algo RoutingAlgo, src, dst TileID) (Route, error) {
-	if !m.Valid(src) || !m.Valid(dst) {
-		return Route{}, fmt.Errorf("topology: route endpoints %d->%d outside %dx%dx%d %s",
-			src, dst, m.w, m.h, m.d, m.kind)
-	}
-	tiles := []TileID{src}
-	cur := src
-	stepDim := func(target int, ax axis) {
-		for {
-			c := m.Coord(cur)
-			var pos, size int
-			switch ax {
-			case axisX:
-				pos, size = c.X, m.w
-			case axisY:
-				pos, size = c.Y, m.h
-			case axisZ:
-				pos, size = c.Z, m.d
-			}
-			if pos == target {
-				return
-			}
-			dir := chooseDir(pos, target, size, m.kind == KindTorus, ax)
-			nt, ok := m.step(cur, dir)
-			if !ok {
-				// Unreachable on well-formed grids; guard keeps the loop finite.
-				return
-			}
-			cur = nt
-			tiles = append(tiles, cur)
-		}
-	}
-	dc := m.Coord(dst)
-	for _, ax := range algo.order() {
-		switch ax {
-		case axisX:
-			stepDim(dc.X, axisX)
-		case axisY:
-			stepDim(dc.Y, axisY)
-		case axisZ:
-			stepDim(dc.Z, axisZ)
-		}
+	tiles, err := m.AppendRoute(nil, algo, src, dst)
+	if err != nil {
+		return Route{}, err
 	}
 	return Route{Tiles: tiles}, nil
+}
+
+// AppendRoute appends the routers of Route(algo, src, dst) to buf and
+// returns the extended slice. Callers that build many routes (route
+// tables, route-length caches) pass a reused buffer, so the walk
+// allocates nothing once the buffer has grown to the longest route. On
+// error buf is returned unchanged.
+func (m *Mesh) AppendRoute(buf []TileID, algo RoutingAlgo, src, dst TileID) ([]TileID, error) {
+	if !m.Valid(src) || !m.Valid(dst) {
+		return buf, fmt.Errorf("topology: route endpoints %d->%d outside %dx%dx%d %s",
+			src, dst, m.w, m.h, m.d, m.kind)
+	}
+	buf = append(buf, src)
+	cur := src
+	dc := m.Coord(dst)
+	torus := m.kind == KindTorus
+	for _, ax := range algo.order() {
+		target, size := dc.X, m.w
+		switch ax {
+		case axisY:
+			target, size = dc.Y, m.h
+		case axisZ:
+			target, size = dc.Z, m.d
+		}
+		for {
+			c := m.Coord(cur)
+			pos := c.X
+			switch ax {
+			case axisY:
+				pos = c.Y
+			case axisZ:
+				pos = c.Z
+			}
+			if pos == target {
+				break
+			}
+			nt, ok := m.step(cur, chooseDir(pos, target, size, torus, ax))
+			if !ok {
+				// Unreachable on well-formed grids; guard keeps the loop finite.
+				break
+			}
+			cur = nt
+			buf = append(buf, cur)
+		}
+	}
+	return buf, nil
 }
 
 // chooseDir picks the direction that moves pos towards target in a

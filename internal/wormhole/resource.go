@@ -42,22 +42,27 @@ func (b *busyList) reset() {
 // Intervals are closed: a resource busy through cycle e is free from e+1.
 //nocvet:noalloc
 func (b *busyList) acquire(arrival, hold int64, pkt model.PacketID) int64 {
+	if len(b.iv) == 0 || arrival > b.maxEnd {
+		// Fast path: strictly after everything booked, so the interval
+		// goes at the back and extends maxEnd.
+		b.iv = append(b.iv, Occupancy{Packet: pkt, Start: arrival, End: arrival + hold})
+		if arrival+hold > b.maxEnd {
+			b.maxEnd = arrival + hold
+		}
+		return arrival
+	}
 	t := arrival
 	pos := len(b.iv)
-	if len(b.iv) == 0 || arrival > b.maxEnd {
-		// Fast path: strictly after everything booked.
-	} else {
-		for i := range b.iv {
-			cur := &b.iv[i]
-			if cur.End < t {
-				continue // entirely in the past w.r.t. t
-			}
-			if t+hold < cur.Start {
-				pos = i // fits wholly in the gap before cur
-				break
-			}
-			t = cur.End + 1 // conflict: jump past cur
+	for i := range b.iv {
+		cur := &b.iv[i]
+		if cur.End < t {
+			continue // entirely in the past w.r.t. t
 		}
+		if t+hold < cur.Start {
+			pos = i // fits wholly in the gap before cur
+			break
+		}
+		t = cur.End + 1 // conflict: jump past cur
 	}
 	b.iv = append(b.iv, Occupancy{})
 	copy(b.iv[pos+1:], b.iv[pos:])

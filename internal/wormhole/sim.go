@@ -3,6 +3,7 @@ package wormhole
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/graph"
 	"repro/internal/mapping"
@@ -158,12 +159,12 @@ func (r *Result) Occupancies(kind ResourceKind, index int) []Occupancy {
 }
 
 // Simulator evaluates mappings of one CDCG on one NoC. Everything bound
-// at NewSimulator time — the full route table, the dense
-// (tile, nextTile) → output-port and → link tables, flit counts and the
-// dependence graph — is immutable afterwards, so one Simulator is safe to
-// share across goroutines as long as each goroutine runs with its own
-// Scratch (NewScratch + RunScratch): that is how the parallel search
-// engines evaluate the CDCM objective concurrently without re-parsing or
+// at NewSimulator time — the full route table as per-router hop
+// descriptors, the per-packet constants and the dependence graph — is
+// immutable afterwards, so one Simulator is safe to share across
+// goroutines as long as each goroutine runs with its own Scratch
+// (NewScratch + RunScratch): that is how the parallel search engines
+// evaluate the CDCM objective concurrently without re-parsing or
 // locking.
 //
 // Run is the one-goroutine convenience path: it lazily keeps a private
@@ -183,10 +184,10 @@ type Simulator struct {
 
 	dg       *graph.Digraph
 	numTiles int
-	// vertLink[li] marks vertical (TSV) links; nil on depth-1 grids so
-	// the 2-D hot loop pays one nil check, nothing more.
-	vertLink []bool
-	flits    []int64
+	// pkts holds each packet's constants — endpoints, bits, compute time,
+	// flit count and the four per-hop hold times — in one slice, so the
+	// run loop touches one cache line per packet.
+	pkts []pktConst
 	// baseIndeg and initHeap are the dependence state every run starts
 	// from: per-packet in-degrees and the heap of source packets (keyed
 	// by their compute time). Precomputing them turns per-run scheduling
@@ -195,17 +196,17 @@ type Simulator struct {
 	initHeap  []pktKey
 
 	// The full route table, precomputed at construction: the route from
-	// src to dst is routeData[routeOff[src*n+dst]:routeOff[src*n+dst+1]].
-	// Flattening into one backing array keeps the table cache-friendly
-	// and the lookup branch-free — no lazy fill, so concurrent RunScratch
-	// lanes never write here. Memory is O(n²·avg-route-length), the same
-	// order as the lazy per-pair cache it replaces once a search has
-	// touched every pair (which annealing does). Construction costs one
-	// Route call per tile pair (~6.5 ms on a 12x10 grid) — noise against
-	// any search, noticeable only when a Simulator is built to price a
-	// single mapping.
-	routeOff  []int32
-	routeData []topology.TileID
+	// src to dst is routes[routeOff[src*n+dst]:routeOff[src*n+dst+1]], one
+	// descriptor per router traversed (see hop). Flattening into one
+	// backing array keeps the table cache-friendly and the lookup
+	// branch-free — no lazy fill, so concurrent RunScratch lanes never
+	// write here. A descriptor is as wide as the tile ID it replaces, so
+	// the table costs O(n²·avg-route-length) words, the same as a plain
+	// tile table. Construction walks one route per tile pair into a
+	// reused buffer — noise against any search, noticeable only when a
+	// Simulator is built to price a single mapping.
+	routeOff []int32
+	routes   []hop
 	// faults is the fault set the route table was built against (nil for
 	// an intact simulator — the NewSimulator path, which is bit-identical
 	// to the pre-fault behaviour). unreach[src*n+dst] marks tile pairs the
@@ -213,16 +214,34 @@ type Simulator struct {
 	// intact hot loop pays a single nil check.
 	faults  *topology.FaultSet
 	unreach []bool
-	// portOf[from*n+to] is the dense output-port index for leaving tile
-	// `from` towards adjacent tile `to` (diagonal entries hold the local
-	// port); linkOf[from*n+to] the dense link index. -1 where the tiles
-	// are not adjacent. They replace the per-hop linear neighbor scans of
-	// Mesh.Neighbor/LinkIndex on the hot path.
-	portOf []int32
-	linkOf []int32
 
 	scratch  *Scratch // lazily built by Run; nil until then
 	initOnce bool
+}
+
+// hop describes one router of a precomputed route: the output port the
+// packet requests there (the router's tile is port/NumPorts) and the link
+// that port feeds — a dense link index, ^index for a vertical (TSV) link,
+// or localHop at the destination router, whose output is the local core
+// port. The run loop resolves each router of a route with one 8-byte
+// load.
+type hop struct {
+	port int32
+	link int32
+}
+
+// localHop marks the final router of a route in hop.link. No link index
+// complements to it: that would take 2³¹ links.
+const localHop = math.MinInt32
+
+// pktConst is the run-invariant data of one packet. The hold times are
+// the busy durations of the hops it books: linkHold and portHold on
+// planar hops (n·tl and tr+(n−1)·tl for n flits), vLinkHold and
+// vPortHold on vertical ones, where flits stream at the TSV rate.
+type pktConst struct {
+	src, dst                                 int32
+	bits, compute, flits                     int64
+	linkHold, portHold, vLinkHold, vPortHold int64
 }
 
 // Scratch is the mutable per-lane state of one simulation: busy lists,
@@ -370,15 +389,16 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	s := &Simulator{Mesh: mesh, Cfg: cfg, G: g, dg: dg}
 	n := mesh.NumTiles()
 	s.numTiles = n
-	if mesh.D() > 1 {
-		s.vertLink = make([]bool, mesh.NumLinks())
-		for i := range s.vertLink {
-			s.vertLink[i] = mesh.LinkVertical(i)
-		}
-	}
-	s.flits = make([]int64, g.NumPackets())
+	tr, tl, tlv := cfg.RoutingCycles, cfg.LinkCycles, cfg.TSVCycles()
+	s.pkts = make([]pktConst, g.NumPackets())
 	for i, p := range g.Packets {
-		s.flits[i] = cfg.Flits(p.Bits)
+		f := cfg.Flits(p.Bits)
+		s.pkts[i] = pktConst{
+			src: int32(p.Src), dst: int32(p.Dst),
+			bits: p.Bits, compute: p.Compute, flits: f,
+			linkHold: f * tl, portHold: tr + (f-1)*tl,
+			vLinkHold: f * tlv, vPortHold: tr + (f-1)*tlv,
+		}
 	}
 	s.baseIndeg = make([]int, g.NumPackets())
 	var srcHeap pktHeap
@@ -390,30 +410,48 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	}
 	s.initHeap = srcHeap.a
 
-	// Dense adjacency tables. Directions are scanned in the East..Up
-	// enumeration order and the first link between a tile pair wins,
-	// mirroring the scan the lazy path used (on small tori two directions
-	// can reach the same neighbor).
-	s.portOf = make([]int32, n*n)
-	s.linkOf = make([]int32, n*n)
-	for i := range s.portOf {
-		s.portOf[i] = -1
-		s.linkOf[i] = -1
-	}
+	// Per-tile hop descriptors towards each neighbour, indexed
+	// tile*numDirs+direction. Directions are scanned in the East..Up
+	// enumeration order and the first one reaching a tile wins (on small
+	// tori two directions can reach the same neighbour), so a route step
+	// resolves to the same port and link whichever way it was produced.
+	const numDirs = int(topology.Up) + 1
+	nbr := make([]topology.TileID, n*numDirs)
+	out := make([]hop, n*numDirs)
 	for t := 0; t < n; t++ {
-		s.portOf[t*n+t] = int32(t*NumPorts + LocalPort)
 		for d := topology.East; d <= topology.Up; d++ {
+			i := t*numDirs + int(d)
 			nt, ok := mesh.Neighbor(topology.TileID(t), d)
-			if !ok || s.linkOf[t*n+int(nt)] >= 0 {
+			if !ok {
+				nbr[i] = -1
 				continue
 			}
 			li, ok := mesh.LinkIndex(topology.TileID(t), nt)
 			if !ok {
 				return nil, fmt.Errorf("wormhole: tiles %d and %d are not adjacent", t, nt)
 			}
-			s.portOf[t*n+int(nt)] = int32(t*NumPorts + int(d))
-			s.linkOf[t*n+int(nt)] = int32(li)
+			nbr[i] = nt
+			out[i] = hop{port: int32(t*NumPorts + int(d)), link: int32(li)}
+			if mesh.LinkVertical(li) {
+				out[i].link = ^int32(li)
+			}
 		}
+	}
+	// appendHops translates a tile route into hop descriptors.
+	appendHops := func(tiles []topology.TileID) error {
+		last := len(tiles) - 1
+		for i, tile := range tiles[:last] {
+			next, d := tiles[i+1], 0
+			for d < numDirs && nbr[int(tile)*numDirs+d] != next {
+				d++
+			}
+			if d == numDirs {
+				return fmt.Errorf("wormhole: route step %d->%d joins non-adjacent tiles", tile, next)
+			}
+			s.routes = append(s.routes, out[int(tile)*numDirs+d])
+		}
+		s.routes = append(s.routes, hop{port: int32(int(tiles[last])*NumPorts + LocalPort), link: localHop})
+		return nil
 	}
 
 	// Full route table, flattened. On the intact path route lengths are
@@ -427,16 +465,19 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 			total += mesh.MinHops(topology.TileID(a), topology.TileID(b)) + 1
 		}
 	}
-	s.routeData = make([]topology.TileID, 0, total)
+	s.routes = make([]hop, 0, total)
 	if fs.Empty() {
+		var buf []topology.TileID
 		for a := 0; a < n; a++ {
 			for b := 0; b < n; b++ {
-				r, err := mesh.Route(cfg.Routing, topology.TileID(a), topology.TileID(b))
+				buf, err = mesh.AppendRoute(buf[:0], cfg.Routing, topology.TileID(a), topology.TileID(b))
 				if err != nil {
 					return nil, err
 				}
-				s.routeData = append(s.routeData, r.Tiles...)
-				s.routeOff[a*n+b+1] = int32(len(s.routeData))
+				if err := appendHops(buf); err != nil {
+					return nil, err
+				}
+				s.routeOff[a*n+b+1] = int32(len(s.routes))
 			}
 		}
 	} else {
@@ -454,9 +495,11 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 				case err != nil:
 					return nil, err
 				default:
-					s.routeData = append(s.routeData, r.Tiles...)
+					if err := appendHops(r.Tiles); err != nil {
+						return nil, err
+					}
 				}
-				s.routeOff[a*n+b+1] = int32(len(s.routeData))
+				s.routeOff[a*n+b+1] = int32(len(s.routes))
 			}
 		}
 	}
@@ -604,9 +647,8 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 	for sc.heap.len() > 0 {
 		k := sc.heap.pop()
 		p := int(k.id)
-		pkt := &s.G.Packets[p]
-		nFlits := s.flits[p]
-		srcTile, dstTile := mp[pkt.Src], mp[pkt.Dst]
+		pc := &s.pkts[p]
+		srcTile, dstTile := mp[pc.src], mp[pc.dst]
 		ri := int(srcTile)*n + int(dstTile)
 		if s.unreach != nil && s.unreach[ri] {
 			// The mapping routes this packet across a faulted partition.
@@ -615,14 +657,8 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			// penalty instead of treating it as a failure.
 			return ErrUnreachable
 		}
-		tiles := s.routeData[s.routeOff[ri]:s.routeOff[ri+1]]
-
-		linkHold := nFlits * tl
-		portHold := tr + (nFlits-1)*tl
-		// Vertical hops stream flits at the TSV rate: both the link
-		// occupancy and the output port feeding it scale with tlv.
-		vLinkHold := nFlits * tlv
-		vPortHold := tr + (nFlits-1)*tlv
+		route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
+		bits := pc.bits
 
 		// Plan pass: walk the route head-first, computing acquisition
 		// times without booking anything (the hops of one packet touch
@@ -634,69 +670,55 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 		// Source core -> local router link. Core links are timed but not
 		// arbitrated under the paper's CRG semantics (ArbitrateLocal
 		// false); see noc.Config.ArbitrateLocal.
-		t := s.plan(sc, &sc.coreOut[srcTile], h, linkHold, tl, arbLocal, false, k.id)
+		t := s.plan(sc, &sc.coreOut[srcTile], h, pc.linkHold, tl, arbLocal, false, k.id)
 		contention += t - h
 		h = t + tl
 
 		// Routers (output-port arbitration) and the links they feed.
 		var delivered int64
-		for i, tile := range tiles {
+		for _, hp := range route {
 			arrival := h
-			next := tile // == tile signals the local (core) port
-			if i+1 < len(tiles) {
-				next = tiles[i+1]
-			}
-			// Route steps are adjacent tiles of this mesh by
-			// construction, so the table entries are always valid.
-			pi := int(s.portOf[int(tile)*n+int(next)])
-			local := next == tile
-			// Resolve the outgoing link (and whether it is a TSV) before
-			// booking the port: a port feeding a vertical link streams its
-			// flits at the TSV rate, so its hold time follows the link's.
-			li, vert := -1, false
-			pHold := portHold
-			if !local {
-				li = int(s.linkOf[int(tile)*n+int(next)])
-				if s.vertLink != nil && s.vertLink[li] {
-					vert = true
-					pHold = vPortHold
-				}
-			}
-			// Paper-faithful: the local output port is timed but not
-			// arbitrated (Figure 3(b) shows overlapping deliveries).
-			pRate := tl
+			tile := int(hp.port) / NumPorts
+			// A port feeding a vertical link streams its flits at the TSV
+			// rate, so its hold time follows the link's. The local output
+			// port is timed but not arbitrated (paper-faithful: Figure
+			// 3(b) shows overlapping deliveries).
+			local := hp.link == localHop
+			vert := hp.link < 0 && !local
+			pHold, pRate := pc.portHold, tl
 			if vert {
-				pRate = tlv
+				pHold, pRate = pc.vPortHold, tlv
 			}
-			t = s.plan(sc, &sc.ports[pi], h, pHold, pRate, !local || arbLocal, true, k.id)
+			t = s.plan(sc, &sc.ports[hp.port], h, pHold, pRate, !local || arbLocal, true, k.id)
 			contention += t - h
 			portEnd := t + pHold
 			h = t + tr
-			res.RouterBits[tile] += pkt.Bits
+			res.RouterBits[tile] += bits
 			if record {
 				// Display span: from arrival (incl. buffer wait) to the
 				// last flit leaving the router — the paper's annotation.
 				sc.routerSpans[tile].iv = append(sc.routerSpans[tile].iv,
 					Occupancy{Packet: k.id, Start: arrival, End: portEnd})
 			}
-			if !local {
-				lHold, adv := linkHold, tl
-				if vert {
-					lHold, adv = vLinkHold, tlv
-				}
-				t = s.plan(sc, &sc.links[li], h, lHold, adv, true, false, k.id)
-				contention += t - h
-				h = t + adv
-				res.LinkBits[li] += pkt.Bits
-				if vert {
-					res.TSVBits += pkt.Bits
-				}
-			} else {
+			switch {
+			case local:
 				// Local router -> destination core link; delivery is when
 				// the last flit crosses it.
-				t = s.plan(sc, &sc.coreIn[dstTile], h, linkHold, tl, arbLocal, false, k.id)
+				t = s.plan(sc, &sc.coreIn[dstTile], h, pc.linkHold, tl, arbLocal, false, k.id)
 				contention += t - h
-				delivered = t + linkHold
+				delivered = t + pc.linkHold
+			case vert:
+				li := ^hp.link
+				t = s.plan(sc, &sc.links[li], h, pc.vLinkHold, tlv, true, false, k.id)
+				contention += t - h
+				h = t + tlv
+				res.LinkBits[li] += bits
+				res.TSVBits += bits
+			default:
+				t = s.plan(sc, &sc.links[hp.link], h, pc.linkHold, tl, true, false, k.id)
+				contention += t - h
+				h = t + tl
+				res.LinkBits[hp.link] += bits
 			}
 		}
 		s.applyBackpressure(sc, tl)
@@ -706,16 +728,16 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			hp := &sc.hops[i]
 			hp.list.record(hp.t, hp.hold, k.id)
 		}
-		res.CoreBits += 2 * pkt.Bits
+		res.CoreBits += 2 * bits
 
 		res.Packets[p] = PacketSchedule{
 			ID:         k.id,
-			Ready:      k.start - pkt.Compute,
+			Ready:      k.start - pc.compute,
 			Start:      k.start,
 			Delivered:  delivered,
 			Contention: contention,
-			K:          len(tiles),
-			Flits:      nFlits,
+			K:          len(route),
+			Flits:      pc.flits,
 		}
 		res.TotalContention += contention
 		if delivered > res.ExecCycles {
@@ -730,7 +752,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			sc.indeg[succ]--
 			if sc.indeg[succ] == 0 {
 				sc.heap.push(pktKey{
-					start: sc.ready[succ] + s.G.Packets[succ].Compute,
+					start: sc.ready[succ] + s.pkts[succ].compute,
 					id:    model.PacketID(succ),
 				})
 			}
@@ -817,27 +839,38 @@ func (h *pktHeap) push(k pktKey) {
 	}
 }
 
+// pop removes and returns the minimum. The last element is sifted down
+// from the root as a hole — children move up into it and the element is
+// written once at its final slot — instead of being swapped level by
+// level. Keys are distinct (IDs are unique), so the order of pops is the
+// same as with any other correct sift.
+//
 //nocvet:noalloc
 func (h *pktHeap) pop() pktKey {
-	top := h.a[0]
-	last := len(h.a) - 1
-	h.a[0] = h.a[last]
-	h.a = h.a[:last]
+	a := h.a
+	top := a[0]
+	last := len(a) - 1
+	x := a[last]
+	a = a[:last]
+	h.a = a
+	if last == 0 {
+		return top
+	}
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < len(h.a) && h.a[l].less(h.a[m]) {
-			m = l
-		}
-		if r < len(h.a) && h.a[r].less(h.a[m]) {
-			m = r
-		}
-		if m == i {
+		m := 2*i + 1
+		if m >= last {
 			break
 		}
-		h.a[i], h.a[m] = h.a[m], h.a[i]
+		if r := m + 1; r < last && a[r].less(a[m]) {
+			m = r
+		}
+		if !a[m].less(x) {
+			break
+		}
+		a[i] = a[m]
 		i = m
 	}
+	a[i] = x
 	return top
 }
