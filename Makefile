@@ -4,7 +4,7 @@
 STATICCHECK_VERSION := 2025.1.1
 GOVULNCHECK_VERSION := v1.1.4
 
-.PHONY: build test race lint lint-offline nocvet staticcheck govulncheck check
+.PHONY: build test race lint lint-offline gofmt nocvet staticcheck govulncheck check
 
 build:
 	go build ./...
@@ -14,6 +14,12 @@ test:
 
 race:
 	go test -race ./...
+
+# gofmt fails when any Go source file is not gofmt-formatted; the
+# benchmark's build directory is skipped.
+gofmt:
+	@files="$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*'))"; \
+	if [ -n "$$files" ]; then echo "gofmt -l flags:"; echo "$$files"; exit 1; fi
 
 # nocvet is the project-specific gate: determinism (detmap, detsource),
 # hot-path allocation (hotpath), cancellation (ctxflow) and lock
@@ -32,13 +38,13 @@ govulncheck:
 	go run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./... || true
 
 # lint is the blocking CI lint step, verbatim.
-lint: nocvet
+lint: gofmt nocvet
 	go vet ./...
 	$(MAKE) staticcheck
 
 # lint-offline is lint minus the tools that need a module download —
 # everything in it runs from a cold cache with no network.
-lint-offline: nocvet
+lint-offline: gofmt nocvet
 	go vet ./...
 
 check: build lint test race

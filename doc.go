@@ -143,9 +143,11 @@
 //	internal/energy     bit-energy model and technology profiles (eqs. 1-10)
 //	internal/mapping    core→tile placements, moves, enumeration
 //	internal/par        deterministic bounded worker pool (batch + daemon Pool)
-//	internal/search     SA / exhaustive / hill / random / tabu engines,
-//	                    parallel multi-restart and sharded enumeration,
-//	                    context cancellation and progress callbacks
+//	internal/search     SA / exhaustive / hill / random / tabu / Pareto
+//	                    engines on three kernels (Metropolis walk, swap
+//	                    scan, enumeration loop), parallel multi-restart
+//	                    and sharded enumeration, context cancellation
+//	                    and progress callbacks
 //	internal/core       the FRW framework: CWM & CDCM strategies (the contribution)
 //	internal/service    mapping-as-a-service: job queue, instance cache, HTTP API
 //	internal/appgen     TGFF-like CDCG benchmark generator

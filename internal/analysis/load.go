@@ -77,8 +77,8 @@ func Load(dir string, includeTests bool, patterns ...string) ([]*Package, error)
 		return nil, fmt.Errorf("go list: %v\n%s", err, stderr.String())
 	}
 
-	exports := make(map[string]string)   // import path -> export data file
-	fallback := make(map[string]string)  // test-variant exports, used if no plain one
+	exports := make(map[string]string)  // import path -> export data file
+	fallback := make(map[string]string) // test-variant exports, used if no plain one
 	var roots []listPkg
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {

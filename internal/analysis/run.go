@@ -106,7 +106,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 }
 
 // lineRange is the span of source lines one ignore directive covers.
-type lineRange struct{ file string; from, to int }
+type lineRange struct {
+	file     string
+	from, to int
+}
 
 // filterIgnored drops findings covered by a //nocvet:ignore directive
 // and appends a finding for each directive missing its reason. A

@@ -134,6 +134,7 @@ func NewCWM(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CWG)
 }
 
 // routers returns K for a tile pair, caching the route length.
+//
 //nocvet:noalloc
 func (c *CWM) routers(src, dst topology.TileID) (int, error) {
 	if k := c.kCache[int(src)*c.numTiles+int(dst)]; k > 0 {
@@ -176,6 +177,7 @@ func (c *CWM) routersSlow(src, dst topology.TileID) (int, error) {
 // injectivity scan here would dominate the hot loop. Callers pricing an
 // externally supplied mapping must validate it first — Reset and Traffic
 // are the validating entry points.
+//
 //nocvet:noalloc
 func (c *CWM) Cost(mp mapping.Mapping) (float64, error) {
 	if len(mp) != c.G.NumCores() {

@@ -116,6 +116,7 @@ func (c *CWM) Reset(mp mapping.Mapping) (float64, error) {
 // the swapped and baseline costs, each derived from the exact integer
 // aggregate exactly as Cost derives them — which is what keeps the
 // incremental path bit-identical to full recomputes.
+//
 //nocvet:noalloc
 func (c *CWM) SwapDelta(occ []model.CoreID, ta, tb topology.TileID) (float64, error) {
 	if c.bound == nil {
@@ -144,6 +145,7 @@ func (c *CWM) SwapDelta(occ []model.CoreID, ta, tb topology.TileID) (float64, er
 // change. It is the shared kernel of SwapDelta and the tier-A certified
 // bound (cdcmBound.SwapBound), which both need the swapped mapping's
 // exact integer aggregates without mutating the baseline.
+//
 //nocvet:noalloc
 func (c *CWM) swapAgg(occ []model.CoreID, ta, tb topology.TileID) (dR, dV int64, err error) {
 	ca, cb := occ[ta], occ[tb]
@@ -208,6 +210,7 @@ func (c *CWM) swapAgg(occ []model.CoreID, ta, tb topology.TileID) (dR, dV int64,
 // Re-probing the warm route-cache rows here keeps SwapDelta free of
 // bookkeeping — pricing runs for every proposal, commits only for
 // accepted ones.
+//
 //nocvet:noalloc
 func (c *CWM) Commit(ta, tb topology.TileID) float64 {
 	ca, cb := c.boundOcc[ta], c.boundOcc[tb]
@@ -221,6 +224,7 @@ func (c *CWM) Commit(ta, tb topology.TileID) float64 {
 // baseline, skipping edges to skip (already refreshed by the partner's
 // pass). Route lookups cannot fail here: the baseline is a validated
 // mapping, so both endpoints are in-range tiles of a connected mesh.
+//
 //nocvet:noalloc
 func (c *CWM) refreshEdges(x, skip model.CoreID) {
 	if x == mapping.Unassigned {

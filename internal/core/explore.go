@@ -353,20 +353,28 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 	}
 
 	prob := search.Problem{Mesh: mesh, NumCores: g.NumCores()}
-
-	// StrategyPareto is engine and strategy in one: the front engine over
-	// CDCM's vector components. Options.Method is ignored — the front has
-	// exactly one engine — and the scalar Search result summarises the
-	// front's lowest-ENoC point so every downstream consumer of
-	// ExploreResult keeps working unchanged.
-	if strategy == StrategyPareto {
-		base, err := newObjective()
-		if err != nil {
-			return nil, err
+	serial := func() error {
+		obj, err := newObjective()
+		prob.Obj = obj
+		return err
+	}
+	var (
+		res   *search.Result
+		front *search.FrontResult
+		err   error
+	)
+	phase("search")
+	switch {
+	case strategy == StrategyPareto:
+		// StrategyPareto is engine and strategy in one: the front engine
+		// over the objective's vector components. Options.Method is
+		// ignored, and the scalar Search result summarises the front's
+		// lowest-collapse point so every consumer of ExploreResult keeps
+		// working unchanged.
+		if err = serial(); err != nil {
+			break
 		}
-		prob.Obj = base
-		phase("search")
-		front, err := (&search.ParetoSA{
+		front, err = (&search.ParetoSA{
 			Problem:      prob,
 			Seed:         opts.Seed,
 			Initial:      opts.Initial,
@@ -382,45 +390,23 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 			OnProgress:   opts.OnProgress,
 		}).Run()
 		if err != nil {
-			return nil, err
+			break
 		}
 		best, ok := front.Best()
 		if !ok {
-			return nil, fmt.Errorf("core: pareto exploration returned an empty front")
+			err = fmt.Errorf("core: pareto exploration returned an empty front")
+			break
 		}
-		phase("price")
-		metrics, err := cdcmBase.Evaluate(best.Mapping)
-		if err != nil {
-			return nil, err
+		res = &search.Result{
+			Best:           best.Mapping,
+			BestCost:       best.Cost,
+			InitialCost:    front.InitialCost,
+			Evaluations:    front.Evaluations,
+			ExactEvals:     front.ExactEvals,
+			SurrogateEvals: front.SurrogateEvals,
+			Improvements:   front.Improvements,
 		}
-		out := &ExploreResult{
-			Strategy: strategy,
-			Search: &search.Result{
-				Best:           best.Mapping,
-				BestCost:       best.Cost,
-				InitialCost:    front.InitialCost,
-				Evaluations:    front.Evaluations,
-				ExactEvals:     front.ExactEvals,
-				SurrogateEvals: front.SurrogateEvals,
-				Improvements:   front.Improvements,
-			},
-			Best:    best.Mapping,
-			Metrics: metrics,
-			Front:   front,
-		}
-		if err := attachResilience(out, resBase, mesh, cfg, tech, g, opts.Faults); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
-	var (
-		res *search.Result
-		err error
-	)
-	phase("search")
-	switch opts.Method {
-	case MethodSA:
+	case opts.Method == MethodSA:
 		res, err = (&search.MultiAnnealer{
 			Base: search.Annealer{
 				Problem:      prob,
@@ -438,7 +424,7 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 			Workers:      opts.Workers,
 			NewObjective: newObjective,
 		}).Run()
-	case MethodES:
+	case opts.Method == MethodES:
 		res, err = (&search.ShardedExhaustive{
 			Problem:      prob,
 			Limit:        opts.ESLimit,
@@ -448,20 +434,18 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 			Ctx:          opts.Ctx,
 			OnProgress:   opts.OnProgress,
 		}).Run()
-	case MethodRandom, MethodHill, MethodTabu:
-		var obj search.Objective
-		if obj, err = newObjective(); err != nil {
-			return nil, err
-		}
-		prob.Obj = obj
-		switch opts.Method {
-		case MethodRandom:
+	case opts.Method == MethodRandom:
+		if err = serial(); err == nil {
 			res, err = (&search.RandomSearch{Problem: prob, Seed: opts.Seed, Samples: opts.Samples,
 				Ctx: opts.Ctx, OnProgress: opts.OnProgress}).Run()
-		case MethodHill:
+		}
+	case opts.Method == MethodHill:
+		if err = serial(); err == nil {
 			res, err = (&search.HillClimber{Problem: prob, Seed: opts.Seed, Initial: opts.Initial,
 				Ctx: opts.Ctx, OnProgress: opts.OnProgress}).Run()
-		case MethodTabu:
+		}
+	case opts.Method == MethodTabu:
+		if err = serial(); err == nil {
 			res, err = (&search.Tabu{Problem: prob, Seed: opts.Seed,
 				Ctx: opts.Ctx, OnProgress: opts.OnProgress}).Run()
 		}
@@ -494,7 +478,7 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 	if err != nil {
 		return nil, err
 	}
-	out := &ExploreResult{Strategy: strategy, Search: res, Best: res.Best, Metrics: metrics}
+	out := &ExploreResult{Strategy: strategy, Search: res, Best: res.Best, Metrics: metrics, Front: front}
 	if err := attachResilience(out, resBase, mesh, cfg, tech, g, opts.Faults); err != nil {
 		return nil, err
 	}

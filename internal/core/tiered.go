@@ -145,6 +145,7 @@ func (b *cdcmBound) ResetBound(mp mapping.Mapping) (float64, error) {
 // from the swapped state's aggregates — never tracked-value-plus-delta —
 // so the float64 certificate bound ≤ exact survives rounding (see
 // search.LowerBoundObjective).
+//
 //nocvet:noalloc
 func (b *cdcmBound) SwapBound(occ []model.CoreID, ta, tb topology.TileID) (float64, error) {
 	c := b.cwm
@@ -177,6 +178,7 @@ func (b *cdcmBound) CommitBound(ta, tb topology.TileID) { b.cwm.Commit(ta, tb) }
 // (and fault detours, whose routes are hop-wise at least as long) can
 // only increase. The patch trick prices a swap without touching the
 // baseline, keeping the scan allocation-free.
+//
 //nocvet:noalloc
 func (b *cdcmBound) lpCycles(ta, tb topology.TileID) (int64, error) {
 	lb := b.lb
@@ -324,6 +326,7 @@ func newCDCMSurrogate(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 
 // texecCycles predicts texec (in cycles, clamped non-negative) from the
 // traffic aggregates.
+//
 //nocvet:noalloc
 func (s *cdcmSurrogate) texecCycles(rb, vb int64) float64 {
 	c := s.cwm
@@ -339,6 +342,7 @@ func (s *cdcmSurrogate) texecCycles(rb, vb int64) float64 {
 // exact dynamic energy plus the predicted static energy, accumulated in
 // the same order the exact pricer and Breakdown.Total use so the scalar
 // equals the collapsed vector bit for bit.
+//
 //nocvet:noalloc
 func (s *cdcmSurrogate) priceAgg(rb, vb int64) float64 {
 	c := s.cwm
@@ -349,6 +353,7 @@ func (s *cdcmSurrogate) priceAgg(rb, vb int64) float64 {
 
 // aggregates folds mp's traffic aggregates, exactly like CWM.Cost (same
 // hot-path contract: mp must be structurally valid and injective).
+//
 //nocvet:noalloc
 func (s *cdcmSurrogate) aggregates(mp mapping.Mapping) (rb, vb int64, err error) {
 	c := s.cwm
@@ -369,6 +374,7 @@ func (s *cdcmSurrogate) aggregates(mp mapping.Mapping) (rb, vb int64, err error)
 }
 
 // Cost implements search.Objective: the surrogate ENoC of mp.
+//
 //nocvet:noalloc
 func (s *cdcmSurrogate) Cost(mp mapping.Mapping) (float64, error) {
 	rb, vb, err := s.aggregates(mp)
@@ -390,6 +396,7 @@ func (s *cdcmSurrogate) Reset(mp mapping.Mapping) (float64, error) {
 // SwapDelta implements search.DeltaObjective: the surrogate cost change
 // of exchanging the occupants of ta and tb, priced in O(deg) without
 // applying the swap.
+//
 //nocvet:noalloc
 func (s *cdcmSurrogate) SwapDelta(occ []model.CoreID, ta, tb topology.TileID) (float64, error) {
 	c := s.cwm
@@ -409,6 +416,7 @@ func (s *cdcmSurrogate) SwapDelta(occ []model.CoreID, ta, tb topology.TileID) (f
 
 // Commit implements search.DeltaObjective: folds an accepted swap into
 // the baseline and returns the updated baseline's surrogate cost.
+//
 //nocvet:noalloc
 func (s *cdcmSurrogate) Commit(ta, tb topology.TileID) float64 {
 	s.cwm.Commit(ta, tb)
@@ -419,15 +427,18 @@ func (s *cdcmSurrogate) Commit(ta, tb topology.TileID) float64 {
 // three axes as CDCM (dynamic energy, static energy, texec), with the
 // latter two predicted instead of simulated — which is what lets the
 // Pareto engine walk on it in CDCM's place.
+//
 //nocvet:noalloc
 func (s *cdcmSurrogate) Axes() []string { return cdcmAxes }
 
 // CollapseWeights implements search.VectorObjective (same collapse as
 // CDCM: ENoC = dynamic + static).
+//
 //nocvet:noalloc
 func (s *cdcmSurrogate) CollapseWeights() []float64 { return cdcmWeights }
 
 // ComponentsInto implements search.VectorObjective.
+//
 //nocvet:noalloc
 func (s *cdcmSurrogate) ComponentsInto(mp mapping.Mapping, dst []float64) error {
 	if len(dst) < len(cdcmAxes) {

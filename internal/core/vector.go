@@ -30,12 +30,14 @@ var (
 
 // Axes implements search.VectorObjective: dynamic energy and the
 // uncontended hop-latency aggregate.
+//
 //nocvet:noalloc
 func (c *CWM) Axes() []string { return cwmAxes }
 
 // CollapseWeights implements search.VectorObjective: CWM's scalar cost is
 // EDyNoC alone — the model is blind to timing, so the latency axis
 // carries weight zero in the collapse.
+//
 //nocvet:noalloc
 func (c *CWM) CollapseWeights() []float64 { return cwmWeights }
 
@@ -55,6 +57,7 @@ func (c *CWM) CollapseWeights() []float64 { return cwmWeights }
 //
 // The hot-path contract of search.VectorObjective applies: mp must be
 // structurally valid and injective.
+//
 //nocvet:noalloc
 func (c *CWM) ComponentsInto(mp mapping.Mapping, dst []float64) error {
 	if len(dst) < len(cwmAxes) {

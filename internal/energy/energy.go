@@ -39,6 +39,7 @@ type Tech struct {
 
 // TSVBit returns the effective per-bit vertical-link energy: ETSVbit when
 // set, ELbit otherwise.
+//
 //nocvet:noalloc
 func (t Tech) TSVBit() float64 {
 	if t.ETSVbit > 0 {
@@ -74,6 +75,7 @@ func (t Tech) BitEnergy(k int) float64 {
 // over every (packet, core↔router link) traversal. The simulator and the
 // CWM path evaluator both produce exactly these aggregates, which is why
 // the two models agree on dynamic energy for a fixed mapping.
+//
 //nocvet:noalloc
 func (t Tech) DynamicFromTraffic(routerBits, linkBits, coreBits int64) float64 {
 	return t.DynamicFromTraffic3D(routerBits, linkBits, 0, coreBits)
@@ -84,6 +86,7 @@ func (t Tech) DynamicFromTraffic(routerBits, linkBits, coreBits int64) float64 {
 // instead of ELbit. With tsvBits == 0 the expression reduces, operation
 // for operation, to the 2-D formula — which is what keeps depth-1 grids
 // bit-identical to the original model.
+//
 //nocvet:noalloc
 func (t Tech) DynamicFromTraffic3D(routerBits, linkBits, tsvBits, coreBits int64) float64 {
 	e := float64(routerBits)*t.ERbit + float64(linkBits-tsvBits)*t.ELbit + float64(coreBits)*t.ECbit
@@ -94,6 +97,7 @@ func (t Tech) DynamicFromTraffic3D(routerBits, linkBits, tsvBits, coreBits int64
 }
 
 // StaticPower returns PStNoC of equation (5): numTiles * PSRouter.
+//
 //nocvet:noalloc
 func (t Tech) StaticPower(numTiles int) float64 {
 	if numTiles <= 0 {
@@ -103,6 +107,7 @@ func (t Tech) StaticPower(numTiles int) float64 {
 }
 
 // StaticEnergy returns EStNoC of equation (9): PStNoC * texec.
+//
 //nocvet:noalloc
 func (t Tech) StaticEnergy(numTiles int, execSeconds float64) float64 {
 	if execSeconds < 0 {

@@ -59,6 +59,7 @@ func (g *Digraph) AddEdge(u, v int) error {
 
 // Succ returns the successors of u. The returned slice is owned by the
 // graph and must not be modified.
+//
 //nocvet:noalloc
 func (g *Digraph) Succ(u int) []int { return g.adj[u] }
 
@@ -67,6 +68,7 @@ func (g *Digraph) Succ(u int) []int { return g.adj[u] }
 func (g *Digraph) Pred(u int) []int { return g.radj[u] }
 
 // InDegree returns the number of edges entering u.
+//
 //nocvet:noalloc
 func (g *Digraph) InDegree(u int) int { return len(g.radj[u]) }
 

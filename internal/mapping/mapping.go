@@ -38,6 +38,7 @@ func (m Mapping) Validate(numTiles int) error {
 // path. seen must hold at least numTiles entries; its contents are
 // overwritten (and carry the tile→core view of a valid mapping on
 // return).
+//
 //nocvet:noalloc
 func (m Mapping) ValidateInto(numTiles int, seen []model.CoreID) error {
 	if len(m) == 0 {
@@ -108,6 +109,7 @@ func Identity(numCores int) Mapping {
 // SwapTiles exchanges the occupants of tiles a and b in place, updating
 // both the mapping and the occupancy view. Swapping two empty tiles is a
 // no-op. This is the neighbourhood move of the annealer.
+//
 //nocvet:noalloc
 func SwapTiles(m Mapping, occ []model.CoreID, a, b topology.TileID) {
 	ca, cb := occ[a], occ[b]

@@ -80,10 +80,12 @@ type CDCG struct {
 }
 
 // NumCores returns the number of cores in the application.
+//
 //nocvet:noalloc
 func (g *CDCG) NumCores() int { return len(g.Cores) }
 
 // NumPackets returns the number of packet vertices.
+//
 //nocvet:noalloc
 func (g *CDCG) NumPackets() int { return len(g.Packets) }
 
@@ -99,6 +101,7 @@ func (g *CDCG) TotalBits() int64 {
 }
 
 // NumCores returns the number of cores in the application.
+//
 //nocvet:noalloc
 func (g *CWG) NumCores() int { return len(g.Cores) }
 

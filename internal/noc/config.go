@@ -133,6 +133,7 @@ func (c Config) Validate() error {
 
 // Flits returns the number of flits of a packet of the given bit volume:
 // n_abq = ceil(w_abq / FlitBits).
+//
 //nocvet:noalloc
 func (c Config) Flits(bits int64) int64 {
 	if bits <= 0 {
@@ -146,6 +147,7 @@ func (c Config) Flits(bits int64) int64 {
 // TSVLinkCycles when set, LinkCycles otherwise. The wormhole simulator
 // applies it per vertical hop, so on depth-1 grids it never enters any
 // timing computation.
+//
 //nocvet:noalloc
 func (c Config) TSVCycles() int64 {
 	if c.TSVLinkCycles > 0 {
@@ -183,5 +185,6 @@ func (c Config) PayloadDelay(flits int64) int64 {
 func (c Config) CyclesToNS(cycles int64) float64 { return float64(cycles) * c.ClockNS }
 
 // CyclesToSeconds converts a cycle count to seconds using λ.
+//
 //nocvet:noalloc
 func (c Config) CyclesToSeconds(cycles int64) float64 { return float64(cycles) * c.ClockNS * 1e-9 }

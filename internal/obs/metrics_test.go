@@ -127,11 +127,11 @@ func TestRegistryPanicsOnBadNames(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("ok_total", "")
 	for _, fn := range []func(){
-		func() { r.Counter("ok_total", "") },        // duplicate
-		func() { r.Counter("9bad", "") },            // leading digit
-		func() { r.Counter("bad name", "") },        // space
-		func() { r.Counter("", "") },                // empty
-		func() { r.CounterVec("v_total", "", "") },  // missing label
+		func() { r.Counter("ok_total", "") },              // duplicate
+		func() { r.Counter("9bad", "") },                  // leading digit
+		func() { r.Counter("bad name", "") },              // space
+		func() { r.Counter("", "") },                      // empty
+		func() { r.CounterVec("v_total", "", "") },        // missing label
 		func() { r.CounterVec("v2_total", "", "l abel") }, // bad label
 	} {
 		func() {

@@ -23,7 +23,7 @@ func engines(p Problem, ctx context.Context, prog ProgressFunc) map[string]runne
 		"hill":     &HillClimber{Problem: p, Seed: 1, Ctx: ctx, OnProgress: prog},
 		"tabu":     &Tabu{Problem: p, Seed: 1, Iterations: 40, Ctx: ctx, OnProgress: prog},
 		"random":   &RandomSearch{Problem: p, Seed: 1, Samples: 500, Ctx: ctx, OnProgress: prog},
-		"es":       &Exhaustive{Problem: p, Ctx: ctx, OnProgress: prog},
+		"es":       &ShardedExhaustive{Problem: p, Limit: 1 << 40, Ctx: ctx, OnProgress: prog},
 		"multi": &MultiAnnealer{Base: Annealer{Problem: p, Seed: 1, TempSteps: 40,
 			Ctx: ctx, OnProgress: prog}, Restarts: 2, Workers: 2},
 		"sharded": &ShardedExhaustive{Problem: p, Workers: 2, Ctx: ctx, OnProgress: prog},

@@ -10,84 +10,6 @@ import (
 	"repro/internal/topology"
 )
 
-// Exhaustive enumerates every injective placement and certifies the global
-// optimum. Only feasible on small NoCs — the space is m!/(m-n)! — which is
-// exactly how the paper uses it ("for small NoC sizes both ES and SA
-// reached the same results").
-type Exhaustive struct {
-	Problem Problem
-	// Anchor, when true, pins the first core to the canonical mesh
-	// quadrant, exploiting mirror symmetry to shrink the space up to 4x.
-	// The returned optimum cost is unaffected as long as the objective is
-	// symmetry-invariant, which holds for both CWM and CDCM on a mesh.
-	Anchor bool
-	// Limit aborts after this many placements (0 = none). If it fires,
-	// the result is the best-so-far and Certified stays false.
-	Limit int64
-	// Ctx, when non-nil, cancels the enumeration; Run returns ctx.Err().
-	// Nil is bit-identical to the historical behaviour.
-	Ctx context.Context
-	// OnProgress, when non-nil, receives a snapshot every few thousand
-	// placements (Steps is 0: the space size is not precomputed).
-	OnProgress ProgressFunc
-}
-
-// Run enumerates the space.
-func (e *Exhaustive) Run() (*Result, error) {
-	if err := e.Problem.validate(); err != nil {
-		return nil, err
-	}
-	res := &Result{BestCost: math.Inf(1)}
-	anchor := -1
-	if e.Anchor {
-		anchor = 0
-	}
-	var innerErr error
-	err := mapping.Enumerate(e.Problem.Mesh, e.Problem.NumCores,
-		mapping.EnumerateOptions{Limit: e.Limit, AnchorCore: anchor},
-		func(m mapping.Mapping) bool {
-			if e.Ctx != nil && res.Evaluations%pollEvery == 0 {
-				if err := pollCtx(e.Ctx); err != nil {
-					innerErr = err
-					return false
-				}
-			}
-			c, err := e.Problem.Obj.Cost(m)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			res.Evaluations++
-			res.ExactEvals++
-			if e.OnProgress != nil && res.Evaluations%4096 == 0 {
-				e.OnProgress(Progress{Engine: "ES", Evaluations: res.Evaluations,
-					ExactEvals: res.ExactEvals,
-					Accepted:   res.Improvements, Rejected: res.Evaluations - res.Improvements,
-					BestCost: res.BestCost})
-			}
-			if res.Evaluations == 1 {
-				res.InitialCost = c
-			}
-			if c < res.BestCost {
-				res.BestCost = c
-				res.Best = m.Clone()
-				res.Improvements++
-			}
-			return true
-		})
-	if innerErr != nil {
-		return nil, innerErr
-	}
-	if err == mapping.ErrLimit {
-		return res, nil // truncated: not certified
-	}
-	if err != nil {
-		return nil, err
-	}
-	res.Certified = true
-	return res, nil
-}
-
 // RandomSearch samples independent random mappings — the baseline of the
 // paper's reference [4], which reports that guided mapping beats random
 // mapping by more than 60% in energy.
@@ -111,13 +33,14 @@ func (r *RandomSearch) Run() (*Result, error) {
 	if samples == 0 {
 		samples = 1000
 	}
+	if samples < 0 {
+		return nil, fmt.Errorf("search: %d samples", samples)
+	}
 	rng := rand.New(rand.NewSource(r.Seed))
 	res := &Result{BestCost: math.Inf(1)}
 	for i := 0; i < samples; i++ {
-		if r.Ctx != nil && i%pollEvery == 0 {
-			if err := pollCtx(r.Ctx); err != nil {
-				return nil, err
-			}
+		if err := pollAt(r.Ctx, res.Evaluations); err != nil {
+			return nil, err
 		}
 		m, err := mapping.Random(rng, r.Problem.NumCores, r.Problem.Mesh.NumTiles())
 		if err != nil {
@@ -145,6 +68,143 @@ func (r *RandomSearch) Run() (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// neighbourhood is the swap-scan kernel of HillClimber and Tabu: one
+// walk's incumbent, its bound objectives, and the scan that prices every
+// swap with at least one occupied tile.
+type neighbourhood struct {
+	obj Objective
+	res *Result
+	ctx context.Context
+	inc incumbent
+	// dobj is the bound DeltaObjective, nil on the full-recompute path;
+	// bnd is the tier-A bound filter, nil when absent or when the exact
+	// tier has a delta path (already cheaper than any bound probe).
+	dobj DeltaObjective
+	bnd  LowerBoundObjective
+	// Telemetry counters: each scan accepts at most one neighbour (the
+	// applied move) and rejects the rest. Never read by the search.
+	accepted, rejected int64
+}
+
+// bind starts a walk at cur, pricing it with one exact evaluation, and
+// returns its cost.
+func (n *neighbourhood) bind(cur mapping.Mapping, numTiles int) (float64, error) {
+	cost, dobj, useDelta, err := bindObjective(n.obj, cur)
+	if err != nil {
+		return 0, err
+	}
+	n.res.Evaluations++
+	n.res.ExactEvals++
+	n.inc.bind(cur, numTiles, cost)
+	n.dobj, n.bnd = dobj, nil
+	if !useDelta {
+		if n.bnd, err = bindBound(n.obj, cur); err != nil {
+			return 0, err
+		}
+	}
+	return cost, nil
+}
+
+// scan prices the neighbourhood and returns the candidate with the
+// strictly smallest delta below bestD (0 for steepest descent, +Inf to
+// take the best neighbour even when degrading), or ok == false when none
+// qualifies. admissible, when non-nil, vetoes a priced candidate before
+// selection. All comparisons run in the delta domain: the delta path's
+// SwapDelta and the full path's c − cost are bit-identical for an exact
+// DeltaObjective, whereas reconstructed absolute costs (cost + d) could
+// round a tie apart and make the two paths pick different moves.
+func (n *neighbourhood) scan(bestD float64, admissible func(ta, tb topology.TileID, d float64) bool) (
+	bestA, bestB topology.TileID, bestC float64, ok bool, err error) {
+	numTiles := len(n.inc.occ)
+	var scanned int64
+	for a := 0; a < numTiles; a++ {
+		for b := a + 1; b < numTiles; b++ {
+			ta, tb := topology.TileID(a), topology.TileID(b)
+			if n.inc.occ[ta] == mapping.Unassigned && n.inc.occ[tb] == mapping.Unassigned {
+				continue
+			}
+			if err := pollAt(n.ctx, n.res.Evaluations); err != nil {
+				return 0, 0, 0, false, err
+			}
+			if n.bnd != nil {
+				// Skip rule: the candidate's certified bound already proves
+				// its exact delta cannot beat bestD. lb ≤ c (the exact
+				// cost) gives lb−cost ≤ c−cost = d by monotonicity of
+				// float subtraction in its first operand, so lb−cost ≥
+				// bestD implies d ≥ bestD and the strict d < bestD
+				// selection could never fire — the skipped candidate is
+				// exactly one the exact scan would have rejected, which
+				// keeps the filtered trajectory bit-identical. The scan
+				// only reads admissible's state, so skipping cannot change
+				// it either.
+				lb, err := n.bnd.SwapBound(n.inc.occ, ta, tb)
+				if err != nil {
+					return 0, 0, 0, false, err
+				}
+				if lb-n.inc.cost >= bestD {
+					n.res.Evaluations++
+					n.res.BoundSkips++
+					scanned++
+					continue
+				}
+			}
+			var c, d float64
+			if n.dobj != nil {
+				d, err = n.dobj.SwapDelta(n.inc.occ, ta, tb)
+				c = n.inc.cost + d
+			} else {
+				mapping.SwapTiles(n.inc.cur, n.inc.occ, ta, tb)
+				c, err = n.obj.Cost(n.inc.cur)
+				mapping.SwapTiles(n.inc.cur, n.inc.occ, ta, tb)
+				d = c - n.inc.cost
+			}
+			if err != nil {
+				return 0, 0, 0, false, err
+			}
+			n.res.Evaluations++
+			n.res.ExactEvals++
+			scanned++
+			if admissible != nil && !admissible(ta, tb, d) {
+				continue
+			}
+			if d < bestD {
+				bestD, bestC = d, c
+				bestA, bestB, ok = ta, tb, true
+			}
+		}
+	}
+	if !ok {
+		n.rejected += scanned
+	} else {
+		n.accepted++
+		n.rejected += scanned - 1
+	}
+	return bestA, bestB, bestC, ok, nil
+}
+
+// apply commits the swap (a, b) priced at c. The incumbent records an
+// exactly recomputed cost, never cost += d: the full path's c is the
+// neighbour's full Cost and the delta path adopts Commit's recompute, so
+// repeated moves cannot drift from the true cost.
+func (n *neighbourhood) apply(engine string, a, b topology.TileID, c float64) {
+	mapping.SwapTiles(n.inc.cur, n.inc.occ, a, b)
+	if n.dobj != nil {
+		c = n.dobj.Commit(a, b)
+	}
+	if n.bnd != nil {
+		n.bnd.CommitBound(a, b)
+	}
+	n.inc.adopt(engine, n.obj, c)
+}
+
+// progress snapshots the walk's counters.
+func (n *neighbourhood) progress(engine string, step, steps int, best float64) Progress {
+	return Progress{Engine: engine, Step: step, Steps: steps,
+		Evaluations: n.res.Evaluations, ExactEvals: n.res.ExactEvals,
+		BoundSkips: n.res.BoundSkips, Accepted: n.accepted, Rejected: n.rejected,
+		BestCost: best}
 }
 
 // HillClimber performs steepest-descent over the swap neighbourhood with
@@ -179,152 +239,53 @@ func (h *HillClimber) Run() (*Result, error) {
 	if restarts == 0 {
 		restarts = 3
 	}
+	if restarts < 0 {
+		return nil, fmt.Errorf("search: %d restarts", restarts)
+	}
 	rng := rand.New(rand.NewSource(h.Seed))
 	numTiles := h.Problem.Mesh.NumTiles()
 	res := &Result{BestCost: math.Inf(1)}
-	var useDeltaAny bool
-	// Telemetry counters across all restarts: each steepest-descent scan
-	// accepts at most one neighbour (the applied move) and rejects the
-	// rest. Never read by the search itself.
-	var accepted, rejected int64
+	n := &neighbourhood{obj: h.Problem.Obj, res: res, ctx: h.Ctx}
 	for r := 0; r < restarts; r++ {
-		var cur mapping.Mapping
-		if r == 0 && h.Initial != nil {
-			if len(h.Initial) != h.Problem.NumCores {
-				return nil, fmt.Errorf("search: initial mapping has %d cores, want %d",
-					len(h.Initial), h.Problem.NumCores)
-			}
-			if err := h.Initial.Validate(numTiles); err != nil {
-				return nil, err
-			}
-			cur = h.Initial.Clone()
-		} else {
-			var err error
-			cur, err = mapping.Random(rng, h.Problem.NumCores, numTiles)
-			if err != nil {
-				return nil, err
-			}
+		initial := h.Initial
+		if r != 0 {
+			initial = nil
 		}
-		cost, dobj, useDelta, err := bindObjective(h.Problem.Obj, cur)
+		cur, err := startMapping(rng, initial, h.Problem.NumCores, numTiles)
 		if err != nil {
 			return nil, err
 		}
-		useDeltaAny = useDelta
-		res.Evaluations++
-		res.ExactEvals++
+		cost, err := n.bind(cur, numTiles)
+		if err != nil {
+			return nil, err
+		}
 		if r == 0 {
 			res.InitialCost = cost
 		}
-		var inc incumbent
-		inc.bind(cur, numTiles, cost)
-		// Tier-A bound filter: nil unless the objective is a
-		// TieredObjective with a certified lower bound (and the exact tier
-		// has no delta path — a delta-capable exact objective is already
-		// cheaper than any bound probe).
-		var bnd LowerBoundObjective
-		if !useDelta {
-			if bnd, err = bindBound(h.Problem.Obj, cur); err != nil {
+		for {
+			a, b, c, ok, err := n.scan(0, nil)
+			if err != nil {
 				return nil, err
 			}
-		}
-		for {
-			bestD := 0.0
-			bestC := 0.0
-			var scanned int64
-			bestA, bestB := topology.TileID(-1), topology.TileID(-1)
-			for a := 0; a < numTiles; a++ {
-				for b := a + 1; b < numTiles; b++ {
-					ta, tb := topology.TileID(a), topology.TileID(b)
-					if inc.occ[ta] == mapping.Unassigned && inc.occ[tb] == mapping.Unassigned {
-						continue
-					}
-					if h.Ctx != nil && res.Evaluations%pollEvery == 0 {
-						if err := pollCtx(h.Ctx); err != nil {
-							return nil, err
-						}
-					}
-					if bnd != nil {
-						// Skip rule: the candidate's certified bound already
-						// proves its exact delta cannot beat bestD. lb ≤ c
-						// (the exact cost) gives lb−cost ≤ c−cost = d by
-						// monotonicity of float subtraction in its first
-						// operand, so lb−cost ≥ bestD implies d ≥ bestD and
-						// the strict d < bestD selection below could never
-						// fire — the skipped candidate is exactly one the
-						// exact scan would have rejected, which is what
-						// keeps the filtered trajectory bit-identical.
-						lb, err := bnd.SwapBound(inc.occ, ta, tb)
-						if err != nil {
-							return nil, err
-						}
-						if lb-inc.cost >= bestD {
-							res.Evaluations++
-							res.BoundSkips++
-							scanned++
-							continue
-						}
-					}
-					var c, d float64
-					if useDelta {
-						d, err = dobj.SwapDelta(inc.occ, ta, tb)
-						c = inc.cost + d
-					} else {
-						mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
-						c, err = h.Problem.Obj.Cost(inc.cur)
-						mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
-						d = c - inc.cost
-					}
-					if err != nil {
-						return nil, err
-					}
-					res.Evaluations++
-					res.ExactEvals++
-					scanned++
-					if d < bestD {
-						bestD = d
-						bestC = c
-						bestA, bestB = ta, tb
-					}
-				}
-			}
-			if bestA < 0 {
-				rejected += scanned
+			if !ok {
 				break // local optimum
 			}
-			accepted++
-			rejected += scanned - 1
-			mapping.SwapTiles(inc.cur, inc.occ, bestA, bestB)
-			// Record an exactly recomputed cost rather than accumulating
-			// cost += bestD: repeated accumulation drifts away from the
-			// true cost and distorts later d < bestD comparisons. On the
-			// full path bestC is the evaluated neighbour's full Cost; on
-			// the delta path Commit returns the exact updated baseline.
-			if useDelta {
-				bestC = dobj.Commit(bestA, bestB)
-			}
-			if bnd != nil {
-				bnd.CommitBound(bestA, bestB)
-			}
-			inc.adopt("hill", h.Problem.Obj, bestC)
+			n.apply("hill", a, b, c)
 			if h.OnProgress != nil {
-				b := res.BestCost
-				if inc.cost < b {
-					b = inc.cost
+				best := res.BestCost
+				if n.inc.cost < best {
+					best = n.inc.cost
 				}
-				h.OnProgress(Progress{Engine: "hill", Step: r + 1, Steps: restarts,
-					Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-					BoundSkips: res.BoundSkips,
-					Accepted:   accepted, Rejected: rejected,
-					BestCost: b})
+				h.OnProgress(n.progress("hill", r+1, restarts, best))
 			}
 		}
-		if inc.cost < res.BestCost {
-			res.BestCost = inc.cost
-			res.Best = inc.cur.Clone()
+		if n.inc.cost < res.BestCost {
+			res.BestCost = n.inc.cost
+			res.Best = n.inc.cur.Clone()
 			res.Improvements++
 		}
 	}
-	if useDeltaAny {
+	if n.dobj != nil {
 		if err := repriceBest(h.Problem.Obj, res); err != nil {
 			return nil, err
 		}
@@ -362,130 +323,48 @@ func (t *Tabu) Run() (*Result, error) {
 		tenure = numTiles/2 + 1
 	}
 	rng := rand.New(rand.NewSource(t.Seed))
-	cur, err := mapping.Random(rng, t.Problem.NumCores, numTiles)
+	cur, err := startMapping(rng, nil, t.Problem.NumCores, numTiles)
 	if err != nil {
 		return nil, err
 	}
-	cost, dobj, useDelta, err := bindObjective(t.Problem.Obj, cur)
+	res := &Result{}
+	n := &neighbourhood{obj: t.Problem.Obj, res: res, ctx: t.Ctx}
+	cost, err := n.bind(cur, numTiles)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{InitialCost: cost, BestCost: cost, Best: cur.Clone(),
-		Evaluations: 1, ExactEvals: 1}
-	var inc incumbent
-	inc.bind(cur, numTiles, cost)
-	// Tier-A bound filter; see HillClimber.Run.
-	var bnd LowerBoundObjective
-	if !useDelta {
-		if bnd, err = bindBound(t.Problem.Obj, cur); err != nil {
-			return nil, err
-		}
-	}
+	res.InitialCost, res.BestCost, res.Best = cost, cost, cur.Clone()
 
 	tabuUntil := make(map[[2]topology.TileID]int, numTiles)
-	// Telemetry counters: one applied (accepted) move per iteration, the
-	// rest of the scanned neighbourhood rejected. Never read by the
-	// search itself.
-	var accepted, rejected int64
-	for it := 0; it < iters; it++ {
-		// All neighbour comparisons run in the delta domain: the delta
-		// path's SwapDelta and the full path's c − cost are bit-identical
-		// for an exact DeltaObjective (same operands), whereas comparing
-		// reconstructed absolute costs (cost + d) could round a tie apart
-		// and make the two paths pick different moves. The aspiration
-		// threshold is expressed the same way, against a per-iteration
-		// constant.
-		bestD := math.Inf(1)
-		var bestC float64
-		var scanned int64
-		aspire := res.BestCost - inc.cost
-		bestA, bestB := topology.TileID(-1), topology.TileID(-1)
-		for a := 0; a < numTiles; a++ {
-			for b := a + 1; b < numTiles; b++ {
-				ta, tb := topology.TileID(a), topology.TileID(b)
-				if inc.occ[ta] == mapping.Unassigned && inc.occ[tb] == mapping.Unassigned {
-					continue
-				}
-				if t.Ctx != nil && res.Evaluations%pollEvery == 0 {
-					if err := pollCtx(t.Ctx); err != nil {
-						return nil, err
-					}
-				}
-				if bnd != nil {
-					// Skip rule as in HillClimber.Run: lb−cost ≥ bestD
-					// certifies d ≥ bestD, so the candidate could neither
-					// be selected (strict d < bestD) nor change any tabu
-					// bookkeeping (the scan only reads tabuUntil). The
-					// first scanned candidate is never skipped — bestD
-					// starts at +Inf — so bestA is found exactly as in the
-					// unfiltered scan.
-					lb, err := bnd.SwapBound(inc.occ, ta, tb)
-					if err != nil {
-						return nil, err
-					}
-					if lb-inc.cost >= bestD {
-						res.Evaluations++
-						res.BoundSkips++
-						scanned++
-						continue
-					}
-				}
-				var c, d float64
-				if useDelta {
-					d, err = dobj.SwapDelta(inc.occ, ta, tb)
-					c = inc.cost + d
-				} else {
-					mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
-					c, err = t.Problem.Obj.Cost(inc.cur)
-					mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
-					d = c - inc.cost
-				}
-				if err != nil {
-					return nil, err
-				}
-				res.Evaluations++
-				res.ExactEvals++
-				scanned++
-				if tabuUntil[[2]topology.TileID{ta, tb}] > it && d >= aspire {
-					continue // tabu and no aspiration
-				}
-				if d < bestD {
-					bestD = d
-					bestC = c
-					bestA, bestB = ta, tb
-				}
-			}
+	var it int
+	var aspire float64
+	// A move reversing a recent swap is tabu unless it beats the
+	// incumbent best (aspiration); the threshold is a delta against a
+	// per-iteration constant, like every comparison of the scan.
+	admissible := func(ta, tb topology.TileID, d float64) bool {
+		return !(tabuUntil[[2]topology.TileID{ta, tb}] > it && d >= aspire)
+	}
+	for ; it < iters; it++ {
+		aspire = res.BestCost - n.inc.cost
+		a, b, c, ok, err := n.scan(math.Inf(1), admissible)
+		if err != nil {
+			return nil, err
 		}
-		if bestA < 0 {
-			rejected += scanned
+		if !ok {
 			break // every move tabu: rare on real instances
 		}
-		accepted++
-		rejected += scanned - 1
-		mapping.SwapTiles(inc.cur, inc.occ, bestA, bestB)
-		// As in the hill climber, the delta path adopts Commit's exact
-		// recompute instead of the accumulated cost + delta.
-		if useDelta {
-			bestC = dobj.Commit(bestA, bestB)
-		}
-		if bnd != nil {
-			bnd.CommitBound(bestA, bestB)
-		}
-		inc.adopt("tabu", t.Problem.Obj, bestC)
-		tabuUntil[[2]topology.TileID{bestA, bestB}] = it + tenure
-		if inc.cost < res.BestCost {
-			res.BestCost = inc.cost
-			copy(res.Best, inc.cur)
+		n.apply("tabu", a, b, c)
+		tabuUntil[[2]topology.TileID{a, b}] = it + tenure
+		if n.inc.cost < res.BestCost {
+			res.BestCost = n.inc.cost
+			copy(res.Best, n.inc.cur)
 			res.Improvements++
 		}
 		if t.OnProgress != nil {
-			t.OnProgress(Progress{Engine: "tabu", Step: it + 1, Steps: iters,
-				Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-				BoundSkips: res.BoundSkips, Accepted: accepted,
-				Rejected: rejected, BestCost: res.BestCost})
+			t.OnProgress(n.progress("tabu", it+1, iters, res.BestCost))
 		}
 	}
-	if useDelta {
+	if n.dobj != nil {
 		if err := repriceBest(t.Problem.Obj, res); err != nil {
 			return nil, err
 		}

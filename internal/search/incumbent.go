@@ -5,19 +5,16 @@ import (
 	"repro/internal/model"
 )
 
-// incumbent is the walk state the neighbourhood engines (HillClimber,
-// Tabu) share: the current mapping, its occupancy view, and the single
-// tracked exact cost of that mapping. Before the two-tier seam each
-// engine re-derived the incumbent cost through scattered locals, which
-// left the tier-A bound filter nowhere clean to compare against; hoisting
-// it into one field makes the bound compare one read (`lb - inc.cost`)
-// and gives the drift invariant one seam to audit.
+// incumbent is the walk state of the Annealer and the neighbourhood
+// engines (HillClimber, Tabu): the current mapping, its occupancy view,
+// and the single tracked exact cost of that mapping. One field makes the
+// tier-A bound compare one read (`lb - inc.cost`) and gives the drift
+// invariant one seam to audit.
 //
 // The invariant: after bind/adopt, inc.cost is always an exactly
 // recomputed cost of inc.cur — either bindObjective's initial pricing or
-// an accepted neighbour's full/Commit pricing — never an accumulation of
-// deltas (the PR-2 drift-guard rule the engines have pinned since the
-// DeltaObjective seam).
+// an accepted move's full/Commit/exact-reprice pricing — never an
+// accumulation of deltas.
 type incumbent struct {
 	cur  mapping.Mapping
 	occ  []model.CoreID
@@ -28,6 +25,18 @@ type incumbent struct {
 func (inc *incumbent) bind(cur mapping.Mapping, numTiles int, cost float64) {
 	inc.cur = cur
 	inc.occ = cur.Occupants(numTiles)
+	inc.cost = cost
+}
+
+// moveTo jumps the walk to a copy of mp, whose exact cost is cost.
+func (inc *incumbent) moveTo(mp mapping.Mapping, cost float64) {
+	copy(inc.cur, mp)
+	for i := range inc.occ {
+		inc.occ[i] = mapping.Unassigned
+	}
+	for c, t := range inc.cur {
+		inc.occ[t] = model.CoreID(c)
+	}
 	inc.cost = cost
 }
 

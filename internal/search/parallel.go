@@ -138,26 +138,36 @@ func mergeRestarts(results []*Result) *Result {
 	return merged
 }
 
-// ShardedExhaustive partitions the exhaustive enumeration by the tile
-// assigned to core 0: one shard per candidate first tile, shards spread
-// over a bounded worker pool, results merged in ascending tile order with
-// a strict-improvement rule. The merged Best, BestCost, Evaluations and
-// Certified are bit-identical to the serial Exhaustive engine for every
-// Workers value, because serial enumeration visits first tiles in exactly
-// that ascending order and keeps the first of equal-cost optima. The
-// sharded path runs even at Workers == 1 (shards just execute in order on
-// one goroutine), so every reported field — including the shard-local
-// Improvements sum — is independent of the worker count.
+// ShardedExhaustive enumerates every injective placement and certifies
+// the global optimum. Only feasible on small NoCs — the space is
+// m!/(m-n)! — which is exactly how the paper uses it ("for small NoC
+// sizes both ES and SA reached the same results").
+//
+// The enumeration is partitioned by the tile assigned to core 0: one
+// shard per candidate first tile, shards spread over a bounded worker
+// pool, results merged in ascending tile order with a strict-improvement
+// rule. The merged Best, BestCost, Evaluations and Certified equal those
+// of one in-order enumeration for every Workers value, because that
+// enumeration visits first tiles in exactly this ascending order and
+// keeps the first of equal-cost optima. The sharded path runs even at
+// Workers == 1 (shards just execute in order on one goroutine), so every
+// reported field — including the shard-local Improvements sum — is
+// independent of the worker count.
 type ShardedExhaustive struct {
 	Problem Problem
-	// Anchor pins core 0 to the canonical mesh quadrant, exactly like
-	// Exhaustive.Anchor; out-of-quadrant shards are simply not spawned.
+	// Anchor, when true, pins core 0 to the canonical mesh quadrant,
+	// exploiting mirror symmetry to shrink the space up to 4x: out-of-
+	// quadrant shards are simply not spawned. The optimum cost is
+	// unaffected as long as the objective is symmetry-invariant, which
+	// holds for both CWM and CDCM on a mesh.
 	Anchor bool
 	// Limit bounds the total number of evaluated placements (0 = none).
-	// A non-zero limit forces the serial engine — the limit is a global
-	// early-exit whose cut point depends on enumeration order, and
-	// replicating it shard-locally would change which placements are
-	// seen. Serial fallback preserves the documented ErrLimit semantics.
+	// A non-zero limit runs one in-order enumeration on one objective —
+	// the limit is a global early-exit whose cut point depends on
+	// enumeration order, and replicating it shard-locally would change
+	// which placements are seen. If it fires, the result is the
+	// best-so-far, Improvements counts global improvements and Certified
+	// stays false.
 	Limit int64
 	// Workers bounds shard concurrency (0 = 1).
 	Workers int
@@ -169,31 +179,26 @@ type ShardedExhaustive struct {
 	// returns ctx.Err(). Nil is bit-identical to the historical
 	// behaviour.
 	Ctx context.Context
-	// OnProgress, when non-nil, receives per-shard snapshots with Restart
-	// set to the shard index — concurrently when Workers > 1, so the
-	// callback must be safe for concurrent use.
+	// OnProgress, when non-nil, receives a snapshot every few thousand
+	// placements with Restart set to the shard index (0 on the Limit
+	// path) — concurrently when Workers > 1, so the callback must be
+	// safe for concurrent use. Steps is 0: the space size is not
+	// precomputed.
 	OnProgress ProgressFunc
 }
 
 // Run enumerates the space.
 func (s *ShardedExhaustive) Run() (*Result, error) {
-	workers := par.Workers(s.Workers)
-	if s.Limit > 0 {
-		objs, err := perWorkerObjectives(1, s.Problem.Obj, s.NewObjective)
-		if err != nil {
-			return nil, err
-		}
-		prob := s.Problem
-		prob.Obj = objs[0]
-		return (&Exhaustive{Problem: prob, Anchor: s.Anchor, Limit: s.Limit,
-			Ctx: s.Ctx, OnProgress: s.OnProgress}).Run()
-	}
-
 	if s.Problem.Mesh == nil {
 		return nil, errors.New("search: nil mesh")
 	}
+	workers := par.Workers(s.Workers)
 	tiles := s.firstTiles()
-	objs, err := perWorkerObjectives(min(workers, len(tiles)), s.Problem.Obj, s.NewObjective)
+	lanes := min(workers, len(tiles))
+	if s.Limit > 0 {
+		lanes = 1
+	}
+	objs, err := perWorkerObjectives(lanes, s.Problem.Obj, s.NewObjective)
 	if err != nil {
 		return nil, err
 	}
@@ -202,57 +207,69 @@ func (s *ShardedExhaustive) Run() (*Result, error) {
 	if err := probe.validate(); err != nil {
 		return nil, err
 	}
+	if s.Limit > 0 {
+		anchor := -1
+		if s.Anchor {
+			anchor = 0
+		}
+		return s.enumerate(objs[0], 0, mapping.EnumerateOptions{Limit: s.Limit, AnchorCore: anchor})
+	}
 	shards := make([]*Result, len(tiles))
 	err = par.ForEachWorkerCtx(s.Ctx, len(tiles), workers, func(w, i int) error {
-		res := &Result{BestCost: math.Inf(1)}
-		obj := objs[w]
-		var innerErr error
-		err := mapping.Enumerate(s.Problem.Mesh, s.Problem.NumCores,
-			mapping.EnumerateOptions{AnchorCore: -1, PinFirst: true, FirstTile: tiles[i]},
-			func(m mapping.Mapping) bool {
-				if s.Ctx != nil && res.Evaluations%pollEvery == 0 {
-					if err := pollCtx(s.Ctx); err != nil {
-						innerErr = err
-						return false
-					}
-				}
-				c, err := obj.Cost(m)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				res.Evaluations++
-				res.ExactEvals++
-				if res.Evaluations == 1 {
-					res.InitialCost = c
-				}
-				if s.OnProgress != nil && res.Evaluations%4096 == 0 {
-					s.OnProgress(Progress{Engine: "ES", Restart: i,
-						Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-						Accepted: res.Improvements,
-						Rejected: res.Evaluations - res.Improvements,
-						BestCost: res.BestCost})
-				}
-				if c < res.BestCost {
-					res.BestCost = c
-					res.Best = m.Clone()
-					res.Improvements++
-				}
-				return true
-			})
-		if innerErr != nil {
-			return innerErr
-		}
-		if err != nil {
-			return err
-		}
+		res, err := s.enumerate(objs[w], i,
+			mapping.EnumerateOptions{AnchorCore: -1, PinFirst: true, FirstTile: tiles[i]})
 		shards[i] = res
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return mergeShards(shards), nil
+}
+
+// enumerate prices every placement opts admits, in enumeration order,
+// keeping the first of equal-cost optima. Certified reports whether the
+// enumeration ran to completion; restart labels progress snapshots.
+func (s *ShardedExhaustive) enumerate(obj Objective, restart int, opts mapping.EnumerateOptions) (*Result, error) {
+	res := &Result{BestCost: math.Inf(1)}
+	var innerErr error
+	err := mapping.Enumerate(s.Problem.Mesh, s.Problem.NumCores, opts, func(m mapping.Mapping) bool {
+		if innerErr = pollAt(s.Ctx, res.Evaluations); innerErr != nil {
+			return false
+		}
+		c, err := obj.Cost(m)
+		if err != nil {
+			innerErr = err
+			return false
+		}
+		res.Evaluations++
+		res.ExactEvals++
+		if res.Evaluations == 1 {
+			res.InitialCost = c
+		}
+		if s.OnProgress != nil && res.Evaluations%4096 == 0 {
+			s.OnProgress(Progress{Engine: "ES", Restart: restart,
+				Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
+				Accepted: res.Improvements, Rejected: res.Evaluations - res.Improvements,
+				BestCost: res.BestCost})
+		}
+		if c < res.BestCost {
+			res.BestCost = c
+			res.Best = m.Clone()
+			res.Improvements++
+		}
+		return true
+	})
+	switch {
+	case innerErr != nil:
+		return nil, innerErr
+	case err == mapping.ErrLimit:
+		return res, nil
+	case err != nil:
+		return nil, err
+	}
+	res.Certified = true
+	return res, nil
 }
 
 // firstTiles lists the candidate tiles for core 0 in ascending order,
@@ -271,12 +288,12 @@ func (s *ShardedExhaustive) firstTiles() []topology.TileID {
 }
 
 // mergeShards folds per-shard results in ascending first-tile order. The
-// strict < mirrors the serial engine's incumbent rule, so equal-cost
-// optima resolve to the one the serial enumeration would have found
-// first. Improvements sums shard-local improvement counts (a per-shard
-// quantity; the serial engine's global count depends on an interleaving
-// that sharding removes). InitialCost is the first shard's first
-// placement — also the first placement of the serial enumeration.
+// strict < mirrors each shard's incumbent rule, so equal-cost optima
+// resolve to the one an in-order enumeration would have found first.
+// Improvements sums shard-local improvement counts (a per-shard
+// quantity; a global count depends on an interleaving that sharding
+// removes). InitialCost is the first shard's first placement — also the
+// first placement of the in-order enumeration.
 func mergeShards(shards []*Result) *Result {
 	merged := &Result{BestCost: math.Inf(1), Certified: true}
 	for i, r := range shards {

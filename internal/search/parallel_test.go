@@ -2,16 +2,18 @@ package search
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/topology"
 )
 
 // resultsEqual compares the fields that must be bit-identical across
 // worker counts.
 func resultsEqual(a, b *Result) bool {
-	return a.BestCost == b.BestCost &&
-		a.InitialCost == b.InitialCost &&
+	return math.Float64bits(a.BestCost) == math.Float64bits(b.BestCost) &&
+		math.Float64bits(a.InitialCost) == math.Float64bits(b.InitialCost) &&
 		a.Evaluations == b.Evaluations &&
 		a.Improvements == b.Improvements &&
 		a.Certified == b.Certified &&
@@ -160,25 +162,71 @@ func TestMultiAnnealerErrors(t *testing.T) {
 	}
 }
 
+// bruteForce is the exhaustive-search reference, written independently
+// of the engine: one in-order mapping.Enumerate pass priced with Cost,
+// keeping the first placement of strictly lower cost. With perShard,
+// Improvements counts strict improvements within each run of placements
+// sharing core 0's tile — the quantity ShardedExhaustive reports for
+// unlimited runs; otherwise it counts global improvements.
+func bruteForce(t *testing.T, p Problem, anchor bool, limit int64, perShard bool) *Result {
+	t.Helper()
+	anchorCore := -1
+	if anchor {
+		anchorCore = 0
+	}
+	ref := &Result{BestCost: math.Inf(1)}
+	first, shardBest := topology.TileID(-1), math.Inf(1)
+	err := mapping.Enumerate(p.Mesh, p.NumCores,
+		mapping.EnumerateOptions{Limit: limit, AnchorCore: anchorCore},
+		func(m mapping.Mapping) bool {
+			c, err := p.Obj.Cost(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Evaluations++
+			ref.ExactEvals++
+			if ref.Evaluations == 1 {
+				ref.InitialCost = c
+			}
+			if c < ref.BestCost {
+				ref.BestCost = c
+				ref.Best = m.Clone()
+				if !perShard {
+					ref.Improvements++
+				}
+			}
+			if perShard {
+				if m[0] != first {
+					first, shardBest = m[0], math.Inf(1)
+				}
+				if c < shardBest {
+					shardBest = c
+					ref.Improvements++
+				}
+			}
+			return true
+		})
+	switch {
+	case err == nil:
+		ref.Certified = true
+	case err != mapping.ErrLimit:
+		t.Fatal(err)
+	}
+	return ref
+}
+
 func TestShardedExhaustiveMatchesSerial(t *testing.T) {
 	for _, anchor := range []bool{false, true} {
 		p, _ := testProblem(t, 3, 2, 4)
-		serial, err := (&Exhaustive{Problem: p, Anchor: anchor}).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		ref := bruteForce(t, p, anchor, 0, true)
 		for _, workers := range []int{1, 2, 3, 8, 32} {
 			sharded, err := (&ShardedExhaustive{Problem: p, Anchor: anchor, Workers: workers}).Run()
 			if err != nil {
 				t.Fatalf("anchor=%v workers=%d: %v", anchor, workers, err)
 			}
-			if sharded.BestCost != serial.BestCost ||
-				sharded.Evaluations != serial.Evaluations ||
-				sharded.InitialCost != serial.InitialCost ||
-				!sharded.Certified ||
-				!mapping.Equal(sharded.Best, serial.Best) {
-				t.Fatalf("anchor=%v workers=%d diverged: %+v vs serial %+v",
-					anchor, workers, sharded, serial)
+			if !resultsEqual(sharded, ref) || !sharded.Certified {
+				t.Fatalf("anchor=%v workers=%d diverged: %+v vs reference %+v",
+					anchor, workers, sharded, ref)
 			}
 		}
 	}
@@ -186,37 +234,35 @@ func TestShardedExhaustiveMatchesSerial(t *testing.T) {
 
 func TestShardedExhaustiveEqualCostTieMatchesSerial(t *testing.T) {
 	// A flat landscape makes every placement optimal; the sharded merge
-	// must still report the first placement of the serial enumeration.
+	// must still report the first placement of the in-order enumeration.
 	p, _ := testProblem(t, 3, 2, 3)
 	p.Obj = ObjectiveFunc(func(mapping.Mapping) (float64, error) { return 42, nil })
-	serial, err := (&Exhaustive{Problem: p}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := bruteForce(t, p, false, 0, true)
 	sharded, err := (&ShardedExhaustive{Problem: p, Workers: 6}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !mapping.Equal(sharded.Best, serial.Best) {
-		t.Fatalf("tie resolution diverged: %v vs %v", sharded.Best, serial.Best)
+	if !resultsEqual(sharded, ref) {
+		t.Fatalf("tie resolution diverged: %+v vs reference %+v", sharded, ref)
 	}
 }
 
 func TestShardedExhaustiveLimitFallsBackToSerial(t *testing.T) {
-	p, _ := testProblem(t, 2, 2, 4)
-	serial, err := (&Exhaustive{Problem: p, Limit: 5}).Run()
-	if err != nil {
-		t.Fatal(err)
+	p, _ := testProblem(t, 3, 2, 4)
+	for _, anchor := range []bool{false, true} {
+		for _, limit := range []int64{5, 100, 1000} {
+			ref := bruteForce(t, p, anchor, limit, false)
+			sharded, err := (&ShardedExhaustive{Problem: p, Anchor: anchor, Limit: limit, Workers: 4}).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEqual(sharded, ref) {
+				t.Fatalf("anchor=%v limit=%d diverged: %+v vs reference %+v", anchor, limit, sharded, ref)
+			}
+		}
 	}
-	sharded, err := (&ShardedExhaustive{Problem: p, Limit: 5, Workers: 4}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resultsEqual(serial, sharded) {
-		t.Fatalf("limited run diverged: %+v vs %+v", sharded, serial)
-	}
-	if sharded.Certified {
-		t.Fatal("truncated sharded run claims certification")
+	if ref := bruteForce(t, p, false, 5, false); ref.Certified || ref.Evaluations != 5 {
+		t.Fatalf("truncated reference run: %+v", ref)
 	}
 }
 

@@ -79,16 +79,12 @@ type ParetoSA struct {
 // maintenance off the critical path.
 const DefaultFrontSize = 32
 
-// paretoWalk is one walk's contribution, merged in walk order.
+// paretoWalk is one walk's contribution, merged in walk order: its
+// archive, plus its evaluation counters and starting cost in res (whose
+// BestCost is the walk's best exact collapse).
 type paretoWalk struct {
-	archive     *Archive
-	evaluations int64
-	// exactEvals / surrogateEvals split evaluations by the tier that
-	// priced them; see Result. Without a surrogate every evaluation is
-	// exact.
-	exactEvals     int64
-	surrogateEvals int64
-	initialCost    float64
+	archive *Archive
+	res     Result
 }
 
 // vectorObjective extracts the VectorObjective view of obj, which the
@@ -164,11 +160,11 @@ func (e *ParetoSA) Run() (*FrontResult, error) {
 	merged := NewArchive(frontSize)
 	for i, r := range results {
 		if i == 0 {
-			front.InitialCost = r.initialCost
+			front.InitialCost = r.res.InitialCost
 		}
-		front.Evaluations += r.evaluations
-		front.ExactEvals += r.exactEvals
-		front.SurrogateEvals += r.surrogateEvals
+		front.Evaluations += r.res.Evaluations
+		front.ExactEvals += r.res.ExactEvals
+		front.SurrogateEvals += r.res.SurrogateEvals
 		front.Improvements += r.archive.Inserted()
 		for _, p := range r.archive.Points() {
 			merged.OfferPoint(p)
@@ -208,22 +204,13 @@ func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWa
 	weights := walkWeights(rng, i, k)
 	collapse := obj.CollapseWeights()
 	numTiles := e.Problem.Mesh.NumTiles()
-
-	cur := e.Initial
-	if i != 0 || cur == nil {
-		var err error
-		cur, err = mapping.Random(rng, e.Problem.NumCores, numTiles)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if len(cur) != e.Problem.NumCores {
-			return nil, fmt.Errorf("initial mapping has %d cores, want %d", len(cur), e.Problem.NumCores)
-		}
-		if err := cur.Validate(numTiles); err != nil {
-			return nil, err
-		}
-		cur = cur.Clone()
+	initial := e.Initial
+	if i != 0 {
+		initial = nil
+	}
+	cur, err := startMapping(rng, initial, e.Problem.NumCores, numTiles)
+	if err != nil {
+		return nil, err
 	}
 	occ := cur.Occupants(numTiles)
 
@@ -239,14 +226,15 @@ func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWa
 	}
 	useSurr := sobj != nil
 
-	res := &paretoWalk{archive: NewArchive(frontSize)}
+	out := &paretoWalk{archive: NewArchive(frontSize)}
+	res := &out.res
 	comps := make([]float64, k)
 	if err := obj.ComponentsInto(cur, comps); err != nil {
 		return nil, err
 	}
-	res.evaluations++
-	res.exactEvals++
-	res.initialCost = Collapse(collapse, comps)
+	res.Evaluations, res.ExactEvals = 1, 1
+	res.InitialCost = Collapse(collapse, comps)
+	res.BestCost = res.InitialCost
 
 	// Normalise by the starting point so the axes trade off on comparable
 	// scales whatever their units; a zero start component falls back to
@@ -270,7 +258,7 @@ func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWa
 	// Metropolis candidates: exact components normally, surrogate
 	// components under tier B (same norm — the surrogate approximates the
 	// exact axes, so the starting-point scales transfer). The archive and
-	// bestCollapse always see exact components only.
+	// res.BestCost always see exact components only.
 	scomps := comps
 	if useSurr {
 		scomps = make([]float64, k)
@@ -280,165 +268,51 @@ func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWa
 	}
 	cost := scalar(scomps)
 	bestScalar := cost
-	bestCollapse := res.initialCost
-	res.archive.Offer(cur, comps, res.initialCost)
+	out.archive.Offer(cur, comps, res.InitialCost)
 
-	// A 1-tile mesh admits exactly one mapping; see Annealer.Run.
-	if numTiles < 2 {
-		return res, nil
-	}
-
-	alpha := e.Alpha
-	if alpha == 0 {
-		alpha = 0.95
-	}
-	if alpha <= 0 || alpha >= 1 {
-		return nil, fmt.Errorf("alpha %g outside (0,1)", alpha)
-	}
-	moves := e.MovesPerTemp
-	if moves == 0 {
-		moves = 10 * numTiles
-	}
-	steps := e.TempSteps
-	if steps == 0 {
-		steps = 100
-	}
-	stall := e.StallSteps
-	if stall == 0 {
-		stall = 20
-	}
-
-	propose := func() (ta, tb topology.TileID) {
-		for {
-			ta = cur[rng.Intn(len(cur))]
-			tb = topology.TileID(rng.Intn(numTiles))
-			if ta != tb {
-				return ta, tb
-			}
-		}
-	}
-
-	// price applies the swap, prices the swapped mapping on every axis,
-	// offers it to the archive, and undoes the swap — the front engine
-	// has no incremental path (components must be exact evaluator
-	// output, never accumulated deltas), so it always full-prices. Under
-	// the tier-B surrogate, pricing runs on the surrogate's vector view
-	// and nothing is offered here: only accepted moves are exact-priced
-	// (below), and only exact components ever reach the archive.
-	price := func(ta, tb topology.TileID) (float64, error) {
+	w := metropolis{engine: "pareto", restart: i, rng: rng, cur: cur, occ: occ, res: res,
+		surrogate: useSurr, onProgress: e.OnProgress}
+	// price prices the swapped mapping on every axis, offers it to the
+	// archive, and undoes the swap — the front engine has no incremental
+	// path (components must be exact evaluator output, never accumulated
+	// deltas). Under the tier-B surrogate, pricing runs on the
+	// surrogate's vector view and nothing is offered here: only accepted
+	// moves are exact-priced, and only exact components reach the archive.
+	w.price = func(ta, tb topology.TileID) (float64, float64, error) {
 		mapping.SwapTiles(cur, occ, ta, tb)
+		var err error
 		if useSurr {
-			err := sobj.ComponentsInto(cur, scomps)
-			mapping.SwapTiles(cur, occ, ta, tb) // undo
-			return scalar(scomps), err
-		}
-		err := obj.ComponentsInto(cur, comps)
-		if err == nil {
-			res.archive.Offer(cur, comps, Collapse(collapse, comps))
+			err = sobj.ComponentsInto(cur, scomps)
+		} else if err = obj.ComponentsInto(cur, comps); err == nil {
+			out.archive.Offer(cur, comps, Collapse(collapse, comps))
 		}
 		mapping.SwapTiles(cur, occ, ta, tb) // undo
-		return scalar(comps), err
+		c := scalar(scomps)
+		return c, c - cost, err
 	}
-	// countEval attributes one priced candidate to the tier that priced
-	// it, mirroring Annealer.Run.
-	countEval := func() {
-		res.evaluations++
+	w.accept = func(ta, tb topology.TileID, c float64) (bool, error) {
+		cost = c
 		if useSurr {
-			res.surrogateEvals++
-		} else {
-			res.exactEvals++
+			// Exact-reprice the adopted mapping: a surrogate mis-ranking
+			// can pollute the walk path but never the reported front.
+			if err := obj.ComponentsInto(cur, comps); err != nil {
+				return false, err
+			}
+			res.Evaluations++
+			res.ExactEvals++
+			out.archive.Offer(cur, comps, Collapse(collapse, comps))
 		}
+		if cost < bestScalar {
+			bestScalar = cost
+			res.BestCost = Collapse(collapse, comps)
+			return true, nil
+		}
+		return false, nil
 	}
-
-	temp := e.InitialTemp
-	if temp <= 0 {
-		// Calibration pass, mirroring Annealer: T0 accepts an average
-		// degradation of the walk scalar with probability ~0.9.
-		var sum float64
-		var n int
-		for s := 0; s < 40; s++ {
-			if e.Ctx != nil && res.evaluations%pollEvery == 0 {
-				if err := pollCtx(e.Ctx); err != nil {
-					return nil, err
-				}
-			}
-			ta, tb := propose()
-			c, err := price(ta, tb)
-			if err != nil {
-				return nil, err
-			}
-			countEval()
-			if d := c - cost; d > 0 {
-				sum += d
-				n++
-			}
-		}
-		if n > 0 {
-			temp = (sum / float64(n)) / -math.Log(0.9)
-		} else {
-			temp = math.Max(cost*0.01, 1e-300)
-		}
+	// Walks do not reheat (Reheats stays 0), so w.reheat is never called.
+	if err := w.run(e.Ctx, schedule{e.InitialTemp, e.Alpha, e.MovesPerTemp, e.TempSteps,
+		e.StallSteps, 0}, cost); err != nil {
+		return nil, err
 	}
-
-	stalled := 0
-	// Telemetry counters for the Metropolis walk; never read by the
-	// search itself (the calibration pass above counts as neither).
-	var accepted, rejected int64
-	for step := 0; step < steps; step++ {
-		if stalled >= stall {
-			break
-		}
-		improvedThisStep := false
-		for mv := 0; mv < moves; mv++ {
-			if e.Ctx != nil && res.evaluations%pollEvery == 0 {
-				if err := pollCtx(e.Ctx); err != nil {
-					return nil, err
-				}
-			}
-			ta, tb := propose()
-			c, err := price(ta, tb)
-			if err != nil {
-				return nil, err
-			}
-			countEval()
-			d := c - cost
-			if d <= 0 || rng.Float64() < math.Exp(-d/temp) {
-				accepted++
-				mapping.SwapTiles(cur, occ, ta, tb)
-				cost = c
-				if useSurr {
-					// Exact-reprice the adopted mapping: the archive and
-					// bestCollapse only ever see exact components, so a
-					// surrogate mis-ranking can pollute the walk path but
-					// never the reported front.
-					if err := obj.ComponentsInto(cur, comps); err != nil {
-						return nil, err
-					}
-					res.evaluations++
-					res.exactEvals++
-					res.archive.Offer(cur, comps, Collapse(collapse, comps))
-				}
-				if cost < bestScalar {
-					bestScalar = cost
-					bestCollapse = Collapse(collapse, comps)
-					improvedThisStep = true
-				}
-			} else {
-				rejected++
-			}
-		}
-		if improvedThisStep {
-			stalled = 0
-		} else {
-			stalled++
-		}
-		temp *= alpha
-		if e.OnProgress != nil {
-			e.OnProgress(Progress{Engine: "pareto", Restart: i, Step: step + 1,
-				Steps: steps, Evaluations: res.evaluations,
-				ExactEvals: res.exactEvals, SurrogateEvals: res.surrogateEvals,
-				Accepted: accepted, Rejected: rejected, BestCost: bestCollapse})
-		}
-	}
-	return res, nil
+	return out, nil
 }

@@ -8,15 +8,16 @@ import "context"
 // callback is bit-identical to one without.
 type Progress struct {
 	// Engine names the emitting engine ("SA", "ES", "random", "hill",
-	// "tabu").
+	// "tabu", "pareto").
 	Engine string
-	// Restart is the restart index (MultiAnnealer) or shard index
-	// (ShardedExhaustive) the snapshot belongs to; 0 for serial engines.
+	// Restart is the restart index (MultiAnnealer), shard index
+	// (ShardedExhaustive) or walk index (ParetoSA) the snapshot belongs
+	// to; 0 for serial engines.
 	Restart int
 	// Step / Steps report outer-loop progress in engine-specific units:
-	// temperature steps for SA, iterations for tabu, samples for random
-	// search, restarts for hill climbing. Steps is 0 when the total is
-	// unknown up front (exhaustive enumeration).
+	// temperature steps for SA and pareto, iterations for tabu, samples
+	// for random search, restarts for hill climbing. Steps is 0 when the
+	// total is unknown up front (exhaustive enumeration).
 	Step, Steps int
 	// Evaluations counts candidate pricings so far in this run (for the
 	// parallel engines: in this restart/shard), whatever tier priced
@@ -60,6 +61,15 @@ const pollEvery = 64
 // not yet done, ctx.Err() otherwise.
 func pollCtx(ctx context.Context) error {
 	if ctx == nil {
+		return nil
+	}
+	return ctx.Err()
+}
+
+// pollAt is pollCtx at the engines' cadence: it checks ctx only when the
+// evaluation count evals is a multiple of pollEvery.
+func pollAt(ctx context.Context, evals int64) error {
+	if ctx == nil || evals%pollEvery != 0 {
 		return nil
 	}
 	return ctx.Err()

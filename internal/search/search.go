@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/mapping"
@@ -220,43 +219,25 @@ func (a *Annealer) Run() (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(a.Seed))
 	numTiles := a.Problem.Mesh.NumTiles()
-
-	cur := a.Initial
-	if cur == nil {
-		var err error
-		cur, err = mapping.Random(rng, a.Problem.NumCores, numTiles)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		if len(cur) != a.Problem.NumCores {
-			return nil, fmt.Errorf("search: initial mapping has %d cores, want %d", len(cur), a.Problem.NumCores)
-		}
-		if err := cur.Validate(numTiles); err != nil {
-			return nil, err
-		}
-		cur = cur.Clone()
+	cur, err := startMapping(rng, a.Initial, a.Problem.NumCores, numTiles)
+	if err != nil {
+		return nil, err
 	}
-	occ := cur.Occupants(numTiles)
-
-	res := &Result{}
 	cost, dobj, useDelta, err := bindObjective(a.Problem.Obj, cur)
 	if err != nil {
 		return nil, err
 	}
-	res.Evaluations++
-	res.ExactEvals++
-	res.InitialCost = cost
-	res.Best = cur.Clone()
-	res.BestCost = cost
+	res := &Result{Best: cur.Clone(), BestCost: cost, InitialCost: cost, Evaluations: 1, ExactEvals: 1}
+	var inc incumbent
+	inc.bind(cur, numTiles, cost)
 
 	// Tier-B surrogate walk (see TieredObjective): candidates are priced
 	// on the calibrated surrogate and only accepted moves pay an exact
-	// pricing, so `cost` (and therefore Best/BestCost) stays exact while
-	// the Metropolis decisions run on surrogate deltas. scost tracks the
-	// surrogate's own baseline the way cost tracks the exact one on the
-	// delta path. Never combined with useDelta: a delta-capable exact
-	// objective is already as cheap as any surrogate.
+	// pricing, so inc.cost (and therefore Best/BestCost) stays exact
+	// while the Metropolis decisions run on surrogate deltas. scost
+	// tracks the surrogate's own baseline the way inc.cost tracks the
+	// exact one on the delta path. Never combined with useDelta: a
+	// delta-capable exact objective is already as cheap as any surrogate.
 	surr := surrogateOf(a.Problem.Obj)
 	useSurr := surr != nil && !useDelta
 	var scost float64
@@ -265,7 +246,6 @@ func (a *Annealer) Run() (*Result, error) {
 			return nil, err
 		}
 	}
-
 	// Tier-A certified Metropolis rejection (see TieredObjective): nil
 	// unless the objective carries a bound and candidates are priced with
 	// full exact Cost calls — a delta-capable exact objective is already
@@ -278,254 +258,84 @@ func (a *Annealer) Run() (*Result, error) {
 		}
 	}
 
-	// A 1-tile mesh admits exactly one mapping, so it is already the
-	// optimum — and propose() below could never draw two distinct tiles:
-	// without this return the calibration pass would spin forever.
-	if numTiles < 2 {
-		return res, nil
-	}
-
-	alpha := a.Alpha
-	if alpha == 0 {
-		alpha = 0.95
-	}
-	if alpha <= 0 || alpha >= 1 {
-		return nil, fmt.Errorf("search: alpha %g outside (0,1)", alpha)
-	}
-	moves := a.MovesPerTemp
-	if moves == 0 {
-		moves = 10 * numTiles
-	}
-	steps := a.TempSteps
-	if steps == 0 {
-		steps = 100
-	}
-	stall := a.StallSteps
-	if stall == 0 {
-		stall = 20
-	}
-
-	propose := func() (ta, tb topology.TileID) {
-		for {
-			// Draw the first tile through a uniform core, so it is always
-			// occupied: a swap of two empty tiles is a no-op, and on a
-			// sparsely occupied mesh drawing tiles directly wastes most
-			// draws on empty-empty pairs before finding a real move.
-			ta = cur[rng.Intn(len(cur))]
-			tb = topology.TileID(rng.Intn(numTiles))
-			if ta != tb {
-				return ta, tb
-			}
-		}
-	}
-
-	// price returns the would-be cost of swapping (ta, tb) and its delta
-	// against the current cost, leaving cur/occ untouched. The delta path
-	// asks the objective for the O(deg) incremental price; the fallback
-	// applies the swap, runs a full Cost, and undoes it.
-	price := func(ta, tb topology.TileID) (float64, float64, error) {
-		if useDelta {
-			d, err := dobj.SwapDelta(occ, ta, tb)
-			return cost + d, d, err
-		}
-		if useSurr {
-			// Surrogate pricing: the returned delta (and so the Metropolis
-			// decision) lives in the surrogate's own scale.
-			d, err := surr.SwapDelta(occ, ta, tb)
+	w := metropolis{engine: "SA", rng: rng, cur: inc.cur, occ: inc.occ, res: res,
+		surrogate: useSurr, onProgress: a.OnProgress}
+	// price leaves cur/occ untouched: the delta path asks the objective
+	// for the O(deg) incremental price, the surrogate path prices in the
+	// surrogate's own scale, and the fallback applies the swap, runs a
+	// full Cost, and undoes it.
+	w.price = func(ta, tb topology.TileID) (float64, float64, error) {
+		switch {
+		case useDelta:
+			d, err := dobj.SwapDelta(inc.occ, ta, tb)
+			return inc.cost + d, d, err
+		case useSurr:
+			d, err := surr.SwapDelta(inc.occ, ta, tb)
 			return scost + d, d, err
 		}
-		mapping.SwapTiles(cur, occ, ta, tb)
-		c, err := a.Problem.Obj.Cost(cur)
-		mapping.SwapTiles(cur, occ, ta, tb) // undo
-		return c, c - cost, err
+		mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
+		c, err := a.Problem.Obj.Cost(inc.cur)
+		mapping.SwapTiles(inc.cur, inc.occ, ta, tb) // undo
+		return c, c - inc.cost, err
 	}
-	// countEval attributes one priced candidate to the tier that priced
-	// it; Evaluations always advances so the poll cadence and the
-	// reported totals are tier-independent.
-	countEval := func() {
-		res.Evaluations++
-		if useSurr {
-			res.SurrogateEvals++
-		} else {
-			res.ExactEvals++
-		}
-	}
-	// accept applies the swap priced at newCost. On the delta path the
-	// tracked cost is Commit's exact recompute of the updated baseline,
-	// not an accumulation of deltas — see the DeltaObjective contract. On
-	// the surrogate path the applied move is immediately re-priced
-	// exactly: the walk may be steered by the surrogate, but the tracked
-	// incumbent (and so Best/BestCost) only ever holds exact values.
-	accept := func(ta, tb topology.TileID, newCost float64) error {
-		mapping.SwapTiles(cur, occ, ta, tb)
+	// accept adopts an exact cost for the swapped mapping: the delta
+	// path's Commit recompute (never an accumulation of deltas, see the
+	// DeltaObjective contract), the full path's priced cost, or — on the
+	// surrogate path — an immediate exact repricing, so the walk may be
+	// steered by the surrogate but the incumbent only holds exact values.
+	w.accept = func(ta, tb topology.TileID, c float64) (bool, error) {
 		if bnd != nil {
 			bnd.CommitBound(ta, tb)
 		}
 		switch {
 		case useDelta:
-			newCost = dobj.Commit(ta, tb)
+			c = dobj.Commit(ta, tb)
 		case useSurr:
 			scost = surr.Commit(ta, tb)
-			c, err := a.Problem.Obj.Cost(cur)
-			if err != nil {
-				return err
+			var err error
+			if c, err = a.Problem.Obj.Cost(inc.cur); err != nil {
+				return false, err
 			}
 			res.Evaluations++
 			res.ExactEvals++
-			newCost = c
 		}
-		cost = newCost
-		return nil
+		inc.adopt("SA", a.Problem.Obj, c)
+		if inc.cost < res.BestCost {
+			res.BestCost = inc.cost
+			copy(res.Best, inc.cur)
+			res.Improvements++
+			return true, nil
+		}
+		return false, nil
 	}
-
-	temp := a.InitialTemp
-	if temp <= 0 {
-		// Calibration pass: sample some moves and set T0 so that an
-		// average degradation is accepted with probability ~0.9.
-		var sum float64
-		var n int
-		for i := 0; i < 40; i++ {
-			if a.Ctx != nil && res.Evaluations%pollEvery == 0 {
-				if err := pollCtx(a.Ctx); err != nil {
-					return nil, err
-				}
-			}
-			ta, tb := propose()
-			_, d, err := price(ta, tb)
-			if err != nil {
-				return nil, err
-			}
-			countEval()
-			if d > 0 {
-				sum += d
-				n++
-			}
+	w.reheat = func() error {
+		inc.moveTo(res.Best, res.BestCost)
+		var err error
+		switch {
+		case useDelta:
+			// Rebind the incremental baseline to the jump target. The
+			// full recompute also flushes any floating-point drift the
+			// accumulated deltas picked up since the last Reset.
+			inc.cost, err = dobj.Reset(inc.cur)
+			res.BestCost = inc.cost
+		case useSurr:
+			// Rebind the surrogate baseline; inc.cost stays the
+			// incumbent's exact BestCost.
+			scost, err = surr.Reset(inc.cur)
+		case bnd != nil:
+			_, err = bnd.ResetBound(inc.cur)
 		}
-		if n > 0 {
-			temp = (sum / float64(n)) / -math.Log(0.9)
-		} else {
-			// Start in a local minimum w.r.t. sampled moves: any positive
-			// temperature works; pick one proportional to the cost scale.
-			temp = math.Max(cost*0.01, 1e-300)
+		return err
+	}
+	if bnd != nil {
+		w.lowerDelta = func(ta, tb topology.TileID) (float64, error) {
+			lb, err := bnd.SwapBound(inc.occ, ta, tb)
+			return lb - inc.cost, err
 		}
 	}
-
-	stalled := 0
-	reheatsLeft := a.Reheats
-	baseTemp := temp
-	// Telemetry counters: updated on every move decision, emitted in
-	// Progress snapshots, never read by the walk itself — so counting
-	// cannot perturb the RNG stream or the incumbent.
-	var accepted, rejected int64
-	for step := 0; step < steps; step++ {
-		if stalled >= stall {
-			if reheatsLeft <= 0 {
-				break
-			}
-			// Reheat: continue from the incumbent best at half the
-			// previous starting temperature.
-			reheatsLeft--
-			baseTemp /= 2
-			temp = baseTemp
-			copy(cur, res.Best)
-			for i := range occ {
-				occ[i] = mapping.Unassigned
-			}
-			for c, tl := range cur {
-				occ[tl] = model.CoreID(c)
-			}
-			cost = res.BestCost
-			if useDelta {
-				// Rebind the incremental baseline to the jump target. The
-				// full recompute also flushes any floating-point drift the
-				// accumulated deltas picked up since the last Reset.
-				c, err := dobj.Reset(cur)
-				if err != nil {
-					return nil, err
-				}
-				cost = c
-				res.BestCost = c
-			}
-			if useSurr {
-				// Rebind the surrogate baseline to the jump target; cost
-				// stays the incumbent's exact BestCost.
-				if scost, err = surr.Reset(cur); err != nil {
-					return nil, err
-				}
-			}
-			if bnd != nil {
-				if _, err := bnd.ResetBound(cur); err != nil {
-					return nil, err
-				}
-			}
-			stalled = 0
-		}
-		improvedThisStep := false
-		for mv := 0; mv < moves; mv++ {
-			if a.Ctx != nil && res.Evaluations%pollEvery == 0 {
-				if err := pollCtx(a.Ctx); err != nil {
-					return nil, err
-				}
-			}
-			ta, tb := propose()
-			// Certified rejection: lb > cost proves d > 0, so the walk
-			// is certain to draw its Metropolis variate for this move.
-			// Drawing it before pricing leaves the RNG stream unchanged,
-			// and when the bound alone already rejects, the exact
-			// pricing is skipped; see certainReject.
-			var u float64
-			drawn := false
-			if bnd != nil {
-				lb, err := bnd.SwapBound(occ, ta, tb)
-				if err != nil {
-					return nil, err
-				}
-				if lb > cost {
-					u, drawn = rng.Float64(), true
-					if certainReject(lb-cost, temp, u) {
-						res.Evaluations++
-						res.BoundSkips++
-						rejected++
-						continue
-					}
-				}
-			}
-			c, d, err := price(ta, tb)
-			if err != nil {
-				return nil, err
-			}
-			countEval()
-			if d > 0 && !drawn {
-				u = rng.Float64()
-			}
-			if d <= 0 || u < math.Exp(-d/temp) {
-				if err := accept(ta, tb, c); err != nil {
-					return nil, err
-				}
-				accepted++
-				if cost < res.BestCost {
-					res.BestCost = cost
-					copy(res.Best, cur)
-					res.Improvements++
-					improvedThisStep = true
-				}
-			} else {
-				rejected++
-			}
-		}
-		if improvedThisStep {
-			stalled = 0
-		} else {
-			stalled++
-		}
-		temp *= alpha
-		if a.OnProgress != nil {
-			a.OnProgress(Progress{Engine: "SA", Step: step + 1, Steps: steps,
-				Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-				BoundSkips: res.BoundSkips, SurrogateEvals: res.SurrogateEvals,
-				Accepted: accepted, Rejected: rejected,
-				BestCost: res.BestCost})
-		}
+	if err := w.run(a.Ctx, schedule{a.InitialTemp, a.Alpha, a.MovesPerTemp, a.TempSteps,
+		a.StallSteps, a.Reheats}, cost); err != nil {
+		return nil, err
 	}
 	if useDelta || useSurr {
 		if err := repriceBest(a.Problem.Obj, res); err != nil {
@@ -533,23 +343,4 @@ func (a *Annealer) Run() (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// certainReject reports whether the Metropolis test u < exp(−d/temp) is
-// certain to fail for every exact delta d ≥ dlb, where dlb = lb − cost > 0
-// comes from a certified lower bound lb ≤ c on the candidate's exact cost
-// c. The float argument: d = c − cost ≥ lb − cost = dlb because float
-// subtraction is monotone in its first operand, and −d/temp ≤ −dlb/temp
-// because division by a positive temp is monotone and negation is exact.
-// math.Exp is monotone up to rounding below one ulp (2⁻⁵²); u is 0 or at
-// least 2⁻⁵³, so the comparison only matters where exp is a normal float,
-// and the 1e-9 relative slack covers any such non-monotonicity many times
-// over. Hence exp(−d/temp) ≤ exp(−dlb/temp)·(1+1e-9) < u, and the exact
-// walk would reject too. At temp → 0 exp underflows to 0 and every u > 0
-// rejects, exactly as the exact test does; u == 0 never skips (0 < 0 is
-// false), so a move the exact test could still accept is always priced.
-//
-//nocvet:noalloc
-func certainReject(dlb, temp, u float64) bool {
-	return math.Exp(-dlb/temp)*(1+1e-9) < u
 }

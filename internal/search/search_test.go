@@ -53,8 +53,7 @@ func testProblem3D(t *testing.T, w, h, d, cores int) (Problem, *wireLength) {
 
 func TestExhaustiveCertifiesOptimum(t *testing.T) {
 	p, _ := testProblem(t, 2, 2, 4)
-	ex := &Exhaustive{Problem: p}
-	res, err := ex.Run()
+	res, err := (&ShardedExhaustive{Problem: p}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +70,11 @@ func TestExhaustiveCertifiesOptimum(t *testing.T) {
 
 func TestExhaustiveAnchorSameOptimum(t *testing.T) {
 	p, _ := testProblem(t, 3, 2, 5)
-	full, err := (&Exhaustive{Problem: p}).Run()
+	full, err := (&ShardedExhaustive{Problem: p}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	anchored, err := (&Exhaustive{Problem: p, Anchor: true}).Run()
+	anchored, err := (&ShardedExhaustive{Problem: p, Anchor: true}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +88,7 @@ func TestExhaustiveAnchorSameOptimum(t *testing.T) {
 
 func TestExhaustiveLimit(t *testing.T) {
 	p, _ := testProblem(t, 2, 2, 4)
-	res, err := (&Exhaustive{Problem: p, Limit: 5}).Run()
+	res, err := (&ShardedExhaustive{Problem: p, Limit: 5}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,10 +102,7 @@ func TestExhaustiveLimit(t *testing.T) {
 
 func TestAnnealerMatchesExhaustiveOnSmallInstance(t *testing.T) {
 	p, _ := testProblem(t, 2, 2, 4)
-	ex, err := (&Exhaustive{Problem: p}).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ex := bruteForce(t, p, false, 0, false)
 	sa, err := (&Annealer{Problem: p, Seed: 1}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -188,6 +184,16 @@ func TestAnnealerParameterValidation(t *testing.T) {
 	}
 }
 
+func TestNegativeBudgetsRejected(t *testing.T) {
+	p, _ := testProblem(t, 2, 2, 4)
+	if _, err := (&HillClimber{Problem: p, Restarts: -1}).Run(); err == nil {
+		t.Error("negative hill-climbing restarts accepted")
+	}
+	if _, err := (&RandomSearch{Problem: p, Samples: -3}).Run(); err == nil {
+		t.Error("negative random-search samples accepted")
+	}
+}
+
 func TestObjectiveErrorPropagates(t *testing.T) {
 	mesh, _ := topology.NewMesh(2, 2)
 	boom := errors.New("boom")
@@ -199,7 +205,7 @@ func TestObjectiveErrorPropagates(t *testing.T) {
 		run  func() (*Result, error)
 	}{
 		{"annealer", func() (*Result, error) { return (&Annealer{Problem: p}).Run() }},
-		{"exhaustive", func() (*Result, error) { return (&Exhaustive{Problem: p}).Run() }},
+		{"exhaustive", func() (*Result, error) { return (&ShardedExhaustive{Problem: p, Limit: 10}).Run() }},
 		{"random", func() (*Result, error) { return (&RandomSearch{Problem: p, Samples: 5}).Run() }},
 		{"hill", func() (*Result, error) { return (&HillClimber{Problem: p}).Run() }},
 		{"tabu", func() (*Result, error) { return (&Tabu{Problem: p, Iterations: 3}).Run() }},
@@ -252,7 +258,7 @@ func TestHillClimberReachesLocalOptimum(t *testing.T) {
 
 func TestTabuFindsOptimumOnSmallInstance(t *testing.T) {
 	p, _ := testProblem(t, 2, 2, 4)
-	ex, _ := (&Exhaustive{Problem: p}).Run()
+	ex := bruteForce(t, p, false, 0, false)
 	res, err := (&Tabu{Problem: p, Seed: 11, Iterations: 50}).Run()
 	if err != nil {
 		t.Fatal(err)

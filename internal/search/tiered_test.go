@@ -149,10 +149,11 @@ func TestTierAFilterBitIdentical(t *testing.T) {
 	}
 }
 
-// TestIncumbentAuditInvariant pins the hoisted incumbent-cost field (the
-// PR-2 drift-guard rule): after every adopted move, on both the full and
-// the delta paths of both neighbourhood engines, inc.cost is bitwise the
-// exactly recomputed cost of inc.cur — never an accumulation of deltas.
+// TestIncumbentAuditInvariant pins the incumbent-cost field (the
+// drift-guard rule): after every adopted move of the annealer and both
+// neighbourhood engines, on the full, delta, tier-A and tier-B paths,
+// inc.cost is bitwise the exactly recomputed cost of inc.cur — never an
+// accumulation of deltas.
 func TestIncumbentAuditInvariant(t *testing.T) {
 	audits := 0
 	incumbentAudit = func(engine string, obj Objective, inc *incumbent) {
@@ -180,14 +181,21 @@ func TestIncumbentAuditInvariant(t *testing.T) {
 	delta.Obj = &deltaWireLength{wireLength: *w}
 	tiered := p
 	tiered.Obj = &TieredObjective{Exact: w, Bound: &boundWire{w: w, eps: 1e-9}}
-	for name, prob := range map[string]Problem{"full": full, "delta": delta, "tiered": tiered} {
-		for _, engine := range []string{"hill", "tabu"} {
+	surrogate := p
+	surrogate.Obj = &TieredObjective{Exact: w, Surrogate: &surrWire{deltaWireLength{wireLength: *w}}}
+	for name, prob := range map[string]Problem{"full": full, "delta": delta, "tiered": tiered,
+		"surrogate": surrogate} {
+		for _, engine := range []string{"hill", "tabu", "SA"} {
 			before := audits
 			var err error
-			if engine == "hill" {
+			switch engine {
+			case "hill":
 				_, err = (&HillClimber{Problem: prob, Seed: 3}).Run()
-			} else {
+			case "tabu":
 				_, err = (&Tabu{Problem: prob, Seed: 3, Iterations: 20}).Run()
+			default:
+				_, err = (&Annealer{Problem: prob, Seed: 3, TempSteps: 20, MovesPerTemp: 20,
+					StallSteps: 3, Reheats: 1}).Run()
 			}
 			if err != nil {
 				t.Fatalf("%s/%s: %v", name, engine, err)

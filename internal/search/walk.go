@@ -1,0 +1,257 @@
+package search
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand"
+
+	"repro/internal/mapping"
+	"repro/internal/model"
+	"repro/internal/topology"
+)
+
+// startMapping returns a validated private copy of initial, or a fresh
+// random placement drawn from rng when initial is nil.
+func startMapping(rng *rand.Rand, initial mapping.Mapping, numCores, numTiles int) (mapping.Mapping, error) {
+	if initial == nil {
+		return mapping.Random(rng, numCores, numTiles)
+	}
+	if len(initial) != numCores {
+		return nil, fmt.Errorf("search: initial mapping has %d cores, want %d", len(initial), numCores)
+	}
+	if err := initial.Validate(numTiles); err != nil {
+		return nil, err
+	}
+	return initial.Clone(), nil
+}
+
+// schedule is an annealing schedule as the engines expose it; zero
+// values take the defaults documented on Annealer.
+type schedule struct {
+	initialTemp, alpha          float64
+	moves, steps, stall, reheat int
+}
+
+// metropolis is the simulated-annealing kernel of Annealer and the
+// ParetoSA walks. It owns the walk's moves — swap proposal, T0
+// calibration, cooling, stall exit, reheats, cancellation polls and the
+// Metropolis draw — and leaves the meaning of a cost to the engine's
+// hooks.
+type metropolis struct {
+	engine  string
+	restart int
+	rng     *rand.Rand
+	// cur and occ are the walk's mapping and its occupancy view; the
+	// kernel applies accepted swaps to both before calling accept.
+	cur mapping.Mapping
+	occ []model.CoreID
+	// res carries the evaluation counters, which the hooks may advance
+	// too, and the BestCost progress snapshots report.
+	res *Result
+	// surrogate attributes candidate pricings to the tier-B surrogate.
+	surrogate  bool
+	onProgress ProgressFunc
+
+	// price returns the cost of the walk with (ta, tb) swapped and its
+	// delta against the current cost, leaving cur and occ untouched.
+	price func(ta, tb topology.TileID) (c, d float64, err error)
+	// accept adopts the swap priced at c (already applied to cur and
+	// occ) and reports whether it improved the incumbent.
+	accept func(ta, tb topology.TileID, c float64) (improved bool, err error)
+	// reheat moves the walk back to its incumbent best.
+	reheat func() error
+	// lowerDelta, when non-nil, returns a certified lower bound on the
+	// exact delta of swapping (ta, tb): the tier-A hook.
+	lowerDelta func(ta, tb topology.TileID) (float64, error)
+}
+
+// propose draws a swap whose first tile is always occupied: a swap of
+// two empty tiles is a no-op, and on a sparsely occupied mesh drawing
+// tiles directly wastes most draws on empty-empty pairs.
+func (w *metropolis) propose() (ta, tb topology.TileID) {
+	for {
+		ta = w.cur[w.rng.Intn(len(w.cur))]
+		tb = topology.TileID(w.rng.Intn(len(w.occ)))
+		if ta != tb {
+			return ta, tb
+		}
+	}
+}
+
+// priced counts one candidate pricing against the tier that priced it.
+// Evaluations always advances, so the poll cadence and the reported
+// totals are tier-independent.
+func (w *metropolis) priced() {
+	w.res.Evaluations++
+	if w.surrogate {
+		w.res.SurrogateEvals++
+	} else {
+		w.res.ExactEvals++
+	}
+}
+
+// run executes the schedule, polling ctx for cancellation. scale is the
+// walk's starting cost, the fallback T0 reference when no sampled move
+// degrades.
+func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
+	numTiles := len(w.occ)
+	// A 1-tile mesh admits exactly one mapping, so it is already the
+	// optimum — and propose could never draw two distinct tiles.
+	if numTiles < 2 {
+		return nil
+	}
+	alpha := s.alpha
+	if alpha == 0 {
+		alpha = 0.95
+	}
+	if alpha <= 0 || alpha >= 1 {
+		return fmt.Errorf("search: alpha %g outside (0,1)", alpha)
+	}
+	moves := s.moves
+	if moves == 0 {
+		moves = 10 * numTiles
+	}
+	steps := s.steps
+	if steps == 0 {
+		steps = 100
+	}
+	stall := s.stall
+	if stall == 0 {
+		stall = 20
+	}
+
+	temp := s.initialTemp
+	if temp <= 0 {
+		// Calibration pass: sample some moves and set T0 so that an
+		// average degradation is accepted with probability ~0.9.
+		var sum float64
+		var n int
+		for i := 0; i < 40; i++ {
+			if err := pollAt(ctx, w.res.Evaluations); err != nil {
+				return err
+			}
+			_, d, err := w.price(w.propose())
+			if err != nil {
+				return err
+			}
+			w.priced()
+			if d > 0 {
+				sum += d
+				n++
+			}
+		}
+		if n > 0 {
+			temp = (sum / float64(n)) / -math.Log(0.9)
+		} else {
+			// Start in a local minimum w.r.t. sampled moves: any positive
+			// temperature works; pick one proportional to the cost scale.
+			temp = math.Max(scale*0.01, 1e-300)
+		}
+	}
+
+	stalled := 0
+	reheatsLeft := s.reheat
+	baseTemp := temp
+	// Telemetry counters: emitted in Progress snapshots, never read by
+	// the walk itself. Calibration probes count as neither.
+	var accepted, rejected int64
+	for step := 0; step < steps; step++ {
+		if stalled >= stall {
+			if reheatsLeft <= 0 {
+				break
+			}
+			// Reheat: continue from the incumbent best at half the
+			// previous starting temperature.
+			reheatsLeft--
+			baseTemp /= 2
+			temp = baseTemp
+			if err := w.reheat(); err != nil {
+				return err
+			}
+			stalled = 0
+		}
+		improvedThisStep := false
+		for mv := 0; mv < moves; mv++ {
+			if err := pollAt(ctx, w.res.Evaluations); err != nil {
+				return err
+			}
+			ta, tb := w.propose()
+			// Certified rejection: a positive bound delta proves d > 0,
+			// so the walk is certain to draw its Metropolis variate for
+			// this move. Drawing it before pricing leaves the RNG stream
+			// unchanged, and when the bound alone already rejects, the
+			// exact pricing is skipped; see certainReject.
+			var u float64
+			drawn := false
+			if w.lowerDelta != nil {
+				dlb, err := w.lowerDelta(ta, tb)
+				if err != nil {
+					return err
+				}
+				if dlb > 0 {
+					u, drawn = w.rng.Float64(), true
+					if certainReject(dlb, temp, u) {
+						w.res.Evaluations++
+						w.res.BoundSkips++
+						rejected++
+						continue
+					}
+				}
+			}
+			c, d, err := w.price(ta, tb)
+			if err != nil {
+				return err
+			}
+			w.priced()
+			if d > 0 && !drawn {
+				u = w.rng.Float64()
+			}
+			if d <= 0 || u < math.Exp(-d/temp) {
+				mapping.SwapTiles(w.cur, w.occ, ta, tb)
+				improved, err := w.accept(ta, tb, c)
+				if err != nil {
+					return err
+				}
+				accepted++
+				if improved {
+					improvedThisStep = true
+				}
+			} else {
+				rejected++
+			}
+		}
+		if improvedThisStep {
+			stalled = 0
+		} else {
+			stalled++
+		}
+		temp *= alpha
+		if w.onProgress != nil {
+			w.onProgress(Progress{Engine: w.engine, Restart: w.restart, Step: step + 1, Steps: steps,
+				Evaluations: w.res.Evaluations, ExactEvals: w.res.ExactEvals,
+				BoundSkips: w.res.BoundSkips, SurrogateEvals: w.res.SurrogateEvals,
+				Accepted: accepted, Rejected: rejected, BestCost: w.res.BestCost})
+		}
+	}
+	return nil
+}
+
+// certainReject reports whether the Metropolis test u < exp(−d/temp) is
+// certain to fail for every exact delta d ≥ dlb, where dlb = lb − cost > 0
+// comes from a certified lower bound lb ≤ c on the candidate's exact cost
+// c. The float argument: d = c − cost ≥ lb − cost = dlb because float
+// subtraction is monotone in its first operand, and −d/temp ≤ −dlb/temp
+// because division by a positive temp is monotone and negation is exact.
+// math.Exp is monotone up to rounding below one ulp (2⁻⁵²); u is 0 or at
+// least 2⁻⁵³, so the comparison only matters where exp is a normal float,
+// and the 1e-9 relative slack covers any such non-monotonicity many times
+// over. Hence exp(−d/temp) ≤ exp(−dlb/temp)·(1+1e-9) < u, and the exact
+// walk would reject too. At temp → 0 exp underflows to 0 and every u > 0
+// rejects, exactly as the exact test does; u == 0 never skips (0 < 0 is
+// false), so a move the exact test could still accept is always priced.
+//
+//nocvet:noalloc
+func certainReject(dlb, temp, u float64) bool {
+	return math.Exp(-dlb/temp)*(1+1e-9) < u
+}

@@ -118,12 +118,12 @@ func TestHTTPBadInputAnd404(t *testing.T) {
 	}{
 		{`not json`, http.StatusBadRequest},
 		{`{"unknown_field":1}`, http.StatusBadRequest},
-		{`{}`, http.StatusBadRequest},                                 // no app
-		{`{"demo":true,"mesh":"1x1"}`, http.StatusBadRequest},         // does not fit
-		{`{"demo":true,"tech":"90nm"}`, http.StatusBadRequest},        // unknown tech
-		{`{"demo":true,"method":"simplex"}`, http.StatusBadRequest},   // unknown method
-		{`{"demo":true,"mesh":"axb"}`, http.StatusBadRequest},         // bad spec
-		{`{"demo":true,"app":{"cores":[]}}`, http.StatusBadRequest},   // app+demo
+		{`{}`, http.StatusBadRequest},                               // no app
+		{`{"demo":true,"mesh":"1x1"}`, http.StatusBadRequest},       // does not fit
+		{`{"demo":true,"tech":"90nm"}`, http.StatusBadRequest},      // unknown tech
+		{`{"demo":true,"method":"simplex"}`, http.StatusBadRequest}, // unknown method
+		{`{"demo":true,"mesh":"axb"}`, http.StatusBadRequest},       // bad spec
+		{`{"demo":true,"app":{"cores":[]}}`, http.StatusBadRequest}, // app+demo
 	}
 	for _, tc := range cases {
 		resp, _ := postJob(t, ts, tc.body)

@@ -31,6 +31,7 @@ type busyList struct {
 }
 
 // reset empties the list, retaining capacity for reuse across runs.
+//
 //nocvet:noalloc
 func (b *busyList) reset() {
 	b.iv = b.iv[:0]
@@ -40,6 +41,7 @@ func (b *busyList) reset() {
 // acquire books the earliest interval [t, t+hold] with t >= arrival that
 // does not overlap any existing booking, inserts it, and returns t.
 // Intervals are closed: a resource busy through cycle e is free from e+1.
+//
 //nocvet:noalloc
 func (b *busyList) acquire(arrival, hold int64, pkt model.PacketID) int64 {
 	if len(b.iv) == 0 || arrival > b.maxEnd {
@@ -78,6 +80,7 @@ func (b *busyList) acquire(arrival, hold int64, pkt model.PacketID) int64 {
 // arbitrated (the paper's router→core delivery path, whose bookings may
 // overlap) and to commit planned hops. Bookings mostly arrive in
 // time-sorted order, so the insertion position is searched from the back.
+//
 //nocvet:noalloc
 func (b *busyList) record(start, hold int64, pkt model.PacketID) {
 	pos := len(b.iv)
@@ -101,6 +104,7 @@ func (b *busyList) record(start, hold int64, pkt model.PacketID) {
 // Bookings may overlap (backpressure extensions); the scan handles that:
 // t only grows, and any interval already passed has End below the t at
 // which it was examined.
+//
 //nocvet:noalloc
 func (b *busyList) earliestFree(arrival, hold int64) int64 {
 	if len(b.iv) == 0 || arrival > b.maxEnd {

@@ -297,6 +297,7 @@ type hopPlan struct {
 // the plan and booked by the commit pass after backpressure extensions.
 // Unarbitrated resources acquire at arrival regardless of existing
 // bookings.
+//
 //nocvet:noalloc
 func (s *Simulator) plan(sc *Scratch, list *busyList, arrival, hold, rate int64, arbitrated, isPort bool, pkt model.PacketID) int64 {
 	if s.Cfg.Buffers != noc.BuffersBounded {
@@ -323,6 +324,7 @@ func (s *Simulator) plan(sc *Scratch, list *busyList, arrival, hold, rate int64,
 // later packets via earliest-fit, but intervals already booked by earlier
 // packets are not re-planned (an exact treatment needs flit-level
 // simulation; see DESIGN.md). With unbounded buffers it is a no-op.
+//
 //nocvet:noalloc
 func (s *Simulator) applyBackpressure(sc *Scratch, tl int64) {
 	if s.Cfg.Buffers != noc.BuffersBounded {
@@ -582,6 +584,7 @@ func (s *Simulator) RunFresh(mp mapping.Mapping, sc *Scratch) (*Result, error) {
 // returned Result is backed by the scratch and is only valid until the
 // next RunScratch with the same scratch. Distinct scratches may run
 // concurrently against one shared Simulator.
+//
 //nocvet:noalloc
 func (s *Simulator) RunScratch(mp mapping.Mapping, sc *Scratch) (*Result, error) {
 	if !s.initOnce {
@@ -603,6 +606,7 @@ func (s *Simulator) RunScratch(mp mapping.Mapping, sc *Scratch) (*Result, error)
 // run is the simulation core shared by Run and RunScratch: all mutable
 // state lives in sc, all shared state on s is read-only, and the
 // schedule is written into res (whose slices the caller sized).
+//
 //nocvet:noalloc
 func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record bool) error {
 	if len(mp) != s.G.NumCores() {
@@ -780,6 +784,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 
 // sortOcc sorts occupancies by (Start, Packet) via insertion sort; display
 // lists are short.
+//
 //nocvet:noalloc
 func sortOcc(a []Occupancy) {
 	for i := 1; i < len(a); i++ {
@@ -821,7 +826,8 @@ func (a pktKey) less(b pktKey) bool {
 type pktHeap struct{ a []pktKey }
 
 //nocvet:noalloc
-func (h *pktHeap) reset()   { h.a = h.a[:0] }
+func (h *pktHeap) reset() { h.a = h.a[:0] }
+
 //nocvet:noalloc
 func (h *pktHeap) len() int { return len(h.a) }
 
