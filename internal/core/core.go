@@ -25,6 +25,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/noc"
 	"repro/internal/obs"
+	"repro/internal/search"
 	"repro/internal/topology"
 	"repro/internal/wormhole"
 )
@@ -252,6 +253,8 @@ type Metrics struct {
 }
 
 // Total returns ENoC in joules.
+//
+//nocvet:noalloc
 func (m Metrics) Total() float64 { return m.Energy.Total() }
 
 // CDCM is the communication dependence and computation model evaluator:
@@ -276,6 +279,7 @@ type CDCM struct {
 
 	sim *wormhole.Simulator
 	sc  *wormhole.Scratch
+	cut cdcmCutoff // PriceBelow's bound check, bound to this evaluator
 }
 
 // NewCDCM validates the inputs and builds the evaluator.
@@ -287,7 +291,14 @@ func NewCDCM(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CDC
 	if err != nil {
 		return nil, err
 	}
-	return &CDCM{Tech: tech, sim: sim, sc: sim.NewScratch()}, nil
+	return newCDCMLane(tech, nil, sim), nil
+}
+
+// newCDCMLane builds one evaluator lane over a simulator core.
+func newCDCMLane(tech energy.Tech, evals *obs.Counter, sim *wormhole.Simulator) *CDCM {
+	c := &CDCM{Tech: tech, Evals: evals, sim: sim, sc: sim.NewScratch()}
+	c.cut.c = c
+	return c
 }
 
 // Clone returns an independent evaluator lane sharing this evaluator's
@@ -295,7 +306,7 @@ func NewCDCM(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CDC
 // no re-validation and no route recomputation. Clones may run
 // concurrently with each other and with the original.
 func (c *CDCM) Clone() *CDCM {
-	return &CDCM{Tech: c.Tech, Evals: c.Evals, sim: c.sim, sc: c.sim.NewScratch()}
+	return newCDCMLane(c.Tech, c.Evals, c.sim)
 }
 
 // Simulator exposes the underlying wormhole simulator (e.g. to flip
@@ -324,6 +335,8 @@ func (c *CDCM) EvaluateWith(mp mapping.Mapping, tech energy.Tech) (Metrics, erro
 }
 
 // price converts a simulation result into Metrics under tech.
+//
+//nocvet:noalloc
 func (c *CDCM) price(res *wormhole.Result, tech energy.Tech) Metrics {
 	var rb, lb int64
 	for _, b := range res.RouterBits {
@@ -352,6 +365,57 @@ func (c *CDCM) Cost(mp mapping.Mapping) (float64, error) {
 		return 0, err
 	}
 	return m.Total(), nil
+}
+
+// PriceBelow implements search.CutoffObjective: ENoC of mp like Cost,
+// unless reject accepts a certified lower bound on the way. The bound
+// prices the simulator's texec bound (wormhole.Simulator.RunBelow)
+// through the pipeline Cost uses: the dynamic term is exact from the
+// route-length totals, the same integers a full run's bit aggregates
+// sum to, and the static term is monotone in texec, so every bound is ≤
+// the exact cost on the computed float64s. Before the first packet the
+// bound is the tier-A bound. Evals counts the pricings that simulate at
+// least one packet; a cut before the first packet counts nothing, like a
+// tier-A skip.
+//
+//nocvet:noalloc
+func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (float64, search.Cut, error) {
+	c.cut.reject = reject
+	res, booked, err := c.sim.RunBelow(mp, c.sc, &c.cut)
+	c.cut.reject = nil
+	switch {
+	case err != nil:
+		return 0, search.Uncut, err
+	case res == nil && booked == 0:
+		return 0, search.CutAtBound, nil
+	}
+	if c.Evals != nil {
+		c.Evals.Inc()
+	}
+	if res == nil {
+		return 0, search.CutEarly, nil
+	}
+	return c.price(res, c.Tech).Total(), search.Uncut, nil
+}
+
+var _ search.CutoffObjective = (*CDCM)(nil)
+
+// cdcmCutoff is PriceBelow's wormhole.Cutoff: it prices a texec bound as
+// ENoC and hands it to the engine's rejection test.
+type cdcmCutoff struct {
+	c      *CDCM
+	reject func(lb float64) bool
+}
+
+// Stop implements wormhole.Cutoff.
+//
+//nocvet:noalloc
+func (k *cdcmCutoff) Stop(t wormhole.Traffic, texecLB int64) bool {
+	c := k.c
+	dyn := c.Tech.DynamicFromTraffic3D(t.RouterBits, t.LinkBits, t.TSVBits, t.CoreBits)
+	lb := dyn + c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texecLB))
+	//nocvet:ignore reject is the engine's allocation-free certified-rejection test
+	return k.reject(lb)
 }
 
 // Simulate runs the CDCG on a mapping and returns the raw wormhole result

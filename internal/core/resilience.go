@@ -26,7 +26,7 @@ func NewCDCMFaults(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 	if err != nil {
 		return nil, err
 	}
-	return &CDCM{Tech: tech, sim: sim, sc: sim.NewScratch()}, nil
+	return newCDCMLane(tech, nil, sim), nil
 }
 
 // UnreachablePenaltyFactor prices a fault scenario that partitions a

@@ -124,6 +124,8 @@ type Breakdown struct {
 }
 
 // Total returns ENoC = EStNoC + EDyNoC (equation (10)).
+//
+//nocvet:noalloc
 func (b Breakdown) Total() float64 { return b.Dynamic + b.Static }
 
 // StaticShare returns the leakage fraction of the total energy in [0,1].

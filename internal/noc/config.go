@@ -182,6 +182,8 @@ func (c Config) PayloadDelay(flits int64) int64 {
 }
 
 // CyclesToNS converts a cycle count to nanoseconds using λ.
+//
+//nocvet:noalloc
 func (c Config) CyclesToNS(cycles int64) float64 { return float64(cycles) * c.ClockNS }
 
 // CyclesToSeconds converts a cycle count to seconds using λ.

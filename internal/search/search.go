@@ -246,12 +246,17 @@ func (a *Annealer) Run() (*Result, error) {
 			return nil, err
 		}
 	}
-	// Tier-A certified Metropolis rejection (see TieredObjective): nil
-	// unless the objective carries a bound and candidates are priced with
-	// full exact Cost calls — a delta-capable exact objective is already
-	// cheaper than any bound probe, and a surrogate walk decides on
-	// surrogate deltas the bound does not order.
+	// Certified Metropolis rejection (see TieredObjective): a walk priced
+	// with full exact Cost calls binds the objective's tier-A bound, if
+	// any — a delta-capable exact objective is already cheaper than any
+	// bound probe, and a surrogate walk decides on surrogate deltas the
+	// bound does not order. An exact tier that is a CutoffObjective then
+	// prices each candidate with PriceBelow, which checks the tier-A
+	// bound itself before any work and keeps tightening it while it
+	// simulates; any other exact tier is screened with SwapBound first.
 	var bnd LowerBoundObjective
+	var below CutoffObjective
+	var reject func(lb float64) bool
 	if !useDelta && !useSurr {
 		if bnd, err = bindBound(a.Problem.Obj, cur); err != nil {
 			return nil, err
@@ -260,23 +265,45 @@ func (a *Annealer) Run() (*Result, error) {
 
 	w := metropolis{engine: "SA", rng: rng, cur: inc.cur, occ: inc.occ, res: res,
 		surrogate: useSurr, onProgress: a.OnProgress}
+	if bnd != nil {
+		below, _ = exactOf(a.Problem.Obj).(CutoffObjective)
+		reject = func(lb float64) bool { return w.certify(lb - inc.cost) }
+	}
 	// price leaves cur/occ untouched: the delta path asks the objective
 	// for the O(deg) incremental price, the surrogate path prices in the
-	// surrogate's own scale, and the fallback applies the swap, runs a
-	// full Cost, and undoes it.
-	w.price = func(ta, tb topology.TileID) (float64, float64, error) {
+	// surrogate's own scale, and the exact path applies the swap, prices
+	// the mapping — through the bound's rejection test when certifying —
+	// and undoes it.
+	w.price = func(ta, tb topology.TileID, certify bool) (float64, float64, Cut, error) {
 		switch {
 		case useDelta:
 			d, err := dobj.SwapDelta(inc.occ, ta, tb)
-			return inc.cost + d, d, err
+			return inc.cost + d, d, Uncut, err
 		case useSurr:
 			d, err := surr.SwapDelta(inc.occ, ta, tb)
-			return scost + d, d, err
+			return scost + d, d, Uncut, err
+		}
+		certify = certify && bnd != nil
+		if certify && below == nil {
+			lb, err := bnd.SwapBound(inc.occ, ta, tb)
+			if err != nil {
+				return 0, 0, Uncut, err
+			}
+			if reject(lb) {
+				return 0, 0, CutAtBound, nil
+			}
 		}
 		mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
-		c, err := a.Problem.Obj.Cost(inc.cur)
+		var c float64
+		var err error
+		cut := Uncut
+		if certify && below != nil {
+			c, cut, err = below.PriceBelow(inc.cur, reject)
+		} else {
+			c, err = a.Problem.Obj.Cost(inc.cur)
+		}
 		mapping.SwapTiles(inc.cur, inc.occ, ta, tb) // undo
-		return c, c - inc.cost, err
+		return c, c - inc.cost, cut, err
 	}
 	// accept adopts an exact cost for the swapped mapping: the delta
 	// path's Commit recompute (never an accumulation of deltas, see the
@@ -326,12 +353,6 @@ func (a *Annealer) Run() (*Result, error) {
 			_, err = bnd.ResetBound(inc.cur)
 		}
 		return err
-	}
-	if bnd != nil {
-		w.lowerDelta = func(ta, tb topology.TileID) (float64, error) {
-			lb, err := bnd.SwapBound(inc.occ, ta, tb)
-			return lb - inc.cost, err
-		}
 	}
 	if err := w.run(a.Ctx, schedule{a.InitialTemp, a.Alpha, a.MovesPerTemp, a.TempSteps,
 		a.StallSteps, a.Reheats}, cost); err != nil {

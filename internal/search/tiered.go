@@ -25,11 +25,15 @@ var errNoVector = errors.New("search: tiered objective's exact tier is not a Vec
 //     scan would have rejected, so Best, BestCost and the accept/reject
 //     trajectory stay bit-identical to the unfiltered run. The Annealer
 //     uses it for certified Metropolis rejection: lb > cost proves the
-//     exact delta d > 0, so the walk draws its uniform u before pricing
-//     and skips the simulation when exp(−(lb−cost)/T)·(1+1e-9) < u —
-//     the exact test u < exp(−d/T) is then certain to fail (see
-//     certainReject for the float argument), and a priced move reuses
-//     the drawn u, so the RNG stream and the walk are unchanged.
+//     exact delta d > 0, so the walk draws its uniform u as soon as it
+//     sees such a bound and stops pricing when exp(−(lb−cost)/T)·(1+1e-9)
+//     < u — the exact test u < exp(−d/T) is then certain to fail (see
+//     certainReject for the float argument), and a fully priced move
+//     reuses the drawn u, so the RNG stream and the walk are unchanged.
+//     An exact tier that is a CutoffObjective carries that test into the
+//     pricing itself (PriceBelow): it checks the tier-A bound before any
+//     work and keeps tightening it as it goes, so a rejected candidate
+//     also stops part-way through its simulation.
 //   - Tier B, Surrogate, is an opt-in calibrated approximation (a
 //     DeltaObjective fitted against exact evaluations at build time).
 //     The Metropolis engines (Annealer, ParetoSA) walk on surrogate
@@ -69,6 +73,35 @@ type LowerBoundObjective interface {
 	CommitBound(ta, tb topology.TileID)
 }
 
+// Cut reports how far a cut-off pricing ran (see CutoffObjective).
+type Cut int
+
+const (
+	// Uncut means the candidate was priced in full.
+	Uncut Cut = iota
+	// CutAtBound means the first certified bound settled the decision
+	// before any exact work; engines count it as a bound skip.
+	CutAtBound
+	// CutEarly means the pricing stopped part-way through its exact work;
+	// engines count it as an exact evaluation.
+	CutEarly
+)
+
+// CutoffObjective is an exact objective that can stop pricing a
+// candidate once a certified lower bound on its cost settles the
+// caller's decision. For CDCM the bound starts at the tier-A critical
+// path and tightens as the simulation books packets.
+type CutoffObjective interface {
+	Objective
+	// PriceBelow returns Cost(mp) and Uncut, unless reject(lb) holds for
+	// some certified lower bound lb ≤ Cost(mp) — bitwise on the computed
+	// float64s — met on the way; it then stops at once and reports where
+	// (CutAtBound or CutEarly), and the returned cost is meaningless.
+	// The bounds passed to reject never decrease. Like Cost, it assumes a
+	// structurally valid, injective mapping.
+	PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (float64, Cut, error)
+}
+
 // TieredObjective wraps an exact Objective with optional cheaper tiers.
 // Exact is authoritative: Cost forwards to it, so any engine (or caller)
 // that ignores the tiers prices exactly as before. Bound and Surrogate
@@ -78,8 +111,9 @@ type TieredObjective struct {
 	Exact Objective
 	// Bound, when non-nil, is the tier-A certified lower bound used by
 	// the strict-improvement engines and, when it walks on exact prices,
-	// the Annealer. It must satisfy
-	// Bound ≤ Exact.Cost on the computed float64s for every candidate.
+	// the Annealer (through Exact's PriceBelow when Exact is a
+	// CutoffObjective). It must satisfy Bound ≤ Exact.Cost on the
+	// computed float64s for every candidate.
 	Bound LowerBoundObjective
 	// Surrogate, when non-nil, is the tier-B calibrated approximation the
 	// Metropolis engines walk on. It needs no ordering guarantee — every

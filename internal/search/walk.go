@@ -54,16 +54,22 @@ type metropolis struct {
 	onProgress ProgressFunc
 
 	// price returns the cost of the walk with (ta, tb) swapped and its
-	// delta against the current cost, leaving cur and occ untouched.
-	price func(ta, tb topology.TileID) (c, d float64, err error)
+	// delta against the current cost, leaving cur and occ untouched. With
+	// certify set, a hook that holds a certified lower bound on the
+	// move's exact cost may stop as soon as certify proves the rejection;
+	// cut then reports where it stopped and c, d are meaningless.
+	price func(ta, tb topology.TileID, certify bool) (c, d float64, cut Cut, err error)
 	// accept adopts the swap priced at c (already applied to cur and
 	// occ) and reports whether it improved the incumbent.
 	accept func(ta, tb topology.TileID, c float64) (improved bool, err error)
 	// reheat moves the walk back to its incumbent best.
 	reheat func() error
-	// lowerDelta, when non-nil, returns a certified lower bound on the
-	// exact delta of swapping (ta, tb): the tier-A hook.
-	lowerDelta func(ta, tb topology.TileID) (float64, error)
+
+	// temp is the current temperature; u is the move's Metropolis
+	// variate, drawn (drawn set) at most once per move — by certify or
+	// by the acceptance test.
+	temp, u float64
+	drawn   bool
 }
 
 // propose draws a swap whose first tile is always occupied: a swap of
@@ -121,8 +127,8 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 		stall = 20
 	}
 
-	temp := s.initialTemp
-	if temp <= 0 {
+	w.temp = s.initialTemp
+	if w.temp <= 0 {
 		// Calibration pass: sample some moves and set T0 so that an
 		// average degradation is accepted with probability ~0.9.
 		var sum float64
@@ -131,7 +137,8 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 			if err := pollAt(ctx, w.res.Evaluations); err != nil {
 				return err
 			}
-			_, d, err := w.price(w.propose())
+			ta, tb := w.propose()
+			_, d, _, err := w.price(ta, tb, false)
 			if err != nil {
 				return err
 			}
@@ -142,17 +149,17 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 			}
 		}
 		if n > 0 {
-			temp = (sum / float64(n)) / -math.Log(0.9)
+			w.temp = (sum / float64(n)) / -math.Log(0.9)
 		} else {
 			// Start in a local minimum w.r.t. sampled moves: any positive
 			// temperature works; pick one proportional to the cost scale.
-			temp = math.Max(scale*0.01, 1e-300)
+			w.temp = math.Max(scale*0.01, 1e-300)
 		}
 	}
 
 	stalled := 0
 	reheatsLeft := s.reheat
-	baseTemp := temp
+	baseTemp := w.temp
 	// Telemetry counters: emitted in Progress snapshots, never read by
 	// the walk itself. Calibration probes count as neither.
 	var accepted, rejected int64
@@ -165,7 +172,7 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 			// previous starting temperature.
 			reheatsLeft--
 			baseTemp /= 2
-			temp = baseTemp
+			w.temp = baseTemp
 			if err := w.reheat(); err != nil {
 				return err
 			}
@@ -177,37 +184,27 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 				return err
 			}
 			ta, tb := w.propose()
-			// Certified rejection: a positive bound delta proves d > 0,
-			// so the walk is certain to draw its Metropolis variate for
-			// this move. Drawing it before pricing leaves the RNG stream
-			// unchanged, and when the bound alone already rejects, the
-			// exact pricing is skipped; see certainReject.
-			var u float64
-			drawn := false
-			if w.lowerDelta != nil {
-				dlb, err := w.lowerDelta(ta, tb)
-				if err != nil {
-					return err
-				}
-				if dlb > 0 {
-					u, drawn = w.rng.Float64(), true
-					if certainReject(dlb, temp, u) {
-						w.res.Evaluations++
-						w.res.BoundSkips++
-						rejected++
-						continue
-					}
-				}
-			}
-			c, d, err := w.price(ta, tb)
+			w.drawn = false
+			c, d, cut, err := w.price(ta, tb, true)
 			if err != nil {
 				return err
 			}
-			w.priced()
-			if d > 0 && !drawn {
-				u = w.rng.Float64()
+			switch cut {
+			case CutAtBound:
+				w.res.Evaluations++
+				w.res.BoundSkips++
+				rejected++
+				continue
+			case CutEarly:
+				w.priced()
+				rejected++
+				continue
 			}
-			if d <= 0 || u < math.Exp(-d/temp) {
+			w.priced()
+			if d > 0 && !w.drawn {
+				w.u = w.rng.Float64()
+			}
+			if d <= 0 || w.u < math.Exp(-d/w.temp) {
 				mapping.SwapTiles(w.cur, w.occ, ta, tb)
 				improved, err := w.accept(ta, tb, c)
 				if err != nil {
@@ -226,7 +223,7 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 		} else {
 			stalled++
 		}
-		temp *= alpha
+		w.temp *= alpha
 		if w.onProgress != nil {
 			w.onProgress(Progress{Engine: w.engine, Restart: w.restart, Step: step + 1, Steps: steps,
 				Evaluations: w.res.Evaluations, ExactEvals: w.res.ExactEvals,
@@ -235,6 +232,23 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 		}
 	}
 	return nil
+}
+
+// certify is the Metropolis side of certified rejection: given dlb, a
+// certified lower bound on the exact delta of the move being priced, it
+// reports whether the move's rejection is already certain. A positive
+// dlb proves d > 0, so the acceptance test is certain to draw the move's
+// variate: certify draws it there, once, and the test reuses it, which
+// leaves the RNG stream exactly as an unfiltered walk's. Pricing hooks
+// may call it repeatedly with growing bounds.
+func (w *metropolis) certify(dlb float64) bool {
+	if !(dlb > 0) {
+		return false
+	}
+	if !w.drawn {
+		w.u, w.drawn = w.rng.Float64(), true
+	}
+	return certainReject(dlb, w.temp, w.u)
 }
 
 // certainReject reports whether the Metropolis test u < exp(−d/temp) is

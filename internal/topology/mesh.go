@@ -149,12 +149,16 @@ func (m *Mesh) W() int { return m.w }
 func (m *Mesh) H() int { return m.h }
 
 // D returns the mesh depth (number of stacked layers; 1 for 2-D grids).
+//
+//nocvet:noalloc
 func (m *Mesh) D() int { return m.d }
 
 // Kind reports whether the grid is a mesh or a torus.
 func (m *Mesh) Kind() Kind { return m.kind }
 
 // NumTiles returns W*H*D, the n of Definition 3.
+//
+//nocvet:noalloc
 func (m *Mesh) NumTiles() int { return m.w * m.h * m.d }
 
 // NumLinks returns the number of directed inter-tile links.

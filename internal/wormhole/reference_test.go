@@ -303,9 +303,14 @@ func randomRefFixture(t *testing.T, rng *rand.Rand) refFixture {
 			}
 		}
 	}
-	nc := 2 + rng.Intn(mesh.NumTiles()-1)
+	g := randomRefCDCG(rng, 2+rng.Intn(mesh.NumTiles()-1), 1+rng.Intn(24))
+	return refFixture{mesh: mesh, cfg: cfg, g: g, fs: fs}
+}
+
+// randomRefCDCG draws an application of nc cores and np packets whose
+// dependences point from lower to higher packet IDs.
+func randomRefCDCG(rng *rand.Rand, nc, np int) *model.CDCG {
 	g := &model.CDCG{Cores: model.MakeCores(nc)}
-	np := 1 + rng.Intn(24)
 	for i := 0; i < np; i++ {
 		s := model.CoreID(rng.Intn(nc))
 		d := model.CoreID(rng.Intn(nc - 1))
@@ -320,7 +325,7 @@ func randomRefFixture(t *testing.T, rng *rand.Rand) refFixture {
 			}
 		}
 	}
-	return refFixture{mesh: mesh, cfg: cfg, g: g, fs: fs}
+	return g
 }
 
 // refInstances is the size of the reference sweep.

@@ -215,6 +215,15 @@ type Simulator struct {
 	faults  *topology.FaultSet
 	unreach []bool
 
+	// linkFree and tsvFree mark the configurations in which no packet
+	// can wait for a planar or a vertical inter-tile link (see
+	// NewSimulatorFaults): their bookings are then skipped unless a run
+	// records occupancies.
+	linkFree, tsvFree bool
+	// topo is a topological order of the packets; RunBelow walks it
+	// backwards to price each packet's uncontended remaining path.
+	topo []int32
+
 	scratch  *Scratch // lazily built by Run; nil until then
 	initOnce bool
 }
@@ -272,6 +281,7 @@ type Scratch struct {
 	heap        pktHeap
 	hops        []hopPlan
 	seen        []model.CoreID // mapping-validation buffer, reused per run
+	tail        []int64        // RunBelow's per-packet uncontended remaining path
 
 	res        Result
 	packets    []PacketSchedule
@@ -296,15 +306,20 @@ type hopPlan struct {
 // the annealer's hot path. With bounded buffers the hop is appended to
 // the plan and booked by the commit pass after backpressure extensions.
 // Unarbitrated resources acquire at arrival regardless of existing
-// bookings.
+// bookings. A nil list marks a write-only hop this run does not keep:
+// it is timed (and, with bounded buffers, planned, since backpressure
+// reads its rate) but never booked.
 //
 //nocvet:noalloc
 func (s *Simulator) plan(sc *Scratch, list *busyList, arrival, hold, rate int64, arbitrated, isPort bool, pkt model.PacketID) int64 {
 	if s.Cfg.Buffers != noc.BuffersBounded {
-		if arbitrated {
+		switch {
+		case list == nil:
+		case arbitrated:
 			return list.acquire(arrival, hold, pkt)
+		default:
+			list.record(arrival, hold, pkt)
 		}
-		list.record(arrival, hold, pkt)
 		return arrival
 	}
 	t := arrival
@@ -411,6 +426,32 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 		}
 	}
 	s.initHeap = srcHeap.a
+	order, err := dg.TopoSort()
+	if err != nil {
+		return nil, err
+	}
+	s.topo = make([]int32, len(order))
+	for i, p := range order {
+		s.topo[i] = int32(p)
+	}
+
+	// Inter-tile links that never stall. The route table resolves every
+	// step to one (port, link) pair, so a link is requested only by the
+	// one output port that feeds it, exactly tr cycles after that port is
+	// granted: a grant at t books the port over [t, e] with
+	// e = t+tr+(n−1)·r and the link over [t+tr, e+r], where r is the
+	// link's per-flit time (tl, or tTSV on a vertical link). Two grants
+	// of one exclusive port lie at least one cycle apart (t' ≥ e+1), so
+	// the later link request starts at t'+tr ≥ e+1+tr, which is past the
+	// earlier link booking's end e+r whenever tr+1 > r. Under that
+	// condition every link request is free at arrival, and the booking
+	// can be skipped without changing any timing. Three cases keep the
+	// bookings: bounded buffers (backpressure extends link holds past
+	// the port's), recorded runs (the occupancies are the output), and a
+	// link slower than tr.
+	unbounded := cfg.Buffers != noc.BuffersBounded
+	s.linkFree = unbounded && tr >= tl
+	s.tsvFree = unbounded && tr >= tlv
 
 	// Per-tile hop descriptors towards each neighbour, indexed
 	// tile*numDirs+direction. Directions are scanned in the East..Up
@@ -531,6 +572,7 @@ func (s *Simulator) NewScratch() *Scratch {
 		indeg:       make([]int, np),
 		ready:       make([]int64, np),
 		seen:        make([]model.CoreID, n),
+		tail:        make([]int64, np),
 		packets:     make([]PacketSchedule, np),
 		routerBits:  make([]int64, n),
 		linkBits:    make([]int64, s.Mesh.NumLinks()),
@@ -571,7 +613,7 @@ func (s *Simulator) RunFresh(mp mapping.Mapping, sc *Scratch) (*Result, error) {
 		RouterBits: make([]int64, s.numTiles),
 		LinkBits:   make([]int64, s.Mesh.NumLinks()),
 	}
-	if err := s.run(sc, res, mp, sc.RecordOccupancy || s.RecordOccupancy); err != nil {
+	if _, err := s.run(sc, res, mp, sc.RecordOccupancy || s.RecordOccupancy, nil); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -587,33 +629,136 @@ func (s *Simulator) RunFresh(mp mapping.Mapping, sc *Scratch) (*Result, error) {
 //
 //nocvet:noalloc
 func (s *Simulator) RunScratch(mp mapping.Mapping, sc *Scratch) (*Result, error) {
+	res, _, err := s.RunBelow(mp, sc, nil)
+	return res, err
+}
+
+// Traffic is the bit volume one mapping's routes carry, summed over every
+// packet: Σ bits·K router bits, Σ bits·(K−1) link bits, the vertical
+// (TSV) share of the latter and 2·Σ bits core-link bits. They are the
+// same integers as a full run's RouterBits and LinkBits totals, TSVBits
+// and CoreBits, known before the first packet is scheduled.
+type Traffic struct {
+	RouterBits, LinkBits, TSVBits, CoreBits int64
+}
+
+// Cutoff decides when RunBelow may abandon a simulation.
+type Cutoff interface {
+	// Stop reports whether the run may stop, given the mapping's traffic
+	// totals and a certified lower bound on its texec. RunBelow calls it
+	// before the first packet and again each time the bound grows.
+	Stop(t Traffic, texecLB int64) bool
+}
+
+// RunBelow is RunScratch with a cut-off: it simulates mp on the
+// caller's scratch, but stops as soon as stop accepts the certified
+// lower bound B on texec seen so far. Packets are scheduled in
+// nondecreasing start order, so once packet q is delivered,
+// Delivered(q) + tail(q) ≤ texec, where tail(q) is the longest
+// uncontended dependence path after q under mp: each successor waits for
+// q, computes, and crosses the network in no less than its
+// contention-free duration K·(tr+tl) + V·(tTSV−tl) + n·tl. B is the
+// largest such sum over the packets booked so far; before the first
+// packet it is the whole graph's uncontended critical path. The extra
+// pass that prices the tails costs O(packets + dependences).
+//
+// It returns the Result (valid until the scratch's next run, like
+// RunScratch's) when the simulation completes, or a nil Result and the
+// number of packets booked before the stop — 0 when the first bound
+// alone settled it. A nil stop runs to completion: that is RunScratch.
+//
+//nocvet:noalloc
+func (s *Simulator) RunBelow(mp mapping.Mapping, sc *Scratch, stop Cutoff) (*Result, int, error) {
 	if !s.initOnce {
-		return nil, errors.New("wormhole: use NewSimulator")
+		return nil, 0, errors.New("wormhole: use NewSimulator")
 	}
 	if sc == nil || sc.sim != s {
-		return nil, errors.New("wormhole: scratch is not from this simulator's NewScratch")
+		return nil, 0, errors.New("wormhole: scratch is not from this simulator's NewScratch")
 	}
 	res := &sc.res
 	res.Packets = sc.packets
 	res.RouterBits = sc.routerBits
 	res.LinkBits = sc.linkBits
-	if err := s.run(sc, res, mp, sc.RecordOccupancy); err != nil {
-		return nil, err
+	booked, err := s.run(sc, res, mp, sc.RecordOccupancy, stop)
+	if err != nil {
+		return nil, 0, err
 	}
-	return res, nil
+	if booked < len(s.pkts) {
+		return nil, booked, nil
+	}
+	return res, booked, nil
 }
 
-// run is the simulation core shared by Run and RunScratch: all mutable
-// state lives in sc, all shared state on s is read-only, and the
-// schedule is written into res (whose slices the caller sized).
+// tails prices the cut-off bound's ingredients for mp: each packet's
+// uncontended remaining path into sc.tail, the traffic totals, and the
+// critical path — the bound before any packet is booked. It walks the
+// packets in reverse topological order, using sc.ready as the per-packet
+// "own duration plus tail" scratch (run resets it afterwards).
 //
 //nocvet:noalloc
-func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record bool) error {
+func (s *Simulator) tails(sc *Scratch, mp mapping.Mapping) (lb int64, tot Traffic, err error) {
+	n := s.numTiles
+	tr, tl := s.Cfg.RoutingCycles, s.Cfg.LinkCycles
+	vadj := s.Cfg.TSVCycles() - tl
+	stacked := s.Mesh.D() > 1
+	path := sc.ready
+	for i := len(s.topo) - 1; i >= 0; i-- {
+		p := int(s.topo[i])
+		pc := &s.pkts[p]
+		ri := int(mp[pc.src])*n + int(mp[pc.dst])
+		if s.unreach != nil && s.unreach[ri] {
+			return 0, tot, ErrUnreachable
+		}
+		route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
+		k := int64(len(route))
+		var v int64
+		if stacked {
+			for _, hp := range route {
+				if hp.link < 0 && hp.link != localHop {
+					v++
+				}
+			}
+		}
+		tot.RouterBits += pc.bits * k
+		tot.LinkBits += pc.bits * (k - 1)
+		tot.TSVBits += pc.bits * v
+		tot.CoreBits += 2 * pc.bits
+		var rest int64
+		for _, q := range s.dg.Succ(p) {
+			rest = max(rest, path[q])
+		}
+		sc.tail[p] = rest
+		path[p] = pc.compute + k*(tr+tl) + v*vadj + pc.flits*tl + rest
+		lb = max(lb, path[p])
+	}
+	return lb, tot, nil
+}
+
+// run is the simulation core shared by Run, RunScratch and RunBelow: all
+// mutable state lives in sc, all shared state on s is read-only, and the
+// schedule is written into res (whose slices the caller sized). It
+// returns the number of packets booked, which is below the packet count
+// only when stop (nil for a plain run) ended the run early.
+//
+//nocvet:noalloc
+func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record bool, stop Cutoff) (int, error) {
 	if len(mp) != s.G.NumCores() {
-		return fmt.Errorf("wormhole: mapping covers %d cores, CDCG has %d", len(mp), s.G.NumCores())
+		return 0, fmt.Errorf("wormhole: mapping covers %d cores, CDCG has %d", len(mp), s.G.NumCores())
 	}
 	if err := mp.ValidateInto(s.numTiles, sc.seen); err != nil {
-		return err
+		return 0, err
+	}
+	var lb int64
+	var tot Traffic
+	if stop != nil {
+		var err error
+		if lb, tot, err = s.tails(sc, mp); err != nil {
+			return 0, err
+		}
+		//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
+		if stop.Stop(tot, lb) {
+			return 0, nil
+		}
 	}
 
 	np := s.G.NumPackets()
@@ -647,6 +792,13 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 	tr, tl := s.Cfg.RoutingCycles, s.Cfg.LinkCycles
 	tlv := s.Cfg.TSVCycles() // per-flit vertical (TSV) hop time; unused on depth-1 grids
 	arbLocal := s.Cfg.ArbitrateLocal
+	// Bookings nothing reads are skipped: with ArbitrateLocal off no
+	// packet waits for a core link or a local output port (keepLocal),
+	// and under the no-stall condition none waits for an inter-tile link
+	// (see NewSimulatorFaults). Recorded runs keep everything.
+	keepLocal := arbLocal || record
+	bookLink := !s.linkFree || record
+	bookTSV := !s.tsvFree || record
 	scheduled := 0
 	for sc.heap.len() > 0 {
 		k := sc.heap.pop()
@@ -659,10 +811,14 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			// The sentinel is static so the noalloc hot path stays clean;
 			// resilience scoring catches it and applies the documented
 			// penalty instead of treating it as a failure.
-			return ErrUnreachable
+			return 0, ErrUnreachable
 		}
 		route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
 		bits := pc.bits
+		var coreOut, coreIn *busyList
+		if keepLocal {
+			coreOut, coreIn = &sc.coreOut[srcTile], &sc.coreIn[dstTile]
+		}
 
 		// Plan pass: walk the route head-first, computing acquisition
 		// times without booking anything (the hops of one packet touch
@@ -674,7 +830,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 		// Source core -> local router link. Core links are timed but not
 		// arbitrated under the paper's CRG semantics (ArbitrateLocal
 		// false); see noc.Config.ArbitrateLocal.
-		t := s.plan(sc, &sc.coreOut[srcTile], h, pc.linkHold, tl, arbLocal, false, k.id)
+		t := s.plan(sc, coreOut, h, pc.linkHold, tl, arbLocal, false, k.id)
 		contention += t - h
 		h = t + tl
 
@@ -693,7 +849,11 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			if vert {
 				pHold, pRate = pc.vPortHold, tlv
 			}
-			t = s.plan(sc, &sc.ports[hp.port], h, pHold, pRate, !local || arbLocal, true, k.id)
+			port := &sc.ports[hp.port]
+			if local && !keepLocal {
+				port = nil
+			}
+			t = s.plan(sc, port, h, pHold, pRate, !local || arbLocal, true, k.id)
 			contention += t - h
 			portEnd := t + pHold
 			h = t + tr
@@ -708,29 +868,36 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			case local:
 				// Local router -> destination core link; delivery is when
 				// the last flit crosses it.
-				t = s.plan(sc, &sc.coreIn[dstTile], h, pc.linkHold, tl, arbLocal, false, k.id)
+				t = s.plan(sc, coreIn, h, pc.linkHold, tl, arbLocal, false, k.id)
 				contention += t - h
 				delivered = t + pc.linkHold
 			case vert:
 				li := ^hp.link
-				t = s.plan(sc, &sc.links[li], h, pc.vLinkHold, tlv, true, false, k.id)
-				contention += t - h
-				h = t + tlv
+				if bookTSV {
+					t = s.plan(sc, &sc.links[li], h, pc.vLinkHold, tlv, true, false, k.id)
+					contention += t - h
+					h = t
+				}
+				h += tlv
 				res.LinkBits[li] += bits
 				res.TSVBits += bits
 			default:
-				t = s.plan(sc, &sc.links[hp.link], h, pc.linkHold, tl, true, false, k.id)
-				contention += t - h
-				h = t + tl
+				if bookLink {
+					t = s.plan(sc, &sc.links[hp.link], h, pc.linkHold, tl, true, false, k.id)
+					contention += t - h
+					h = t
+				}
+				h += tl
 				res.LinkBits[hp.link] += bits
 			}
 		}
 		s.applyBackpressure(sc, tl)
-		// Commit pass: book every hop (including any backpressure
+		// Commit pass: book every kept hop (including any backpressure
 		// extensions) so later packets see the occupancy.
 		for i := range sc.hops {
-			hp := &sc.hops[i]
-			hp.list.record(hp.t, hp.hold, k.id)
+			if hp := &sc.hops[i]; hp.list != nil {
+				hp.list.record(hp.t, hp.hold, k.id)
+			}
 		}
 		res.CoreBits += 2 * bits
 
@@ -748,6 +915,15 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			res.ExecCycles = delivered
 		}
 		scheduled++
+		if stop != nil && scheduled < np {
+			if b := delivered + sc.tail[p]; b > lb {
+				lb = b
+				//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
+				if stop.Stop(tot, lb) {
+					return scheduled, nil
+				}
+			}
+		}
 
 		for _, succ := range s.dg.Succ(p) {
 			if delivered > sc.ready[succ] {
@@ -763,7 +939,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 		}
 	}
 	if scheduled != np {
-		return errors.New("wormhole: dependence deadlock (cyclic CDCG)")
+		return scheduled, errors.New("wormhole: dependence deadlock (cyclic CDCG)")
 	}
 
 	if record {
@@ -779,7 +955,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			coreIn:      snapshotAll(sc.coreIn),
 		}
 	}
-	return nil
+	return scheduled, nil
 }
 
 // sortOcc sorts occupancies by (Start, Packet) via insertion sort; display
