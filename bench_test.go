@@ -756,7 +756,7 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			prob := search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: cdcm}
+			prob := search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: search.ObjectiveFunc(cdcm.Cost)}
 			res, err := (&search.HillClimber{Problem: prob, Seed: 1}).Run()
 			if err != nil {
 				b.Fatal(err)
@@ -787,8 +787,9 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 	})
 
 	// singleTierSA is the unfiltered baseline: the bare annealer over a
-	// bare CDCM evaluator, every candidate simulated. Explore would attach
-	// tier A, so this leg builds the engine itself.
+	// CDCM evaluator hidden behind ObjectiveFunc, so it cannot certify and
+	// every candidate is simulated. Explore would certify, so this leg
+	// builds the engine itself.
 	singleTierSA := func(b *testing.B, mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CDCG) {
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -798,7 +799,7 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 				b.Fatal(err)
 			}
 			res, err := (&search.Annealer{
-				Problem: search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: cdcm},
+				Problem: search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: search.ObjectiveFunc(cdcm.Cost)},
 				Seed:    saBudget.Seed, TempSteps: saBudget.TempSteps,
 				MovesPerTemp: saBudget.MovesPerTemp, Alpha: saBudget.Alpha,
 			}).Run()
@@ -813,8 +814,9 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 			}
 		}
 	}
-	// tieredSA runs SA through Explore, which attaches tier A (certified
-	// Metropolis rejection) and, with surrogate set, tier B instead.
+	// tieredSA runs SA through Explore, which certifies through tier A
+	// (certified Metropolis rejection) and, with surrogate set, walks on
+	// tier B instead.
 	tieredSA := func(b *testing.B, mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CDCG, surrogate bool) {
 		opts := saBudget
 		opts.Surrogate = surrogate

@@ -10,7 +10,6 @@
 //	curl -XDELETE localhost:8080/v1/jobs/j-000001   # cancel
 //	curl localhost:8080/healthz
 //	curl localhost:8080/metrics                     # Prometheus text exposition
-//	curl localhost:8080/metrics?format=json         # legacy JSON counters
 //
 // Every request carries an X-Request-ID (client-supplied or minted) that
 // is echoed on the response, stamped on the job's status and SSE events,

@@ -189,18 +189,8 @@ func TestDaemonServesMetrics(t *testing.T) {
 		t.Errorf("prometheus exposition missing nocd_jobs_submitted_total:\n%s", body)
 	}
 
-	// Legacy JSON counters stay on ?format=json.
-	resp, err = http.Get(url + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m map[string]int64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if _, ok := m["jobs_submitted"]; !ok {
-		t.Errorf("metrics missing jobs_submitted: %v", m)
+	if !regexp.MustCompile(`(?m)^nocd_jobs_submitted_total 0$`).Match(body) {
+		t.Errorf("prometheus exposition lacks the nocd_jobs_submitted_total sample:\n%s", body)
 	}
 	stop <- syscall.SIGTERM
 	if err := <-exited; err != nil {

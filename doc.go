@@ -41,19 +41,24 @@
 // trace/Gantt renderers (see README "Allocation-free CDCM evaluation").
 //
 // On top of the simulator sits two-tier CDCM evaluation
-// (search.TieredObjective). Tier A is a certified lower bound: the
-// exact dynamic energy plus static energy over the uncontended
-// critical path is provably ≤ the simulated contended cost, so the
-// strict-improvement engines (hill climber, tabu) skip any swap whose
-// bound already fails the incumbent without running the simulator, and
-// exact-priced SA skips the simulation of any move whose Metropolis
-// rejection the bound already certifies: lb > cost proves d > 0, so the
-// uniform u is drawn before pricing, and exp(−(lb−cost)/T)·(1+1e-9) < u
-// implies u ≥ exp(−d/T) because float subtraction, division by T > 0
-// and (up to the slack) exp are monotone. Tier A is always on under
-// core.Explore (SA only without tier B), bit-identical by
-// construction, and allocation-free (//nocvet:noalloc) on the
-// bound-compare path. Tier B
+// (search.TieredObjective). Tier A is a certified lower bound and has
+// one implementation: the first bound CDCM.PriceBelow offers, the
+// simulator's uncontended critical path priced as ENoC (exact dynamic
+// energy plus static energy over that path), which is provably ≤ the
+// simulated contended cost. An engine certifies whenever its exact tier
+// is a search.CutoffObjective and it prices full exact costs (not a
+// delta or surrogate walk). The strict-improvement engines (hill
+// climber, tabu) test only that first bound: a swap whose bound already
+// fails the scan's threshold is skipped without running the simulator,
+// any other is simulated in full. Exact-priced SA tests every bound the
+// simulation offers while it runs and stops once the move's Metropolis
+// rejection is certain: lb > cost proves d > 0, so the uniform u is
+// drawn before the move is fully priced, and exp(−(lb−cost)/T)·(1+1e-9)
+// < u implies u ≥ exp(−d/T) because float subtraction, division by
+// T > 0 and (up to the slack) exp are monotone. Tier A is on for every
+// plain CDCM hill, tabu and SA run (SA only without tier B), is
+// bit-identical by construction, and prices a candidate without
+// allocating (//nocvet:noalloc). Tier B
 // is an opt-in calibrated surrogate (core.Options.Surrogate, default
 // off) for SA and ParetoSA: an analytic predictor least-squares-fitted
 // per instance against a deterministic, seed-keyed sample of exact
@@ -61,7 +66,7 @@
 // moves — and the final Best and every Pareto front point — are priced
 // on the simulator. The determinism contract extends to both tiers:
 // tier A never changes Best, BestCost or the accept/reject trajectory
-// (pinned bitwise against the unfiltered engines), and tier B fits its
+// (pinned bitwise against uncertified engines), and tier B fits its
 // surrogate once before workers fan out, so results remain
 // bit-identical for every Workers value and every reported number is
 // an exact simulator price, never a surrogate estimate. Search results

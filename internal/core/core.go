@@ -373,10 +373,10 @@ func (c *CDCM) Cost(mp mapping.Mapping) (float64, error) {
 // through the pipeline Cost uses: the dynamic term is exact from the
 // route-length totals, the same integers a full run's bit aggregates
 // sum to, and the static term is monotone in texec, so every bound is ≤
-// the exact cost on the computed float64s. Before the first packet the
-// bound is the tier-A bound. Evals counts the pricings that simulate at
-// least one packet; a cut before the first packet counts nothing, like a
-// tier-A skip.
+// the exact cost on the computed float64s. The first bound, offered
+// before any packet, is tier A: the uncontended critical path. Evals
+// counts the pricings that simulate at least one packet; a cut at the
+// first bound counts nothing, and the engines count it as a bound skip.
 //
 //nocvet:noalloc
 func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (float64, search.Cut, error) {
@@ -410,10 +410,10 @@ type cdcmCutoff struct {
 // Stop implements wormhole.Cutoff.
 //
 //nocvet:noalloc
-func (k *cdcmCutoff) Stop(t wormhole.Traffic, texecLB int64) bool {
+func (k *cdcmCutoff) Stop(t wormhole.Traffic, texecBound int64) bool {
 	c := k.c
 	dyn := c.Tech.DynamicFromTraffic3D(t.RouterBits, t.LinkBits, t.TSVBits, t.CoreBits)
-	lb := dyn + c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texecLB))
+	lb := dyn + c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texecBound))
 	//nocvet:ignore reject is the engine's allocation-free certified-rejection test
 	return k.reject(lb)
 }

@@ -142,9 +142,9 @@ func (c *CWM) SwapDelta(occ []model.CoreID, ta, tb topology.TileID) (float64, er
 // swapAgg prices the integer-aggregate change of exchanging the occupants
 // of ta and tb against the bound baseline, in O(deg(a)+deg(b)) and
 // without applying the swap: dR is the routerBits change, dV the tsvBits
-// change. It is the shared kernel of SwapDelta and the tier-A certified
-// bound (cdcmBound.SwapBound), which both need the swapped mapping's
-// exact integer aggregates without mutating the baseline.
+// change. It is the shared kernel of SwapDelta and the tier-B
+// surrogate's SwapDelta (cdcmSurrogate), which both need the swapped
+// mapping's exact integer aggregates without mutating the baseline.
 //
 //nocvet:noalloc
 func (c *CWM) swapAgg(occ []model.CoreID, ta, tb topology.TileID) (dR, dV int64, err error) {

@@ -287,56 +287,25 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 			cdcmBase.Evals = opts.EvalCounter
 			newObjective = func() (search.Objective, error) { return cdcmBase.Clone(), nil }
 
-			// Two-tier seam (search.TieredObjective). Tier A — the certified
-			// lower bound — attaches unconditionally to the engines that can
-			// use it without changing a bit of their output: the
-			// strict-improvement engines skip swaps it proves cannot win,
-			// and exact-priced SA skips the simulation of moves whose
-			// Metropolis rejection it already certifies (see
-			// search.Annealer). A surrogate walk decides on surrogate
-			// deltas instead, so SA with tier B gets no bound. Tier B —
-			// the calibrated surrogate — attaches only on request to the
-			// Metropolis engines that can exact-reprice their accepted
-			// moves.
-			needBound := strategy == StrategyCDCM &&
-				(opts.Method == MethodHill || opts.Method == MethodTabu ||
-					(opts.Method == MethodSA && !opts.Surrogate))
-			needSurr := opts.Surrogate &&
-				(strategy == StrategyPareto || (strategy == StrategyCDCM && opts.Method == MethodSA))
-			if needBound || needSurr {
-				var lbSkel *texecLB
-				if needBound {
-					if lbSkel, err = newTexecLB(cfg, g); err != nil {
-						return nil, err
-					}
-				}
-				var fit surrogateFit
-				if needSurr {
-					// Fitted once, before any lane exists: every worker lane
-					// shares the same immutable fit, so the surrogate walk is
-					// independent of the worker count.
-					if fit, err = fitSurrogate(mesh, cfg, tech, g, cdcmBase,
-						opts.Seed, opts.SurrogateSamples); err != nil {
-						return nil, err
-					}
+			// Plain CDCM runs certify on their own: SA, hill and tabu
+			// price through CDCM.PriceBelow, whose first bound is tier A
+			// (see search.TieredObjective). Tier B — the calibrated
+			// surrogate — attaches only on request to the Metropolis
+			// engines that can exact-reprice their accepted moves.
+			if opts.Surrogate && (strategy == StrategyPareto || opts.Method == MethodSA) {
+				// Fitted once, before any lane exists: every worker lane
+				// shares the same immutable fit, so the surrogate walk is
+				// independent of the worker count.
+				fit, err := fitSurrogate(mesh, cfg, tech, g, cdcmBase, opts.Seed, opts.SurrogateSamples)
+				if err != nil {
+					return nil, err
 				}
 				newObjective = func() (search.Objective, error) {
-					t := &search.TieredObjective{Exact: cdcmBase.Clone()}
-					if needBound {
-						bnd, err := newCDCMBound(mesh, cfg, tech, g, lbSkel)
-						if err != nil {
-							return nil, err
-						}
-						t.Bound = bnd
+					surr, err := newCDCMSurrogate(mesh, cfg, tech, g, fit)
+					if err != nil {
+						return nil, err
 					}
-					if needSurr {
-						surr, err := newCDCMSurrogate(mesh, cfg, tech, g, fit)
-						if err != nil {
-							return nil, err
-						}
-						t.Surrogate = surr
-					}
-					return t, nil
+					return &search.TieredObjective{Exact: cdcmBase.Clone(), Surrogate: surr}, nil
 				}
 			}
 		}

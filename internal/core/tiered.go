@@ -13,216 +13,20 @@ import (
 	"repro/internal/topology"
 )
 
-// This file implements the two cheap tiers of search.TieredObjective for
-// CDCM, whose exact pricing is a full wormhole simulation per candidate:
+// This file implements CDCM's tier-B evaluator for
+// search.TieredObjective. CDCM's exact pricing is a full wormhole
+// simulation per candidate; its tier-A bound needs no code here, as it
+// is the first bound CDCM.PriceBelow offers (the simulator's uncontended
+// critical path, see wormhole.Simulator.RunBelow).
 //
-//   - cdcmBound (tier A) is a certified lower bound on ENoC. The dynamic
-//     term is exact — it folds the same integer traffic aggregates the
-//     simulator produces (pinned by the CWM/CDCM dynamic-agreement tests)
-//     — and the static term replaces the simulated texec with the
-//     dependence graph's uncontended critical path, which can only
-//     undershoot it: the wormhole network can delay a packet but never
-//     accelerate it below its contention-free duration. Every float on
-//     the way from the critical-path cycle count to the bound goes
-//     through the same monotone pipeline the exact pricer uses
-//     (CyclesToSeconds, StaticEnergy, one final addition), so
-//     bound ≤ exact holds on the computed float64s, which is what lets
-//     HillClimber/Tabu skip bound-rejected swaps with a bit-identical
-//     trajectory.
-//   - cdcmSurrogate (tier B) is a calibrated analytic predictor of ENoC:
-//     texec is approximated as an affine function of the uncontended
-//     hop-latency aggregate L (CWM's latency axis), least-squares fitted
-//     per instance against a deterministic sample of exact simulations at
-//     build time (fitSurrogate). It prices swaps incrementally over the
-//     CWM integer aggregates — roughly the cost of a CWM delta probe —
-//     and carries no certification: the Metropolis engines that walk on
-//     it re-price everything that can reach a reported result exactly.
-
-// texecLB is the immutable skeleton of the critical-path computation:
-// the dependence DAG in topological order with CSR successor lists, the
-// per-packet constants, and the per-hop cycle coefficients. One skeleton
-// is shared read-only by every worker lane's cdcmBound.
-type texecLB struct {
-	order     []int32 // topological order of packet vertices
-	succStart []int32 // CSR offsets into succ (len = packets+1)
-	succ      []int32
-	pSrc      []int32 // per-packet source core
-	pDst      []int32 // per-packet destination core
-	pFlits    []int64 // per-packet flit count
-	pCompute  []int64 // per-packet computation cycles (t_aq)
-	trl       int64   // tr + tl, per router traversed
-	vadj      int64   // tTSV − tl, per vertical hop
-	tl        int64   // tl, per payload flit
-}
-
-// newTexecLB builds the skeleton from the application's dependence graph.
-func newTexecLB(cfg noc.Config, g *model.CDCG) (*texecLB, error) {
-	dg, err := g.DepGraph()
-	if err != nil {
-		return nil, err
-	}
-	order, err := dg.TopoSort()
-	if err != nil {
-		return nil, err
-	}
-	n := g.NumPackets()
-	lb := &texecLB{
-		order:     make([]int32, n),
-		succStart: make([]int32, n+1),
-		pSrc:      make([]int32, n),
-		pDst:      make([]int32, n),
-		pFlits:    make([]int64, n),
-		pCompute:  make([]int64, n),
-		trl:       cfg.RoutingCycles + cfg.LinkCycles,
-		vadj:      cfg.TSVCycles() - cfg.LinkCycles,
-		tl:        cfg.LinkCycles,
-	}
-	for i, v := range order {
-		lb.order[i] = int32(v)
-	}
-	for v := 0; v < n; v++ {
-		lb.succStart[v+1] = lb.succStart[v] + int32(len(dg.Succ(v)))
-	}
-	lb.succ = make([]int32, lb.succStart[n])
-	for v := 0; v < n; v++ {
-		at := int(lb.succStart[v])
-		for j, s := range dg.Succ(v) {
-			lb.succ[at+j] = int32(s)
-		}
-	}
-	for v, p := range g.Packets {
-		lb.pSrc[v] = int32(p.Src)
-		lb.pDst[v] = int32(p.Dst)
-		lb.pFlits[v] = cfg.Flits(p.Bits)
-		lb.pCompute[v] = p.Compute
-	}
-	return lb, nil
-}
-
-// cdcmBound implements search.LowerBoundObjective for CDCM. It owns a
-// private CWM (never the walk's delta evaluator — CDCM runs have none)
-// whose integer aggregates supply the exact dynamic term and whose
-// route caches supply the per-packet hop counts; dist is the lane's
-// critical-path scratch. Stateful between ResetBound and the last
-// CommitBound, one instance per worker lane.
-type cdcmBound struct {
-	cwm  *CWM
-	lb   *texecLB
-	dist []int64
-}
-
-var _ search.LowerBoundObjective = (*cdcmBound)(nil)
-
-// newCDCMBound builds one lane's bound evaluator over a shared skeleton.
-func newCDCMBound(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
-	g *model.CDCG, lb *texecLB) (*cdcmBound, error) {
-	cwm, err := NewCWM(mesh, cfg, tech, g.ToCWG())
-	if err != nil {
-		return nil, err
-	}
-	return &cdcmBound{cwm: cwm, lb: lb, dist: make([]int64, g.NumPackets())}, nil
-}
-
-// ResetBound implements search.LowerBoundObjective: it binds mp as the
-// incremental baseline (validating it, via CWM.Reset) and returns its
-// bound.
-func (b *cdcmBound) ResetBound(mp mapping.Mapping) (float64, error) {
-	dyn, err := b.cwm.Reset(mp)
-	if err != nil {
-		return 0, err
-	}
-	lp, err := b.lpCycles(-1, -1)
-	if err != nil {
-		return 0, err
-	}
-	c := b.cwm
-	return dyn + c.Tech.StaticEnergy(c.numTiles, c.Cfg.CyclesToSeconds(lp)), nil
-}
-
-// SwapBound implements search.LowerBoundObjective: the certified bound of
-// the mapping obtained by exchanging the occupants of ta and tb, priced
-// without applying the swap. It returns the absolute bound recomputed
-// from the swapped state's aggregates — never tracked-value-plus-delta —
-// so the float64 certificate bound ≤ exact survives rounding (see
-// search.LowerBoundObjective).
-//
-//nocvet:noalloc
-func (b *cdcmBound) SwapBound(occ []model.CoreID, ta, tb topology.TileID) (float64, error) {
-	c := b.cwm
-	if c.bound == nil {
-		return 0, errors.New("core: SwapBound before ResetBound")
-	}
-	dR, dV, err := c.swapAgg(occ, ta, tb)
-	if err != nil {
-		return 0, err
-	}
-	rb, vb := c.routerBits+dR, c.tsvBits+dV
-	dyn := c.Tech.DynamicFromTraffic3D(rb, rb-c.totalBits, vb, c.coreBits)
-	lp, err := b.lpCycles(ta, tb)
-	if err != nil {
-		return 0, err
-	}
-	return dyn + c.Tech.StaticEnergy(c.numTiles, c.Cfg.CyclesToSeconds(lp)), nil
-}
-
-// CommitBound implements search.LowerBoundObjective: folds an accepted
-// swap into the baseline.
-func (b *cdcmBound) CommitBound(ta, tb topology.TileID) { b.cwm.Commit(ta, tb) }
-
-// lpCycles returns the uncontended critical path of the dependence DAG in
-// cycles under the baseline mapping with the occupants of ta and tb
-// exchanged (pass ta = tb = -1 for the unpatched baseline). Packet v
-// contributes its computation time plus its contention-free network
-// duration K·(tr+tl) + V·(tTSV−tl) + n·tl — exactly the duration the
-// wormhole simulator charges an unobstructed packet, which contention
-// (and fault detours, whose routes are hop-wise at least as long) can
-// only increase. The patch trick prices a swap without touching the
-// baseline, keeping the scan allocation-free.
-//
-//nocvet:noalloc
-func (b *cdcmBound) lpCycles(ta, tb topology.TileID) (int64, error) {
-	lb := b.lb
-	c := b.cwm
-	bound := c.bound
-	dist := b.dist
-	clear(dist)
-	var best int64
-	for _, vi := range lb.order {
-		v := int(vi)
-		st := bound[lb.pSrc[v]]
-		dt := bound[lb.pDst[v]]
-		if st == ta {
-			st = tb
-		} else if st == tb {
-			st = ta
-		}
-		if dt == ta {
-			dt = tb
-		} else if dt == tb {
-			dt = ta
-		}
-		k, err := c.routers(st, dt)
-		if err != nil {
-			return 0, err
-		}
-		w := lb.pCompute[v] + int64(k)*lb.trl + lb.pFlits[v]*lb.tl
-		if !c.flat {
-			// routers filled the pair's cache line, so the vertical hop
-			// count is valid here (same guarantee Cost relies on).
-			w += int64(c.vCache[int(st)*c.numTiles+int(dt)]) * lb.vadj
-		}
-		d := dist[v] + w
-		if d > best {
-			best = d
-		}
-		for _, s := range lb.succ[lb.succStart[v]:lb.succStart[v+1]] {
-			if d > dist[s] {
-				dist[s] = d
-			}
-		}
-	}
-	return best, nil
-}
+// cdcmSurrogate (tier B) is a calibrated analytic predictor of ENoC:
+// texec is approximated as an affine function of the uncontended
+// hop-latency aggregate L (CWM's latency axis), least-squares fitted per
+// instance against a deterministic sample of exact simulations at build
+// time (fitSurrogate). It prices swaps incrementally over the CWM
+// integer aggregates — roughly the cost of a CWM delta probe — and
+// carries no certification: the Metropolis engines that walk on it
+// re-price everything that can reach a reported result exactly.
 
 // surrogateFit is the calibrated texec predictor: texec̃ = A + B·L cycles,
 // where L is the uncontended hop-latency aggregate (CWM's latency axis).

@@ -13,6 +13,7 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/model"
 	"repro/internal/noc"
+	"repro/internal/obs"
 	"repro/internal/search"
 	"repro/internal/topology"
 )
@@ -62,19 +63,23 @@ func tieredCfg() noc.Config {
 	return cfg
 }
 
-// TestTierAHillTabuBitIdentical is the tentpole's central contract: a
-// HillClimber or Tabu run over TieredObjective{Exact, Bound} must retrace
-// the bare-CDCM run bit for bit — same Best, same BestCost, same
-// Evaluations and Improvements — while actually skipping bound-rejected
-// swaps (BoundSkips > 0). Covered on 2-D mesh, 3-D mesh and 3-D torus.
+// uncertified hides CDCM's PriceBelow from the engines: the reference
+// run every candidate of which is simulated in full.
+func uncertified(c *CDCM) search.Objective { return search.ObjectiveFunc(c.Cost) }
+
+// TestTierAHillTabuBitIdentical is tier A's central contract for the
+// strict-improvement engines: a HillClimber or Tabu run over a CDCM,
+// which certifies through PriceBelow, must retrace the uncertified run
+// bit for bit — same Best, same BestCost, same Evaluations and
+// Improvements — while actually skipping bound-rejected swaps
+// (BoundSkips > 0). Every skip is a pricing cut at its first bound, no
+// pricing is cut part-way, and the evaluator simulates exactly the
+// candidates counted as exact. Covered on 2-D mesh, 3-D mesh and 3-D
+// torus.
 func TestTierAHillTabuBitIdentical(t *testing.T) {
 	cfg, tech := tieredCfg(), energy.Tech007
 	for _, grid := range tieredGrids(t) {
 		cdcm, err := NewCDCM(grid.mesh, cfg, tech, grid.g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lbSkel, err := newTexecLB(cfg, grid.g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,12 +98,10 @@ func TestTierAHillTabuBitIdentical(t *testing.T) {
 			return res
 		}
 		for _, engine := range []string{"hill", "tabu"} {
-			bare := run(engine, cdcm.Clone())
-			bnd, err := newCDCMBound(grid.mesh, cfg, tech, grid.g, lbSkel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tiered := run(engine, &search.TieredObjective{Exact: cdcm.Clone(), Bound: bnd})
+			bare := run(engine, uncertified(cdcm.Clone()))
+			counted := &cutCounter{CDCM: cdcm.Clone(), cuts: map[search.Cut]int{}}
+			counted.Evals = &obs.Counter{}
+			tiered := run(engine, counted)
 
 			if !mapping.Equal(bare.Best, tiered.Best) {
 				t.Fatalf("%s/%s: tiered best %v != bare best %v", grid.name, engine, tiered.Best, bare.Best)
@@ -125,6 +128,15 @@ func TestTierAHillTabuBitIdentical(t *testing.T) {
 				t.Fatalf("%s/%s: bare ExactEvals %d != Evaluations %d",
 					grid.name, engine, bare.ExactEvals, bare.Evaluations)
 			}
+			if counted.cuts[search.CutEarly] != 0 || int64(counted.cuts[search.CutAtBound]) != tiered.BoundSkips {
+				t.Fatalf("%s/%s: cuts %v for %d bound skips; hill/tabu must cut only at the bound",
+					grid.name, engine, counted.cuts, tiered.BoundSkips)
+			}
+			// The starting mapping of each walk is priced with Cost, every
+			// other exact evaluation through PriceBelow; both simulate once.
+			if got := counted.Evals.Value(); got != tiered.ExactEvals {
+				t.Fatalf("%s/%s: %d simulations for %d exact evaluations", grid.name, engine, got, tiered.ExactEvals)
+			}
 		}
 	}
 }
@@ -136,20 +148,28 @@ func checkTierSum(t *testing.T, name string, res *search.Result) {
 	}
 }
 
+// firstBound returns the tier-A bound of mp: the first bound
+// CDCM.PriceBelow offers, before any packet is simulated.
+func firstBound(t *testing.T, c *CDCM, mp mapping.Mapping) (float64, error) {
+	t.Helper()
+	var lb float64
+	_, cut, err := c.PriceBelow(mp, func(b float64) bool {
+		lb = b
+		return true
+	})
+	if err == nil && cut != search.CutAtBound {
+		t.Fatalf("PriceBelow stopped with %v, want %v at the first bound", cut, search.CutAtBound)
+	}
+	return lb, err
+}
+
 // TestTierABoundCertified is the property test behind the skip rule: the
 // tier-A bound never exceeds the exact simulated cost — across 2-D/3-D/
 // torus grids, both buffer policies, and fault sets routed with
-// RouteFault. The bound is computed from the intact topology even when
-// the exact evaluation is faulted: detour routes are hop-wise at least
-// minimal, so the uncontended critical path (and the dynamic term) can
-// only grow under faults.
+// RouteFault — on random mappings and on swaps of them.
 func TestTierABoundCertified(t *testing.T) {
 	tech := energy.Tech007
 	for _, grid := range tieredGrids(t) {
-		lbSkel, err := newTexecLB(tieredCfg(), grid.g)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var faultSets []*topology.FaultSet
 		faultSets = append(faultSets, nil)
 		fs, err := topology.GenerateFaults(grid.mesh, 0.1, 5)
@@ -176,10 +196,6 @@ func TestTierABoundCertified(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				bound, err := newCDCMBound(grid.mesh, cfg, tech, grid.g, lbSkel)
-				if err != nil {
-					t.Fatal(err)
-				}
 				rng := rand.New(rand.NewSource(11))
 				tiles := grid.mesh.NumTiles()
 				for trial := 0; trial < 12; trial++ {
@@ -187,45 +203,34 @@ func TestTierABoundCertified(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					lb, err := bound.ResetBound(mp)
-					if err != nil {
-						t.Fatal(err)
+					// check prices one candidate both ways.
+					check := func(what string, mp mapping.Mapping) {
+						t.Helper()
+						cost, err := exact.Cost(mp)
+						if errors.Is(err, topology.ErrUnreachable) {
+							return
+						}
+						if err != nil {
+							t.Fatalf("%s trial %d %s: %v", name, trial, what, err)
+						}
+						lb, err := firstBound(t, exact, mp)
+						if err != nil {
+							t.Fatalf("%s trial %d %s: %v", name, trial, what, err)
+						}
+						if lb > cost {
+							t.Fatalf("%s trial %d %s: bound %.17g exceeds exact %.17g", name, trial, what, lb, cost)
+						}
 					}
-					cost, err := exact.Cost(mp)
-					if errors.Is(err, topology.ErrUnreachable) {
-						continue
-					}
-					if err != nil {
-						t.Fatalf("%s trial %d: %v", name, trial, err)
-					}
-					if lb > cost {
-						t.Fatalf("%s trial %d: bound %.17g exceeds exact %.17g", name, trial, lb, cost)
-					}
-					occ := mp.Occupants(tiles)
+					check("base", mp)
 					for s := 0; s < 8; s++ {
 						ta := topology.TileID(rng.Intn(tiles))
 						tb := topology.TileID(rng.Intn(tiles))
 						if ta == tb {
 							continue
 						}
-						slb, err := bound.SwapBound(occ, ta, tb)
-						if err != nil {
-							t.Fatal(err)
-						}
 						sm := mp.Clone()
-						socc := mp.Occupants(tiles)
-						mapping.SwapTiles(sm, socc, ta, tb)
-						scost, err := exact.Cost(sm)
-						if errors.Is(err, topology.ErrUnreachable) {
-							continue
-						}
-						if err != nil {
-							t.Fatalf("%s trial %d swap %d: %v", name, trial, s, err)
-						}
-						if slb > scost {
-							t.Fatalf("%s trial %d swap (%d,%d): bound %.17g exceeds exact %.17g",
-								name, trial, ta, tb, slb, scost)
-						}
+						mapping.SwapTiles(sm, mp.Occupants(tiles), ta, tb)
+						check(fmt.Sprintf("swap (%d,%d)", ta, tb), sm)
 					}
 				}
 			}
@@ -492,8 +497,8 @@ func TestSurrogateIgnoredWhereInapplicable(t *testing.T) {
 }
 
 // TestExploreHillTabuUsesBound pins the Explore wiring: CDCM hill/tabu
-// runs attach tier A (BoundSkips > 0) and still reproduce the bare-engine
-// trajectory bit for bit.
+// runs certify through tier A (BoundSkips > 0) and still reproduce the
+// uncertified engine's trajectory bit for bit.
 func TestExploreHillTabuUsesBound(t *testing.T) {
 	mesh, g := deltaInstance(t, 3, 3, 8)
 	cfg, tech := noc.Default(), energy.Tech007
@@ -507,10 +512,10 @@ func TestExploreHillTabuUsesBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		if res.Search.BoundSkips == 0 {
-			t.Fatalf("%v: Explore did not attach the tier-A bound", mth)
+			t.Fatalf("%v: Explore's run did not certify through the tier-A bound", mth)
 		}
 		checkTierSum(t, mth.String(), res.Search)
-		prob := search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: cdcm.Clone()}
+		prob := search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: uncertified(cdcm.Clone())}
 		var bare *search.Result
 		if mth == MethodHill {
 			bare, err = (&search.HillClimber{Problem: prob, Seed: 13}).Run()
@@ -528,24 +533,14 @@ func TestExploreHillTabuUsesBound(t *testing.T) {
 	}
 }
 
-// countingBound counts how often an annealer rebinds its tier-A bound:
-// more than one ResetBound per restart means a reheat jumped the walk.
-type countingBound struct {
-	*cdcmBound
-	resets int
-}
-
-func (b *countingBound) ResetBound(mp mapping.Mapping) (float64, error) {
-	b.resets++
-	return b.cdcmBound.ResetBound(mp)
-}
-
-// saTrace is what one annealing run reports: the result plus the final
-// Accepted/Rejected counts of each restart's progress stream.
+// saTrace is what one annealing run reports: the result, the final
+// Accepted/Rejected counts of each restart's progress stream, and the
+// number of progress snapshots (temperature steps) over all restarts.
 type saTrace struct {
 	res      *search.Result
 	accepted map[int]int64
 	rejected map[int]int64
+	steps    int
 }
 
 // checkSATraceEqual asserts that a tiered annealing run retraced a bare
@@ -587,12 +582,12 @@ func checkSATraceEqual(t *testing.T, name string, bare, tiered saTrace) {
 }
 
 // TestTierASABitIdentical pins certified Metropolis rejection: an
-// Annealer over TieredObjective{Exact, Bound} must retrace the bare-CDCM
-// walk bit for bit — Best, BestCost, InitialCost, Evaluations,
-// Improvements and every restart's accepted/rejected decisions — while
-// skipping the simulation of moves the bound already rejects. Covered on
-// 2-D mesh, 3-D mesh and 3-D torus with reheats (which rebind the bound),
-// and through MultiAnnealer at one and two workers.
+// Annealer over a CDCM, which certifies through PriceBelow, must retrace
+// the uncertified walk bit for bit — Best, BestCost, InitialCost,
+// Evaluations, Improvements and every restart's accepted/rejected
+// decisions — while skipping the simulation of moves the bound already
+// rejects. Covered on 2-D mesh, 3-D mesh and 3-D torus with reheats, and
+// through MultiAnnealer at one and two workers.
 func TestTierASABitIdentical(t *testing.T) {
 	cfg, tech := tieredCfg(), energy.Tech007
 	for _, grid := range tieredGrids(t) {
@@ -600,36 +595,20 @@ func TestTierASABitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lbSkel, err := newTexecLB(cfg, grid.g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var bounds []*countingBound
-		var mu sync.Mutex
-		tieredObj := func() (search.Objective, error) {
-			bnd, err := newCDCMBound(grid.mesh, cfg, tech, grid.g, lbSkel)
-			if err != nil {
-				return nil, err
-			}
-			cb := &countingBound{cdcmBound: bnd}
-			mu.Lock()
-			bounds = append(bounds, cb)
-			mu.Unlock()
-			return &search.TieredObjective{Exact: cdcm.Clone(), Bound: cb}, nil
-		}
-		bareObj := func() (search.Objective, error) { return cdcm.Clone(), nil }
+		tieredObj := func() (search.Objective, error) { return cdcm.Clone(), nil }
+		bareObj := func() (search.Objective, error) { return uncertified(cdcm.Clone()), nil }
 		base := search.Annealer{
 			Problem:   search.Problem{Mesh: grid.mesh, NumCores: grid.g.NumCores()},
 			Seed:      7,
 			TempSteps: 80, MovesPerTemp: 30, Alpha: 0.8, StallSteps: 8, Reheats: 2,
 		}
-		run := func(restarts, workers int, factory search.ObjectiveFactory) saTrace {
+		run := func(a search.Annealer, restarts, workers int, factory search.ObjectiveFactory) saTrace {
 			tr := saTrace{accepted: map[int]int64{}, rejected: map[int]int64{}}
 			var pmu sync.Mutex
-			a := base
 			a.OnProgress = func(p search.Progress) {
 				pmu.Lock()
 				tr.accepted[p.Restart], tr.rejected[p.Restart] = p.Accepted, p.Rejected
+				tr.steps++
 				pmu.Unlock()
 			}
 			var err error
@@ -648,22 +627,28 @@ func TestTierASABitIdentical(t *testing.T) {
 			return tr
 		}
 
-		checkSATraceEqual(t, grid.name+"/single", run(0, 1, bareObj), run(0, 1, tieredObj))
-		if bounds[0].resets < 2 {
-			t.Fatalf("%s: the walk never reheated (%d bound resets)", grid.name, bounds[0].resets)
+		single := run(base, 0, 1, tieredObj)
+		checkSATraceEqual(t, grid.name+"/single", run(base, 0, 1, bareObj), single)
+		// A reheat shows as temperature steps past the point where the
+		// same walk without reheats stalls out.
+		cold := base
+		cold.Reheats = 0
+		if c := run(cold, 0, 1, tieredObj); single.steps <= c.steps {
+			t.Fatalf("%s: the walk never reheated (%d steps, %d without reheats)",
+				grid.name, single.steps, c.steps)
 		}
-		bare := run(3, 1, bareObj)
+		bare := run(base, 3, 1, bareObj)
 		for _, workers := range []int{1, 2} {
 			checkSATraceEqual(t, fmt.Sprintf("%s/restarts3/workers%d", grid.name, workers),
-				bare, run(3, workers, tieredObj))
+				bare, run(base, 3, workers, tieredObj))
 		}
 	}
 }
 
 // TestExploreSAUsesBound pins the Explore wiring of certified Metropolis
-// rejection: plain CDCM SA attaches tier A and still reproduces the
-// bare-engine walk bit for bit; SA with the tier-B surrogate attaches no
-// bound (its decisions run on surrogate deltas) and reports no skips.
+// rejection: plain CDCM SA certifies through tier A and still reproduces
+// the uncertified walk bit for bit; SA with the tier-B surrogate does not
+// certify (its decisions run on surrogate deltas) and reports no skips.
 func TestExploreSAUsesBound(t *testing.T) {
 	mesh, g := deltaInstance(t, 3, 3, 8)
 	cfg, tech := noc.Default(), energy.Tech007
@@ -673,7 +658,7 @@ func TestExploreSAUsesBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Search.BoundSkips == 0 {
-		t.Fatal("Explore did not attach the tier-A bound to SA")
+		t.Fatal("Explore's SA did not certify through the tier-A bound")
 	}
 	checkTierSum(t, "sa", res.Search)
 	cdcm, err := NewCDCM(mesh, cfg, tech, g)
@@ -681,7 +666,7 @@ func TestExploreSAUsesBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	bare, err := (&search.Annealer{
-		Problem: search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: cdcm},
+		Problem: search.Problem{Mesh: mesh, NumCores: g.NumCores(), Obj: uncertified(cdcm)},
 		Seed:    13, TempSteps: 20, MovesPerTemp: 20,
 	}).Run()
 	if err != nil {

@@ -32,16 +32,14 @@ func digestInstances() []digestInstance {
 
 // digestObjectives builds a fresh instance of each scalar fake per call,
 // so every run starts from unbound state: full recompute, incremental
-// delta, tier-A certified bound and tier-B surrogate.
+// delta, tier-A certified bound (a CutoffObjective) and tier-B surrogate.
 var digestObjectives = []struct {
 	name string
 	make func(w *wireLength) Objective
 }{
 	{"full", func(w *wireLength) Objective { return w }},
 	{"delta", func(w *wireLength) Objective { return &deltaWireLength{wireLength: *w} }},
-	{"tierA", func(w *wireLength) Objective {
-		return &TieredObjective{Exact: w, Bound: &boundWire{w: w, eps: 1e-9}}
-	}},
+	{"tierA", func(w *wireLength) Objective { return &boundWire{w: w, eps: 1e-9} }},
 	{"tierB", func(w *wireLength) Objective {
 		return &TieredObjective{Exact: w, Surrogate: &surrWire{deltaWireLength{wireLength: *w}}}
 	}},

@@ -79,10 +79,17 @@ type neighbourhood struct {
 	ctx context.Context
 	inc incumbent
 	// dobj is the bound DeltaObjective, nil on the full-recompute path;
-	// bnd is the tier-A bound filter, nil when absent or when the exact
-	// tier has a delta path (already cheaper than any bound probe).
-	dobj DeltaObjective
-	bnd  LowerBoundObjective
+	// below is the exact tier's cut-off pricer on the full path, nil when
+	// the exact tier is no CutoffObjective (see TieredObjective).
+	dobj  DeltaObjective
+	below CutoffObjective
+	// reject is below's rejection test: it answers the first bound of
+	// the candidate being priced against the scan's threshold bestD and
+	// lets every later bound pass, so a candidate is either skipped at
+	// its tier-A bound or priced in full. offered marks the first bound.
+	reject  func(lb float64) bool
+	bestD   float64
+	offered bool
 	// Telemetry counters: each scan accepts at most one neighbour (the
 	// applied move) and rejects the rest. Never read by the search.
 	accepted, rejected int64
@@ -98,10 +105,25 @@ func (n *neighbourhood) bind(cur mapping.Mapping, numTiles int) (float64, error)
 	n.res.Evaluations++
 	n.res.ExactEvals++
 	n.inc.bind(cur, numTiles, cost)
-	n.dobj, n.bnd = dobj, nil
+	n.dobj, n.below = dobj, nil
 	if !useDelta {
-		if n.bnd, err = bindBound(n.obj, cur); err != nil {
-			return 0, err
+		n.below = cutoffOf(n.obj)
+	}
+	if n.below != nil && n.reject == nil {
+		// Skip rule: the candidate's certified bound lb ≤ c (its exact
+		// cost) gives lb−cost ≤ c−cost = d by monotonicity of float
+		// subtraction in its first operand, so lb−cost ≥ bestD implies
+		// d ≥ bestD and the strict d < bestD selection could never fire —
+		// the skipped candidate is exactly one the exact scan would have
+		// rejected, which keeps the trajectory bit-identical. The scan
+		// only reads admissible's state, so skipping cannot change it
+		// either.
+		n.reject = func(lb float64) bool {
+			if n.offered {
+				return false
+			}
+			n.offered = true
+			return lb-n.inc.cost >= n.bestD
 		}
 	}
 	return cost, nil
@@ -128,35 +150,19 @@ func (n *neighbourhood) scan(bestD float64, admissible func(ta, tb topology.Tile
 			if err := pollAt(n.ctx, n.res.Evaluations); err != nil {
 				return 0, 0, 0, false, err
 			}
-			if n.bnd != nil {
-				// Skip rule: the candidate's certified bound already proves
-				// its exact delta cannot beat bestD. lb ≤ c (the exact
-				// cost) gives lb−cost ≤ c−cost = d by monotonicity of
-				// float subtraction in its first operand, so lb−cost ≥
-				// bestD implies d ≥ bestD and the strict d < bestD
-				// selection could never fire — the skipped candidate is
-				// exactly one the exact scan would have rejected, which
-				// keeps the filtered trajectory bit-identical. The scan
-				// only reads admissible's state, so skipping cannot change
-				// it either.
-				lb, err := n.bnd.SwapBound(n.inc.occ, ta, tb)
-				if err != nil {
-					return 0, 0, 0, false, err
-				}
-				if lb-n.inc.cost >= bestD {
-					n.res.Evaluations++
-					n.res.BoundSkips++
-					scanned++
-					continue
-				}
-			}
 			var c, d float64
+			cut := Uncut
 			if n.dobj != nil {
 				d, err = n.dobj.SwapDelta(n.inc.occ, ta, tb)
 				c = n.inc.cost + d
 			} else {
 				mapping.SwapTiles(n.inc.cur, n.inc.occ, ta, tb)
-				c, err = n.obj.Cost(n.inc.cur)
+				if n.below != nil {
+					n.bestD, n.offered = bestD, false
+					c, cut, err = n.below.PriceBelow(n.inc.cur, n.reject)
+				} else {
+					c, err = n.obj.Cost(n.inc.cur)
+				}
 				mapping.SwapTiles(n.inc.cur, n.inc.occ, ta, tb)
 				d = c - n.inc.cost
 			}
@@ -164,8 +170,14 @@ func (n *neighbourhood) scan(bestD float64, admissible func(ta, tb topology.Tile
 				return 0, 0, 0, false, err
 			}
 			n.res.Evaluations++
-			n.res.ExactEvals++
 			scanned++
+			if cut != Uncut {
+				// reject only ever answers the first bound, so the
+				// pricing stopped there (CutAtBound).
+				n.res.BoundSkips++
+				continue
+			}
+			n.res.ExactEvals++
 			if admissible != nil && !admissible(ta, tb, d) {
 				continue
 			}
@@ -192,9 +204,6 @@ func (n *neighbourhood) apply(engine string, a, b topology.TileID, c float64) {
 	mapping.SwapTiles(n.inc.cur, n.inc.occ, a, b)
 	if n.dobj != nil {
 		c = n.dobj.Commit(a, b)
-	}
-	if n.bnd != nil {
-		n.bnd.CommitBound(a, b)
 	}
 	n.inc.adopt(engine, n.obj, c)
 }
@@ -321,6 +330,9 @@ func (t *Tabu) Run() (*Result, error) {
 	tenure := t.Tenure
 	if tenure == 0 {
 		tenure = numTiles/2 + 1
+	}
+	if iters < 0 || tenure < 0 {
+		return nil, fmt.Errorf("search: %d tabu iterations, tenure %d", iters, tenure)
 	}
 	rng := rand.New(rand.NewSource(t.Seed))
 	cur, err := startMapping(rng, nil, t.Problem.NumCores, numTiles)

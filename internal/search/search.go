@@ -247,33 +247,27 @@ func (a *Annealer) Run() (*Result, error) {
 		}
 	}
 	// Certified Metropolis rejection (see TieredObjective): a walk priced
-	// with full exact Cost calls binds the objective's tier-A bound, if
-	// any — a delta-capable exact objective is already cheaper than any
-	// bound probe, and a surrogate walk decides on surrogate deltas the
-	// bound does not order. An exact tier that is a CutoffObjective then
-	// prices each candidate with PriceBelow, which checks the tier-A
-	// bound itself before any work and keeps tightening it while it
-	// simulates; any other exact tier is screened with SwapBound first.
-	var bnd LowerBoundObjective
+	// with full exact Cost calls certifies when its exact tier is a
+	// CutoffObjective — a delta-capable exact objective is already cheaper
+	// than any bound, and a surrogate walk decides on surrogate deltas
+	// the bound does not order. PriceBelow then checks the tier-A bound
+	// before any work and keeps tightening it while it prices.
 	var below CutoffObjective
-	var reject func(lb float64) bool
 	if !useDelta && !useSurr {
-		if bnd, err = bindBound(a.Problem.Obj, cur); err != nil {
-			return nil, err
-		}
+		below = cutoffOf(a.Problem.Obj)
 	}
 
 	w := metropolis{engine: "SA", rng: rng, cur: inc.cur, occ: inc.occ, res: res,
 		surrogate: useSurr, onProgress: a.OnProgress}
-	if bnd != nil {
-		below, _ = exactOf(a.Problem.Obj).(CutoffObjective)
+	var reject func(lb float64) bool
+	if below != nil {
 		reject = func(lb float64) bool { return w.certify(lb - inc.cost) }
 	}
 	// price leaves cur/occ untouched: the delta path asks the objective
 	// for the O(deg) incremental price, the surrogate path prices in the
 	// surrogate's own scale, and the exact path applies the swap, prices
-	// the mapping — through the bound's rejection test when certifying —
-	// and undoes it.
+	// the mapping — through the rejection test when certifying — and
+	// undoes it.
 	w.price = func(ta, tb topology.TileID, certify bool) (float64, float64, Cut, error) {
 		switch {
 		case useDelta:
@@ -282,16 +276,6 @@ func (a *Annealer) Run() (*Result, error) {
 		case useSurr:
 			d, err := surr.SwapDelta(inc.occ, ta, tb)
 			return scost + d, d, Uncut, err
-		}
-		certify = certify && bnd != nil
-		if certify && below == nil {
-			lb, err := bnd.SwapBound(inc.occ, ta, tb)
-			if err != nil {
-				return 0, 0, Uncut, err
-			}
-			if reject(lb) {
-				return 0, 0, CutAtBound, nil
-			}
 		}
 		mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
 		var c float64
@@ -311,9 +295,6 @@ func (a *Annealer) Run() (*Result, error) {
 	// surrogate path — an immediate exact repricing, so the walk may be
 	// steered by the surrogate but the incumbent only holds exact values.
 	w.accept = func(ta, tb topology.TileID, c float64) (bool, error) {
-		if bnd != nil {
-			bnd.CommitBound(ta, tb)
-		}
 		switch {
 		case useDelta:
 			c = dobj.Commit(ta, tb)
@@ -349,8 +330,6 @@ func (a *Annealer) Run() (*Result, error) {
 			// Rebind the surrogate baseline; inc.cost stays the
 			// incumbent's exact BestCost.
 			scost, err = surr.Reset(inc.cur)
-		case bnd != nil:
-			_, err = bnd.ResetBound(inc.cur)
 		}
 		return err
 	}

@@ -192,6 +192,30 @@ func TestNegativeBudgetsRejected(t *testing.T) {
 	if _, err := (&RandomSearch{Problem: p, Samples: -3}).Run(); err == nil {
 		t.Error("negative random-search samples accepted")
 	}
+	for name, a := range map[string]Annealer{
+		"moves per temperature": {MovesPerTemp: -5},
+		"temperature steps":     {TempSteps: -5},
+		"stall steps":           {StallSteps: -1},
+		"reheats":               {Reheats: -2},
+	} {
+		a.Problem = p
+		if _, err := a.Run(); err == nil {
+			t.Errorf("negative annealing %s accepted", name)
+		}
+		if _, err := (&MultiAnnealer{Base: a, Restarts: 2}).Run(); err == nil {
+			t.Errorf("negative multi-restart annealing %s accepted", name)
+		}
+	}
+	vp, _ := testVecProblem(t, 2, 2, 4)
+	if _, err := (&ParetoSA{Problem: vp, TempSteps: -1}).Run(); err == nil {
+		t.Error("negative Pareto temperature steps accepted")
+	}
+	if _, err := (&Tabu{Problem: p, Iterations: -4}).Run(); err == nil {
+		t.Error("negative tabu iterations accepted")
+	}
+	if _, err := (&Tabu{Problem: p, Tenure: -1}).Run(); err == nil {
+		t.Error("negative tabu tenure accepted")
+	}
 }
 
 func TestObjectiveErrorPropagates(t *testing.T) {

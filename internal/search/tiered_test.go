@@ -1,7 +1,7 @@
 package search
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,59 +11,34 @@ import (
 	"repro/internal/topology"
 )
 
-// boundWire wraps the wireLength test objective with a certified
-// LowerBoundObjective: the bound of any mapping is its exact cost minus a
-// small epsilon, so bound ≤ exact holds by construction and the filter
-// skips almost every non-improving swap — the strongest possible stress
-// on the bit-identity contract.
+// boundWire is the wireLength test objective as a CutoffObjective whose
+// only bound is its exact cost minus a small epsilon, offered before any
+// work the way CDCM offers its tier-A bound: bound ≤ exact holds by
+// construction and the engines skip almost every non-improving swap —
+// the strongest possible stress on the bit-identity contract. priced
+// counts PriceBelow calls, cuts those that stopped at the bound.
 type boundWire struct {
-	w     *wireLength
-	bound mapping.Mapping
-	eps   float64
+	w   *wireLength
+	eps float64
 
-	resets, swaps, commits int
+	priced, cuts int
 }
 
-var _ LowerBoundObjective = (*boundWire)(nil)
+var _ CutoffObjective = (*boundWire)(nil)
 
-func (b *boundWire) ResetBound(mp mapping.Mapping) (float64, error) {
-	if err := mp.Validate(b.w.mesh.NumTiles()); err != nil {
-		return 0, err
-	}
-	b.bound = mp.Clone()
-	b.resets++
+func (b *boundWire) Cost(mp mapping.Mapping) (float64, error) { return b.w.Cost(mp) }
+
+func (b *boundWire) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (float64, Cut, error) {
+	b.priced++
 	c, err := b.w.Cost(mp)
-	return c - b.eps, err
-}
-
-func (b *boundWire) SwapBound(occ []model.CoreID, ta, tb topology.TileID) (float64, error) {
-	if b.bound == nil {
-		return 0, errors.New("SwapBound before ResetBound")
+	if err != nil {
+		return 0, Uncut, err
 	}
-	b.swaps++
-	sm := b.bound.Clone()
-	for c, t := range sm {
-		switch t {
-		case ta:
-			sm[c] = tb
-		case tb:
-			sm[c] = ta
-		}
+	if reject(c - b.eps) {
+		b.cuts++
+		return 0, CutAtBound, nil
 	}
-	c, err := b.w.Cost(sm)
-	return c - b.eps, err
-}
-
-func (b *boundWire) CommitBound(ta, tb topology.TileID) {
-	b.commits++
-	for c, t := range b.bound {
-		switch t {
-		case ta:
-			b.bound[c] = tb
-		case tb:
-			b.bound[c] = ta
-		}
-	}
+	return c, Uncut, nil
 }
 
 // surrWire distorts deltaWireLength into a tier-B style surrogate: an
@@ -99,9 +74,9 @@ func checkTierInvariant(t *testing.T, name string, res *Result) {
 
 // TestTierAFilterBitIdentical pins the tier-A contract at the engine
 // level with a synthetic certified bound: HillClimber and Tabu runs over
-// TieredObjective{Exact, Bound} reproduce the bare runs bit for bit
-// while skipping swaps (BoundSkips > 0) and committing accepted ones
-// into the bound baseline.
+// a CutoffObjective — bare, or as the exact tier of a TieredObjective —
+// reproduce the uncertified runs bit for bit while skipping swaps
+// (BoundSkips > 0), and every skip is a pricing cut at its first bound.
 func TestTierAFilterBitIdentical(t *testing.T) {
 	p, w := testProblem(t, 4, 3, 10)
 	for _, engine := range []string{"hill", "tabu"} {
@@ -122,7 +97,7 @@ func TestTierAFilterBitIdentical(t *testing.T) {
 		}
 		bare := run(w)
 		bnd := &boundWire{w: w, eps: 1e-9}
-		tiered := run(&TieredObjective{Exact: w, Bound: bnd})
+		tiered := run(bnd)
 
 		if !mapping.Equal(bare.Best, tiered.Best) {
 			t.Fatalf("%s: tiered best %v != bare best %v", engine, tiered.Best, bare.Best)
@@ -141,8 +116,14 @@ func TestTierAFilterBitIdentical(t *testing.T) {
 			t.Fatalf("%s: filter saved no exact evaluations (%d vs %d)",
 				engine, tiered.ExactEvals, bare.ExactEvals)
 		}
-		if bnd.resets == 0 || bnd.swaps == 0 {
-			t.Fatalf("%s: bound never consulted (resets %d, swaps %d)", engine, bnd.resets, bnd.swaps)
+		if bnd.priced == 0 || int64(bnd.cuts) != tiered.BoundSkips {
+			t.Fatalf("%s: bound consulted %d times, %d cuts for %d skips",
+				engine, bnd.priced, bnd.cuts, tiered.BoundSkips)
+		}
+		wrapped := run(&TieredObjective{Exact: &boundWire{w: w, eps: 1e-9}})
+		if fmt.Sprintf("%+v", *wrapped) != fmt.Sprintf("%+v", *tiered) {
+			t.Fatalf("%s: certifying through a TieredObjective changed the run: %+v vs %+v",
+				engine, *wrapped, *tiered)
 		}
 		checkTierInvariant(t, engine+"/bare", bare)
 		checkTierInvariant(t, engine+"/tiered", tiered)
@@ -180,7 +161,7 @@ func TestIncumbentAuditInvariant(t *testing.T) {
 	delta := p
 	delta.Obj = &deltaWireLength{wireLength: *w}
 	tiered := p
-	tiered.Obj = &TieredObjective{Exact: w, Bound: &boundWire{w: w, eps: 1e-9}}
+	tiered.Obj = &boundWire{w: w, eps: 1e-9}
 	surrogate := p
 	surrogate.Obj = &TieredObjective{Exact: w, Surrogate: &surrWire{deltaWireLength{wireLength: *w}}}
 	for name, prob := range map[string]Problem{"full": full, "delta": delta, "tiered": tiered,
@@ -357,7 +338,7 @@ func TestProgressTierCountersMonotone(t *testing.T) {
 	collect := func(pr Progress) { snaps = append(snaps, pr) }
 
 	prob := p
-	prob.Obj = &TieredObjective{Exact: w, Bound: &boundWire{w: w, eps: 1e-9}}
+	prob.Obj = &boundWire{w: w, eps: 1e-9}
 	if _, err := (&HillClimber{Problem: prob, Seed: 3, OnProgress: collect}).Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -440,24 +421,29 @@ func TestCertainRejectEdges(t *testing.T) {
 }
 
 // TestAnnealerTierABitIdentical pins certified Metropolis rejection at
-// the engine level with the synthetic bound: an Annealer over
-// TieredObjective{Exact, Bound} reproduces the bare walk bit for bit,
-// including through reheats, while skipping exact pricings.
+// the engine level with the synthetic bound: an Annealer over a
+// CutoffObjective reproduces the uncertified walk bit for bit, including
+// through reheats, while skipping exact pricings.
 func TestAnnealerTierABitIdentical(t *testing.T) {
 	p, w := testProblem(t, 4, 3, 10)
-	run := func(obj Objective) *Result {
+	// run returns the walk's result, its last progress snapshot and the
+	// number of temperature steps it ran.
+	run := func(obj Objective, reheats int) (*Result, Progress, int) {
 		prob := p
 		prob.Obj = obj
+		var last Progress
+		steps := 0
 		res, err := (&Annealer{Problem: prob, Seed: 5, TempSteps: 60, MovesPerTemp: 30,
-			Alpha: 0.8, StallSteps: 4, Reheats: 2}).Run()
+			Alpha: 0.8, StallSteps: 4, Reheats: reheats,
+			OnProgress: func(pr Progress) { last, steps = pr, steps+1 }}).Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, last, steps
 	}
-	bare := run(w)
+	bare, _, _ := run(w, 2)
 	bnd := &boundWire{w: w, eps: 1e-9}
-	tiered := run(&TieredObjective{Exact: w, Bound: bnd})
+	tiered, last, steps := run(bnd, 2)
 	if !mapping.Equal(bare.Best, tiered.Best) ||
 		math.Float64bits(bare.BestCost) != math.Float64bits(tiered.BestCost) ||
 		bare.Evaluations != tiered.Evaluations || bare.Improvements != tiered.Improvements {
@@ -469,9 +455,15 @@ func TestAnnealerTierABitIdentical(t *testing.T) {
 		t.Fatalf("bound saved nothing: %d skips, %d vs %d exact", tiered.BoundSkips,
 			tiered.ExactEvals, bare.ExactEvals)
 	}
-	if bnd.resets < 2 || bnd.commits == 0 {
-		t.Fatalf("bound not rebound on reheat or never committed (resets %d, commits %d)",
-			bnd.resets, bnd.commits)
+	// A reheat shows as temperature steps past the point where the same
+	// walk without reheats stalls out; accepted moves show in progress.
+	_, _, cold := run(&boundWire{w: w, eps: 1e-9}, 0)
+	if steps <= cold || last.Accepted == 0 {
+		t.Fatalf("walk never reheated (%d steps, %d without reheats) or never accepted a move (%d)",
+			steps, cold, last.Accepted)
+	}
+	if int64(bnd.cuts) != tiered.BoundSkips {
+		t.Fatalf("%d pricings cut at the bound, %d bound skips", bnd.cuts, tiered.BoundSkips)
 	}
 	checkTierInvariant(t, "sa/bare", bare)
 	checkTierInvariant(t, "sa/tiered", tiered)

@@ -101,6 +101,10 @@ func (w *metropolis) priced() {
 // walk's starting cost, the fallback T0 reference when no sampled move
 // degrades.
 func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
+	if s.moves < 0 || s.steps < 0 || s.stall < 0 || s.reheat < 0 {
+		return fmt.Errorf("search: negative annealing budget (moves %d, steps %d, stall %d, reheats %d)",
+			s.moves, s.steps, s.stall, s.reheat)
+	}
 	numTiles := len(w.occ)
 	// A 1-tile mesh admits exactly one mapping, so it is already the
 	// optimum — and propose could never draw two distinct tiles.

@@ -23,7 +23,6 @@ const maxRequestBytes = 8 << 20
 //	GET    /v1/jobs/{id}/events server-sent events: progress + final done
 //	GET    /healthz             liveness
 //	GET    /metrics             Prometheus text exposition
-//	                            (?format=json keeps the legacy JSON counters)
 //
 // Every route runs behind the obs middleware: requests carry an
 // X-Request-ID (accepted from the client or minted), responses echo it,
@@ -180,46 +179,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the metric registry as Prometheus text
-// exposition (version 0.0.4). The pre-Prometheus JSON counters stay
-// available at ?format=json with their historical fixed key order, so
-// line-oriented scrapers keep working.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		s.handleMetricsJSON(w)
-		return
-	}
+// exposition (version 0.0.4).
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", obs.ContentType)
 	_ = s.reg.WritePrometheus(w)
-}
-
-// handleMetricsJSON is the legacy expvar-style endpoint. Key order is
-// fixed so the endpoint is friendly to line-oriented scraping.
-func (s *Server) handleMetricsJSON(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	fmt.Fprintf(w, `{
-  "cache_entries": %d,
-  "cache_hits": %d,
-  "cache_misses": %d,
-  "computes": %d,
-  "jobs_canceled": %d,
-  "jobs_completed": %d,
-  "jobs_failed": %d,
-  "jobs_queued": %d,
-  "jobs_rejected": %d,
-  "jobs_running": %d,
-  "jobs_submitted": %d
-}
-`,
-		s.cache.Len(),
-		s.m.cacheHits.Load(),
-		s.m.cacheMisses.Load(),
-		s.m.compute.Load(),
-		s.m.canceled.Load(),
-		s.m.completed.Load(),
-		s.m.failed.Load(),
-		s.pool.Queued(),
-		s.m.rejected.Load(),
-		s.pool.Running(),
-		s.m.submitted.Load(),
-	)
 }

@@ -289,20 +289,14 @@ func TestHTTPHealthAndMetrics(t *testing.T) {
 	_, st := postJob(t, ts, `{"demo":true,"mesh":"2x2","model":"cwm"}`)
 	pollUntil(t, ts, st.ID, StateSucceeded)
 
-	resp, err = http.Get(ts.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var m map[string]int64
-	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
-		t.Fatalf("metrics not JSON: %v", err)
-	}
-	if m["jobs_submitted"] < 1 || m["jobs_completed"] < 1 || m["computes"] < 1 {
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	m := promValues(t, metrics)
+	if m["nocd_jobs_submitted_total"] < 1 || m["nocd_jobs_completed_total"] < 1 || m["nocd_computes_total"] < 1 {
 		t.Errorf("metrics implausible: %v", m)
 	}
-	for _, key := range []string{"cache_entries", "cache_hits", "cache_misses",
-		"jobs_canceled", "jobs_failed", "jobs_queued", "jobs_rejected", "jobs_running"} {
+	for _, key := range []string{"nocd_cache_entries", "nocd_cache_hits_total", "nocd_cache_misses_total",
+		"nocd_jobs_canceled_total", "nocd_jobs_failed_total", "nocd_queue_depth", "nocd_jobs_rejected_total",
+		"nocd_jobs_running"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("metrics missing %q", key)
 		}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -114,31 +115,38 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	}
 }
 
-// TestMetricsJSONKeyOrderPinned pins the legacy endpoint byte for byte on
-// a fresh server: fixed key order, two-space indent, trailing newline.
-// Line-oriented scrapers of the pre-Prometheus endpoint depend on this.
-func TestMetricsJSONKeyOrderPinned(t *testing.T) {
-	_, ts := testServer(t, Config{})
-	resp, body := getBody(t, ts.URL+"/metrics?format=json")
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content-type = %q", ct)
+// promValues parses the unlabelled samples of an exposition body into a
+// name → value map.
+func promValues(t *testing.T, body string) map[string]float64 {
+	t.Helper()
+	m := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+		f := strings.Fields(line)
+		if strings.HasPrefix(line, "#") || len(f) != 2 || strings.Contains(f[0], "{") {
+			continue
+		}
+		v, err := strconv.ParseFloat(f[1], 64)
+		if err != nil {
+			t.Fatalf("sample %q: %v", line, err)
+		}
+		m[f[0]] = v
 	}
-	want := `{
-  "cache_entries": 0,
-  "cache_hits": 0,
-  "cache_misses": 0,
-  "computes": 0,
-  "jobs_canceled": 0,
-  "jobs_completed": 0,
-  "jobs_failed": 0,
-  "jobs_queued": 0,
-  "jobs_rejected": 0,
-  "jobs_running": 0,
-  "jobs_submitted": 0
+	return m
 }
-`
-	if body != want {
-		t.Errorf("legacy JSON body changed:\n got: %q\nwant: %q", body, want)
+
+// TestMetricsFreshServerZero pins the service counters on a fresh
+// server: every job, cache and pool series is exposed and reads 0.
+func TestMetricsFreshServerZero(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	_, body := getBody(t, ts.URL+"/metrics")
+	m := promValues(t, body)
+	for _, key := range []string{"nocd_cache_entries", "nocd_cache_hits_total", "nocd_cache_misses_total",
+		"nocd_computes_total", "nocd_jobs_canceled_total", "nocd_jobs_completed_total",
+		"nocd_jobs_failed_total", "nocd_queue_depth", "nocd_jobs_rejected_total",
+		"nocd_jobs_running", "nocd_jobs_submitted_total"} {
+		if v, ok := m[key]; !ok || v != 0 {
+			t.Errorf("fresh server: %s = %v (exposed %v), want 0", key, v, ok)
+		}
 	}
 }
 

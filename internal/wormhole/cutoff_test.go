@@ -20,8 +20,8 @@ type boundLog struct {
 	stopAt  int
 }
 
-func (b *boundLog) Stop(t wormhole.Traffic, texecLB int64) bool {
-	b.bounds = append(b.bounds, texecLB)
+func (b *boundLog) Stop(t wormhole.Traffic, texecBound int64) bool {
+	b.bounds = append(b.bounds, texecBound)
 	b.traffic = append(b.traffic, t)
 	return len(b.bounds) == b.stopAt
 }

@@ -647,7 +647,7 @@ type Cutoff interface {
 	// Stop reports whether the run may stop, given the mapping's traffic
 	// totals and a certified lower bound on its texec. RunBelow calls it
 	// before the first packet and again each time the bound grows.
-	Stop(t Traffic, texecLB int64) bool
+	Stop(t Traffic, texecBound int64) bool
 }
 
 // RunBelow is RunScratch with a cut-off: it simulates mp on the
