@@ -158,6 +158,92 @@ func BenchmarkFigure3CDCMEvaluation(b *testing.B) {
 	}
 }
 
+// BenchmarkPriceBelowProbe is the layer-3 cost of one CDCM.PriceBelow
+// on the annealer's access pattern: each op applies one swap of a fixed
+// random sequence to a fixed random mapping, prices the candidate and
+// undoes the swap. The rejection test sets how far a pricing runs:
+// "tierA" stops at the first bound (the uncontended critical path),
+// "load" declines it and stops at the port-load bound when that is
+// offered before the first packet (a candidate without one is simulated
+// in full), and "full" declines every bound. cut_ratio is the share of
+// candidates cut before the first packet. Two instances: the paper's
+// Figure-3 example and the largest Table-1 row (12x10, 99 cores).
+func BenchmarkPriceBelowProbe(b *testing.B) {
+	type instance struct {
+		name string
+		mesh *topology.Mesh
+		cfg  noc.Config
+		tech energy.Tech
+		g    *model.CDCG
+	}
+	fig3Mesh, err := topology.NewMesh(2, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	largeMesh, largeCfg, largeG := largeInstance(b)
+	var calls int
+	modes := []struct {
+		name   string
+		reject func(float64, search.Cut) bool
+	}{
+		{"tierA", func(float64, search.Cut) bool { return true }},
+		{"load", func(_ float64, at search.Cut) bool {
+			calls++
+			return calls == 2 && at == search.CutAtBound
+		}},
+		{"full", func(float64, search.Cut) bool { return false }},
+	}
+	for _, in := range []instance{
+		{"Figure3", fig3Mesh, noc.PaperExample(), energy.PaperExample(), model.PaperExampleCDCG()},
+		{"12x10", largeMesh, largeCfg, energy.Tech007, largeG},
+	} {
+		cdcm, err := core.NewCDCM(in.mesh, in.cfg, in.tech, in.g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tiles := in.mesh.NumTiles()
+		rng := rand.New(rand.NewSource(1))
+		mp, err := mapping.Random(rng, in.g.NumCores(), tiles)
+		if err != nil {
+			b.Fatal(err)
+		}
+		occ := mp.Occupants(tiles)
+		swaps := make([][2]topology.TileID, 256)
+		for i := range swaps {
+			for swaps[i][0] == swaps[i][1] {
+				swaps[i] = [2]topology.TileID{mp[rng.Intn(len(mp))], topology.TileID(rng.Intn(tiles))}
+			}
+		}
+		for _, mode := range modes {
+			b.Run(in.name+"/"+mode.name, func(b *testing.B) {
+				probe := func(i int) search.Cut {
+					sw := swaps[i%len(swaps)]
+					mapping.SwapTiles(mp, occ, sw[0], sw[1])
+					calls = 0
+					_, cut, err := cdcm.PriceBelow(mp, mode.reject)
+					if err != nil {
+						b.Fatal(err)
+					}
+					mapping.SwapTiles(mp, occ, sw[0], sw[1])
+					return cut
+				}
+				for i := range swaps { // warm the scratch
+					probe(i)
+				}
+				var cuts int
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if probe(i) == search.CutAtBound {
+						cuts++
+					}
+				}
+				b.ReportMetric(float64(cuts)/float64(b.N), "cut_ratio")
+			})
+		}
+	}
+}
+
 // BenchmarkFigure4Gantt renders the Figure-4 timing diagram.
 func BenchmarkFigure4Gantt(b *testing.B) {
 	mesh, _ := topology.NewMesh(2, 2)

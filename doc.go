@@ -45,12 +45,20 @@
 // one implementation: the first bound CDCM.PriceBelow offers, the
 // simulator's uncontended critical path priced as ENoC (exact dynamic
 // energy plus static energy over that path), which is provably ≤ the
-// simulated contended cost. An engine certifies whenever its exact tier
-// is a search.CutoffObjective and it prices full exact costs (not a
-// delta or surrogate walk). The strict-improvement engines (hill
-// climber, tabu) test only that first bound: a swap whose bound already
-// fails the scan's threshold is skipped without running the simulator,
-// any other is simulated in full. Exact-priced SA tests every bound the
+// simulated contended cost. When tier A is declined, PriceBelow offers a
+// second bound before any packet, the port-load bound, when it is
+// larger: an arbitrated output port serves its packets one closed
+// interval at a time, so texec is at least the sum over its packets of
+// min(hold+1, remaining path), and the bound is the largest such sum.
+// The scratch updates the per-port sums incrementally, re-adding only
+// the packets of the cores a swap moved. On the large rows, where texec
+// is mostly one port's queue, it certifies most rejections that tier A
+// cannot. An engine certifies whenever its exact tier is a
+// search.CutoffObjective and it prices full exact costs (not a delta or
+// surrogate walk). The strict-improvement engines (hill climber, tabu)
+// test only the bounds offered before the first packet: a swap whose
+// bound already fails the scan's threshold is skipped without running
+// the simulator, any other is simulated in full. Exact-priced SA tests every bound the
 // simulation offers while it runs and stops once the move's Metropolis
 // rejection is certain: lb > cost proves d > 0, so the uniform u is
 // drawn before the move is fully priced, and exp(−(lb−cost)/T)·(1+1e-9)

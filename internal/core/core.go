@@ -373,13 +373,17 @@ func (c *CDCM) Cost(mp mapping.Mapping) (float64, error) {
 // through the pipeline Cost uses: the dynamic term is exact from the
 // route-length totals, the same integers a full run's bit aggregates
 // sum to, and the static term is monotone in texec, so every bound is ≤
-// the exact cost on the computed float64s. The first bound, offered
-// before any packet, is tier A: the uncontended critical path. Evals
-// counts the pricings that simulate at least one packet; a cut at the
-// first bound counts nothing, and the engines count it as a bound skip.
+// the exact cost on the computed float64s. Two bounds come before any
+// packet and reach reject with search.CutAtBound: tier A, the
+// uncontended critical path, and, when tier A is declined and it is
+// larger, the port-load bound; a stop at either is a CutAtBound. The
+// bounds that follow come while the simulation books packets, with
+// search.CutEarly. Evals counts the pricings that simulate at least one
+// packet; a cut at a bound before the first packet counts nothing, and
+// the engines count it as a bound skip.
 //
 //nocvet:noalloc
-func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (float64, search.Cut, error) {
+func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64, at search.Cut) bool) (float64, search.Cut, error) {
 	c.cut.reject = reject
 	res, booked, err := c.sim.RunBelow(mp, c.sc, &c.cut)
 	c.cut.reject = nil
@@ -404,18 +408,22 @@ var _ search.CutoffObjective = (*CDCM)(nil)
 // ENoC and hands it to the engine's rejection test.
 type cdcmCutoff struct {
 	c      *CDCM
-	reject func(lb float64) bool
+	reject func(lb float64, at search.Cut) bool
 }
 
 // Stop implements wormhole.Cutoff.
 //
 //nocvet:noalloc
-func (k *cdcmCutoff) Stop(t wormhole.Traffic, texecBound int64) bool {
+func (k *cdcmCutoff) Stop(t wormhole.Traffic, texecBound int64, booked int) bool {
 	c := k.c
 	dyn := c.Tech.DynamicFromTraffic3D(t.RouterBits, t.LinkBits, t.TSVBits, t.CoreBits)
 	lb := dyn + c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texecBound))
+	at := search.CutAtBound
+	if booked > 0 {
+		at = search.CutEarly
+	}
 	//nocvet:ignore reject is the engine's allocation-free certified-rejection test
-	return k.reject(lb)
+	return k.reject(lb, at)
 }
 
 // Simulate runs the CDCG on a mapping and returns the raw wormhole result

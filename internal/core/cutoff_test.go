@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/energy"
@@ -17,18 +18,14 @@ import (
 	"repro/internal/wormhole"
 )
 
-// firstCutoff is a wormhole.Cutoff that keeps the bound offered before
+// preCutoff is a wormhole.Cutoff that keeps the bounds offered before
 // the first packet and lets the run complete.
-type firstCutoff struct {
-	lb    int64
-	calls int
-}
+type preCutoff struct{ pre []int64 }
 
-func (f *firstCutoff) Stop(_ wormhole.Traffic, texecBound int64) bool {
-	if f.calls == 0 {
-		f.lb = texecBound
+func (f *preCutoff) Stop(_ wormhole.Traffic, texecBound int64, booked int) bool {
+	if booked == 0 {
+		f.pre = append(f.pre, texecBound)
 	}
-	f.calls++
 	return false
 }
 
@@ -40,19 +37,20 @@ func (f *firstCutoff) Stop(_ wormhole.Traffic, texecBound int64) bool {
 // flits·tl; the critical path is the longest path of those durations
 // through CDCG.DepGraph(); and the bound prices the routes' traffic and
 // that path through package energy the way CDCM prices a simulation. It
-// returns the bound and the critical path in cycles.
+// returns the bound, the critical path in cycles and the routes' dynamic
+// energy, which prices any other texec bound the same way.
 func refTierA(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CDCG,
-	fs *topology.FaultSet, mp mapping.Mapping) (float64, int64, error) {
+	fs *topology.FaultSet, mp mapping.Mapping) (float64, int64, float64, error) {
 	dg, err := g.DepGraph()
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	dur := make([]int64, g.NumPackets())
 	var routerBits, linkBits, tsvBits, coreBits int64
 	for v, p := range g.Packets {
 		r, err := mesh.RouteFault(cfg.Routing, fs, mp[p.Src], mp[p.Dst])
 		if err != nil {
-			return 0, 0, err
+			return 0, 0, 0, err
 		}
 		k := int64(r.K())
 		var vert int64
@@ -70,25 +68,74 @@ func refTierA(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CD
 	}
 	cp, err := dg.LongestPath(func(v int) int64 { return dur[v] })
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	dyn := tech.DynamicFromTraffic3D(routerBits, linkBits, tsvBits, coreBits)
-	return dyn + tech.StaticEnergy(mesh.NumTiles(), cfg.CyclesToSeconds(cp)), cp, nil
+	return dyn + tech.StaticEnergy(mesh.NumTiles(), cfg.CyclesToSeconds(cp)), cp, dyn, nil
 }
 
-// TestPriceBelowMatchesTierAAndCost pins CDCM.PriceBelow against the two
+// refPortLoad is the test-only reference for the port-load bound,
+// written from the closed-interval rule instead of from the simulator's
+// tables: routes come from Mesh.RouteFault; an arbitrated output port
+// (every inter-tile port, and the local port under ArbitrateLocal)
+// grants its packets disjoint closed intervals [t, t+hold], hold being
+// tr + (n−1)·r for the per-flit time r of the link the port feeds (tl at
+// the local port), so grants lie at least hold+1 apart and the packet
+// granted last must still be delivered, which takes it d more cycles:
+// tr plus the link time per router from the port on, then n·tl into the
+// core. Each packet adds min(hold+1, d) to each such port on its route;
+// the result is the largest per-port sum in cycles.
+func refPortLoad(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG,
+	fs *topology.FaultSet, mp mapping.Mapping) (int64, error) {
+	tr, tl := cfg.RoutingCycles, cfg.LinkCycles
+	n := mesh.NumTiles()
+	load := make([]int64, n*(n+1)) // router × the tile it feeds, n for the core
+	for _, p := range g.Packets {
+		r, err := mesh.RouteFault(cfg.Routing, fs, mp[p.Src], mp[p.Dst])
+		if err != nil {
+			return 0, err
+		}
+		f := cfg.Flits(p.Bits)
+		last := len(r.Tiles) - 1
+		for i, tile := range r.Tiles {
+			next, rate := n, tl
+			if i < last {
+				next = int(r.Tiles[i+1])
+				if mesh.Coord(tile).Z != mesh.Coord(r.Tiles[i+1]).Z {
+					rate = cfg.TSVCycles()
+				}
+			} else if !cfg.ArbitrateLocal {
+				break
+			}
+			d := tr + f*tl
+			for j := i; j < last; j++ {
+				d += tr + cfg.LinkCycles
+				if mesh.Coord(r.Tiles[j]).Z != mesh.Coord(r.Tiles[j+1]).Z {
+					d += cfg.TSVCycles() - cfg.LinkCycles
+				}
+			}
+			load[int(tile)*(n+1)+next] += min(tr+(f-1)*rate+1, d)
+		}
+	}
+	return slices.Max(load), nil
+}
+
+// TestPriceBelowMatchesTierAAndCost pins CDCM.PriceBelow against the
 // pricings it stands between, on the tier-A fixtures (2-D mesh, 3-D mesh
-// and 3-D torus, both buffer policies, with and without faults): the
-// simulator's bound before the first packet is refTierA's critical path
-// in cycles and, priced, refTierA's bound bit for bit (on a faulted mesh
-// the intact-route reference is at most as tight); the bounds offered
-// to reject never decrease and never exceed the exact cost; an uncut
-// pricing returns Cost's value bit for bit; and stopping at the j-th
-// offer reports CutAtBound for j = 1 and CutEarly after, with Evals
-// counting only pricings that simulated a packet.
+// and 3-D torus, both buffer policies, with and without faults, with
+// ArbitrateLocal off and on): the simulator's bounds before the first
+// packet are refTierA's critical path in cycles and, when it is larger,
+// refPortLoad's port load; priced, the bounds PriceBelow offers with
+// CutAtBound are refTierA's bound and that load priced the same way, bit
+// for bit (on a faulted mesh the intact-route tier-A reference is at
+// most as tight); the bounds offered to reject never decrease and never
+// exceed the exact cost; an uncut pricing returns Cost's value bit for
+// bit; and stopping at the j-th offer reports CutAtBound for the offers
+// before the first packet and CutEarly after, with Evals counting only
+// pricings that simulated a packet.
 func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 	tech := energy.Tech007
-	var early int
+	var early, loaded int
 	for _, grid := range tieredGrids(t) {
 		faultSets := []*topology.FaultSet{nil}
 		if fs, err := topology.GenerateFaults(grid.mesh, 0.1, 5); err != nil {
@@ -97,112 +144,133 @@ func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 			faultSets = append(faultSets, fs)
 		}
 		for _, buffers := range []noc.BufferPolicy{noc.BuffersUnbounded, noc.BuffersBounded} {
-			cfg := tieredCfg()
-			cfg.Buffers = buffers
-			if buffers == noc.BuffersBounded {
-				cfg.BufferFlits = 4
-			}
-			for fi, fs := range faultSets {
-				name := fmt.Sprintf("%s/%s/faults=%d", grid.name, buffers, fi)
-				var exact *CDCM
-				var err error
-				if fs == nil {
-					exact, err = NewCDCM(grid.mesh, cfg, tech, grid.g)
-				} else {
-					exact, err = NewCDCMFaults(grid.mesh, cfg, tech, grid.g, fs)
+			for _, arbLocal := range []bool{false, true} {
+				cfg := tieredCfg()
+				cfg.Buffers = buffers
+				cfg.ArbitrateLocal = arbLocal
+				if buffers == noc.BuffersBounded {
+					cfg.BufferFlits = 4
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				exact.Evals = &obs.Counter{}
-				sc := exact.sim.NewScratch()
-				rng := rand.New(rand.NewSource(17))
-				for trial := 0; trial < 12; trial++ {
-					mp, err := mapping.Random(rng, grid.g.NumCores(), grid.mesh.NumTiles())
-					if err != nil {
-						t.Fatal(err)
-					}
-					cost, err := exact.Cost(mp)
-					if errors.Is(err, topology.ErrUnreachable) {
-						continue
+				for fi, fs := range faultSets {
+					name := fmt.Sprintf("%s/%s/local=%v/faults=%d", grid.name, buffers, arbLocal, fi)
+					var exact *CDCM
+					var err error
+					if fs == nil {
+						exact, err = NewCDCM(grid.mesh, cfg, tech, grid.g)
+					} else {
+						exact, err = NewCDCMFaults(grid.mesh, cfg, tech, grid.g, fs)
 					}
 					if err != nil {
 						t.Fatal(err)
 					}
-					tierA, cp, err := refTierA(grid.mesh, cfg, tech, grid.g, fs, mp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var fb firstCutoff
-					if _, _, err := exact.sim.RunBelow(mp, sc, &fb); err != nil {
-						t.Fatal(err)
-					}
-					if fb.lb != cp {
-						t.Fatalf("%s trial %d: simulator's first bound %d cycles, reference critical path %d",
-							name, trial, fb.lb, cp)
-					}
-					// Fault detours are hop-wise at least as long as the
-					// intact routes, so the intact-route reference may only
-					// be looser on a faulted mesh.
-					intact := tierA
-					if fs != nil {
-						if intact, _, err = refTierA(grid.mesh, cfg, tech, grid.g, nil, mp); err != nil {
+					exact.Evals = &obs.Counter{}
+					sc := exact.sim.NewScratch()
+					rng := rand.New(rand.NewSource(17))
+					for trial := 0; trial < 12; trial++ {
+						mp, err := mapping.Random(rng, grid.g.NumCores(), grid.mesh.NumTiles())
+						if err != nil {
 							t.Fatal(err)
 						}
-					}
-
-					var lbs []float64
-					evals := exact.Evals.Value()
-					c, cut, err := exact.PriceBelow(mp, func(lb float64) bool {
-						lbs = append(lbs, lb)
-						return false
-					})
-					if err != nil || cut != search.Uncut || math.Float64bits(c) != math.Float64bits(cost) {
-						t.Fatalf("%s trial %d: uncut PriceBelow = %.17g (%v, %v), Cost %.17g", name, trial, c, cut, err, cost)
-					}
-					if math.Float64bits(lbs[0]) != math.Float64bits(tierA) || intact > lbs[0] {
-						t.Fatalf("%s trial %d: first bound %.17g, reference %.17g, intact-route reference %.17g",
-							name, trial, lbs[0], tierA, intact)
-					}
-					for j, lb := range lbs {
-						if lb > cost || (j > 0 && lb < lbs[j-1]) {
-							t.Fatalf("%s trial %d: bounds %v exceed cost %.17g or decrease", name, trial, lbs, cost)
+						cost, err := exact.Cost(mp)
+						if errors.Is(err, topology.ErrUnreachable) {
+							continue
 						}
-					}
-					if got := exact.Evals.Value() - evals; got != 1 {
-						t.Fatalf("%s trial %d: uncut pricing counted %d evaluations, want 1", name, trial, got)
-					}
+						if err != nil {
+							t.Fatal(err)
+						}
+						tierA, cp, dyn, err := refTierA(grid.mesh, cfg, tech, grid.g, fs, mp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						load, err := refPortLoad(grid.mesh, cfg, grid.g, fs, mp)
+						if err != nil {
+							t.Fatal(err)
+						}
+						wantCycles, wantPre := []int64{cp}, []float64{tierA}
+						if load > cp {
+							loaded++
+							wantCycles = append(wantCycles, load)
+							wantPre = append(wantPre, dyn+tech.StaticEnergy(grid.mesh.NumTiles(), cfg.CyclesToSeconds(load)))
+						}
+						var pc preCutoff
+						if _, _, err := exact.sim.RunBelow(mp, sc, &pc); err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(pc.pre, wantCycles) {
+							t.Fatalf("%s trial %d: simulator's bounds before the first packet %v cycles, reference %v",
+								name, trial, pc.pre, wantCycles)
+						}
+						// Fault detours are hop-wise at least as long as the
+						// intact routes, so the intact-route reference may
+						// only be looser on a faulted mesh.
+						intact := tierA
+						if fs != nil {
+							if intact, _, _, err = refTierA(grid.mesh, cfg, tech, grid.g, nil, mp); err != nil {
+								t.Fatal(err)
+							}
+						}
 
-					stopAt := 1 + rng.Intn(len(lbs))
-					calls := 0
-					evals = exact.Evals.Value()
-					_, cut, err = exact.PriceBelow(mp, func(float64) bool {
-						calls++
-						return calls == stopAt
-					})
-					want, wantEvals := search.CutEarly, int64(1)
-					if stopAt == 1 {
-						want, wantEvals = search.CutAtBound, 0
-					} else {
-						early++
-					}
-					if err != nil || cut != want || exact.Evals.Value()-evals != wantEvals {
-						t.Fatalf("%s trial %d: stop at offer %d of %d gave %v (%v), %d evaluations",
-							name, trial, stopAt, len(lbs), cut, err, exact.Evals.Value()-evals)
+						var lbs, pre []float64
+						evals := exact.Evals.Value()
+						c, cut, err := exact.PriceBelow(mp, func(lb float64, at search.Cut) bool {
+							lbs = append(lbs, lb)
+							if at == search.CutAtBound {
+								pre = append(pre, lb)
+							}
+							return false
+						})
+						if err != nil || cut != search.Uncut || math.Float64bits(c) != math.Float64bits(cost) {
+							t.Fatalf("%s trial %d: uncut PriceBelow = %.17g (%v, %v), Cost %.17g", name, trial, c, cut, err, cost)
+						}
+						if !slices.Equal(pre, wantPre) || intact > pre[0] {
+							t.Fatalf("%s trial %d: bounds before the first packet %.17g, reference %.17g, intact-route tier A %.17g",
+								name, trial, pre, wantPre, intact)
+						}
+						if !slices.Equal(lbs[:len(pre)], pre) {
+							t.Fatalf("%s trial %d: bounds %v do not start with the %d offered before the first packet",
+								name, trial, lbs, len(pre))
+						}
+						for j, lb := range lbs {
+							if lb > cost || (j > 0 && lb < lbs[j-1]) {
+								t.Fatalf("%s trial %d: bounds %v exceed cost %.17g or decrease", name, trial, lbs, cost)
+							}
+						}
+						if got := exact.Evals.Value() - evals; got != 1 {
+							t.Fatalf("%s trial %d: uncut pricing counted %d evaluations, want 1", name, trial, got)
+						}
+
+						stopAt := 1 + rng.Intn(len(lbs))
+						calls := 0
+						evals = exact.Evals.Value()
+						_, cut, err = exact.PriceBelow(mp, func(float64, search.Cut) bool {
+							calls++
+							return calls == stopAt
+						})
+						want, wantEvals := search.CutEarly, int64(1)
+						if stopAt <= len(pre) {
+							want, wantEvals = search.CutAtBound, 0
+						} else {
+							early++
+						}
+						if err != nil || cut != want || exact.Evals.Value()-evals != wantEvals {
+							t.Fatalf("%s trial %d: stop at offer %d of %d gave %v (%v), %d evaluations",
+								name, trial, stopAt, len(lbs), cut, err, exact.Evals.Value()-evals)
+						}
 					}
 				}
 			}
 		}
 	}
-	if early == 0 {
-		t.Fatal("no pricing was cut part-way: the CutEarly path is untested")
+	if early == 0 || loaded == 0 {
+		t.Fatalf("%d pricings cut part-way, %d port loads above the critical path: a path is untested", early, loaded)
 	}
 }
 
 // TestPriceBelowZeroAllocs pins the cut-off pricing path to zero heap
-// allocations in steady state: cut part-way or run to completion, and a
-// hill/tabu candidate — whose rejection test answers only the first
-// bound — skipped at that bound or priced in full.
+// allocations in steady state: cut part-way or run to completion, cut
+// at the port-load bound, and a hill/tabu candidate — whose rejection
+// test answers only the bounds before the first packet — skipped there
+// or priced in full.
 func TestPriceBelowZeroAllocs(t *testing.T) {
 	grid := tieredGrids(t)[0]
 	exact, err := NewCDCM(grid.mesh, tieredCfg(), energy.Tech007, grid.g)
@@ -210,30 +278,56 @@ func TestPriceBelowZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact.Evals = &obs.Counter{}
-	mp := mapping.Identity(grid.g.NumCores())
+	// A mapping whose port load exceeds its critical path, so PriceBelow
+	// offers both bounds before the first packet.
+	var mp mapping.Mapping
+	rng := rand.New(rand.NewSource(5))
+	for try, pre := 0, 0; pre < 2; try++ {
+		if try == 100 {
+			t.Fatal("no mapping of 100 has a port load above its critical path")
+		}
+		if mp, err = mapping.Random(rng, grid.g.NumCores(), grid.mesh.NumTiles()); err != nil {
+			t.Fatal(err)
+		}
+		pre = 0
+		if _, _, err := exact.PriceBelow(mp, func(_ float64, at search.Cut) bool {
+			if at == search.CutAtBound {
+				pre++
+			}
+			return false
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	calls, stopAt := 0, 0
-	reject := func(float64) bool {
+	reject := func(float64, search.Cut) bool {
 		calls++
 		return calls == stopAt
 	}
-	// firstOnly has the shape of the neighbourhood scan's test: the first
-	// bound decides against the threshold, later bounds pass.
+	// atBound has the shape of the neighbourhood scan's test: the bounds
+	// before the first packet decide against the threshold, later bounds
+	// pass.
 	var limit float64
-	firstOnly := func(lb float64) bool {
+	atBound := func(lb float64, at search.Cut) bool {
+		return at == search.CutAtBound && lb >= limit
+	}
+	// atLoad declines tier A and stops at the port-load bound.
+	atLoad := func(_ float64, at search.Cut) bool {
 		calls++
-		return calls == 1 && lb >= limit
+		return calls == 2 && at == search.CutAtBound
 	}
 	for _, tc := range []struct {
 		name   string
-		reject func(float64) bool
+		reject func(float64, search.Cut) bool
 		stop   int
 		limit  float64
 		want   search.Cut
 	}{
 		{"run to completion", reject, 0, 0, search.Uncut},
 		{"cut at offer 3", reject, 3, 0, search.CutEarly},
-		{"hill/tabu skip", firstOnly, 0, math.Inf(-1), search.CutAtBound},
-		{"hill/tabu priced", firstOnly, 0, math.Inf(1), search.Uncut},
+		{"hill/tabu skip", atBound, 0, math.Inf(-1), search.CutAtBound},
+		{"hill/tabu priced", atBound, 0, math.Inf(1), search.Uncut},
+		{"cut at the port-load bound", atLoad, 0, 0, search.CutAtBound},
 	} {
 		stopAt, limit = tc.stop, tc.limit
 		calls = 0
@@ -263,7 +357,7 @@ type cutCounter struct {
 	cuts map[search.Cut]int
 }
 
-func (c *cutCounter) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (float64, search.Cut, error) {
+func (c *cutCounter) PriceBelow(mp mapping.Mapping, reject func(lb float64, at search.Cut) bool) (float64, search.Cut, error) {
 	v, cut, err := c.CDCM.PriceBelow(mp, reject)
 	c.cuts[cut]++
 	return v, cut, err

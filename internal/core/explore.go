@@ -288,8 +288,9 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 			newObjective = func() (search.Objective, error) { return cdcmBase.Clone(), nil }
 
 			// Plain CDCM runs certify on their own: SA, hill and tabu
-			// price through CDCM.PriceBelow, whose first bound is tier A
-			// (see search.TieredObjective). Tier B — the calibrated
+			// price through CDCM.PriceBelow, whose bounds before the first
+			// packet are tier A and the port-load bound (see
+			// search.TieredObjective). Tier B — the calibrated
 			// surrogate — attaches only on request to the Metropolis
 			// engines that can exact-reprice their accepted moves.
 			if opts.Surrogate && (strategy == StrategyPareto || opts.Method == MethodSA) {

@@ -15,9 +15,10 @@ import (
 
 // This file implements CDCM's tier-B evaluator for
 // search.TieredObjective. CDCM's exact pricing is a full wormhole
-// simulation per candidate; its tier-A bound needs no code here, as it
-// is the first bound CDCM.PriceBelow offers (the simulator's uncontended
-// critical path, see wormhole.Simulator.RunBelow).
+// simulation per candidate; its certified bounds need no code here: they
+// are the bounds CDCM.PriceBelow offers, tier A (the simulator's
+// uncontended critical path), then the port-load bound and the growing
+// simulation bound (see wormhole.Simulator.RunBelow).
 //
 // cdcmSurrogate (tier B) is a calibrated analytic predictor of ENoC:
 // texec is approximated as an affine function of the uncontended

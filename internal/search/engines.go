@@ -83,13 +83,12 @@ type neighbourhood struct {
 	// the exact tier is no CutoffObjective (see TieredObjective).
 	dobj  DeltaObjective
 	below CutoffObjective
-	// reject is below's rejection test: it answers the first bound of
-	// the candidate being priced against the scan's threshold bestD and
-	// lets every later bound pass, so a candidate is either skipped at
-	// its tier-A bound or priced in full. offered marks the first bound.
-	reject  func(lb float64) bool
-	bestD   float64
-	offered bool
+	// reject is below's rejection test: it answers the bounds offered
+	// before any exact work against the scan's threshold bestD and lets
+	// every later bound pass, so a candidate is either skipped at a
+	// bound (CutAtBound) or priced in full.
+	reject func(lb float64, at Cut) bool
+	bestD  float64
 	// Telemetry counters: each scan accepts at most one neighbour (the
 	// applied move) and rejects the rest. Never read by the search.
 	accepted, rejected int64
@@ -118,12 +117,8 @@ func (n *neighbourhood) bind(cur mapping.Mapping, numTiles int) (float64, error)
 		// rejected, which keeps the trajectory bit-identical. The scan
 		// only reads admissible's state, so skipping cannot change it
 		// either.
-		n.reject = func(lb float64) bool {
-			if n.offered {
-				return false
-			}
-			n.offered = true
-			return lb-n.inc.cost >= n.bestD
+		n.reject = func(lb float64, at Cut) bool {
+			return at == CutAtBound && lb-n.inc.cost >= n.bestD
 		}
 	}
 	return cost, nil
@@ -158,7 +153,7 @@ func (n *neighbourhood) scan(bestD float64, admissible func(ta, tb topology.Tile
 			} else {
 				mapping.SwapTiles(n.inc.cur, n.inc.occ, ta, tb)
 				if n.below != nil {
-					n.bestD, n.offered = bestD, false
+					n.bestD = bestD
 					c, cut, err = n.below.PriceBelow(n.inc.cur, n.reject)
 				} else {
 					c, err = n.obj.Cost(n.inc.cur)
@@ -172,8 +167,8 @@ func (n *neighbourhood) scan(bestD float64, admissible func(ta, tb topology.Tile
 			n.res.Evaluations++
 			scanned++
 			if cut != Uncut {
-				// reject only ever answers the first bound, so the
-				// pricing stopped there (CutAtBound).
+				// reject only answers the bounds before any exact
+				// work, so the pricing stopped there (CutAtBound).
 				n.res.BoundSkips++
 				continue
 			}

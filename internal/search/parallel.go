@@ -161,7 +161,8 @@ type ShardedExhaustive struct {
 	// unaffected as long as the objective is symmetry-invariant, which
 	// holds for both CWM and CDCM on a mesh.
 	Anchor bool
-	// Limit bounds the total number of evaluated placements (0 = none).
+	// Limit bounds the total number of evaluated placements (0 = none;
+	// negative is an error).
 	// A non-zero limit runs one in-order enumeration on one objective —
 	// the limit is a global early-exit whose cut point depends on
 	// enumeration order, and replicating it shard-locally would change
@@ -191,6 +192,9 @@ type ShardedExhaustive struct {
 func (s *ShardedExhaustive) Run() (*Result, error) {
 	if s.Problem.Mesh == nil {
 		return nil, errors.New("search: nil mesh")
+	}
+	if s.Limit < 0 {
+		return nil, fmt.Errorf("search: negative exhaustive limit %d", s.Limit)
 	}
 	workers := par.Workers(s.Workers)
 	tiles := s.firstTiles()

@@ -250,8 +250,8 @@ func (a *Annealer) Run() (*Result, error) {
 	// with full exact Cost calls certifies when its exact tier is a
 	// CutoffObjective — a delta-capable exact objective is already cheaper
 	// than any bound, and a surrogate walk decides on surrogate deltas
-	// the bound does not order. PriceBelow then checks the tier-A bound
-	// before any work and keeps tightening it while it prices.
+	// the bound does not order. PriceBelow then checks its bounds
+	// before any work and keeps tightening them while it prices.
 	var below CutoffObjective
 	if !useDelta && !useSurr {
 		below = cutoffOf(a.Problem.Obj)
@@ -259,9 +259,9 @@ func (a *Annealer) Run() (*Result, error) {
 
 	w := metropolis{engine: "SA", rng: rng, cur: inc.cur, occ: inc.occ, res: res,
 		surrogate: useSurr, onProgress: a.OnProgress}
-	var reject func(lb float64) bool
+	var reject func(lb float64, at Cut) bool
 	if below != nil {
-		reject = func(lb float64) bool { return w.certify(lb - inc.cost) }
+		reject = func(lb float64, _ Cut) bool { return w.certify(lb - inc.cost) }
 	}
 	// price leaves cur/occ untouched: the delta path asks the objective
 	// for the O(deg) incremental price, the surrogate path prices in the

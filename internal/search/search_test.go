@@ -216,6 +216,9 @@ func TestNegativeBudgetsRejected(t *testing.T) {
 	if _, err := (&Tabu{Problem: p, Tenure: -1}).Run(); err == nil {
 		t.Error("negative tabu tenure accepted")
 	}
+	if _, err := (&ShardedExhaustive{Problem: p, Limit: -1}).Run(); err == nil {
+		t.Error("negative exhaustive limit accepted")
+	}
 }
 
 func TestObjectiveErrorPropagates(t *testing.T) {

@@ -16,14 +16,15 @@ var errNoVector = errors.New("search: tiered objective's exact tier is not a Vec
 //
 //   - Tier A is a certified lower bound, offered by an exact objective
 //     that is a CutoffObjective: PriceBelow hands the engine's rejection
-//     test a bound ≤ the exact cost, bitwise on the computed float64s,
+//     test bounds ≤ the exact cost, bitwise on the computed float64s,
 //     before any exact work (for CDCM, the simulator's uncontended
-//     critical path) and, while it works, tighter ones. An engine
-//     certifies when its exact tier is a CutoffObjective and its walk is
-//     on neither the delta nor the surrogate path. The
-//     strict-improvement engines (HillClimber, Tabu) test only the first
-//     bound: a candidate whose bound already proves it cannot beat the
-//     scan's threshold is skipped, any other is priced in full, so Best,
+//     critical path, then the port-load bound) and, while it works,
+//     tighter ones. An engine certifies when its exact tier is a
+//     CutoffObjective and its walk is on neither the delta nor the
+//     surrogate path. The strict-improvement engines (HillClimber, Tabu)
+//     test only the bounds offered before any exact work: a candidate
+//     whose bound already proves it cannot beat the scan's threshold is
+//     skipped, any other is priced in full, so Best,
 //     BestCost and the accept/reject trajectory stay bit-identical to an
 //     uncertified run. The Annealer tests every bound for certified
 //     Metropolis rejection: lb > cost proves the exact delta d > 0, so
@@ -51,8 +52,8 @@ type Cut int
 const (
 	// Uncut means the candidate was priced in full.
 	Uncut Cut = iota
-	// CutAtBound means the first certified bound settled the decision
-	// before any exact work; engines count it as a bound skip.
+	// CutAtBound means a certified bound settled the decision before any
+	// exact work; engines count it as a bound skip.
 	CutAtBound
 	// CutEarly means the pricing stopped part-way through its exact work;
 	// engines count it as an exact evaluation.
@@ -61,17 +62,20 @@ const (
 
 // CutoffObjective is an exact objective that can stop pricing a
 // candidate once a certified lower bound on its cost settles the
-// caller's decision. For CDCM the first bound, tier A, is the
-// uncontended critical path; it tightens as the simulation books packets.
+// caller's decision. For CDCM the bounds before any exact work are tier
+// A, the uncontended critical path, and the port-load bound; they
+// tighten as the simulation books packets.
 type CutoffObjective interface {
 	Objective
-	// PriceBelow returns Cost(mp) and Uncut, unless reject(lb) holds for
-	// some certified lower bound lb ≤ Cost(mp) — bitwise on the computed
-	// float64s — met on the way; it then stops at once and reports where
-	// (CutAtBound or CutEarly), and the returned cost is meaningless.
-	// The bounds passed to reject never decrease. Like Cost, it assumes a
-	// structurally valid, injective mapping.
-	PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (float64, Cut, error)
+	// PriceBelow returns Cost(mp) and Uncut, unless reject(lb, at) holds
+	// for some certified lower bound lb ≤ Cost(mp) — bitwise on the
+	// computed float64s — met on the way; it then stops at once and
+	// reports at, and the returned cost is meaningless. at is where a
+	// stop would cut: CutAtBound for the bounds offered before any exact
+	// work, CutEarly for those offered during it. The bounds passed to
+	// reject never decrease. Like Cost, it assumes a structurally valid,
+	// injective mapping.
+	PriceBelow(mp mapping.Mapping, reject func(lb float64, at Cut) bool) (float64, Cut, error)
 }
 
 // TieredObjective wraps an exact Objective with the tier-B surrogate.

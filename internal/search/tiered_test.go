@@ -28,13 +28,13 @@ var _ CutoffObjective = (*boundWire)(nil)
 
 func (b *boundWire) Cost(mp mapping.Mapping) (float64, error) { return b.w.Cost(mp) }
 
-func (b *boundWire) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (float64, Cut, error) {
+func (b *boundWire) PriceBelow(mp mapping.Mapping, reject func(lb float64, at Cut) bool) (float64, Cut, error) {
 	b.priced++
 	c, err := b.w.Cost(mp)
 	if err != nil {
 		return 0, Uncut, err
 	}
-	if reject(c - b.eps) {
+	if reject(c-b.eps, CutAtBound) {
 		b.cuts++
 		return 0, CutAtBound, nil
 	}

@@ -36,7 +36,7 @@ func (s *Server) initObs() {
 	r.GaugeFunc("nocd_queue_depth", "Jobs submitted to the compute pool but not yet started.",
 		func() float64 { return float64(s.pool.Queued()) })
 	r.GaugeFunc("nocd_jobs_running", "Jobs currently computing on the pool.",
-		func() float64 { return float64(s.pool.Running()) })
+		func() float64 { return float64(s.m.running.Load()) })
 	r.GaugeFunc("nocd_jobs_inflight", "Distinct instance keys currently being computed (dedup leaders).",
 		func() float64 {
 			s.mu.Lock()

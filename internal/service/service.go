@@ -89,6 +89,9 @@ type metrics struct {
 	submitted, rejected             atomic.Int64
 	completed, failed, canceled     atomic.Int64
 	cacheHits, cacheMisses, compute atomic.Int64
+	// running counts leader jobs between start and the publication of
+	// their terminal state: nocd_jobs_running.
+	running atomic.Int64
 	// dedups counts submissions attached to an in-flight identical
 	// computation (a subset of cacheHits, which has always covered both
 	// cache and dedup hits).
@@ -360,6 +363,7 @@ func (s *Server) runJob(j *Job) {
 		return
 	}
 	s.m.compute.Add(1)
+	s.m.running.Add(1)
 	s.log.Info("job started", "job_id", j.ID, "strategy", j.in.Strategy.String(),
 		"request_id", j.requestID)
 	onProgress := func(p search.Progress) {
@@ -387,9 +391,17 @@ func (s *Server) runJob(j *Job) {
 }
 
 // finishLeader completes a leader job and everything attached to it, and
-// feeds the cache on success.
+// feeds the cache on success. The job's metrics are updated before its
+// terminal state is published, so a client that polls until the job is
+// done and then scrapes /metrics sees them.
 func (s *Server) finishLeader(j *Job, raw json.RawMessage, err error) {
 	now := s.now()
+	if st := j.Status(); st.StartedAt != nil {
+		// Job latency by model/strategy, on the server clock seam. Only
+		// computed jobs observe: cache hits never start.
+		s.jobDuration.With(j.in.Strategy.String()).Observe(now.Sub(*st.StartedAt).Seconds())
+	}
+	s.m.running.Add(-1)
 	s.mu.Lock()
 	if s.inflight[j.key] == j {
 		delete(s.inflight, j.key)
@@ -418,11 +430,6 @@ func (s *Server) finishLeader(j *Job, raw json.RawMessage, err error) {
 	}
 
 	st := j.Status()
-	if st.StartedAt != nil {
-		// Job latency by model/strategy, on the server clock seam. Only
-		// computed jobs observe: cache hits never start.
-		s.jobDuration.With(j.in.Strategy.String()).Observe(now.Sub(*st.StartedAt).Seconds())
-	}
 	logArgs := []any{"job_id", j.ID, "state", string(st.State),
 		"duration_ms", st.ElapsedMS, "followers", len(followers), "request_id", j.requestID}
 	if err != nil {

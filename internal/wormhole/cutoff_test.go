@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/mapping"
@@ -13,16 +14,21 @@ import (
 )
 
 // boundLog is a wormhole.Cutoff that records every bound it is offered
-// and stops at the stopAt-th offer (never when stopAt is 0).
+// and stops at the stopAt-th offer (never when stopAt is 0); pre counts
+// the offers made before the first packet.
 type boundLog struct {
 	bounds  []int64
 	traffic []wormhole.Traffic
+	pre     int
 	stopAt  int
 }
 
-func (b *boundLog) Stop(t wormhole.Traffic, texecBound int64) bool {
+func (b *boundLog) Stop(t wormhole.Traffic, texecBound int64, booked int) bool {
 	b.bounds = append(b.bounds, texecBound)
 	b.traffic = append(b.traffic, t)
+	if booked == 0 {
+		b.pre++
+	}
 	return len(b.bounds) == b.stopAt
 }
 
@@ -64,13 +70,155 @@ func refCriticalPath(t *testing.T, fx refFixture, mp mapping.Mapping) int64 {
 	return best
 }
 
+// refPortLoad is the port-load bound of g under mp, computed from
+// Mesh.RouteFault routes and the closed-interval rule: an arbitrated
+// output port grants its packets disjoint closed intervals [t, t+hold],
+// so consecutive grants lie at least hold+1 cycles apart, and the packet
+// granted last must still reach its core. Every packet adds
+// min(hold+1, d) to each arbitrated port it requests — every inter-tile
+// port, and the local port when ArbitrateLocal is set — where
+// hold = tr + (n−1)·r for the per-flit time r of the link the port feeds
+// (tl at the local port) and d is its uncontended time from that grant to
+// delivery: tr plus the link time per router from there on, then n·tl
+// into the core. It returns the largest per-port sum.
+func refPortLoad(t *testing.T, fx refFixture, mp mapping.Mapping) int64 {
+	t.Helper()
+	cfg := fx.cfg
+	tr, tl := cfg.RoutingCycles, cfg.LinkCycles
+	n := fx.mesh.NumTiles()
+	// A port is its router and the tile it feeds, n for the local core.
+	load := make([]int64, n*(n+1))
+	for _, pk := range fx.g.Packets {
+		r, err := fx.mesh.RouteFault(cfg.Routing, fx.fs, mp[pk.Src], mp[pk.Dst])
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := cfg.Flits(pk.Bits)
+		last := len(r.Tiles) - 1
+		rate := make([]int64, len(r.Tiles))
+		for i := range r.Tiles {
+			rate[i] = tl
+			if i < last && fx.mesh.Coord(r.Tiles[i]).Z != fx.mesh.Coord(r.Tiles[i+1]).Z {
+				rate[i] = cfg.TSVCycles()
+			}
+		}
+		for i, tile := range r.Tiles {
+			next := n
+			if i < last {
+				next = int(r.Tiles[i+1])
+			} else if !cfg.ArbitrateLocal {
+				break
+			}
+			d := f * tl
+			for j := i; j <= last; j++ {
+				d += tr
+				if j < last {
+					d += rate[j]
+				}
+			}
+			load[int(tile)*(n+1)+next] += min(tr+(f-1)*rate[i]+1, d)
+		}
+	}
+	return slices.Max(load)
+}
+
+// TestPortLoadBoundMatchesReference pins the port-load bound on every
+// fixture and mapping of the reference sweep — 2-D, 3-D, torus, both
+// buffer policies, faults, ArbitrateLocal on and off — and along a
+// random swap sequence from each mapping, all through one scratch per
+// fixture: the bounds RunBelow offers before the first packet are the
+// critical path and, when it is larger, refPortLoad's load; every bound
+// is at most the reference texec; and the per-port loads the scratch
+// keeps, updated from one mapping to the next, equal a recompute on a
+// fresh scratch.
+func TestPortLoadBoundMatchesReference(t *testing.T) {
+	swaps := rand.New(rand.NewSource(21))
+	var above, incremental, local int
+	refSweep(t, func(i, run int, fx refFixture, sim *wormhole.Simulator, sc *wormhole.Scratch, mp mapping.Mapping) {
+		occ := mp.Occupants(fx.mesh.NumTiles())
+		for step := 0; step <= 6; step++ {
+			if step > 0 {
+				a := mp[swaps.Intn(len(mp))]
+				b := topology.TileID(swaps.Intn(len(occ)))
+				mapping.SwapTiles(mp, occ, a, b)
+			}
+			_, prev, hadPrev := wormhole.ScratchLoads(sc)
+			want, _, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
+			log := &boundLog{}
+			_, _, err := sim.RunBelow(mp, sc, log)
+			if wantErr != nil || err != nil {
+				if !errors.Is(wantErr, topology.ErrUnreachable) || !errors.Is(err, wormhole.ErrUnreachable) {
+					t.Fatalf("instance %d run %d step %d: reference error %v, RunBelow error %v", i, run, step, wantErr, err)
+				}
+				continue
+			}
+			cp, load := refCriticalPath(t, fx, mp), refPortLoad(t, fx, mp)
+			wantPre := []int64{cp}
+			if load > cp {
+				wantPre = append(wantPre, load)
+				above++
+			}
+			if !slices.Equal(log.bounds[:log.pre], wantPre) {
+				t.Fatalf("instance %d run %d step %d: bounds before the first packet %v, want %v (critical path %d, port load %d)",
+					i, run, step, log.bounds[:log.pre], wantPre, cp, load)
+			}
+			for _, b := range log.bounds {
+				if b > want.ExecCycles {
+					t.Fatalf("instance %d run %d step %d: bound %d of %v exceeds texec %d",
+						i, run, step, b, log.bounds, want.ExecCycles)
+				}
+			}
+
+			loads, of, ok := wormhole.ScratchLoads(sc)
+			if !ok {
+				continue
+			}
+			if fx.cfg.ArbitrateLocal {
+				local++
+			}
+			fresh := sim.NewScratch()
+			if got := wormhole.PortLoad(sim, fresh, of); got != slices.Max(loads) {
+				t.Fatalf("instance %d run %d step %d: fresh port load %d, kept loads peak at %d", i, run, step, got, slices.Max(loads))
+			}
+			if full, _, _ := wormhole.ScratchLoads(fresh); !slices.Equal(loads, full) {
+				t.Fatalf("instance %d run %d step %d: updated loads %v, recomputed %v", i, run, step, loads, full)
+			}
+			if hadPrev && !slices.Equal(prev, of) && 2*movedPackets(fx, prev, of) <= len(fx.g.Packets) {
+				incremental++
+			}
+		}
+	})
+	t.Logf("%d load bounds above the critical path, %d incremental updates checked, %d with ArbitrateLocal",
+		above, incremental, local)
+	if above == 0 || incremental == 0 || local == 0 {
+		t.Fatalf("sweep too thin: %d load bounds above the critical path, %d incremental updates, %d with ArbitrateLocal",
+			above, incremental, local)
+	}
+}
+
+// movedPackets counts, over the cores placed differently by a and b, the
+// packets each sends or receives.
+func movedPackets(fx refFixture, a, b mapping.Mapping) int {
+	var n int
+	for _, pk := range fx.g.Packets {
+		if a[pk.Src] != b[pk.Src] {
+			n++
+		}
+		if a[pk.Dst] != b[pk.Dst] {
+			n++
+		}
+	}
+	return n
+}
+
 // TestRunBelowBoundSound is the cut-off soundness property, on the
-// reference sweep's fixtures: the bound RunBelow offers before the
-// first packet is the uncontended critical path, every later bound is
-// larger than the one before and never exceeds the final texec, the
-// traffic totals are the full run's aggregates, and a run that is never
-// stopped returns exactly RunScratch's Result. Stopping at the j-th
-// offer returns no Result, having booked no packet for j = 1.
+// reference sweep's fixtures: the bounds RunBelow offers before the
+// first packet are the uncontended critical path and, when it is
+// larger, the port load (refPortLoad), every later bound is larger than
+// the one before and never exceeds the final texec, the traffic totals
+// are the full run's aggregates, and a run that is never stopped returns
+// exactly RunScratch's Result. Stopping at the j-th offer returns no
+// Result, having booked no packet when that offer came before the first.
 func TestRunBelowBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1404))
 	var grew int
@@ -97,8 +245,14 @@ func TestRunBelowBoundSound(t *testing.T) {
 		if got == nil || booked != len(fx.g.Packets) || !reflect.DeepEqual(got, want) {
 			t.Fatalf("instance %d: uncut RunBelow (booked %d) diverges from RunScratch", i, booked)
 		}
-		if cp := refCriticalPath(t, fx, mp); log.bounds[0] != cp {
-			t.Fatalf("instance %d: first bound %d, critical path %d", i, log.bounds[0], cp)
+		cp, load := refCriticalPath(t, fx, mp), refPortLoad(t, fx, mp)
+		wantPre := []int64{cp}
+		if load > cp {
+			wantPre = append(wantPre, load)
+		}
+		if !slices.Equal(log.bounds[:log.pre], wantPre) {
+			t.Fatalf("instance %d: bounds before the first packet %v, want %v (critical path %d, port load %d)",
+				i, log.bounds[:log.pre], wantPre, cp, load)
 		}
 		var rb, lb int64
 		for _, b := range want.RouterBits {
@@ -120,13 +274,13 @@ func TestRunBelowBoundSound(t *testing.T) {
 		stopAt := 1 + rng.Intn(len(log.bounds))
 		cut := &boundLog{stopAt: stopAt}
 		res, booked, err := sim.RunBelow(mp, below, cut)
-		if err != nil || res != nil || (booked == 0) != (stopAt == 1) || booked >= len(fx.g.Packets) {
+		if err != nil || res != nil || (booked == 0) != (stopAt <= log.pre) || booked >= len(fx.g.Packets) {
 			t.Fatalf("instance %d: stop at offer %d of %d returned result %v, %d booked, error %v",
 				i, stopAt, len(log.bounds), res != nil, booked, err)
 		}
 	}
 	if grew == 0 {
-		t.Fatal("no bound ever grew past the critical path: the prefix check is vacuous")
+		t.Fatal("no bound ever grew past the first: the prefix check is vacuous")
 	}
 }
 

@@ -331,21 +331,13 @@ func randomRefCDCG(rng *rand.Rand, nc, np int) *model.CDCG {
 // refInstances is the size of the reference sweep.
 const refInstances = 1200
 
-// TestSimulatorMatchesReference diffs RunScratch against the reference
-// model on random small instances: texec, every PacketSchedule, the
-// router/link/TSV/core bit aggregates and the total contention must be
-// identical, and an unreachable route must fail both. Two mappings run
-// through one scratch per instance, so scratch reuse is covered too.
-//
-// From the reference's own bookings it also checks the link-stall
-// condition the kernel relies on: with unbounded buffers and a routing
-// delay of at least a link's per-flit time, no packet ever waits for
-// that link — and the sweep does see link stalls when the condition
-// fails, so the check is not vacuous.
-func TestSimulatorMatchesReference(t *testing.T) {
+// refSweep draws the reference sweep — refInstances random fixtures
+// from one fixed seed, each with a simulator, one scratch and two random
+// mappings run through it — and calls check for every mapping. Every
+// test that walks the sweep sees the same fixtures and mappings.
+func refSweep(t *testing.T, check func(i, run int, fx refFixture, sim *wormhole.Simulator, sc *wormhole.Scratch, mp mapping.Mapping)) {
+	t.Helper()
 	rng := rand.New(rand.NewSource(2005))
-	var compared, unreachable int
-	var planarFail, vertFail refStalls // stalls where the condition fails
 	for i := 0; i < refInstances; i++ {
 		fx := randomRefFixture(t, rng)
 		sim, err := wormhole.NewSimulatorFaults(fx.mesh, fx.cfg, fx.g, fx.fs)
@@ -358,43 +350,62 @@ func TestSimulatorMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, stalls, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
-			got, gotErr := sim.RunScratch(mp, sc)
-			if wantErr != nil || gotErr != nil {
-				if !errors.Is(wantErr, topology.ErrUnreachable) || !errors.Is(gotErr, wormhole.ErrUnreachable) {
-					t.Fatalf("instance %d run %d: reference error %v, simulator error %v", i, run, wantErr, gotErr)
-				}
-				unreachable++
-				continue
-			}
-			if got.ExecCycles != want.ExecCycles || got.CoreBits != want.CoreBits ||
-				got.TSVBits != want.TSVBits || got.TotalContention != want.TotalContention ||
-				!reflect.DeepEqual(got.Packets, want.Packets) ||
-				!reflect.DeepEqual(got.RouterBits, want.RouterBits) ||
-				!reflect.DeepEqual(got.LinkBits, want.LinkBits) {
-				t.Fatalf("instance %d run %d (%dx%dx%d %s, cfg %+v, faults %v, mapping %v):\nsimulator %+v\nreference %+v",
-					i, run, fx.mesh.W(), fx.mesh.H(), fx.mesh.D(), fx.mesh.Kind(), fx.cfg, fx.fs.Elements(), mp, got, want)
-			}
-			compared++
-
-			if linksNeverStall(fx.cfg, fx.cfg.LinkCycles) {
-				if stalls.planar != 0 {
-					t.Fatalf("instance %d run %d: %d stall cycles on planar links although tr ≥ tl with unbounded buffers",
-						i, run, stalls.planar)
-				}
-			} else if fx.cfg.Buffers == noc.BuffersUnbounded {
-				planarFail.planar += stalls.planar
-			}
-			if linksNeverStall(fx.cfg, fx.cfg.TSVCycles()) {
-				if stalls.vertical != 0 {
-					t.Fatalf("instance %d run %d: %d stall cycles on TSV links although tr ≥ tTSV with unbounded buffers",
-						i, run, stalls.vertical)
-				}
-			} else if fx.cfg.Buffers == noc.BuffersUnbounded {
-				vertFail.vertical += stalls.vertical
-			}
+			check(i, run, fx, sim, sc, mp)
 		}
 	}
+}
+
+// TestSimulatorMatchesReference diffs RunScratch against the reference
+// model on random small instances: texec, every PacketSchedule, the
+// router/link/TSV/core bit aggregates and the total contention must be
+// identical, and an unreachable route must fail both. Two mappings run
+// through one scratch per instance, so scratch reuse is covered too.
+//
+// From the reference's own bookings it also checks the link-stall
+// condition the kernel relies on: with unbounded buffers and a routing
+// delay of at least a link's per-flit time, no packet ever waits for
+// that link — and the sweep does see link stalls when the condition
+// fails, so the check is not vacuous.
+func TestSimulatorMatchesReference(t *testing.T) {
+	var compared, unreachable int
+	var planarFail, vertFail refStalls // stalls where the condition fails
+	refSweep(t, func(i, run int, fx refFixture, sim *wormhole.Simulator, sc *wormhole.Scratch, mp mapping.Mapping) {
+		want, stalls, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
+		got, gotErr := sim.RunScratch(mp, sc)
+		if wantErr != nil || gotErr != nil {
+			if !errors.Is(wantErr, topology.ErrUnreachable) || !errors.Is(gotErr, wormhole.ErrUnreachable) {
+				t.Fatalf("instance %d run %d: reference error %v, simulator error %v", i, run, wantErr, gotErr)
+			}
+			unreachable++
+			return
+		}
+		if got.ExecCycles != want.ExecCycles || got.CoreBits != want.CoreBits ||
+			got.TSVBits != want.TSVBits || got.TotalContention != want.TotalContention ||
+			!reflect.DeepEqual(got.Packets, want.Packets) ||
+			!reflect.DeepEqual(got.RouterBits, want.RouterBits) ||
+			!reflect.DeepEqual(got.LinkBits, want.LinkBits) {
+			t.Fatalf("instance %d run %d (%dx%dx%d %s, cfg %+v, faults %v, mapping %v):\nsimulator %+v\nreference %+v",
+				i, run, fx.mesh.W(), fx.mesh.H(), fx.mesh.D(), fx.mesh.Kind(), fx.cfg, fx.fs.Elements(), mp, got, want)
+		}
+		compared++
+
+		if linksNeverStall(fx.cfg, fx.cfg.LinkCycles) {
+			if stalls.planar != 0 {
+				t.Fatalf("instance %d run %d: %d stall cycles on planar links although tr ≥ tl with unbounded buffers",
+					i, run, stalls.planar)
+			}
+		} else if fx.cfg.Buffers == noc.BuffersUnbounded {
+			planarFail.planar += stalls.planar
+		}
+		if linksNeverStall(fx.cfg, fx.cfg.TSVCycles()) {
+			if stalls.vertical != 0 {
+				t.Fatalf("instance %d run %d: %d stall cycles on TSV links although tr ≥ tTSV with unbounded buffers",
+					i, run, stalls.vertical)
+			}
+		} else if fx.cfg.Buffers == noc.BuffersUnbounded {
+			vertFail.vertical += stalls.vertical
+		}
+	})
 	t.Logf("%d runs compared, %d unreachable; stall cycles where the condition fails: planar %d, TSV %d",
 		compared, unreachable, planarFail.planar, vertFail.vertical)
 	if compared < 2*refInstances*3/4 || unreachable == 0 {

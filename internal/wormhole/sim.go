@@ -223,6 +223,13 @@ type Simulator struct {
 	// topo is a topological order of the packets; RunBelow walks it
 	// backwards to price each packet's uncontended remaining path.
 	topo []int32
+	// The port-load bound's tables (see NewSimulatorFaults): the packets
+	// core c sends or receives are coreRefs[coreOff[c]:coreOff[c+1]], so
+	// a swap re-adds only theirs, and loadW[p] is packet p's planar c_p,
+	// portHold+1.
+	coreOff  []int32
+	coreRefs []coreRef
+	loadW    []int64
 
 	scratch  *Scratch // lazily built by Run; nil until then
 	initOnce bool
@@ -242,6 +249,11 @@ type hop struct {
 // localHop marks the final router of a route in hop.link. No link index
 // complements to it: that would take 2³¹ links.
 const localHop = math.MinInt32
+
+// coreRef is one packet of a core's port-load index: the packet, and
+// its source core when the indexed core is its destination (-1 when the
+// indexed core is its source).
+type coreRef struct{ pkt, src int32 }
 
 // pktConst is the run-invariant data of one packet. The hold times are
 // the busy durations of the hops it books: linkHold and portHold on
@@ -282,6 +294,13 @@ type Scratch struct {
 	hops        []hopPlan
 	seen        []model.CoreID // mapping-validation buffer, reused per run
 	tail        []int64        // RunBelow's per-packet uncontended remaining path
+	// load[port] is the port-load bound's sum for loadMap, the last
+	// mapping RunBelow computed it for (loaded false until then), and
+	// loadPeak the largest load.
+	load     []int64
+	loadMap  mapping.Mapping
+	loadPeak int64
+	loaded   bool
 
 	res        Result
 	packets    []PacketSchedule
@@ -453,6 +472,43 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	s.linkFree = unbounded && tr >= tl
 	s.tsvFree = unbounded && tr >= tlv
 
+	// The port-load bound. An arbitrated output port (every inter-tile
+	// port, and the local port under ArbitrateLocal) grants packet p an
+	// interval [t_p, t_p+h_p] that overlaps no other grant's, h_p being
+	// its unextended hold (portHold, or vPortHold feeding a TSV):
+	// acquire and earliestFree test exactly that interval against every
+	// booking, and backpressure only lengthens bookings afterwards. On
+	// integer cycles, grants sorted t_1 < … < t_m therefore satisfy
+	// t_{i+1} ≥ t_i + h_i + 1, and with t_1 ≥ 0 the last one has
+	// t_m ≥ Σ_{i<m} (h_i+1). From its grant a packet needs at least d_p
+	// more cycles to be delivered — tr plus the link time r per router
+	// up to the destination, then tr + n·tl into the core — since no hop
+	// can be taken before the previous one frees it. So texec ≥ t_m + d_m
+	// ≥ Σ_p c_p with c_p = min(h_p+1, d_p), whichever packet is last.
+	// With tl ≥ 1, d_p ≥ h_p+1 on planar ports (d ≥ 2tr + (n+1)·tl) and
+	// on the local port (d = tr + n·tl), so c_p is h_p+1 there; only a
+	// TSV port slower than the path after it needs the min. portLoad
+	// keeps these sums per port.
+	nc := g.NumCores()
+	s.coreOff = make([]int32, nc+1)
+	for _, p := range g.Packets {
+		s.coreOff[p.Src+1]++
+		s.coreOff[p.Dst+1]++
+	}
+	for c := 0; c < nc; c++ {
+		s.coreOff[c+1] += s.coreOff[c]
+	}
+	s.coreRefs = make([]coreRef, s.coreOff[nc])
+	s.loadW = make([]int64, len(s.pkts))
+	fill := append([]int32(nil), s.coreOff[:nc]...)
+	for i, p := range g.Packets {
+		s.coreRefs[fill[p.Src]] = coreRef{pkt: int32(i), src: -1}
+		s.coreRefs[fill[p.Dst]] = coreRef{pkt: int32(i), src: int32(p.Src)}
+		fill[p.Src]++
+		fill[p.Dst]++
+		s.loadW[i] = s.pkts[i].portHold + 1
+	}
+
 	// Per-tile hop descriptors towards each neighbour, indexed
 	// tile*numDirs+direction. Directions are scanned in the East..Up
 	// enumeration order and the first one reaching a tile wins (on small
@@ -573,6 +629,8 @@ func (s *Simulator) NewScratch() *Scratch {
 		ready:       make([]int64, np),
 		seen:        make([]model.CoreID, n),
 		tail:        make([]int64, np),
+		load:        make([]int64, n*NumPorts),
+		loadMap:     make(mapping.Mapping, s.G.NumCores()),
 		packets:     make([]PacketSchedule, np),
 		routerBits:  make([]int64, n),
 		linkBits:    make([]int64, s.Mesh.NumLinks()),
@@ -645,27 +703,41 @@ type Traffic struct {
 // Cutoff decides when RunBelow may abandon a simulation.
 type Cutoff interface {
 	// Stop reports whether the run may stop, given the mapping's traffic
-	// totals and a certified lower bound on its texec. RunBelow calls it
-	// before the first packet and again each time the bound grows.
-	Stop(t Traffic, texecBound int64) bool
+	// totals, a certified lower bound on its texec and the number of
+	// packets booked so far. RunBelow calls it with booked == 0 for the
+	// critical path, then, when it is larger, for the port-load bound,
+	// and again each time the bound grows while it books packets.
+	Stop(t Traffic, texecBound int64, booked int) bool
 }
 
 // RunBelow is RunScratch with a cut-off: it simulates mp on the
 // caller's scratch, but stops as soon as stop accepts the certified
-// lower bound B on texec seen so far. Packets are scheduled in
-// nondecreasing start order, so once packet q is delivered,
-// Delivered(q) + tail(q) ≤ texec, where tail(q) is the longest
-// uncontended dependence path after q under mp: each successor waits for
-// q, computes, and crosses the network in no less than its
-// contention-free duration K·(tr+tl) + V·(tTSV−tl) + n·tl. B is the
-// largest such sum over the packets booked so far; before the first
-// packet it is the whole graph's uncontended critical path. The extra
-// pass that prices the tails costs O(packets + dependences).
+// lower bound B on texec seen so far. The bounds it offers never
+// decrease:
+//
+//   - The uncontended critical path, before any packet. Packets are
+//     scheduled in nondecreasing start order, so once packet q is
+//     delivered, Delivered(q) + tail(q) ≤ texec, where tail(q) is the
+//     longest uncontended dependence path after q under mp: each
+//     successor waits for q, computes, and crosses the network in no
+//     less than its contention-free duration K·(tr+tl) + V·(tTSV−tl) +
+//     n·tl. Before the first packet the largest such sum is the whole
+//     graph's critical path. Pricing the tails costs O(packets +
+//     dependences).
+//   - If stop declines that, the port-load bound, still before any
+//     packet, when it is larger: the largest per-port sum of
+//     min(hold+1, remaining path) over the packets that cross an
+//     arbitrated output port (see NewSimulatorFaults). The scratch keeps
+//     the per-port sums of the last mapping it bounded, so a swap
+//     re-adds only the packets of the cores that moved.
+//   - While packets are booked, the largest Delivered(q) + tail(q) so
+//     far, each time it exceeds the bound before it.
 //
 // It returns the Result (valid until the scratch's next run, like
 // RunScratch's) when the simulation completes, or a nil Result and the
-// number of packets booked before the stop — 0 when the first bound
-// alone settled it. A nil stop runs to completion: that is RunScratch.
+// number of packets booked before the stop — 0 when a bound offered
+// before the first packet settled it. A nil stop runs to completion:
+// that is RunScratch.
 //
 //nocvet:noalloc
 func (s *Simulator) RunBelow(mp mapping.Mapping, sc *Scratch, stop Cutoff) (*Result, int, error) {
@@ -734,6 +806,114 @@ func (s *Simulator) tails(sc *Scratch, mp mapping.Mapping) (lb int64, tot Traffi
 	return lb, tot, nil
 }
 
+// portLoad returns the port-load bound of mp: the largest per-port sum
+// of c_p = min(h_p+1, d_p) over the packets crossing an arbitrated
+// output port (see NewSimulatorFaults). It brings sc.load from sc.loadMap
+// to mp by moving only the packets of the cores whose tiles differ, each
+// once, and recomputes every port when those packets are most of the
+// graph. mp has passed tails, so every route it uses is reachable.
+//
+//nocvet:noalloc
+func (s *Simulator) portLoad(sc *Scratch, mp mapping.Mapping) int64 {
+	moved := 0
+	if sc.loaded {
+		for c, t := range mp {
+			if sc.loadMap[c] != t {
+				moved += int(s.coreOff[c+1] - s.coreOff[c])
+			}
+		}
+	}
+	var peak int64
+	if !sc.loaded || 2*moved > len(s.pkts) {
+		// Loads only grow here, so the largest value written is the peak.
+		clear(sc.load)
+		for p := range s.pkts {
+			peak = max(peak, s.addLoad(sc.load, p, mp, 1))
+		}
+	} else {
+		// Every moved packet leaves its old route before any joins its
+		// new one, so the adds only grow loads: if the largest value they
+		// write reaches the old peak, no other port can be above it.
+		s.moveLoads(sc, mp, sc.loadMap, -1)
+		if peak = s.moveLoads(sc, mp, mp, 1); peak < sc.loadPeak {
+			for _, l := range sc.load {
+				peak = max(peak, l)
+			}
+		}
+	}
+	copy(sc.loadMap, mp)
+	sc.loaded = true
+	sc.loadPeak = peak
+	return peak
+}
+
+// moveLoads adds sign·c_p, routed under on, for the packets of the cores
+// that mp places apart from sc.loadMap, each packet once, and returns
+// the largest load it wrote.
+//
+//nocvet:noalloc
+func (s *Simulator) moveLoads(sc *Scratch, mp, on mapping.Mapping, sign int64) int64 {
+	var top int64
+	for c, t := range mp {
+		if sc.loadMap[c] == t {
+			continue
+		}
+		for _, r := range s.coreRefs[s.coreOff[c]:s.coreOff[c+1]] {
+			// A packet between two moved cores moves with its source.
+			if r.src >= 0 && sc.loadMap[r.src] != mp[r.src] {
+				continue
+			}
+			top = max(top, s.addLoad(sc.load, int(r.pkt), on, sign))
+		}
+	}
+	return top
+}
+
+// addLoad adds sign·c_p to the load of every arbitrated output port on
+// packet p's route under mp and returns the largest load it wrote.
+//
+//nocvet:noalloc
+func (s *Simulator) addLoad(load []int64, p int, mp mapping.Mapping, sign int64) int64 {
+	pc := &s.pkts[p]
+	ri := int(mp[pc.src])*s.numTiles + int(mp[pc.dst])
+	route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
+	last := len(route) - 1
+	w := sign * s.loadW[p]
+	var top int64
+	if s.Cfg.ArbitrateLocal {
+		load[route[last].port] += w
+		top = load[route[last].port]
+	}
+	for i, hp := range route[:last] {
+		if hp.link >= 0 {
+			load[hp.port] += w
+		} else {
+			load[hp.port] += sign * s.tsvLoad(p, route[i:])
+		}
+		top = max(top, load[hp.port])
+	}
+	return top
+}
+
+// tsvLoad is c_p = min(h_p+1, d_p) of packet p at the TSV port that
+// starts route: d_p, its uncontended time from the grant there to
+// delivery, is tr plus the link time per router up to the destination,
+// then tr + n·tl into the core.
+//
+//nocvet:noalloc
+func (s *Simulator) tsvLoad(p int, route []hop) int64 {
+	pc := &s.pkts[p]
+	tr, tl := s.Cfg.RoutingCycles, s.Cfg.LinkCycles
+	d := tr + pc.flits*tl
+	for _, hp := range route[:len(route)-1] {
+		d += tr + tl
+		if hp.link < 0 {
+			d += s.Cfg.TSVCycles() - tl
+		}
+	}
+	return min(pc.vPortHold+1, d)
+}
+
 // run is the simulation core shared by Run, RunScratch and RunBelow: all
 // mutable state lives in sc, all shared state on s is read-only, and the
 // schedule is written into res (whose slices the caller sized). It
@@ -756,8 +936,15 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			return 0, err
 		}
 		//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
-		if stop.Stop(tot, lb) {
+		if stop.Stop(tot, lb, 0) {
 			return 0, nil
+		}
+		if load := s.portLoad(sc, mp); load > lb {
+			lb = load
+			//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
+			if stop.Stop(tot, lb, 0) {
+				return 0, nil
+			}
 		}
 	}
 
@@ -919,7 +1106,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			if b := delivered + sc.tail[p]; b > lb {
 				lb = b
 				//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
-				if stop.Stop(tot, lb) {
+				if stop.Stop(tot, lb, scheduled) {
 					return scheduled, nil
 				}
 			}
