@@ -167,7 +167,9 @@ func BenchmarkFigure3CDCMEvaluation(b *testing.B) {
 // offered before the first packet (a candidate without one is simulated
 // in full), and "full" declines every bound. cut_ratio is the share of
 // candidates cut before the first packet. Two instances: the paper's
-// Figure-3 example and the largest Table-1 row (12x10, 99 cores).
+// Figure-3 example, whose four cores are too few for the port-load
+// bound (see wormhole.Simulator.PortLoadBound), so "load" simulates it
+// in full, and the largest Table-1 row (12x10, 99 cores).
 func BenchmarkPriceBelowProbe(b *testing.B) {
 	type instance struct {
 		name string

@@ -51,9 +51,11 @@
 // interval at a time, so texec is at least the sum over its packets of
 // min(hold+1, remaining path), and the bound is the largest such sum.
 // The scratch updates the per-port sums incrementally, re-adding only
-// the packets of the cores a swap moved. On the large rows, where texec
-// is mostly one port's queue, it certifies most rejections that tier A
-// cannot. An engine certifies whenever its exact tier is a
+// the packets of the cores a swap moved. It is offered on graphs of 40
+// cores or more, where a swap moves at most a tenth of the packets: on
+// the large rows, where texec is mostly one port's queue, it certifies
+// most rejections that tier A cannot, while on small graphs the update
+// costs more than the simulation time it saves. An engine certifies whenever its exact tier is a
 // search.CutoffObjective and it prices full exact costs (not a delta or
 // surrogate walk). The strict-improvement engines (hill climber, tabu)
 // test only the bounds offered before the first packet: a swap whose

@@ -376,8 +376,9 @@ func (c *CDCM) Cost(mp mapping.Mapping) (float64, error) {
 // the exact cost on the computed float64s. Two bounds come before any
 // packet and reach reject with search.CutAtBound: tier A, the
 // uncontended critical path, and, when tier A is declined and it is
-// larger, the port-load bound; a stop at either is a CutAtBound. The
-// bounds that follow come while the simulation books packets, with
+// larger, the port-load bound (on graphs of 40 cores or more, see
+// wormhole.Simulator.PortLoadBound); a stop at either is a CutAtBound.
+// The bounds that follow come while the simulation books packets, with
 // search.CutEarly. Evals counts the pricings that simulate at least one
 // packet; a cut at a bound before the first packet counts nothing, and
 // the engines count it as a bound skip.

@@ -164,6 +164,7 @@ func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 						t.Fatal(err)
 					}
 					exact.Evals = &obs.Counter{}
+					exact.sim.PortLoadBound = true // the grids are below its core count
 					sc := exact.sim.NewScratch()
 					rng := rand.New(rand.NewSource(17))
 					for trial := 0; trial < 12; trial++ {
@@ -278,6 +279,7 @@ func TestPriceBelowZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact.Evals = &obs.Counter{}
+	exact.sim.PortLoadBound = true
 	// A mapping whose port load exceeds its critical path, so PriceBelow
 	// offers both bounds before the first packet.
 	var mp mapping.Mapping

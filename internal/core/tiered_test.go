@@ -200,6 +200,7 @@ func TestTierABoundCertified(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				exact.sim.PortLoadBound = true // the grids are below its core count
 				rng := rand.New(rand.NewSource(11))
 				tiles := grid.mesh.NumTiles()
 				for trial := 0; trial < 12; trial++ {

@@ -14,12 +14,11 @@ import (
 // pool into a visible rejection (HTTP 429) rather than unbounded memory
 // growth.
 type Pool struct {
-	tasks   chan func()
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	closed  bool
-	queued  atomic.Int64
-	running atomic.Int64
+	tasks  chan func()
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	closed bool
+	queued atomic.Int64
 }
 
 // NewPool starts a pool of Workers(workers) goroutines with a submission
@@ -41,9 +40,7 @@ func (p *Pool) worker() {
 	defer p.wg.Done()
 	for task := range p.tasks {
 		p.queued.Add(-1)
-		p.running.Add(1)
 		task()
-		p.running.Add(-1)
 	}
 }
 
@@ -67,9 +64,6 @@ func (p *Pool) TrySubmit(task func()) bool {
 
 // Queued returns the number of submitted tasks that have not yet started.
 func (p *Pool) Queued() int { return int(p.queued.Load()) }
-
-// Running returns the number of tasks currently executing.
-func (p *Pool) Running() int { return int(p.running.Load()) }
 
 // Close stops accepting new tasks, drains every already-queued task, and
 // waits for all workers to finish. Safe to call more than once.

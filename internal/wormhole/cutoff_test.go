@@ -211,6 +211,57 @@ func movedPackets(fx refFixture, a, b mapping.Mapping) int {
 	return n
 }
 
+// TestPortLoadBoundGate checks where NewSimulator turns the port-load
+// bound on, from 40 cores (where a swap moves at most a tenth of the
+// packets on average), and that a simulator with it off offers only the
+// critical path before the first packet, even where the port load is
+// larger.
+func TestPortLoadBoundGate(t *testing.T) {
+	mesh, err := topology.NewMesh(8, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(40))
+	for _, nc := range []int{39, 40} {
+		sim, err := wormhole.NewSimulator(mesh, noc.Default(), randomRefCDCG(rng, nc, 2*nc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sim.PortLoadBound, nc >= 40; got != want {
+			t.Fatalf("%d cores: PortLoadBound %v, want %v", nc, got, want)
+		}
+	}
+	for try := 0; ; try++ {
+		if try == 200 {
+			t.Fatal("no fixture of 200 has a port load above its critical path")
+		}
+		fx := randomRefFixture(t, rng)
+		sim, err := wormhole.NewSimulatorFaults(fx.mesh, fx.cfg, fx.g, fx.fs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mp, err := mapping.Random(rng, fx.g.NumCores(), fx.mesh.NumTiles())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sim.PortLoadBound {
+			t.Fatalf("a %d-core fixture has PortLoadBound on", fx.g.NumCores())
+		}
+		log := &boundLog{}
+		if _, _, err := sim.RunBelow(mp, sim.NewScratch(), log); err != nil {
+			continue // unreachable under the fixture's faults
+		}
+		cp := refCriticalPath(t, fx, mp)
+		if refPortLoad(t, fx, mp) <= cp {
+			continue
+		}
+		if !slices.Equal(log.bounds[:log.pre], []int64{cp}) {
+			t.Fatalf("bound off: bounds before the first packet %v, want [%d]", log.bounds[:log.pre], cp)
+		}
+		return
+	}
+}
+
 // TestRunBelowBoundSound is the cut-off soundness property, on the
 // reference sweep's fixtures: the bounds RunBelow offers before the
 // first packet are the uncontended critical path and, when it is
@@ -228,6 +279,7 @@ func TestRunBelowBoundSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sim.PortLoadBound = true
 		sc, below := sim.NewScratch(), sim.NewScratch()
 		mp, err := mapping.Random(rng, fx.g.NumCores(), fx.mesh.NumTiles())
 		if err != nil {

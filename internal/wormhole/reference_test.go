@@ -344,6 +344,9 @@ func refSweep(t *testing.T, check func(i, run int, fx refFixture, sim *wormhole.
 		if err != nil {
 			t.Fatalf("instance %d: %v", i, err)
 		}
+		// The fixtures are below the core count at which
+		// NewSimulatorFaults turns the port-load bound on.
+		sim.PortLoadBound = true
 		sc := sim.NewScratch()
 		for run := 0; run < 2; run++ {
 			mp, err := mapping.Random(rng, fx.g.NumCores(), fx.mesh.NumTiles())

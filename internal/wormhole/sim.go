@@ -181,6 +181,14 @@ type Simulator struct {
 	// occupancy history, which only the trace/Gantt consumers need.
 	// RunScratch ignores it; set Scratch.RecordOccupancy instead.
 	RecordOccupancy bool
+	// PortLoadBound makes RunBelow offer the port-load bound once the
+	// critical path is declined (see RunBelow). NewSimulatorFaults sets
+	// it when a swap moves at most a tenth of the packets on average,
+	// that is on graphs of 40 cores or more: on smaller ones the update
+	// costs more than the simulations the bound saves. It changes only
+	// how early a run may stop, never a Result, so the tests set it to
+	// check the bound on small graphs.
+	PortLoadBound bool
 
 	dg       *graph.Digraph
 	numTiles int
@@ -223,13 +231,11 @@ type Simulator struct {
 	// topo is a topological order of the packets; RunBelow walks it
 	// backwards to price each packet's uncontended remaining path.
 	topo []int32
-	// The port-load bound's tables (see NewSimulatorFaults): the packets
+	// The port-load bound's index (see NewSimulatorFaults): the packets
 	// core c sends or receives are coreRefs[coreOff[c]:coreOff[c+1]], so
-	// a swap re-adds only theirs, and loadW[p] is packet p's planar c_p,
-	// portHold+1.
+	// a swap re-adds only theirs.
 	coreOff  []int32
 	coreRefs []coreRef
-	loadW    []int64
 
 	scratch  *Scratch // lazily built by Run; nil until then
 	initOnce bool
@@ -295,12 +301,10 @@ type Scratch struct {
 	seen        []model.CoreID // mapping-validation buffer, reused per run
 	tail        []int64        // RunBelow's per-packet uncontended remaining path
 	// load[port] is the port-load bound's sum for loadMap, the last
-	// mapping RunBelow computed it for (loaded false until then), and
-	// loadPeak the largest load.
-	load     []int64
-	loadMap  mapping.Mapping
-	loadPeak int64
-	loaded   bool
+	// mapping RunBelow computed it for (loaded false until then).
+	load    []int64
+	loadMap mapping.Mapping
+	loaded  bool
 
 	res        Result
 	packets    []PacketSchedule
@@ -489,7 +493,15 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	// on the local port (d = tr + n·tl), so c_p is h_p+1 there; only a
 	// TSV port slower than the path after it needs the min. portLoad
 	// keeps these sums per port.
+	//
+	// A swap moves the packets of two of the nc cores: on average over
+	// core pairs 2(2nc−3)/(nc(nc−1)) of them, each packet joining two
+	// distinct cores. The bound is offered when that is at most a tenth
+	// (nc ≥ 40). On smaller graphs the bound rarely cuts an annealing
+	// candidate before its simulation would have stopped anyway, and
+	// the update costs more than the simulation time it saves.
 	nc := g.NumCores()
+	s.PortLoadBound = 10*2*(2*nc-3) <= nc*(nc-1)
 	s.coreOff = make([]int32, nc+1)
 	for _, p := range g.Packets {
 		s.coreOff[p.Src+1]++
@@ -499,14 +511,12 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 		s.coreOff[c+1] += s.coreOff[c]
 	}
 	s.coreRefs = make([]coreRef, s.coreOff[nc])
-	s.loadW = make([]int64, len(s.pkts))
 	fill := append([]int32(nil), s.coreOff[:nc]...)
 	for i, p := range g.Packets {
 		s.coreRefs[fill[p.Src]] = coreRef{pkt: int32(i), src: -1}
 		s.coreRefs[fill[p.Dst]] = coreRef{pkt: int32(i), src: int32(p.Src)}
 		fill[p.Src]++
 		fill[p.Dst]++
-		s.loadW[i] = s.pkts[i].portHold + 1
 	}
 
 	// Per-tile hop descriptors towards each neighbour, indexed
@@ -705,8 +715,9 @@ type Cutoff interface {
 	// Stop reports whether the run may stop, given the mapping's traffic
 	// totals, a certified lower bound on its texec and the number of
 	// packets booked so far. RunBelow calls it with booked == 0 for the
-	// critical path, then, when it is larger, for the port-load bound,
-	// and again each time the bound grows while it books packets.
+	// critical path, then, when it is larger and PortLoadBound is set,
+	// for the port-load bound, and again each time the bound grows while
+	// it books packets.
 	Stop(t Traffic, texecBound int64, booked int) bool
 }
 
@@ -724,12 +735,12 @@ type Cutoff interface {
 //     n·tl. Before the first packet the largest such sum is the whole
 //     graph's critical path. Pricing the tails costs O(packets +
 //     dependences).
-//   - If stop declines that, the port-load bound, still before any
-//     packet, when it is larger: the largest per-port sum of
-//     min(hold+1, remaining path) over the packets that cross an
-//     arbitrated output port (see NewSimulatorFaults). The scratch keeps
-//     the per-port sums of the last mapping it bounded, so a swap
-//     re-adds only the packets of the cores that moved.
+//   - If stop declines that and PortLoadBound is set, the port-load
+//     bound, still before any packet, when it is larger: the largest
+//     per-port sum of min(hold+1, remaining path) over the packets that
+//     cross an arbitrated output port (see NewSimulatorFaults). The
+//     scratch keeps the per-port sums of the last mapping it bounded, so
+//     a swap re-adds only the packets of the cores that moved.
 //   - While packets are booked, the largest Delivered(q) + tail(q) so
 //     far, each time it exceeds the bound before it.
 //
@@ -808,52 +819,35 @@ func (s *Simulator) tails(sc *Scratch, mp mapping.Mapping) (lb int64, tot Traffi
 
 // portLoad returns the port-load bound of mp: the largest per-port sum
 // of c_p = min(h_p+1, d_p) over the packets crossing an arbitrated
-// output port (see NewSimulatorFaults). It brings sc.load from sc.loadMap
-// to mp by moving only the packets of the cores whose tiles differ, each
-// once, and recomputes every port when those packets are most of the
-// graph. mp has passed tails, so every route it uses is reachable.
+// output port (see NewSimulatorFaults). It brings sc.load from
+// sc.loadMap to mp by moving only the packets of the cores whose tiles
+// differ, each once; the first call adds every packet. mp has passed
+// tails, so every route it uses is reachable.
 //
 //nocvet:noalloc
 func (s *Simulator) portLoad(sc *Scratch, mp mapping.Mapping) int64 {
-	moved := 0
-	if sc.loaded {
-		for c, t := range mp {
-			if sc.loadMap[c] != t {
-				moved += int(s.coreOff[c+1] - s.coreOff[c])
-			}
-		}
-	}
-	var peak int64
-	if !sc.loaded || 2*moved > len(s.pkts) {
-		// Loads only grow here, so the largest value written is the peak.
-		clear(sc.load)
+	if !sc.loaded {
 		for p := range s.pkts {
-			peak = max(peak, s.addLoad(sc.load, p, mp, 1))
+			s.addLoad(sc.load, p, mp, 1)
 		}
+		sc.loaded = true
 	} else {
-		// Every moved packet leaves its old route before any joins its
-		// new one, so the adds only grow loads: if the largest value they
-		// write reaches the old peak, no other port can be above it.
 		s.moveLoads(sc, mp, sc.loadMap, -1)
-		if peak = s.moveLoads(sc, mp, mp, 1); peak < sc.loadPeak {
-			for _, l := range sc.load {
-				peak = max(peak, l)
-			}
-		}
+		s.moveLoads(sc, mp, mp, 1)
 	}
 	copy(sc.loadMap, mp)
-	sc.loaded = true
-	sc.loadPeak = peak
+	var peak int64
+	for _, l := range sc.load {
+		peak = max(peak, l)
+	}
 	return peak
 }
 
 // moveLoads adds sign·c_p, routed under on, for the packets of the cores
-// that mp places apart from sc.loadMap, each packet once, and returns
-// the largest load it wrote.
+// that mp places apart from sc.loadMap, each packet once.
 //
 //nocvet:noalloc
-func (s *Simulator) moveLoads(sc *Scratch, mp, on mapping.Mapping, sign int64) int64 {
-	var top int64
+func (s *Simulator) moveLoads(sc *Scratch, mp, on mapping.Mapping, sign int64) {
 	for c, t := range mp {
 		if sc.loadMap[c] == t {
 			continue
@@ -863,26 +857,23 @@ func (s *Simulator) moveLoads(sc *Scratch, mp, on mapping.Mapping, sign int64) i
 			if r.src >= 0 && sc.loadMap[r.src] != mp[r.src] {
 				continue
 			}
-			top = max(top, s.addLoad(sc.load, int(r.pkt), on, sign))
+			s.addLoad(sc.load, int(r.pkt), on, sign)
 		}
 	}
-	return top
 }
 
 // addLoad adds sign·c_p to the load of every arbitrated output port on
-// packet p's route under mp and returns the largest load it wrote.
+// packet p's route under mp.
 //
 //nocvet:noalloc
-func (s *Simulator) addLoad(load []int64, p int, mp mapping.Mapping, sign int64) int64 {
+func (s *Simulator) addLoad(load []int64, p int, mp mapping.Mapping, sign int64) {
 	pc := &s.pkts[p]
 	ri := int(mp[pc.src])*s.numTiles + int(mp[pc.dst])
 	route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
 	last := len(route) - 1
-	w := sign * s.loadW[p]
-	var top int64
+	w := sign * (pc.portHold + 1)
 	if s.Cfg.ArbitrateLocal {
 		load[route[last].port] += w
-		top = load[route[last].port]
 	}
 	for i, hp := range route[:last] {
 		if hp.link >= 0 {
@@ -890,9 +881,7 @@ func (s *Simulator) addLoad(load []int64, p int, mp mapping.Mapping, sign int64)
 		} else {
 			load[hp.port] += sign * s.tsvLoad(p, route[i:])
 		}
-		top = max(top, load[hp.port])
 	}
-	return top
 }
 
 // tsvLoad is c_p = min(h_p+1, d_p) of packet p at the TSV port that
@@ -939,11 +928,13 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 		if stop.Stop(tot, lb, 0) {
 			return 0, nil
 		}
-		if load := s.portLoad(sc, mp); load > lb {
-			lb = load
-			//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
-			if stop.Stop(tot, lb, 0) {
-				return 0, nil
+		if s.PortLoadBound {
+			if load := s.portLoad(sc, mp); load > lb {
+				lb = load
+				//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
+				if stop.Stop(tot, lb, 0) {
+					return 0, nil
+				}
 			}
 		}
 	}
