@@ -164,9 +164,8 @@ func BenchmarkFigure3CDCMEvaluation(b *testing.B) {
 // undoes the swap. The rejection test sets how far a pricing runs:
 // "tierA" stops at the first bound (the uncontended critical path),
 // "load" declines it and stops at the port-load bound when that is
-// offered before the first packet (a candidate without one is simulated
-// in full), and "full" declines every bound. cut_ratio is the share of
-// candidates cut before the first packet. Two instances: the paper's
+// offered (a candidate without one is simulated in full), and "full"
+// declines every bound. cut_ratio is the share of candidates skipped. Two instances: the paper's
 // Figure-3 example, whose four cores are too few for the port-load
 // bound (see wormhole.Simulator.PortLoadBound), so "load" simulates it
 // in full, and the largest Table-1 row (12x10, 99 cores).
@@ -186,14 +185,14 @@ func BenchmarkPriceBelowProbe(b *testing.B) {
 	var calls int
 	modes := []struct {
 		name   string
-		reject func(float64, search.Cut) bool
+		reject func(float64) bool
 	}{
-		{"tierA", func(float64, search.Cut) bool { return true }},
-		{"load", func(_ float64, at search.Cut) bool {
+		{"tierA", func(float64) bool { return true }},
+		{"load", func(float64) bool {
 			calls++
-			return calls == 2 && at == search.CutAtBound
+			return calls == 2
 		}},
-		{"full", func(float64, search.Cut) bool { return false }},
+		{"full", func(float64) bool { return false }},
 	}
 	for _, in := range []instance{
 		{"Figure3", fig3Mesh, noc.PaperExample(), energy.PaperExample(), model.PaperExampleCDCG()},
@@ -218,16 +217,16 @@ func BenchmarkPriceBelowProbe(b *testing.B) {
 		}
 		for _, mode := range modes {
 			b.Run(in.name+"/"+mode.name, func(b *testing.B) {
-				probe := func(i int) search.Cut {
+				probe := func(i int) bool {
 					sw := swaps[i%len(swaps)]
 					mapping.SwapTiles(mp, occ, sw[0], sw[1])
 					calls = 0
-					_, cut, err := cdcm.PriceBelow(mp, mode.reject)
+					_, skipped, err := cdcm.PriceBelow(mp, mode.reject)
 					if err != nil {
 						b.Fatal(err)
 					}
 					mapping.SwapTiles(mp, occ, sw[0], sw[1])
-					return cut
+					return skipped
 				}
 				for i := range swaps { // warm the scratch
 					probe(i)
@@ -236,7 +235,7 @@ func BenchmarkPriceBelowProbe(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if probe(i) == search.CutAtBound {
+					if probe(i) {
 						cuts++
 					}
 				}
@@ -812,9 +811,9 @@ func BenchmarkParetoFrontCDCM(b *testing.B) {
 // most of the hill climber's neighbourhood) and the largest Table-1
 // workload (12x10 mesh, 99 cores — each exact simulation costs ~200µs,
 // so pricing Metropolis candidates on the surrogate and simulating only
-// accepted moves is a multi-x end-to-end win; CI uploads the pairs as
-// BENCH_twotier.json and the >=2x margin is tracked on the large SA
-// pair). Hill legs pin the skip and exact counters so a bound
+// accepted moves is a multi-x end-to-end win; CI uploads the raw bench
+// output as the BENCH_twotier artifact and the >=2x margin is tracked on
+// the large SA pair). Hill legs pin the skip and exact counters so a bound
 // regression that silently stops filtering fails the benchmark, not
 // just the trend line.
 func BenchmarkTieredSearchCDCM(b *testing.B) {

@@ -55,17 +55,17 @@
 // cores or more, where a swap moves at most a tenth of the packets: on
 // the large rows, where texec is mostly one port's queue, it certifies
 // most rejections that tier A cannot, while on small graphs the update
-// costs more than the simulation time it saves. An engine certifies whenever its exact tier is a
+// costs more than the simulation time it saves. Both bounds come before
+// the first packet: a candidate is either skipped there or simulated in
+// full. An engine certifies whenever its exact tier is a
 // search.CutoffObjective and it prices full exact costs (not a delta or
 // surrogate walk). The strict-improvement engines (hill climber, tabu)
-// test only the bounds offered before the first packet: a swap whose
-// bound already fails the scan's threshold is skipped without running
-// the simulator, any other is simulated in full. Exact-priced SA tests every bound the
-// simulation offers while it runs and stops once the move's Metropolis
-// rejection is certain: lb > cost proves d > 0, so the uniform u is
-// drawn before the move is fully priced, and exp(−(lb−cost)/T)·(1+1e-9)
-// < u implies u ≥ exp(−d/T) because float subtraction, division by
-// T > 0 and (up to the slack) exp are monotone. Tier A is on for every
+// skip a swap whose bound already fails the scan's threshold. Exact-priced
+// SA skips a move once its Metropolis rejection is certain: lb > cost
+// proves d > 0, so the uniform u is drawn before the move is priced, and
+// exp(−(lb−cost)/T)·(1+1e-9) < u implies u ≥ exp(−d/T) because float
+// subtraction, division by T > 0 and (up to the slack) exp are
+// monotone. Tier A is on for every
 // plain CDCM hill, tabu and SA run (SA only without tier B), is
 // bit-identical by construction, and prices a candidate without
 // allocating (//nocvet:noalloc). Tier B

@@ -181,17 +181,29 @@ func (c *CWM) routersSlow(src, dst topology.TileID) (int, error) {
 //
 //nocvet:noalloc
 func (c *CWM) Cost(mp mapping.Mapping) (float64, error) {
-	if len(mp) != c.G.NumCores() {
-		return 0, fmt.Errorf("core: mapping covers %d cores, CWG has %d", len(mp), c.G.NumCores())
+	rb, vb, err := c.fold(mp)
+	if err != nil {
+		return 0, err
 	}
 	if c.Evals != nil {
 		c.Evals.Inc()
 	}
-	var rb, vb int64
+	return c.Tech.DynamicFromTraffic3D(rb, rb-c.totalBits, vb, c.coreBits), nil
+}
+
+// fold returns mp's traffic aggregates Σ w·K and Σ w·V (see Cost) under
+// Cost's hot-path contract: the one pass behind Cost, ComponentsInto and
+// the tier-B surrogate.
+//
+//nocvet:noalloc
+func (c *CWM) fold(mp mapping.Mapping) (rb, vb int64, err error) {
+	if len(mp) != c.G.NumCores() {
+		return 0, 0, fmt.Errorf("core: mapping covers %d cores, CWG has %d", len(mp), c.G.NumCores())
+	}
 	for _, e := range c.G.Edges {
 		k, err := c.routers(mp[e.Src], mp[e.Dst])
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		rb += e.Bits * int64(k)
 		if !c.flat {
@@ -200,7 +212,21 @@ func (c *CWM) Cost(mp mapping.Mapping) (float64, error) {
 			vb += e.Bits * int64(c.vCache[int(mp[e.Src])*c.numTiles+int(mp[e.Dst])])
 		}
 	}
-	return c.Tech.DynamicFromTraffic3D(rb, rb-c.totalBits, vb, c.coreBits), nil
+	return rb, vb, nil
+}
+
+// hopLatency is the uncontended hop-latency aggregate of the traffic
+// aggregates rb and vb (see fold), in bit·cycles: every bit pays tr per
+// router traversed, tl per planar inter-tile link and the TSV per-flit
+// time per vertical link,
+//
+//	Σ w·K·tr + (Σ w·(K−1) − Σ w·V)·tl + Σ w·V·tTSV.
+//
+//nocvet:noalloc
+func (c *CWM) hopLatency(rb, vb int64) float64 {
+	return float64(rb)*float64(c.Cfg.RoutingCycles) +
+		float64(rb-c.totalBits-vb)*float64(c.Cfg.LinkCycles) +
+		float64(vb)*float64(c.Cfg.TSVCycles())
 }
 
 // Traffic returns the per-resource bit aggregates of a mapping — the cost
@@ -368,39 +394,33 @@ func (c *CDCM) Cost(mp mapping.Mapping) (float64, error) {
 }
 
 // PriceBelow implements search.CutoffObjective: ENoC of mp like Cost,
-// unless reject accepts a certified lower bound on the way. The bound
-// prices the simulator's texec bound (wormhole.Simulator.RunBelow)
-// through the pipeline Cost uses: the dynamic term is exact from the
-// route-length totals, the same integers a full run's bit aggregates
-// sum to, and the static term is monotone in texec, so every bound is ≤
-// the exact cost on the computed float64s. Two bounds come before any
-// packet and reach reject with search.CutAtBound: tier A, the
-// uncontended critical path, and, when tier A is declined and it is
-// larger, the port-load bound (on graphs of 40 cores or more, see
-// wormhole.Simulator.PortLoadBound); a stop at either is a CutAtBound.
-// The bounds that follow come while the simulation books packets, with
-// search.CutEarly. Evals counts the pricings that simulate at least one
-// packet; a cut at a bound before the first packet counts nothing, and
-// the engines count it as a bound skip.
+// unless reject accepts a certified lower bound first. The bound prices
+// the simulator's texec bound (wormhole.Simulator.RunBelow) through the
+// pipeline Cost uses: the dynamic term is exact from the route-length
+// totals, the same integers a full run's bit aggregates sum to, and the
+// static term is monotone in texec, so every bound is ≤ the exact cost
+// on the computed float64s. Both bounds come before the first packet:
+// tier A, the uncontended critical path, and, when tier A is declined
+// and it is larger, the port-load bound (on graphs of 40 cores or more,
+// see wormhole.Simulator.PortLoadBound). A stop at either skips the
+// simulation and counts nothing in Evals; the engines count it as a
+// bound skip. Otherwise the mapping is simulated and priced in full.
 //
 //nocvet:noalloc
-func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64, at search.Cut) bool) (float64, search.Cut, error) {
+func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cost float64, skipped bool, err error) {
 	c.cut.reject = reject
-	res, booked, err := c.sim.RunBelow(mp, c.sc, &c.cut)
+	res, err := c.sim.RunBelow(mp, c.sc, &c.cut)
 	c.cut.reject = nil
 	switch {
 	case err != nil:
-		return 0, search.Uncut, err
-	case res == nil && booked == 0:
-		return 0, search.CutAtBound, nil
+		return 0, false, err
+	case res == nil:
+		return 0, true, nil
 	}
 	if c.Evals != nil {
 		c.Evals.Inc()
 	}
-	if res == nil {
-		return 0, search.CutEarly, nil
-	}
-	return c.price(res, c.Tech).Total(), search.Uncut, nil
+	return c.price(res, c.Tech).Total(), false, nil
 }
 
 var _ search.CutoffObjective = (*CDCM)(nil)
@@ -409,22 +429,18 @@ var _ search.CutoffObjective = (*CDCM)(nil)
 // ENoC and hands it to the engine's rejection test.
 type cdcmCutoff struct {
 	c      *CDCM
-	reject func(lb float64, at search.Cut) bool
+	reject func(lb float64) bool
 }
 
 // Stop implements wormhole.Cutoff.
 //
 //nocvet:noalloc
-func (k *cdcmCutoff) Stop(t wormhole.Traffic, texecBound int64, booked int) bool {
+func (k *cdcmCutoff) Stop(t wormhole.Traffic, texecBound int64) bool {
 	c := k.c
 	dyn := c.Tech.DynamicFromTraffic3D(t.RouterBits, t.LinkBits, t.TSVBits, t.CoreBits)
 	lb := dyn + c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texecBound))
-	at := search.CutAtBound
-	if booked > 0 {
-		at = search.CutEarly
-	}
 	//nocvet:ignore reject is the engine's allocation-free certified-rejection test
-	return k.reject(lb, at)
+	return k.reject(lb)
 }
 
 // Simulate runs the CDCG on a mapping and returns the raw wormhole result

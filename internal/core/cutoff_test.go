@@ -18,14 +18,12 @@ import (
 	"repro/internal/wormhole"
 )
 
-// preCutoff is a wormhole.Cutoff that keeps the bounds offered before
-// the first packet and lets the run complete.
+// preCutoff is a wormhole.Cutoff that keeps the bounds offered and lets
+// the run complete.
 type preCutoff struct{ pre []int64 }
 
-func (f *preCutoff) Stop(_ wormhole.Traffic, texecBound int64, booked int) bool {
-	if booked == 0 {
-		f.pre = append(f.pre, texecBound)
-	}
+func (f *preCutoff) Stop(_ wormhole.Traffic, texecBound int64) bool {
+	f.pre = append(f.pre, texecBound)
 	return false
 }
 
@@ -123,19 +121,17 @@ func refPortLoad(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG,
 // TestPriceBelowMatchesTierAAndCost pins CDCM.PriceBelow against the
 // pricings it stands between, on the tier-A fixtures (2-D mesh, 3-D mesh
 // and 3-D torus, both buffer policies, with and without faults, with
-// ArbitrateLocal off and on): the simulator's bounds before the first
-// packet are refTierA's critical path in cycles and, when it is larger,
-// refPortLoad's port load; priced, the bounds PriceBelow offers with
-// CutAtBound are refTierA's bound and that load priced the same way, bit
-// for bit (on a faulted mesh the intact-route tier-A reference is at
-// most as tight); the bounds offered to reject never decrease and never
-// exceed the exact cost; an uncut pricing returns Cost's value bit for
-// bit; and stopping at the j-th offer reports CutAtBound for the offers
-// before the first packet and CutEarly after, with Evals counting only
-// pricings that simulated a packet.
+// ArbitrateLocal off and on): the simulator's bounds are refTierA's
+// critical path in cycles and, when it is larger, refPortLoad's port
+// load; priced, the bounds PriceBelow offers are refTierA's bound and
+// that load priced the same way, bit for bit (on a faulted mesh the
+// intact-route tier-A reference is at most as tight); they never exceed
+// the exact cost; a pricing that is not skipped returns Cost's value bit
+// for bit and counts one evaluation; and stopping at either offer
+// reports skipped and counts none.
 func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 	tech := energy.Tech007
-	var early, loaded int
+	var loaded, skipsAtLoad int
 	for _, grid := range tieredGrids(t) {
 		faultSets := []*topology.FaultSet{nil}
 		if fs, err := topology.GenerateFaults(grid.mesh, 0.1, 5); err != nil {
@@ -194,11 +190,11 @@ func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 							wantPre = append(wantPre, dyn+tech.StaticEnergy(grid.mesh.NumTiles(), cfg.CyclesToSeconds(load)))
 						}
 						var pc preCutoff
-						if _, _, err := exact.sim.RunBelow(mp, sc, &pc); err != nil {
+						if _, err := exact.sim.RunBelow(mp, sc, &pc); err != nil {
 							t.Fatal(err)
 						}
 						if !slices.Equal(pc.pre, wantCycles) {
-							t.Fatalf("%s trial %d: simulator's bounds before the first packet %v cycles, reference %v",
+							t.Fatalf("%s trial %d: simulator's bounds %v cycles, reference %v",
 								name, trial, pc.pre, wantCycles)
 						}
 						// Fault detours are hop-wise at least as long as the
@@ -211,67 +207,55 @@ func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 							}
 						}
 
-						var lbs, pre []float64
+						var lbs []float64
 						evals := exact.Evals.Value()
-						c, cut, err := exact.PriceBelow(mp, func(lb float64, at search.Cut) bool {
+						c, skipped, err := exact.PriceBelow(mp, func(lb float64) bool {
 							lbs = append(lbs, lb)
-							if at == search.CutAtBound {
-								pre = append(pre, lb)
-							}
 							return false
 						})
-						if err != nil || cut != search.Uncut || math.Float64bits(c) != math.Float64bits(cost) {
-							t.Fatalf("%s trial %d: uncut PriceBelow = %.17g (%v, %v), Cost %.17g", name, trial, c, cut, err, cost)
+						if err != nil || skipped || math.Float64bits(c) != math.Float64bits(cost) {
+							t.Fatalf("%s trial %d: PriceBelow = %.17g (skipped %v, %v), Cost %.17g", name, trial, c, skipped, err, cost)
 						}
-						if !slices.Equal(pre, wantPre) || intact > pre[0] {
-							t.Fatalf("%s trial %d: bounds before the first packet %.17g, reference %.17g, intact-route tier A %.17g",
-								name, trial, pre, wantPre, intact)
+						if !slices.Equal(lbs, wantPre) || intact > lbs[0] {
+							t.Fatalf("%s trial %d: bounds %.17g, reference %.17g, intact-route tier A %.17g",
+								name, trial, lbs, wantPre, intact)
 						}
-						if !slices.Equal(lbs[:len(pre)], pre) {
-							t.Fatalf("%s trial %d: bounds %v do not start with the %d offered before the first packet",
-								name, trial, lbs, len(pre))
-						}
-						for j, lb := range lbs {
-							if lb > cost || (j > 0 && lb < lbs[j-1]) {
-								t.Fatalf("%s trial %d: bounds %v exceed cost %.17g or decrease", name, trial, lbs, cost)
+						for _, lb := range lbs {
+							if lb > cost {
+								t.Fatalf("%s trial %d: bounds %v exceed cost %.17g", name, trial, lbs, cost)
 							}
 						}
 						if got := exact.Evals.Value() - evals; got != 1 {
-							t.Fatalf("%s trial %d: uncut pricing counted %d evaluations, want 1", name, trial, got)
+							t.Fatalf("%s trial %d: full pricing counted %d evaluations, want 1", name, trial, got)
 						}
 
 						stopAt := 1 + rng.Intn(len(lbs))
 						calls := 0
 						evals = exact.Evals.Value()
-						_, cut, err = exact.PriceBelow(mp, func(float64, search.Cut) bool {
+						_, skipped, err = exact.PriceBelow(mp, func(float64) bool {
 							calls++
 							return calls == stopAt
 						})
-						want, wantEvals := search.CutEarly, int64(1)
-						if stopAt <= len(pre) {
-							want, wantEvals = search.CutAtBound, 0
-						} else {
-							early++
+						if err != nil || !skipped || calls != stopAt || exact.Evals.Value() != evals {
+							t.Fatalf("%s trial %d: stop at offer %d of %d gave skipped %v after %d offers (%v), %d evaluations",
+								name, trial, stopAt, len(lbs), skipped, calls, err, exact.Evals.Value()-evals)
 						}
-						if err != nil || cut != want || exact.Evals.Value()-evals != wantEvals {
-							t.Fatalf("%s trial %d: stop at offer %d of %d gave %v (%v), %d evaluations",
-								name, trial, stopAt, len(lbs), cut, err, exact.Evals.Value()-evals)
+						if stopAt == 2 {
+							skipsAtLoad++
 						}
 					}
 				}
 			}
 		}
 	}
-	if early == 0 || loaded == 0 {
-		t.Fatalf("%d pricings cut part-way, %d port loads above the critical path: a path is untested", early, loaded)
+	if loaded == 0 || skipsAtLoad == 0 {
+		t.Fatalf("%d port loads above the critical path, %d skips at the port load: a path is untested", loaded, skipsAtLoad)
 	}
 }
 
 // TestPriceBelowZeroAllocs pins the cut-off pricing path to zero heap
-// allocations in steady state: cut part-way or run to completion, cut
-// at the port-load bound, and a hill/tabu candidate — whose rejection
-// test answers only the bounds before the first packet — skipped there
-// or priced in full.
+// allocations in steady state: skipped at the critical path, skipped at
+// the port-load bound, and priced in full.
 func TestPriceBelowZeroAllocs(t *testing.T) {
 	grid := tieredGrids(t)[0]
 	exact, err := NewCDCM(grid.mesh, tieredCfg(), energy.Tech007, grid.g)
@@ -281,64 +265,54 @@ func TestPriceBelowZeroAllocs(t *testing.T) {
 	exact.Evals = &obs.Counter{}
 	exact.sim.PortLoadBound = true
 	// A mapping whose port load exceeds its critical path, so PriceBelow
-	// offers both bounds before the first packet.
+	// offers both bounds.
 	var mp mapping.Mapping
 	rng := rand.New(rand.NewSource(5))
-	for try, pre := 0, 0; pre < 2; try++ {
+	for try, offers := 0, 0; offers < 2; try++ {
 		if try == 100 {
 			t.Fatal("no mapping of 100 has a port load above its critical path")
 		}
 		if mp, err = mapping.Random(rng, grid.g.NumCores(), grid.mesh.NumTiles()); err != nil {
 			t.Fatal(err)
 		}
-		pre = 0
-		if _, _, err := exact.PriceBelow(mp, func(_ float64, at search.Cut) bool {
-			if at == search.CutAtBound {
-				pre++
-			}
+		offers = 0
+		if _, _, err := exact.PriceBelow(mp, func(float64) bool {
+			offers++
 			return false
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	calls, stopAt := 0, 0
-	reject := func(float64, search.Cut) bool {
+	reject := func(float64) bool {
 		calls++
 		return calls == stopAt
 	}
-	// atBound has the shape of the neighbourhood scan's test: the bounds
-	// before the first packet decide against the threshold, later bounds
-	// pass.
+	// atBound has the shape of the neighbourhood scan's test: every bound
+	// decides against the threshold.
 	var limit float64
-	atBound := func(lb float64, at search.Cut) bool {
-		return at == search.CutAtBound && lb >= limit
-	}
-	// atLoad declines tier A and stops at the port-load bound.
-	atLoad := func(_ float64, at search.Cut) bool {
-		calls++
-		return calls == 2 && at == search.CutAtBound
-	}
+	atBound := func(lb float64) bool { return lb >= limit }
 	for _, tc := range []struct {
 		name   string
-		reject func(float64, search.Cut) bool
+		reject func(float64) bool
 		stop   int
 		limit  float64
-		want   search.Cut
+		want   bool
 	}{
-		{"run to completion", reject, 0, 0, search.Uncut},
-		{"cut at offer 3", reject, 3, 0, search.CutEarly},
-		{"hill/tabu skip", atBound, 0, math.Inf(-1), search.CutAtBound},
-		{"hill/tabu priced", atBound, 0, math.Inf(1), search.Uncut},
-		{"cut at the port-load bound", atLoad, 0, 0, search.CutAtBound},
+		{"priced in full", reject, 0, 0, false},
+		{"skip at the critical path", reject, 1, 0, true},
+		{"skip at the port-load bound", reject, 2, 0, true},
+		{"hill/tabu skip", atBound, 0, math.Inf(-1), true},
+		{"hill/tabu priced", atBound, 0, math.Inf(1), false},
 	} {
 		stopAt, limit = tc.stop, tc.limit
 		calls = 0
-		_, cut, err := exact.PriceBelow(mp, tc.reject) // warm the scratch
+		_, skipped, err := exact.PriceBelow(mp, tc.reject) // warm the scratch
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cut != tc.want {
-			t.Fatalf("%s: PriceBelow stopped with %v, want %v", tc.name, cut, tc.want)
+		if skipped != tc.want {
+			t.Fatalf("%s: PriceBelow skipped %v, want %v", tc.name, skipped, tc.want)
 		}
 		allocs := testing.AllocsPerRun(50, func() {
 			calls = 0
@@ -353,34 +327,35 @@ func TestPriceBelowZeroAllocs(t *testing.T) {
 }
 
 // cutCounter is an exact tier that forwards PriceBelow to a CDCM and
-// counts how each pricing ended.
+// counts the pricings it skipped.
 type cutCounter struct {
 	*CDCM
-	cuts map[search.Cut]int
+	skips int64
 }
 
-func (c *cutCounter) PriceBelow(mp mapping.Mapping, reject func(lb float64, at search.Cut) bool) (float64, search.Cut, error) {
-	v, cut, err := c.CDCM.PriceBelow(mp, reject)
-	c.cuts[cut]++
-	return v, cut, err
+func (c *cutCounter) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (float64, bool, error) {
+	v, skipped, err := c.CDCM.PriceBelow(mp, reject)
+	if skipped {
+		c.skips++
+	}
+	return v, skipped, err
 }
 
 // TestSACutoffBitIdentical pins the SA cut-off end to end: an Annealer
-// over a CDCM that stops simulations part-way retraces the uncertified
-// walk bit for bit — Best, costs,
-// counters and every restart's accept/reject decisions — on the tier-A
-// fixtures under both technologies, and its cut-before-the-first-packet
-// pricings are exactly the walk's BoundSkips.
+// over a CDCM that skips simulations at their bounds retraces the
+// uncertified walk bit for bit — Best, costs, counters and every
+// restart's accept/reject decisions — on the tier-A fixtures under both
+// technologies, and its skipped pricings are exactly the walk's
+// BoundSkips.
 func TestSACutoffBitIdentical(t *testing.T) {
 	cfg := tieredCfg()
-	var early int
 	for _, tech := range []energy.Tech{energy.Tech035, energy.Tech007} {
 		for _, grid := range tieredGrids(t) {
 			cdcm, err := NewCDCM(grid.mesh, cfg, tech, grid.g)
 			if err != nil {
 				t.Fatal(err)
 			}
-			counted := &cutCounter{CDCM: cdcm.Clone(), cuts: map[search.Cut]int{}}
+			counted := &cutCounter{CDCM: cdcm.Clone()}
 			run := func(obj search.Objective) saTrace {
 				tr := saTrace{accepted: map[int]int64{}, rejected: map[int]int64{}}
 				res, err := (&search.Annealer{
@@ -399,14 +374,9 @@ func TestSACutoffBitIdentical(t *testing.T) {
 			name := fmt.Sprintf("%s/%s", grid.name, tech.Name)
 			tiered := run(counted)
 			checkSATraceEqual(t, name, run(uncertified(cdcm.Clone())), tiered)
-			if int64(counted.cuts[search.CutAtBound]) != tiered.res.BoundSkips {
-				t.Fatalf("%s: %d cuts at the bound, %d bound skips", name,
-					counted.cuts[search.CutAtBound], tiered.res.BoundSkips)
+			if counted.skips != tiered.res.BoundSkips {
+				t.Fatalf("%s: %d skipped pricings, %d bound skips", name, counted.skips, tiered.res.BoundSkips)
 			}
-			early += counted.cuts[search.CutEarly]
 		}
-	}
-	if early == 0 {
-		t.Fatal("no SA pricing was cut part-way")
 	}
 }

@@ -16,9 +16,9 @@ import (
 // This file implements CDCM's tier-B evaluator for
 // search.TieredObjective. CDCM's exact pricing is a full wormhole
 // simulation per candidate; its certified bounds need no code here: they
-// are the bounds CDCM.PriceBelow offers, tier A (the simulator's
-// uncontended critical path), then the port-load bound and the growing
-// simulation bound (see wormhole.Simulator.RunBelow).
+// are the bounds CDCM.PriceBelow offers before the first packet, tier A
+// (the simulator's uncontended critical path), then the port-load bound
+// (see wormhole.Simulator.RunBelow).
 //
 // cdcmSurrogate (tier B) is a calibrated analytic predictor of ENoC:
 // texec is approximated as an affine function of the uncontended
@@ -106,9 +106,6 @@ func fitSurrogate(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 type cdcmSurrogate struct {
 	cwm *CWM
 	fit surrogateFit
-	// L coefficients, hoisted from Cfg once: cycles per router bit, per
-	// planar link bit and per vertical link bit.
-	ftr, ftl, ftv float64
 }
 
 var (
@@ -123,10 +120,7 @@ func newCDCMSurrogate(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 	if err != nil {
 		return nil, err
 	}
-	return &cdcmSurrogate{cwm: cwm, fit: fit,
-		ftr: float64(cfg.RoutingCycles),
-		ftl: float64(cfg.LinkCycles),
-		ftv: float64(cfg.TSVCycles())}, nil
+	return &cdcmSurrogate{cwm: cwm, fit: fit}, nil
 }
 
 // texecCycles predicts texec (in cycles, clamped non-negative) from the
@@ -134,9 +128,7 @@ func newCDCMSurrogate(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 //
 //nocvet:noalloc
 func (s *cdcmSurrogate) texecCycles(rb, vb int64) float64 {
-	c := s.cwm
-	l := float64(rb)*s.ftr + float64(rb-c.totalBits-vb)*s.ftl + float64(vb)*s.ftv
-	t := s.fit.A + s.fit.B*l
+	t := s.fit.A + s.fit.B*s.cwm.hopLatency(rb, vb)
 	if t < 0 {
 		t = 0
 	}
@@ -156,33 +148,11 @@ func (s *cdcmSurrogate) priceAgg(rb, vb int64) float64 {
 	return dyn + st
 }
 
-// aggregates folds mp's traffic aggregates, exactly like CWM.Cost (same
-// hot-path contract: mp must be structurally valid and injective).
-//
-//nocvet:noalloc
-func (s *cdcmSurrogate) aggregates(mp mapping.Mapping) (rb, vb int64, err error) {
-	c := s.cwm
-	if len(mp) != c.G.NumCores() {
-		return 0, 0, fmt.Errorf("core: mapping covers %d cores, CWG has %d", len(mp), c.G.NumCores())
-	}
-	for _, e := range c.G.Edges {
-		k, err := c.routers(mp[e.Src], mp[e.Dst])
-		if err != nil {
-			return 0, 0, err
-		}
-		rb += e.Bits * int64(k)
-		if !c.flat {
-			vb += e.Bits * int64(c.vCache[int(mp[e.Src])*c.numTiles+int(mp[e.Dst])])
-		}
-	}
-	return rb, vb, nil
-}
-
 // Cost implements search.Objective: the surrogate ENoC of mp.
 //
 //nocvet:noalloc
 func (s *cdcmSurrogate) Cost(mp mapping.Mapping) (float64, error) {
-	rb, vb, err := s.aggregates(mp)
+	rb, vb, err := s.cwm.fold(mp)
 	if err != nil {
 		return 0, err
 	}
@@ -249,7 +219,7 @@ func (s *cdcmSurrogate) ComponentsInto(mp mapping.Mapping, dst []float64) error 
 	if len(dst) < len(cdcmAxes) {
 		return fmt.Errorf("core: component buffer holds %d axes, surrogate has %d", len(dst), len(cdcmAxes))
 	}
-	rb, vb, err := s.aggregates(mp)
+	rb, vb, err := s.cwm.fold(mp)
 	if err != nil {
 		return err
 	}

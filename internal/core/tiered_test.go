@@ -72,10 +72,9 @@ func uncertified(c *CDCM) search.Objective { return search.ObjectiveFunc(c.Cost)
 // which certifies through PriceBelow, must retrace the uncertified run
 // bit for bit — same Best, same BestCost, same Evaluations and
 // Improvements — while actually skipping bound-rejected swaps
-// (BoundSkips > 0). Every skip is a pricing cut at its first bound, no
-// pricing is cut part-way, and the evaluator simulates exactly the
-// candidates counted as exact. Covered on 2-D mesh, 3-D mesh and 3-D
-// torus.
+// (BoundSkips > 0). Every bound skip is a skipped pricing, and the
+// evaluator simulates exactly the candidates counted as exact. Covered
+// on 2-D mesh, 3-D mesh and 3-D torus.
 func TestTierAHillTabuBitIdentical(t *testing.T) {
 	cfg, tech := tieredCfg(), energy.Tech007
 	for _, grid := range tieredGrids(t) {
@@ -99,7 +98,7 @@ func TestTierAHillTabuBitIdentical(t *testing.T) {
 		}
 		for _, engine := range []string{"hill", "tabu"} {
 			bare := run(engine, uncertified(cdcm.Clone()))
-			counted := &cutCounter{CDCM: cdcm.Clone(), cuts: map[search.Cut]int{}}
+			counted := &cutCounter{CDCM: cdcm.Clone()}
 			counted.Evals = &obs.Counter{}
 			tiered := run(engine, counted)
 
@@ -128,9 +127,9 @@ func TestTierAHillTabuBitIdentical(t *testing.T) {
 				t.Fatalf("%s/%s: bare ExactEvals %d != Evaluations %d",
 					grid.name, engine, bare.ExactEvals, bare.Evaluations)
 			}
-			if counted.cuts[search.CutEarly] != 0 || int64(counted.cuts[search.CutAtBound]) != tiered.BoundSkips {
-				t.Fatalf("%s/%s: cuts %v for %d bound skips; hill/tabu must cut only at the bound",
-					grid.name, engine, counted.cuts, tiered.BoundSkips)
+			if counted.skips != tiered.BoundSkips {
+				t.Fatalf("%s/%s: %d skipped pricings for %d bound skips",
+					grid.name, engine, counted.skips, tiered.BoundSkips)
 			}
 			// The starting mapping of each walk is priced with Cost, every
 			// other exact evaluation through PriceBelow; both simulate once.
@@ -148,20 +147,17 @@ func checkTierSum(t *testing.T, name string, res *search.Result) {
 	}
 }
 
-// preBound returns the largest bound CDCM.PriceBelow offers for mp
-// before any packet is simulated: tier A, or the port-load bound when
-// that is larger.
+// preBound returns the largest bound CDCM.PriceBelow offers for mp:
+// tier A, or the port-load bound when that is larger.
 func preBound(t *testing.T, c *CDCM, mp mapping.Mapping) (float64, error) {
 	t.Helper()
 	var lb float64
-	_, cut, err := c.PriceBelow(mp, func(b float64, at search.Cut) bool {
-		if at == search.CutAtBound {
-			lb = b
-		}
-		return at == search.CutEarly
+	_, skipped, err := c.PriceBelow(mp, func(b float64) bool {
+		lb = b
+		return false
 	})
-	if err == nil && cut == search.CutAtBound {
-		t.Fatalf("PriceBelow stopped with %v although every bound before the first packet was declined", cut)
+	if err == nil && skipped {
+		t.Fatal("PriceBelow skipped although every bound was declined")
 	}
 	return lb, err
 }

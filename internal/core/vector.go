@@ -44,16 +44,11 @@ func (c *CWM) CollapseWeights() []float64 { return cwmWeights }
 // ComponentsInto implements search.VectorObjective. Component 0 is
 // EDyNoC in joules, folded from the identical integer traffic aggregates
 // as Cost (bit-identical by construction). Component 1 is the uncontended
-// hop-latency aggregate in bit·cycles: every bit pays tr per router
-// traversed, tl per planar inter-tile link and the TSV per-flit time per
-// vertical link —
-//
-//	Σ w·K·tr + (Σ w·(K−1) − Σ w·V)·tl + Σ w·V·tTSV
-//
-// — the timing information a volume-only model can extract from a
-// placement (no contention, which only the CDCM simulator sees). Both
-// components fall out of the one aggregate pass Cost already does, so the
-// vector view prices at full-Cost speed and stays allocation-free.
+// hop-latency aggregate in bit·cycles (see hopLatency) — the timing
+// information a volume-only model can extract from a placement (no
+// contention, which only the CDCM simulator sees). Both components fall
+// out of the one aggregate pass Cost already does, so the vector view
+// prices at full-Cost speed and stays allocation-free.
 //
 // The hot-path contract of search.VectorObjective applies: mp must be
 // structurally valid and injective.
@@ -63,24 +58,12 @@ func (c *CWM) ComponentsInto(mp mapping.Mapping, dst []float64) error {
 	if len(dst) < len(cwmAxes) {
 		return fmt.Errorf("core: component buffer holds %d axes, CWM has %d", len(dst), len(cwmAxes))
 	}
-	if len(mp) != c.G.NumCores() {
-		return fmt.Errorf("core: mapping covers %d cores, CWG has %d", len(mp), c.G.NumCores())
-	}
-	var rb, vb int64
-	for _, e := range c.G.Edges {
-		k, err := c.routers(mp[e.Src], mp[e.Dst])
-		if err != nil {
-			return err
-		}
-		rb += e.Bits * int64(k)
-		if !c.flat {
-			vb += e.Bits * int64(c.vCache[int(mp[e.Src])*c.numTiles+int(mp[e.Dst])])
-		}
+	rb, vb, err := c.fold(mp)
+	if err != nil {
+		return err
 	}
 	dst[0] = c.Tech.DynamicFromTraffic3D(rb, rb-c.totalBits, vb, c.coreBits)
-	dst[1] = float64(rb)*float64(c.Cfg.RoutingCycles) +
-		float64(rb-c.totalBits-vb)*float64(c.Cfg.LinkCycles) +
-		float64(vb)*float64(c.Cfg.TSVCycles())
+	dst[1] = c.hopLatency(rb, vb)
 	return nil
 }
 

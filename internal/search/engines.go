@@ -83,11 +83,9 @@ type neighbourhood struct {
 	// the exact tier is no CutoffObjective (see TieredObjective).
 	dobj  DeltaObjective
 	below CutoffObjective
-	// reject is below's rejection test: it answers the bounds offered
-	// before any exact work against the scan's threshold bestD and lets
-	// every later bound pass, so a candidate is either skipped at a
-	// bound (CutAtBound) or priced in full.
-	reject func(lb float64, at Cut) bool
+	// reject is below's rejection test against the scan's threshold
+	// bestD: a candidate is either skipped at a bound or priced in full.
+	reject func(lb float64) bool
 	bestD  float64
 	// Telemetry counters: each scan accepts at most one neighbour (the
 	// applied move) and rejects the rest. Never read by the search.
@@ -117,9 +115,7 @@ func (n *neighbourhood) bind(cur mapping.Mapping, numTiles int) (float64, error)
 		// rejected, which keeps the trajectory bit-identical. The scan
 		// only reads admissible's state, so skipping cannot change it
 		// either.
-		n.reject = func(lb float64, at Cut) bool {
-			return at == CutAtBound && lb-n.inc.cost >= n.bestD
-		}
+		n.reject = func(lb float64) bool { return lb-n.inc.cost >= n.bestD }
 	}
 	return cost, nil
 }
@@ -146,7 +142,7 @@ func (n *neighbourhood) scan(bestD float64, admissible func(ta, tb topology.Tile
 				return 0, 0, 0, false, err
 			}
 			var c, d float64
-			cut := Uncut
+			var skipped bool
 			if n.dobj != nil {
 				d, err = n.dobj.SwapDelta(n.inc.occ, ta, tb)
 				c = n.inc.cost + d
@@ -154,7 +150,7 @@ func (n *neighbourhood) scan(bestD float64, admissible func(ta, tb topology.Tile
 				mapping.SwapTiles(n.inc.cur, n.inc.occ, ta, tb)
 				if n.below != nil {
 					n.bestD = bestD
-					c, cut, err = n.below.PriceBelow(n.inc.cur, n.reject)
+					c, skipped, err = n.below.PriceBelow(n.inc.cur, n.reject)
 				} else {
 					c, err = n.obj.Cost(n.inc.cur)
 				}
@@ -166,9 +162,7 @@ func (n *neighbourhood) scan(bestD float64, admissible func(ta, tb topology.Tile
 			}
 			n.res.Evaluations++
 			scanned++
-			if cut != Uncut {
-				// reject only answers the bounds before any exact
-				// work, so the pricing stopped there (CutAtBound).
+			if skipped {
 				n.res.BoundSkips++
 				continue
 			}

@@ -278,7 +278,7 @@ func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWa
 	// deltas). Under the tier-B surrogate, pricing runs on the
 	// surrogate's vector view and nothing is offered here: only accepted
 	// moves are exact-priced, and only exact components reach the archive.
-	w.price = func(ta, tb topology.TileID, _ bool) (float64, float64, Cut, error) {
+	w.price = func(ta, tb topology.TileID, _ bool) (float64, float64, bool, error) {
 		mapping.SwapTiles(cur, occ, ta, tb)
 		var err error
 		if useSurr {
@@ -288,7 +288,7 @@ func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWa
 		}
 		mapping.SwapTiles(cur, occ, ta, tb) // undo
 		c := scalar(scomps)
-		return c, c - cost, Uncut, err
+		return c, c - cost, false, err
 	}
 	w.accept = func(ta, tb topology.TileID, c float64) (bool, error) {
 		cost = c

@@ -251,7 +251,7 @@ func (a *Annealer) Run() (*Result, error) {
 	// CutoffObjective — a delta-capable exact objective is already cheaper
 	// than any bound, and a surrogate walk decides on surrogate deltas
 	// the bound does not order. PriceBelow then checks its bounds
-	// before any work and keeps tightening them while it prices.
+	// before any exact work.
 	var below CutoffObjective
 	if !useDelta && !useSurr {
 		below = cutoffOf(a.Problem.Obj)
@@ -259,35 +259,35 @@ func (a *Annealer) Run() (*Result, error) {
 
 	w := metropolis{engine: "SA", rng: rng, cur: inc.cur, occ: inc.occ, res: res,
 		surrogate: useSurr, onProgress: a.OnProgress}
-	var reject func(lb float64, at Cut) bool
+	var reject func(lb float64) bool
 	if below != nil {
-		reject = func(lb float64, _ Cut) bool { return w.certify(lb - inc.cost) }
+		reject = func(lb float64) bool { return w.certify(lb - inc.cost) }
 	}
 	// price leaves cur/occ untouched: the delta path asks the objective
 	// for the O(deg) incremental price, the surrogate path prices in the
 	// surrogate's own scale, and the exact path applies the swap, prices
 	// the mapping — through the rejection test when certifying — and
 	// undoes it.
-	w.price = func(ta, tb topology.TileID, certify bool) (float64, float64, Cut, error) {
+	w.price = func(ta, tb topology.TileID, certify bool) (float64, float64, bool, error) {
 		switch {
 		case useDelta:
 			d, err := dobj.SwapDelta(inc.occ, ta, tb)
-			return inc.cost + d, d, Uncut, err
+			return inc.cost + d, d, false, err
 		case useSurr:
 			d, err := surr.SwapDelta(inc.occ, ta, tb)
-			return scost + d, d, Uncut, err
+			return scost + d, d, false, err
 		}
 		mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
 		var c float64
 		var err error
-		cut := Uncut
+		var skipped bool
 		if certify && below != nil {
-			c, cut, err = below.PriceBelow(inc.cur, reject)
+			c, skipped, err = below.PriceBelow(inc.cur, reject)
 		} else {
 			c, err = a.Problem.Obj.Cost(inc.cur)
 		}
 		mapping.SwapTiles(inc.cur, inc.occ, ta, tb) // undo
-		return c, c - inc.cost, cut, err
+		return c, c - inc.cost, skipped, err
 	}
 	// accept adopts an exact cost for the swapped mapping: the delta
 	// path's Commit recompute (never an accumulation of deltas, see the

@@ -15,24 +15,23 @@ var errNoVector = errors.New("search: tiered objective's exact tier is not a Vec
 // full wormhole simulation for CDCM) on every candidate.
 //
 //   - Tier A is a certified lower bound, offered by an exact objective
-//     that is a CutoffObjective: PriceBelow hands the engine's rejection
-//     test bounds ≤ the exact cost, bitwise on the computed float64s,
-//     before any exact work (for CDCM, the simulator's uncontended
-//     critical path, then the port-load bound) and, while it works,
-//     tighter ones. An engine certifies when its exact tier is a
-//     CutoffObjective and its walk is on neither the delta nor the
+//     that is a CutoffObjective: before any exact work, PriceBelow hands
+//     the engine's rejection test bounds ≤ the exact cost, bitwise on the
+//     computed float64s (for CDCM, the simulator's uncontended critical
+//     path, then the port-load bound). A candidate is either skipped at
+//     a bound or priced in full. An engine certifies when its exact tier
+//     is a CutoffObjective and its walk is on neither the delta nor the
 //     surrogate path. The strict-improvement engines (HillClimber, Tabu)
-//     test only the bounds offered before any exact work: a candidate
-//     whose bound already proves it cannot beat the scan's threshold is
-//     skipped, any other is priced in full, so Best,
-//     BestCost and the accept/reject trajectory stay bit-identical to an
-//     uncertified run. The Annealer tests every bound for certified
-//     Metropolis rejection: lb > cost proves the exact delta d > 0, so
-//     the walk draws its uniform u as soon as it sees such a bound and
-//     stops pricing when exp(−(lb−cost)/T)·(1+1e-9) < u — the exact test
-//     u < exp(−d/T) is then certain to fail (see certainReject for the
-//     float argument), and a fully priced move reuses the drawn u, so the
-//     RNG stream and the walk are unchanged.
+//     skip a candidate whose bound already proves it cannot beat the
+//     scan's threshold, so Best, BestCost and the accept/reject
+//     trajectory stay bit-identical to an uncertified run. The Annealer
+//     tests the bounds for certified Metropolis rejection: lb > cost
+//     proves the exact delta d > 0, so the walk draws its uniform u as
+//     soon as it sees such a bound and skips the move when
+//     exp(−(lb−cost)/T)·(1+1e-9) < u — the exact test u < exp(−d/T) is
+//     then certain to fail (see certainReject for the float argument),
+//     and a fully priced move reuses the drawn u, so the RNG stream and
+//     the walk are unchanged.
 //   - Tier B, Surrogate, is an opt-in calibrated approximation (a
 //     DeltaObjective fitted against exact evaluations at build time)
 //     carried by a TieredObjective. The Metropolis engines (Annealer,
@@ -46,36 +45,19 @@ var errNoVector = errors.New("search: tiered objective's exact tier is not a Vec
 // through the plain Objective interface, so wrapping is behaviourally
 // free for them.
 
-// Cut reports how far a cut-off pricing ran (see CutoffObjective).
-type Cut int
-
-const (
-	// Uncut means the candidate was priced in full.
-	Uncut Cut = iota
-	// CutAtBound means a certified bound settled the decision before any
-	// exact work; engines count it as a bound skip.
-	CutAtBound
-	// CutEarly means the pricing stopped part-way through its exact work;
-	// engines count it as an exact evaluation.
-	CutEarly
-)
-
-// CutoffObjective is an exact objective that can stop pricing a
+// CutoffObjective is an exact objective that can skip pricing a
 // candidate once a certified lower bound on its cost settles the
-// caller's decision. For CDCM the bounds before any exact work are tier
-// A, the uncontended critical path, and the port-load bound; they
-// tighten as the simulation books packets.
+// caller's decision. For CDCM the bounds are tier A, the uncontended
+// critical path, and the port-load bound, both known before the first
+// packet is simulated.
 type CutoffObjective interface {
 	Objective
-	// PriceBelow returns Cost(mp) and Uncut, unless reject(lb, at) holds
-	// for some certified lower bound lb ≤ Cost(mp) — bitwise on the
-	// computed float64s — met on the way; it then stops at once and
-	// reports at, and the returned cost is meaningless. at is where a
-	// stop would cut: CutAtBound for the bounds offered before any exact
-	// work, CutEarly for those offered during it. The bounds passed to
-	// reject never decrease. Like Cost, it assumes a structurally valid,
-	// injective mapping.
-	PriceBelow(mp mapping.Mapping, reject func(lb float64, at Cut) bool) (float64, Cut, error)
+	// PriceBelow offers reject certified lower bounds lb ≤ Cost(mp) —
+	// bitwise on the computed float64s — in increasing order, before any
+	// exact work. It reports skipped, with a meaningless cost, as soon as
+	// reject(lb) holds; otherwise it returns Cost(mp). Like Cost, it
+	// assumes a structurally valid, injective mapping.
+	PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cost float64, skipped bool, err error)
 }
 
 // TieredObjective wraps an exact Objective with the tier-B surrogate.

@@ -16,7 +16,7 @@ import (
 // work the way CDCM offers its tier-A bound: bound ≤ exact holds by
 // construction and the engines skip almost every non-improving swap —
 // the strongest possible stress on the bit-identity contract. priced
-// counts PriceBelow calls, cuts those that stopped at the bound.
+// counts PriceBelow calls, cuts those skipped at the bound.
 type boundWire struct {
 	w   *wireLength
 	eps float64
@@ -28,17 +28,17 @@ var _ CutoffObjective = (*boundWire)(nil)
 
 func (b *boundWire) Cost(mp mapping.Mapping) (float64, error) { return b.w.Cost(mp) }
 
-func (b *boundWire) PriceBelow(mp mapping.Mapping, reject func(lb float64, at Cut) bool) (float64, Cut, error) {
+func (b *boundWire) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (float64, bool, error) {
 	b.priced++
 	c, err := b.w.Cost(mp)
 	if err != nil {
-		return 0, Uncut, err
+		return 0, false, err
 	}
-	if reject(c-b.eps, CutAtBound) {
+	if reject(c - b.eps) {
 		b.cuts++
-		return 0, CutAtBound, nil
+		return 0, true, nil
 	}
-	return c, Uncut, nil
+	return c, false, nil
 }
 
 // surrWire distorts deltaWireLength into a tier-B style surrogate: an

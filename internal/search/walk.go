@@ -55,10 +55,10 @@ type metropolis struct {
 
 	// price returns the cost of the walk with (ta, tb) swapped and its
 	// delta against the current cost, leaving cur and occ untouched. With
-	// certify set, a hook that holds a certified lower bound on the
-	// move's exact cost may stop as soon as certify proves the rejection;
-	// cut then reports where it stopped and c, d are meaningless.
-	price func(ta, tb topology.TileID, certify bool) (c, d float64, cut Cut, err error)
+	// certify set, a hook that holds certified lower bounds on the move's
+	// exact cost may skip the move as soon as certify proves its
+	// rejection; skipped is then set and c, d are meaningless.
+	price func(ta, tb topology.TileID, certify bool) (c, d float64, skipped bool, err error)
 	// accept adopts the swap priced at c (already applied to cur and
 	// occ) and reports whether it improved the incumbent.
 	accept func(ta, tb topology.TileID, c float64) (improved bool, err error)
@@ -189,18 +189,13 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 			}
 			ta, tb := w.propose()
 			w.drawn = false
-			c, d, cut, err := w.price(ta, tb, true)
+			c, d, skipped, err := w.price(ta, tb, true)
 			if err != nil {
 				return err
 			}
-			switch cut {
-			case CutAtBound:
+			if skipped {
 				w.res.Evaluations++
 				w.res.BoundSkips++
-				rejected++
-				continue
-			case CutEarly:
-				w.priced()
 				rejected++
 				continue
 			}
@@ -243,8 +238,9 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 // reports whether the move's rejection is already certain. A positive
 // dlb proves d > 0, so the acceptance test is certain to draw the move's
 // variate: certify draws it there, once, and the test reuses it, which
-// leaves the RNG stream exactly as an unfiltered walk's. Pricing hooks
-// may call it repeatedly with growing bounds.
+// leaves the RNG stream exactly as an unfiltered walk's. A pricing hook
+// calls it at most once per bound it holds before pricing the move, so
+// at most twice per move for CDCM.
 func (w *metropolis) certify(dlb float64) bool {
 	if !(dlb > 0) {
 		return false

@@ -6,9 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -313,5 +315,85 @@ func TestHTTPShuttingDownReturns503(t *testing.T) {
 	resp, _ := postJob(t, ts, `{"demo":true}`)
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("status %d, want 503", resp.StatusCode)
+	}
+}
+
+// lockedBuffer is an io.Writer the server's logger may write from any
+// goroutine while the test reads it.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
+}
+
+// TestPanickingJobFailsAndDaemonServes makes one job's exploration panic
+// with a follower attached: both jobs fail with an error naming the
+// panic, the panic is counted and logged with its stack at error level,
+// the in-flight entry and running count are released, nothing is
+// cached, and the daemon keeps serving — the same request computes
+// afresh once the fault is gone, and /healthz answers.
+func TestPanickingJobFailsAndDaemonServes(t *testing.T) {
+	release := make(chan struct{})
+	exploreHook = func(in *Instance) {
+		if in.Opts.Seed == 66 {
+			<-release
+			panic("injected fault")
+		}
+	}
+	defer func() { exploreHook = nil }()
+	var logs lockedBuffer
+	s, ts := testServer(t, Config{Workers: 1, Logger: slog.New(slog.NewTextHandler(&logs, nil))})
+
+	const body = `{"demo":true,"mesh":"2x2","model":"cwm","seed":66}`
+	_, leader := postJob(t, ts, body)
+	pollUntil(t, ts, leader.ID, StateRunning)
+	_, follower := postJob(t, ts, body)
+	close(release)
+	for _, id := range []string{leader.ID, follower.ID} {
+		st := pollUntil(t, ts, id, StateFailed)
+		if !strings.Contains(st.Error, "panicked: injected fault") {
+			t.Fatalf("job %s error %q does not name the panic", id, st.Error)
+		}
+	}
+	exploreHook = nil
+
+	_, metrics := getBody(t, ts.URL+"/metrics")
+	m := promValues(t, metrics)
+	if m["nocd_dedup_total"] != 1 || m["nocd_computes_total"] != 1 {
+		t.Fatalf("the second submission did not follow the first: %v dedups, %v computes",
+			m["nocd_dedup_total"], m["nocd_computes_total"])
+	}
+	if m["nocd_job_panics_total"] != 1 || m["nocd_jobs_failed_total"] != 2 || m["nocd_jobs_running"] != 0 ||
+		m["nocd_jobs_inflight"] != 0 || m["nocd_cache_entries"] != 0 {
+		t.Fatalf("after the panic: panics %v, failed %v, running %v, inflight %v, cache entries %v",
+			m["nocd_job_panics_total"], m["nocd_jobs_failed_total"], m["nocd_jobs_running"],
+			m["nocd_jobs_inflight"], m["nocd_cache_entries"])
+	}
+	if l := logs.String(); !strings.Contains(l, "level=ERROR msg=\"job panicked\"") ||
+		!strings.Contains(l, "runtime/debug.Stack") || !strings.Contains(l, "job_id="+leader.ID) {
+		t.Fatalf("no error-level panic log with a stack:\n%s", l)
+	}
+
+	_, again := postJob(t, ts, body)
+	if st := pollUntil(t, ts, again.ID, StateSucceeded); st.CacheHit {
+		t.Fatalf("the failed compute was cached: %+v", st)
+	}
+	if got := s.m.panics.Load(); got != 1 {
+		t.Fatalf("%d panics counted, want 1", got)
+	}
+	resp, hb := getBody(t, ts.URL+"/healthz")
+	if resp.StatusCode != http.StatusOK || !strings.Contains(hb, "ok") {
+		t.Fatalf("healthz after the panic: %d %q", resp.StatusCode, hb)
 	}
 }

@@ -30,6 +30,8 @@ func (s *Server) initObs() {
 		func() float64 { return float64(s.m.cacheMisses.Load()) })
 	r.CounterFunc("nocd_dedup_total", "Submissions attached as followers to an identical in-flight computation.",
 		func() float64 { return float64(s.m.dedups.Load()) })
+	r.CounterFunc("nocd_job_panics_total", "Computes that panicked; each failed its job and the daemon kept serving.",
+		func() float64 { return float64(s.m.panics.Load()) })
 
 	r.GaugeFunc("nocd_cache_entries", "Entries in the result LRU cache.",
 		func() float64 { return float64(s.cache.Len()) })

@@ -41,6 +41,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -96,6 +97,9 @@ type metrics struct {
 	// computation (a subset of cacheHits, which has always covered both
 	// cache and dedup hits).
 	dedups atomic.Int64
+	// panics counts computes that panicked and were failed instead of
+	// taking the daemon down: nocd_job_panics_total.
+	panics atomic.Int64
 }
 
 // Server is the mapping service: submit with Submit, look up with Job,
@@ -382,12 +386,37 @@ func (s *Server) runJob(j *Job) {
 		}
 	}
 	onPhase := func(name string) { j.markPhase(name, s.now()) }
-	res, err := j.in.Explore(ctx, onProgress, onPhase, s.evals)
-	var raw json.RawMessage
-	if err == nil {
-		raw, err = json.Marshal(NewResult(j.in, res))
-	}
+	raw, err := s.compute(ctx, j, onProgress, onPhase)
 	s.finishLeader(j, raw, err)
+}
+
+// exploreHook is a test-only hook invoked on the compute goroutine just
+// before a job's exploration; the panic-recovery test makes it panic.
+// Nil in production.
+var exploreHook func(in *Instance)
+
+// compute runs a leader job's exploration and encodes its Result. A
+// panic on the way fails the job, not the daemon: it is counted, its
+// stack is logged, and it returns as an error, so finishLeader releases
+// the job's in-flight entry and running count and caches nothing.
+func (s *Server) compute(ctx context.Context, j *Job, onProgress search.ProgressFunc,
+	onPhase func(string)) (raw json.RawMessage, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.m.panics.Add(1)
+			s.log.Error("job panicked", "job_id", j.ID, "panic", fmt.Sprint(r),
+				"stack", string(debug.Stack()), "request_id", j.requestID)
+			raw, err = nil, fmt.Errorf("service: job panicked: %v", r)
+		}
+	}()
+	if exploreHook != nil {
+		exploreHook(j.in)
+	}
+	res, err := j.in.Explore(ctx, onProgress, onPhase, s.evals)
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(NewResult(j.in, res))
 }
 
 // finishLeader completes a leader job and everything attached to it, and

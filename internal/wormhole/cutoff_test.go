@@ -14,21 +14,16 @@ import (
 )
 
 // boundLog is a wormhole.Cutoff that records every bound it is offered
-// and stops at the stopAt-th offer (never when stopAt is 0); pre counts
-// the offers made before the first packet.
+// and stops at the stopAt-th offer (never when stopAt is 0).
 type boundLog struct {
 	bounds  []int64
 	traffic []wormhole.Traffic
-	pre     int
 	stopAt  int
 }
 
-func (b *boundLog) Stop(t wormhole.Traffic, texecBound int64, booked int) bool {
+func (b *boundLog) Stop(t wormhole.Traffic, texecBound int64) bool {
 	b.bounds = append(b.bounds, texecBound)
 	b.traffic = append(b.traffic, t)
-	if booked == 0 {
-		b.pre++
-	}
 	return len(b.bounds) == b.stopAt
 }
 
@@ -126,9 +121,9 @@ func refPortLoad(t *testing.T, fx refFixture, mp mapping.Mapping) int64 {
 // fixture and mapping of the reference sweep — 2-D, 3-D, torus, both
 // buffer policies, faults, ArbitrateLocal on and off — and along a
 // random swap sequence from each mapping, all through one scratch per
-// fixture: the bounds RunBelow offers before the first packet are the
-// critical path and, when it is larger, refPortLoad's load; every bound
-// is at most the reference texec; and the per-port loads the scratch
+// fixture: the bounds RunBelow offers are the critical path and, when
+// it is larger, refPortLoad's load; every bound is at most the reference
+// texec; and the per-port loads the scratch
 // keeps, updated from one mapping to the next, equal a recompute on a
 // fresh scratch.
 func TestPortLoadBoundMatchesReference(t *testing.T) {
@@ -145,7 +140,7 @@ func TestPortLoadBoundMatchesReference(t *testing.T) {
 			_, prev, hadPrev := wormhole.ScratchLoads(sc)
 			want, _, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
 			log := &boundLog{}
-			_, _, err := sim.RunBelow(mp, sc, log)
+			_, err := sim.RunBelow(mp, sc, log)
 			if wantErr != nil || err != nil {
 				if !errors.Is(wantErr, topology.ErrUnreachable) || !errors.Is(err, wormhole.ErrUnreachable) {
 					t.Fatalf("instance %d run %d step %d: reference error %v, RunBelow error %v", i, run, step, wantErr, err)
@@ -158,9 +153,9 @@ func TestPortLoadBoundMatchesReference(t *testing.T) {
 				wantPre = append(wantPre, load)
 				above++
 			}
-			if !slices.Equal(log.bounds[:log.pre], wantPre) {
-				t.Fatalf("instance %d run %d step %d: bounds before the first packet %v, want %v (critical path %d, port load %d)",
-					i, run, step, log.bounds[:log.pre], wantPre, cp, load)
+			if !slices.Equal(log.bounds, wantPre) {
+				t.Fatalf("instance %d run %d step %d: bounds %v, want %v (critical path %d, port load %d)",
+					i, run, step, log.bounds, wantPre, cp, load)
 			}
 			for _, b := range log.bounds {
 				if b > want.ExecCycles {
@@ -214,8 +209,7 @@ func movedPackets(fx refFixture, a, b mapping.Mapping) int {
 // TestPortLoadBoundGate checks where NewSimulator turns the port-load
 // bound on, from 40 cores (where a swap moves at most a tenth of the
 // packets on average), and that a simulator with it off offers only the
-// critical path before the first packet, even where the port load is
-// larger.
+// critical path, even where the port load is larger.
 func TestPortLoadBoundGate(t *testing.T) {
 	mesh, err := topology.NewMesh(8, 5)
 	if err != nil {
@@ -248,31 +242,30 @@ func TestPortLoadBoundGate(t *testing.T) {
 			t.Fatalf("a %d-core fixture has PortLoadBound on", fx.g.NumCores())
 		}
 		log := &boundLog{}
-		if _, _, err := sim.RunBelow(mp, sim.NewScratch(), log); err != nil {
+		if _, err := sim.RunBelow(mp, sim.NewScratch(), log); err != nil {
 			continue // unreachable under the fixture's faults
 		}
 		cp := refCriticalPath(t, fx, mp)
 		if refPortLoad(t, fx, mp) <= cp {
 			continue
 		}
-		if !slices.Equal(log.bounds[:log.pre], []int64{cp}) {
-			t.Fatalf("bound off: bounds before the first packet %v, want [%d]", log.bounds[:log.pre], cp)
+		if !slices.Equal(log.bounds, []int64{cp}) {
+			t.Fatalf("bound off: bounds %v, want [%d]", log.bounds, cp)
 		}
 		return
 	}
 }
 
 // TestRunBelowBoundSound is the cut-off soundness property, on the
-// reference sweep's fixtures: the bounds RunBelow offers before the
-// first packet are the uncontended critical path and, when it is
-// larger, the port load (refPortLoad), every later bound is larger than
-// the one before and never exceeds the final texec, the traffic totals
+// reference sweep's fixtures: the bounds RunBelow offers are the
+// uncontended critical path and, when it is larger, the port load
+// (refPortLoad), neither exceeds the final texec, the traffic totals
 // are the full run's aggregates, and a run that is never stopped returns
-// exactly RunScratch's Result. Stopping at the j-th offer returns no
-// Result, having booked no packet when that offer came before the first.
+// exactly RunScratch's Result. Stopping at either offer returns no
+// Result.
 func TestRunBelowBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1404))
-	var grew int
+	var stops [3]int
 	for i := 0; i < refInstances/2; i++ {
 		fx := randomRefFixture(t, rng)
 		sim, err := wormhole.NewSimulatorFaults(fx.mesh, fx.cfg, fx.g, fx.fs)
@@ -287,24 +280,24 @@ func TestRunBelowBoundSound(t *testing.T) {
 		}
 		want, wantErr := sim.RunScratch(mp, sc)
 		log := &boundLog{}
-		got, booked, err := sim.RunBelow(mp, below, log)
+		got, err := sim.RunBelow(mp, below, log)
 		if wantErr != nil || err != nil {
 			if !errors.Is(wantErr, wormhole.ErrUnreachable) || !errors.Is(err, wormhole.ErrUnreachable) {
 				t.Fatalf("instance %d: RunScratch error %v, RunBelow error %v", i, wantErr, err)
 			}
 			continue
 		}
-		if got == nil || booked != len(fx.g.Packets) || !reflect.DeepEqual(got, want) {
-			t.Fatalf("instance %d: uncut RunBelow (booked %d) diverges from RunScratch", i, booked)
+		if got == nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("instance %d: uncut RunBelow diverges from RunScratch", i)
 		}
 		cp, load := refCriticalPath(t, fx, mp), refPortLoad(t, fx, mp)
 		wantPre := []int64{cp}
 		if load > cp {
 			wantPre = append(wantPre, load)
 		}
-		if !slices.Equal(log.bounds[:log.pre], wantPre) {
-			t.Fatalf("instance %d: bounds before the first packet %v, want %v (critical path %d, port load %d)",
-				i, log.bounds[:log.pre], wantPre, cp, load)
+		if !slices.Equal(log.bounds, wantPre) {
+			t.Fatalf("instance %d: bounds %v, want %v (critical path %d, port load %d)",
+				i, log.bounds, wantPre, cp, load)
 		}
 		var rb, lb int64
 		for _, b := range want.RouterBits {
@@ -317,22 +310,22 @@ func TestRunBelowBoundSound(t *testing.T) {
 			t.Fatalf("instance %d: traffic totals %+v, full run %+v", i, log.traffic[0], tot)
 		}
 		for j, b := range log.bounds {
-			if b > want.ExecCycles || (j > 0 && b <= log.bounds[j-1]) {
-				t.Fatalf("instance %d: bound %d of %v exceeds texec %d or does not grow", i, j, log.bounds, want.ExecCycles)
+			if b > want.ExecCycles {
+				t.Fatalf("instance %d: bound %d of %v exceeds texec %d", i, j, log.bounds, want.ExecCycles)
 			}
 		}
-		grew += len(log.bounds) - 1
 
 		stopAt := 1 + rng.Intn(len(log.bounds))
 		cut := &boundLog{stopAt: stopAt}
-		res, booked, err := sim.RunBelow(mp, below, cut)
-		if err != nil || res != nil || (booked == 0) != (stopAt <= log.pre) || booked >= len(fx.g.Packets) {
-			t.Fatalf("instance %d: stop at offer %d of %d returned result %v, %d booked, error %v",
-				i, stopAt, len(log.bounds), res != nil, booked, err)
+		res, err := sim.RunBelow(mp, below, cut)
+		if err != nil || res != nil || len(cut.bounds) != stopAt {
+			t.Fatalf("instance %d: stop at offer %d of %d returned result %v after %d offers, error %v",
+				i, stopAt, len(log.bounds), res != nil, len(cut.bounds), err)
 		}
+		stops[stopAt]++
 	}
-	if grew == 0 {
-		t.Fatal("no bound ever grew past the first: the prefix check is vacuous")
+	if stops[1] == 0 || stops[2] == 0 {
+		t.Fatalf("stops at the critical path %d, at the port load %d: a stop check is vacuous", stops[1], stops[2])
 	}
 }
 

@@ -186,7 +186,7 @@ type Simulator struct {
 	// it when a swap moves at most a tenth of the packets on average,
 	// that is on graphs of 40 cores or more: on smaller ones the update
 	// costs more than the simulations the bound saves. It changes only
-	// how early a run may stop, never a Result, so the tests set it to
+	// which runs may be skipped, never a Result, so the tests set it to
 	// check the bound on small graphs.
 	PortLoadBound bool
 
@@ -228,7 +228,7 @@ type Simulator struct {
 	// NewSimulatorFaults): their bookings are then skipped unless a run
 	// records occupancies.
 	linkFree, tsvFree bool
-	// topo is a topological order of the packets; RunBelow walks it
+	// topo is a topological order of the packets; criticalPath walks it
 	// backwards to price each packet's uncontended remaining path.
 	topo []int32
 	// The port-load bound's index (see NewSimulatorFaults): the packets
@@ -299,7 +299,6 @@ type Scratch struct {
 	heap        pktHeap
 	hops        []hopPlan
 	seen        []model.CoreID // mapping-validation buffer, reused per run
-	tail        []int64        // RunBelow's per-packet uncontended remaining path
 	// load[port] is the port-load bound's sum for loadMap, the last
 	// mapping RunBelow computed it for (loaded false until then).
 	load    []int64
@@ -638,7 +637,6 @@ func (s *Simulator) NewScratch() *Scratch {
 		indeg:       make([]int, np),
 		ready:       make([]int64, np),
 		seen:        make([]model.CoreID, n),
-		tail:        make([]int64, np),
 		load:        make([]int64, n*NumPorts),
 		loadMap:     make(mapping.Mapping, s.G.NumCores()),
 		packets:     make([]PacketSchedule, np),
@@ -697,8 +695,7 @@ func (s *Simulator) RunFresh(mp mapping.Mapping, sc *Scratch) (*Result, error) {
 //
 //nocvet:noalloc
 func (s *Simulator) RunScratch(mp mapping.Mapping, sc *Scratch) (*Result, error) {
-	res, _, err := s.RunBelow(mp, sc, nil)
-	return res, err
+	return s.RunBelow(mp, sc, nil)
 }
 
 // Traffic is the bit volume one mapping's routes carry, summed over every
@@ -710,76 +707,62 @@ type Traffic struct {
 	RouterBits, LinkBits, TSVBits, CoreBits int64
 }
 
-// Cutoff decides when RunBelow may abandon a simulation.
+// Cutoff decides whether RunBelow may skip a simulation.
 type Cutoff interface {
-	// Stop reports whether the run may stop, given the mapping's traffic
-	// totals, a certified lower bound on its texec and the number of
-	// packets booked so far. RunBelow calls it with booked == 0 for the
-	// critical path, then, when it is larger and PortLoadBound is set,
-	// for the port-load bound, and again each time the bound grows while
-	// it books packets.
-	Stop(t Traffic, texecBound int64, booked int) bool
+	// Stop reports whether the run may be skipped, given the mapping's
+	// traffic totals and a certified lower bound on its texec. RunBelow
+	// calls it, before the first packet, with the critical path, then,
+	// when it is larger and PortLoadBound is set, with the port-load
+	// bound.
+	Stop(t Traffic, texecBound int64) bool
 }
 
-// RunBelow is RunScratch with a cut-off: it simulates mp on the
-// caller's scratch, but stops as soon as stop accepts the certified
-// lower bound B on texec seen so far. The bounds it offers never
-// decrease:
+// RunBelow is RunScratch with a cut-off: before the first packet it
+// offers stop certified lower bounds B ≤ texec, and it either skips the
+// simulation, as soon as stop accepts one, or simulates mp to
+// completion on the caller's scratch. The bounds, in increasing order:
 //
-//   - The uncontended critical path, before any packet. Packets are
-//     scheduled in nondecreasing start order, so once packet q is
-//     delivered, Delivered(q) + tail(q) ≤ texec, where tail(q) is the
-//     longest uncontended dependence path after q under mp: each
-//     successor waits for q, computes, and crosses the network in no
-//     less than its contention-free duration K·(tr+tl) + V·(tTSV−tl) +
-//     n·tl. Before the first packet the largest such sum is the whole
-//     graph's critical path. Pricing the tails costs O(packets +
-//     dependences).
+//   - The uncontended critical path: the longest dependence chain of
+//     compute times plus contention-free packet durations K·(tr+tl) +
+//     V·(tTSV−tl) + n·tl under mp. It costs O(packets + dependences).
 //   - If stop declines that and PortLoadBound is set, the port-load
-//     bound, still before any packet, when it is larger: the largest
-//     per-port sum of min(hold+1, remaining path) over the packets that
-//     cross an arbitrated output port (see NewSimulatorFaults). The
-//     scratch keeps the per-port sums of the last mapping it bounded, so
-//     a swap re-adds only the packets of the cores that moved.
-//   - While packets are booked, the largest Delivered(q) + tail(q) so
-//     far, each time it exceeds the bound before it.
+//     bound, when it is larger: the largest per-port sum of
+//     min(hold+1, remaining path) over the packets that cross an
+//     arbitrated output port (see NewSimulatorFaults). The scratch keeps
+//     the per-port sums of the last mapping it bounded, so a swap re-adds
+//     only the packets of the cores that moved.
 //
 // It returns the Result (valid until the scratch's next run, like
-// RunScratch's) when the simulation completes, or a nil Result and the
-// number of packets booked before the stop — 0 when a bound offered
-// before the first packet settled it. A nil stop runs to completion:
-// that is RunScratch.
+// RunScratch's) when the simulation ran, or a nil Result when stop
+// skipped it. A nil stop runs to completion: that is RunScratch.
 //
 //nocvet:noalloc
-func (s *Simulator) RunBelow(mp mapping.Mapping, sc *Scratch, stop Cutoff) (*Result, int, error) {
+func (s *Simulator) RunBelow(mp mapping.Mapping, sc *Scratch, stop Cutoff) (*Result, error) {
 	if !s.initOnce {
-		return nil, 0, errors.New("wormhole: use NewSimulator")
+		return nil, errors.New("wormhole: use NewSimulator")
 	}
 	if sc == nil || sc.sim != s {
-		return nil, 0, errors.New("wormhole: scratch is not from this simulator's NewScratch")
+		return nil, errors.New("wormhole: scratch is not from this simulator's NewScratch")
 	}
 	res := &sc.res
 	res.Packets = sc.packets
 	res.RouterBits = sc.routerBits
 	res.LinkBits = sc.linkBits
-	booked, err := s.run(sc, res, mp, sc.RecordOccupancy, stop)
-	if err != nil {
-		return nil, 0, err
+	skipped, err := s.run(sc, res, mp, sc.RecordOccupancy, stop)
+	if err != nil || skipped {
+		return nil, err
 	}
-	if booked < len(s.pkts) {
-		return nil, booked, nil
-	}
-	return res, booked, nil
+	return res, nil
 }
 
-// tails prices the cut-off bound's ingredients for mp: each packet's
-// uncontended remaining path into sc.tail, the traffic totals, and the
-// critical path — the bound before any packet is booked. It walks the
-// packets in reverse topological order, using sc.ready as the per-packet
-// "own duration plus tail" scratch (run resets it afterwards).
+// criticalPath prices the first cut-off bound for mp: the traffic
+// totals and the uncontended critical path. It walks the packets in
+// reverse topological order, using sc.ready as the per-packet "own
+// duration plus the longest path after it" scratch (run resets it
+// afterwards).
 //
 //nocvet:noalloc
-func (s *Simulator) tails(sc *Scratch, mp mapping.Mapping) (lb int64, tot Traffic, err error) {
+func (s *Simulator) criticalPath(sc *Scratch, mp mapping.Mapping) (lb int64, tot Traffic, err error) {
 	n := s.numTiles
 	tr, tl := s.Cfg.RoutingCycles, s.Cfg.LinkCycles
 	vadj := s.Cfg.TSVCycles() - tl
@@ -810,7 +793,6 @@ func (s *Simulator) tails(sc *Scratch, mp mapping.Mapping) (lb int64, tot Traffi
 		for _, q := range s.dg.Succ(p) {
 			rest = max(rest, path[q])
 		}
-		sc.tail[p] = rest
 		path[p] = pc.compute + k*(tr+tl) + v*vadj + pc.flits*tl + rest
 		lb = max(lb, path[p])
 	}
@@ -822,7 +804,7 @@ func (s *Simulator) tails(sc *Scratch, mp mapping.Mapping) (lb int64, tot Traffi
 // output port (see NewSimulatorFaults). It brings sc.load from
 // sc.loadMap to mp by moving only the packets of the cores whose tiles
 // differ, each once; the first call adds every packet. mp has passed
-// tails, so every route it uses is reachable.
+// criticalPath, so every route it uses is reachable.
 //
 //nocvet:noalloc
 func (s *Simulator) portLoad(sc *Scratch, mp mapping.Mapping) int64 {
@@ -906,35 +888,30 @@ func (s *Simulator) tsvLoad(p int, route []hop) int64 {
 // run is the simulation core shared by Run, RunScratch and RunBelow: all
 // mutable state lives in sc, all shared state on s is read-only, and the
 // schedule is written into res (whose slices the caller sized). It
-// returns the number of packets booked, which is below the packet count
-// only when stop (nil for a plain run) ended the run early.
+// reports skipped when stop (nil for a plain run) accepted a bound
+// before the first packet; res is then untouched.
 //
 //nocvet:noalloc
-func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record bool, stop Cutoff) (int, error) {
+func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record bool, stop Cutoff) (skipped bool, err error) {
 	if len(mp) != s.G.NumCores() {
-		return 0, fmt.Errorf("wormhole: mapping covers %d cores, CDCG has %d", len(mp), s.G.NumCores())
+		return false, fmt.Errorf("wormhole: mapping covers %d cores, CDCG has %d", len(mp), s.G.NumCores())
 	}
 	if err := mp.ValidateInto(s.numTiles, sc.seen); err != nil {
-		return 0, err
+		return false, err
 	}
-	var lb int64
-	var tot Traffic
 	if stop != nil {
-		var err error
-		if lb, tot, err = s.tails(sc, mp); err != nil {
-			return 0, err
+		lb, tot, err := s.criticalPath(sc, mp)
+		if err != nil {
+			return false, err
 		}
 		//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
-		if stop.Stop(tot, lb, 0) {
-			return 0, nil
+		if stop.Stop(tot, lb) {
+			return true, nil
 		}
 		if s.PortLoadBound {
-			if load := s.portLoad(sc, mp); load > lb {
-				lb = load
-				//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
-				if stop.Stop(tot, lb, 0) {
-					return 0, nil
-				}
+			//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
+			if load := s.portLoad(sc, mp); load > lb && stop.Stop(tot, load) {
+				return true, nil
 			}
 		}
 	}
@@ -989,7 +966,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			// The sentinel is static so the noalloc hot path stays clean;
 			// resilience scoring catches it and applies the documented
 			// penalty instead of treating it as a failure.
-			return 0, ErrUnreachable
+			return false, ErrUnreachable
 		}
 		route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
 		bits := pc.bits
@@ -1093,15 +1070,6 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			res.ExecCycles = delivered
 		}
 		scheduled++
-		if stop != nil && scheduled < np {
-			if b := delivered + sc.tail[p]; b > lb {
-				lb = b
-				//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
-				if stop.Stop(tot, lb, scheduled) {
-					return scheduled, nil
-				}
-			}
-		}
 
 		for _, succ := range s.dg.Succ(p) {
 			if delivered > sc.ready[succ] {
@@ -1117,7 +1085,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 		}
 	}
 	if scheduled != np {
-		return scheduled, errors.New("wormhole: dependence deadlock (cyclic CDCG)")
+		return false, errors.New("wormhole: dependence deadlock (cyclic CDCG)")
 	}
 
 	if record {
@@ -1133,7 +1101,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			coreIn:      snapshotAll(sc.coreIn),
 		}
 	}
-	return scheduled, nil
+	return false, nil
 }
 
 // sortOcc sorts occupancies by (Start, Packet) via insertion sort; display
