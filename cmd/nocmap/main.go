@@ -90,7 +90,7 @@ func main() {
 	flag.IntVar(&o.depth, "depth", 0, "stack a WxH -mesh into D layers (alternative to the WxHxD spec; 0 = 1 layer)")
 	flag.StringVar(&o.topo, "topology", "mesh", "grid family: mesh or torus")
 	flag.StringVar(&o.model, "model", "cdcm", "mapping model: cwm, cdcm, pareto (multi-objective front) or resilience (fault-aware, needs -faultrate)")
-	flag.StringVar(&o.method, "method", "sa", "search method: sa, es, random, hill, tabu (ignored by -model pareto)")
+	flag.StringVar(&o.method, "method", "sa", "search method: sa, es, random, hill, tabu (-model pareto runs only sa)")
 	flag.Int64Var(&o.seed, "seed", 1, "search seed")
 	flag.StringVar(&o.tech, "tech", "0.07um", "technology profile: 0.35um, 0.07um or paper")
 	flag.StringVar(&o.routing, "routing", "xy", "routing algorithm: xy, yx, xyz, zyx or fa (fault-aware table routing)")

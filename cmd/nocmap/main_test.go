@@ -322,6 +322,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"bad tech", func(o options) options { o.tech = "90nm"; return o }},
 		{"bad routing", func(o options) options { o.routing = "zz"; return o }},
 		{"resilience without faults", func(o options) options { o.model = "resilience"; return o }},
+		{"pareto with hill", func(o options) options { o.model, o.method = "pareto", "hill"; return o }},
 		{"bad fault rate", func(o options) options { o.faultRate = 1.5; return o }},
 		{"bad format", func(o options) options {
 			o.demo = false

@@ -57,9 +57,11 @@
 // most rejections that tier A cannot, while on small graphs the update
 // costs more than the simulation time it saves. Both bounds come before
 // the first packet: a candidate is either skipped there or simulated in
-// full. An engine certifies whenever its exact tier is a
-// search.CutoffObjective and it prices full exact costs (not a delta or
-// surrogate walk). The strict-improvement engines (hill climber, tabu)
+// full. The tier is chosen once per walk, where the walk is bound: the
+// search incumbent prices SA's, hill's and tabu's candidates on the exact
+// tier's incremental delta when it has one, else (SA only) on the tier-B
+// surrogate, else in full, certified whenever the exact tier is a
+// search.CutoffObjective. The strict-improvement engines (hill climber, tabu)
 // skip a swap whose bound already fails the scan's threshold. Exact-priced
 // SA skips a move once its Metropolis rejection is certain: lb > cost
 // proves d > 0, so the uniform u is drawn before the move is priced, and

@@ -82,7 +82,7 @@ func TestExploreDigestPinned(t *testing.T) {
 			core.StrategyPareto, core.StrategyResilience} {
 			for _, v := range variants {
 				if strat == core.StrategyPareto && v.opts.Method != core.MethodSA {
-					continue // the front engine ignores Method
+					continue // the front engine runs only SA
 				}
 				opts := v.opts
 				if strat == core.StrategyResilience {

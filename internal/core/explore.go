@@ -108,7 +108,8 @@ func ParseMethod(s string) (Method, error) {
 
 // Options tunes one exploration run.
 type Options struct {
-	// Method selects the engine (default MethodSA).
+	// Method selects the engine (default MethodSA). StrategyPareto runs
+	// only MethodSA and rejects any other.
 	Method Method
 	// Seed drives every stochastic engine deterministically.
 	Seed int64
@@ -233,6 +234,9 @@ func GreedyInitial(mesh *topology.Mesh, g *model.CDCG) (mapping.Mapping, error) 
 func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 	g *model.CDCG, opts Options) (*ExploreResult, error) {
 
+	if strategy == StrategyPareto && opts.Method != MethodSA {
+		return nil, fmt.Errorf("core: the pareto strategy runs only method SA, not %s", opts.Method)
+	}
 	phase := func(name string) {
 		if opts.OnPhase != nil {
 			opts.OnPhase(name)
@@ -337,10 +341,10 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 	switch {
 	case strategy == StrategyPareto:
 		// StrategyPareto is engine and strategy in one: the front engine
-		// over the objective's vector components. Options.Method is
-		// ignored, and the scalar Search result summarises the front's
-		// lowest-collapse point so every consumer of ExploreResult keeps
-		// working unchanged.
+		// over the objective's vector components (an annealer: Explore
+		// refused any other Method up front). The scalar Search result
+		// summarises the front's lowest-collapse point so every consumer
+		// of ExploreResult keeps working unchanged.
 		if err = serial(); err != nil {
 			break
 		}

@@ -118,6 +118,25 @@ func TestCDCMCollapseIdentity(t *testing.T) {
 	}
 }
 
+// TestExploreParetoRejectsNonSAMethod: the front engine is an annealer,
+// so Explore refuses every other Method before building anything rather
+// than silently running SA.
+func TestExploreParetoRejectsNonSAMethod(t *testing.T) {
+	mesh, g := vectorSetup(t)
+	for _, m := range []Method{MethodES, MethodRandom, MethodHill, MethodTabu} {
+		var phases []string
+		opts := paretoOptions(1)
+		opts.Method = m
+		opts.OnPhase = func(name string) { phases = append(phases, name) }
+		if _, err := Explore(StrategyPareto, mesh, noc.Default(), energy.Tech007, g, opts); err == nil {
+			t.Errorf("pareto with method %s accepted", m)
+		}
+		if len(phases) != 0 {
+			t.Errorf("pareto with method %s started phases %v", m, phases)
+		}
+	}
+}
+
 func paretoOptions(workers int) Options {
 	return Options{Seed: 7, TempSteps: 10, MovesPerTemp: 12, Restarts: 5, Workers: workers}
 }

@@ -7,7 +7,10 @@ package par
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -61,6 +64,13 @@ func ForEachWorker(n, workers int, task func(worker, i int) error) error {
 // ForEachWorkerCtx is ForEachWorker with cancellation, with the same
 // error-priority rule as ForEachCtx: task errors (lowest index) win over
 // the bare ctx.Err(). A nil ctx is exactly ForEachWorker.
+//
+// A task that panics on a worker goroutine does not end the process:
+// the worker recovers it, dispatch stops as after an error, and once
+// every worker has returned the call re-panics on the calling goroutine
+// with a *Panic holding the lowest-index panic value and its worker's
+// stack — where the caller's own recover can see it. (On the serial
+// path a task already panics on the calling goroutine.)
 func ForEachWorkerCtx(ctx context.Context, n, workers int, task func(worker, i int) error) error {
 	if n <= 0 {
 		if ctx != nil {
@@ -87,6 +97,7 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, task func(worker, i i
 	}
 
 	errs := make([]error, n)
+	panics := make([]*Panic, n)
 	var failed atomic.Bool
 	next := make(chan int)
 	var wg sync.WaitGroup
@@ -95,7 +106,7 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, task func(worker, i i
 		go func(w int) {
 			defer wg.Done()
 			for i := range next {
-				if err := task(w, i); err != nil {
+				if err := runTask(task, w, i, &panics[i]); err != nil {
 					errs[i] = err
 					failed.Store(true)
 				}
@@ -105,12 +116,46 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, task func(worker, i i
 	ctxErr := dispatch(ctx, n, next, &failed)
 	close(next)
 	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return ctxErr
+}
+
+// Panic is the value ForEachWorkerCtx (and so every ForEach variant)
+// re-panics with on the calling goroutine when a task panicked on a
+// worker goroutine.
+type Panic struct {
+	// Value is what the task panicked with.
+	Value any
+	// Stack is the panicking worker goroutine's stack.
+	Stack []byte
+}
+
+// Error reports the task's panic value.
+func (p *Panic) Error() string { return fmt.Sprintf("par: task panicked: %v", p.Value) }
+
+// errPanicked marks a task that panicked, so dispatch stops as it does
+// after a task error.
+var errPanicked = errors.New("par: task panicked")
+
+// runTask runs task(w, i) and turns a panic into errPanicked, recording
+// the panic value and stack in *p.
+func runTask(task func(worker, i int) error, w, i int, p **Panic) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			*p = &Panic{Value: v, Stack: debug.Stack()}
+			err = errPanicked
+		}
+	}()
+	return task(w, i)
 }
 
 // dispatch feeds job indices in order until all are sent, a task has
@@ -124,7 +169,9 @@ func dispatch(ctx context.Context, n int, next chan<- int, failed *atomic.Bool) 
 		return nil
 	}
 	done := ctx.Done()
-	for i := 0; i < n && !failed.Load(); i++ {
+	// The Err check comes first: select picks at random among ready
+	// cases, so a done ctx alone would still let some sends through.
+	for i := 0; i < n && !failed.Load() && ctx.Err() == nil; i++ {
 		select {
 		case next <- i:
 		case <-done:

@@ -3,6 +3,7 @@ package par
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -103,5 +104,38 @@ func TestWorkers(t *testing.T) {
 	}
 	if DefaultWorkers() < 1 {
 		t.Error("DefaultWorkers < 1")
+	}
+}
+
+// TestForEachWorkerCarriesPanicToCaller: a task panicking on a worker
+// goroutine must not end the process. The caller recovers a *Panic with
+// the lowest-index panic value and the panicking worker's stack, after
+// every task below that index has run.
+func TestForEachWorkerCarriesPanicToCaller(t *testing.T) {
+	var ran [8]int32
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_ = ForEachWorker(len(ran), 2, func(w, i int) error {
+			atomic.AddInt32(&ran[i], 1)
+			if i == 1 || i == 3 {
+				panic(fmt.Sprintf("lane %d boom %d", w, i))
+			}
+			return nil
+		})
+		t.Error("ForEachWorker returned after a worker panicked")
+	}()
+	p, ok := got.(*Panic)
+	if !ok {
+		t.Fatalf("recovered %v (%T), want *Panic", got, got)
+	}
+	if s, _ := p.Value.(string); !strings.HasSuffix(s, "boom 1") {
+		t.Errorf("panic value %q, want task 1's", p.Value)
+	}
+	if !strings.Contains(string(p.Stack), "par_test.go") {
+		t.Errorf("stack is not the panicking worker's:\n%s", p.Stack)
+	}
+	if ran[0] != 1 {
+		t.Error("task 0, below the panic, did not run")
 	}
 }

@@ -61,30 +61,23 @@ func (r *RandomSearch) Run() (*Result, error) {
 			res.Improvements++
 		}
 		if r.OnProgress != nil && (i+1)%256 == 0 {
-			r.OnProgress(Progress{Engine: "random", Step: i + 1, Steps: samples,
-				Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-				Accepted: res.Improvements, Rejected: res.Evaluations - res.Improvements,
-				BestCost: res.BestCost})
+			r.OnProgress(res.progress("random", 0, i+1, samples,
+				res.Improvements, res.Evaluations-res.Improvements, res.BestCost))
 		}
 	}
 	return res, nil
 }
 
 // neighbourhood is the swap-scan kernel of HillClimber and Tabu: one
-// walk's incumbent, its bound objectives, and the scan that prices every
-// swap with at least one occupied tile.
+// walk's incumbent and the scan that prices every swap with at least one
+// occupied tile through it.
 type neighbourhood struct {
-	obj Objective
 	res *Result
 	ctx context.Context
 	inc incumbent
-	// dobj is the bound DeltaObjective, nil on the full-recompute path;
-	// below is the exact tier's cut-off pricer on the full path, nil when
-	// the exact tier is no CutoffObjective (see TieredObjective).
-	dobj  DeltaObjective
-	below CutoffObjective
-	// reject is below's rejection test against the scan's threshold
-	// bestD: a candidate is either skipped at a bound or priced in full.
+	// reject is the rejection test against the scan's threshold bestD,
+	// built once the exact tier holds certified bounds: a candidate is
+	// either skipped at a bound or priced in full.
 	reject func(lb float64) bool
 	bestD  float64
 	// Telemetry counters: each scan accepts at most one neighbour (the
@@ -94,19 +87,9 @@ type neighbourhood struct {
 
 // bind starts a walk at cur, pricing it with one exact evaluation, and
 // returns its cost.
-func (n *neighbourhood) bind(cur mapping.Mapping, numTiles int) (float64, error) {
-	cost, dobj, useDelta, err := bindObjective(n.obj, cur)
-	if err != nil {
-		return 0, err
-	}
-	n.res.Evaluations++
-	n.res.ExactEvals++
-	n.inc.bind(cur, numTiles, cost)
-	n.dobj, n.below = dobj, nil
-	if !useDelta {
-		n.below = cutoffOf(n.obj)
-	}
-	if n.below != nil && n.reject == nil {
+func (n *neighbourhood) bind(obj Objective, cur mapping.Mapping, numTiles int) (float64, error) {
+	cost, err := n.inc.bind(obj, n.res, cur, numTiles, false)
+	if n.inc.below != nil && n.reject == nil {
 		// Skip rule: the candidate's certified bound lb ≤ c (its exact
 		// cost) gives lb−cost ≤ c−cost = d by monotonicity of float
 		// subtraction in its first operand, so lb−cost ≥ bestD implies
@@ -117,7 +100,7 @@ func (n *neighbourhood) bind(cur mapping.Mapping, numTiles int) (float64, error)
 		// either.
 		n.reject = func(lb float64) bool { return lb-n.inc.cost >= n.bestD }
 	}
-	return cost, nil
+	return cost, err
 }
 
 // scan prices the neighbourhood and returns the candidate with the
@@ -141,32 +124,15 @@ func (n *neighbourhood) scan(bestD float64, admissible func(ta, tb topology.Tile
 			if err := pollAt(n.ctx, n.res.Evaluations); err != nil {
 				return 0, 0, 0, false, err
 			}
-			var c, d float64
-			var skipped bool
-			if n.dobj != nil {
-				d, err = n.dobj.SwapDelta(n.inc.occ, ta, tb)
-				c = n.inc.cost + d
-			} else {
-				mapping.SwapTiles(n.inc.cur, n.inc.occ, ta, tb)
-				if n.below != nil {
-					n.bestD = bestD
-					c, skipped, err = n.below.PriceBelow(n.inc.cur, n.reject)
-				} else {
-					c, err = n.obj.Cost(n.inc.cur)
-				}
-				mapping.SwapTiles(n.inc.cur, n.inc.occ, ta, tb)
-				d = c - n.inc.cost
-			}
+			n.bestD = bestD
+			c, d, skipped, err := n.inc.price(ta, tb, n.reject)
 			if err != nil {
 				return 0, 0, 0, false, err
 			}
-			n.res.Evaluations++
 			scanned++
 			if skipped {
-				n.res.BoundSkips++
 				continue
 			}
-			n.res.ExactEvals++
 			if admissible != nil && !admissible(ta, tb, d) {
 				continue
 			}
@@ -186,23 +152,11 @@ func (n *neighbourhood) scan(bestD float64, admissible func(ta, tb topology.Tile
 }
 
 // apply commits the swap (a, b) priced at c. The incumbent records an
-// exactly recomputed cost, never cost += d: the full path's c is the
-// neighbour's full Cost and the delta path adopts Commit's recompute, so
+// exactly recomputed cost, never cost += d (see incumbent.adopt), so
 // repeated moves cannot drift from the true cost.
-func (n *neighbourhood) apply(engine string, a, b topology.TileID, c float64) {
+func (n *neighbourhood) apply(engine string, a, b topology.TileID, c float64) error {
 	mapping.SwapTiles(n.inc.cur, n.inc.occ, a, b)
-	if n.dobj != nil {
-		c = n.dobj.Commit(a, b)
-	}
-	n.inc.adopt(engine, n.obj, c)
-}
-
-// progress snapshots the walk's counters.
-func (n *neighbourhood) progress(engine string, step, steps int, best float64) Progress {
-	return Progress{Engine: engine, Step: step, Steps: steps,
-		Evaluations: n.res.Evaluations, ExactEvals: n.res.ExactEvals,
-		BoundSkips: n.res.BoundSkips, Accepted: n.accepted, Rejected: n.rejected,
-		BestCost: best}
+	return n.inc.adopt(engine, a, b, c)
 }
 
 // HillClimber performs steepest-descent over the swap neighbourhood with
@@ -243,7 +197,7 @@ func (h *HillClimber) Run() (*Result, error) {
 	rng := rand.New(rand.NewSource(h.Seed))
 	numTiles := h.Problem.Mesh.NumTiles()
 	res := &Result{BestCost: math.Inf(1)}
-	n := &neighbourhood{obj: h.Problem.Obj, res: res, ctx: h.Ctx}
+	n := &neighbourhood{res: res, ctx: h.Ctx}
 	for r := 0; r < restarts; r++ {
 		initial := h.Initial
 		if r != 0 {
@@ -253,7 +207,7 @@ func (h *HillClimber) Run() (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cost, err := n.bind(cur, numTiles)
+		cost, err := n.bind(h.Problem.Obj, cur, numTiles)
 		if err != nil {
 			return nil, err
 		}
@@ -268,13 +222,15 @@ func (h *HillClimber) Run() (*Result, error) {
 			if !ok {
 				break // local optimum
 			}
-			n.apply("hill", a, b, c)
+			if err := n.apply("hill", a, b, c); err != nil {
+				return nil, err
+			}
 			if h.OnProgress != nil {
 				best := res.BestCost
 				if n.inc.cost < best {
 					best = n.inc.cost
 				}
-				h.OnProgress(n.progress("hill", r+1, restarts, best))
+				h.OnProgress(res.progress("hill", 0, r+1, restarts, n.accepted, n.rejected, best))
 			}
 		}
 		if n.inc.cost < res.BestCost {
@@ -283,10 +239,8 @@ func (h *HillClimber) Run() (*Result, error) {
 			res.Improvements++
 		}
 	}
-	if n.dobj != nil {
-		if err := repriceBest(h.Problem.Obj, res); err != nil {
-			return nil, err
-		}
+	if err := n.inc.finish(res); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -329,8 +283,8 @@ func (t *Tabu) Run() (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	n := &neighbourhood{obj: t.Problem.Obj, res: res, ctx: t.Ctx}
-	cost, err := n.bind(cur, numTiles)
+	n := &neighbourhood{res: res, ctx: t.Ctx}
+	cost, err := n.bind(t.Problem.Obj, cur, numTiles)
 	if err != nil {
 		return nil, err
 	}
@@ -354,7 +308,9 @@ func (t *Tabu) Run() (*Result, error) {
 		if !ok {
 			break // every move tabu: rare on real instances
 		}
-		n.apply("tabu", a, b, c)
+		if err := n.apply("tabu", a, b, c); err != nil {
+			return nil, err
+		}
 		tabuUntil[[2]topology.TileID{a, b}] = it + tenure
 		if n.inc.cost < res.BestCost {
 			res.BestCost = n.inc.cost
@@ -362,13 +318,11 @@ func (t *Tabu) Run() (*Result, error) {
 			res.Improvements++
 		}
 		if t.OnProgress != nil {
-			t.OnProgress(n.progress("tabu", it+1, iters, res.BestCost))
+			t.OnProgress(res.progress("tabu", 0, it+1, iters, n.accepted, n.rejected, res.BestCost))
 		}
 	}
-	if n.dobj != nil {
-		if err := repriceBest(t.Problem.Obj, res); err != nil {
-			return nil, err
-		}
+	if err := n.inc.finish(res); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

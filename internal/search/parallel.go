@@ -23,23 +23,31 @@ import (
 // as a serial run would, so the worker count never changes results.
 type ObjectiveFactory func() (Objective, error)
 
-// perWorkerObjectives materialises one objective per worker lane. All
-// instances are semantically identical evaluators, so which lane prices
-// which job cannot affect results.
-func perWorkerObjectives(n int, shared Objective, factory ObjectiveFactory) ([]Objective, error) {
-	objs := make([]Objective, n)
+// runLanes runs job(obj, i) for every i in [0, n) over a bounded pool of
+// min(workers, n) lanes, each pricing with its own objective: factory's,
+// or p.Obj for every lane when factory is nil. All lane objectives are
+// semantically identical evaluators, so which lane runs which job cannot
+// affect results. p, with the first lane's objective, is validated
+// before any job runs; ctx cancels dispatch, and a job that panics
+// re-panics on the calling goroutine, as in par.ForEachWorkerCtx.
+func runLanes(ctx context.Context, p Problem, factory ObjectiveFactory, n, workers int,
+	job func(obj Objective, i int) error) error {
+	workers = par.Workers(workers)
+	objs := make([]Objective, max(min(workers, n), 1))
 	for i := range objs {
-		if factory == nil {
-			objs[i] = shared
-			continue
+		objs[i] = p.Obj
+		if factory != nil {
+			var err error
+			if objs[i], err = factory(); err != nil {
+				return err
+			}
 		}
-		obj, err := factory()
-		if err != nil {
-			return nil, err
-		}
-		objs[i] = obj
 	}
-	return objs, nil
+	p.Obj = objs[0]
+	if err := p.validate(); err != nil {
+		return err
+	}
+	return par.ForEachWorkerCtx(ctx, n, workers, func(w, i int) error { return job(objs[w], i) })
 }
 
 // MultiAnnealer runs N independent annealing restarts and keeps the best
@@ -76,21 +84,11 @@ func (m *MultiAnnealer) Run() (*Result, error) {
 	if restarts < 0 {
 		return nil, fmt.Errorf("search: %d restarts", restarts)
 	}
-	workers := par.Workers(m.Workers)
-	objs, err := perWorkerObjectives(min(workers, restarts), m.Base.Problem.Obj, m.NewObjective)
-	if err != nil {
-		return nil, err
-	}
-	probe := m.Base.Problem
-	probe.Obj = objs[0]
-	if err := probe.validate(); err != nil {
-		return nil, err
-	}
 	results := make([]*Result, restarts)
-	err = par.ForEachWorkerCtx(m.Base.Ctx, restarts, workers, func(w, i int) error {
+	err := runLanes(m.Base.Ctx, m.Base.Problem, m.NewObjective, restarts, m.Workers, func(obj Objective, i int) error {
 		a := m.Base // copy: each restart mutates only its own Annealer
 		a.Seed = m.Base.Seed + int64(i)
-		a.Problem.Obj = objs[w]
+		a.Problem.Obj = obj
 		if base := m.Base.OnProgress; base != nil {
 			a.OnProgress = func(p Progress) {
 				p.Restart = i
@@ -129,13 +127,19 @@ func mergeRestarts(results []*Result) *Result {
 		InitialCost: results[0].InitialCost,
 	}
 	for _, r := range results {
-		merged.Evaluations += r.Evaluations
-		merged.ExactEvals += r.ExactEvals
-		merged.BoundSkips += r.BoundSkips
-		merged.SurrogateEvals += r.SurrogateEvals
-		merged.Improvements += r.Improvements
+		merged.add(r)
 	}
 	return merged
+}
+
+// add sums r's evaluation counters and Improvements into res — the
+// scheduling-independent totals every parallel engine reports.
+func (res *Result) add(r *Result) {
+	res.Evaluations += r.Evaluations
+	res.ExactEvals += r.ExactEvals
+	res.BoundSkips += r.BoundSkips
+	res.SurrogateEvals += r.SurrogateEvals
+	res.Improvements += r.Improvements
 }
 
 // ShardedExhaustive enumerates every injective placement and certifies
@@ -196,33 +200,26 @@ func (s *ShardedExhaustive) Run() (*Result, error) {
 	if s.Limit < 0 {
 		return nil, fmt.Errorf("search: negative exhaustive limit %d", s.Limit)
 	}
-	workers := par.Workers(s.Workers)
-	tiles := s.firstTiles()
-	lanes := min(workers, len(tiles))
-	if s.Limit > 0 {
-		lanes = 1
-	}
-	objs, err := perWorkerObjectives(lanes, s.Problem.Obj, s.NewObjective)
-	if err != nil {
-		return nil, err
-	}
-	probe := s.Problem
-	probe.Obj = objs[0]
-	if err := probe.validate(); err != nil {
-		return nil, err
+	// One job per first tile of core 0, or one in-order enumeration
+	// under a limit.
+	var jobs []mapping.EnumerateOptions
+	mesh := s.Problem.Mesh
+	for t := 0; s.Limit == 0 && t < mesh.NumTiles(); t++ {
+		// The symmetry anchor's quadrant rule is EnumerateOptions.AnchorCore's.
+		if !s.Anchor || mapping.InAnchorQuadrant(mesh, topology.TileID(t)) {
+			jobs = append(jobs, mapping.EnumerateOptions{AnchorCore: -1, PinFirst: true, FirstTile: topology.TileID(t)})
+		}
 	}
 	if s.Limit > 0 {
 		anchor := -1
 		if s.Anchor {
 			anchor = 0
 		}
-		return s.enumerate(objs[0], 0, mapping.EnumerateOptions{Limit: s.Limit, AnchorCore: anchor})
+		jobs = append(jobs, mapping.EnumerateOptions{Limit: s.Limit, AnchorCore: anchor})
 	}
-	shards := make([]*Result, len(tiles))
-	err = par.ForEachWorkerCtx(s.Ctx, len(tiles), workers, func(w, i int) error {
-		res, err := s.enumerate(objs[w], i,
-			mapping.EnumerateOptions{AnchorCore: -1, PinFirst: true, FirstTile: tiles[i]})
-		shards[i] = res
+	shards := make([]*Result, len(jobs))
+	err := runLanes(s.Ctx, s.Problem, s.NewObjective, len(jobs), s.Workers, func(obj Objective, i int) (err error) {
+		shards[i], err = s.enumerate(obj, i, jobs[i])
 		return err
 	})
 	if err != nil {
@@ -252,10 +249,8 @@ func (s *ShardedExhaustive) enumerate(obj Objective, restart int, opts mapping.E
 			res.InitialCost = c
 		}
 		if s.OnProgress != nil && res.Evaluations%4096 == 0 {
-			s.OnProgress(Progress{Engine: "ES", Restart: restart,
-				Evaluations: res.Evaluations, ExactEvals: res.ExactEvals,
-				Accepted: res.Improvements, Rejected: res.Evaluations - res.Improvements,
-				BestCost: res.BestCost})
+			s.OnProgress(res.progress("ES", restart, 0, 0,
+				res.Improvements, res.Evaluations-res.Improvements, res.BestCost))
 		}
 		if c < res.BestCost {
 			res.BestCost = c
@@ -276,36 +271,19 @@ func (s *ShardedExhaustive) enumerate(obj Objective, restart int, opts mapping.E
 	return res, nil
 }
 
-// firstTiles lists the candidate tiles for core 0 in ascending order,
-// honouring the symmetry anchor (mapping.InAnchorQuadrant, the same rule
-// EnumerateOptions.AnchorCore applies).
-func (s *ShardedExhaustive) firstTiles() []topology.TileID {
-	mesh := s.Problem.Mesh
-	var tiles []topology.TileID
-	for t := 0; t < mesh.NumTiles(); t++ {
-		if s.Anchor && !mapping.InAnchorQuadrant(mesh, topology.TileID(t)) {
-			continue
-		}
-		tiles = append(tiles, topology.TileID(t))
-	}
-	return tiles
-}
-
 // mergeShards folds per-shard results in ascending first-tile order. The
 // strict < mirrors each shard's incumbent rule, so equal-cost optima
 // resolve to the one an in-order enumeration would have found first.
 // Improvements sums shard-local improvement counts (a per-shard
 // quantity; a global count depends on an interleaving that sharding
 // removes). InitialCost is the first shard's first placement — also the
-// first placement of the in-order enumeration.
+// first placement of the in-order enumeration. The merge is certified
+// when every shard ran to completion; a limited run is one shard.
 func mergeShards(shards []*Result) *Result {
 	merged := &Result{BestCost: math.Inf(1), Certified: true}
 	for i, r := range shards {
-		merged.Evaluations += r.Evaluations
-		merged.ExactEvals += r.ExactEvals
-		merged.BoundSkips += r.BoundSkips
-		merged.SurrogateEvals += r.SurrogateEvals
-		merged.Improvements += r.Improvements
+		merged.add(r)
+		merged.Certified = merged.Certified && r.Certified
 		if i == 0 {
 			merged.InitialCost = r.InitialCost
 		}

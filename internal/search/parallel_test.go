@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/par"
 	"repro/internal/topology"
 )
 
@@ -134,6 +135,39 @@ func TestMultiAnnealerObjectiveFactory(t *testing.T) {
 	}
 	if !resultsEqual(shared, viaFactory) {
 		t.Fatalf("factory path diverged: %+v vs %+v", viaFactory, shared)
+	}
+}
+
+// TestMultiAnnealerLanePanicReachesCaller: a panic in the objective of a
+// worker lane reaches the goroutine that called Run, where a recover can
+// see it, instead of ending the process. Lane 0's objective holds its
+// pricings until lane 1's has panicked, so lane 1 must run a restart.
+func TestMultiAnnealerLanePanicReachesCaller(t *testing.T) {
+	p, w := testProblem(t, 3, 3, 6)
+	release := make(chan struct{})
+	var lanes int
+	newObj := func() (Objective, error) {
+		lanes++
+		if lanes == 2 {
+			return ObjectiveFunc(func(mapping.Mapping) (float64, error) {
+				close(release)
+				panic("lane 1 objective")
+			}), nil
+		}
+		return ObjectiveFunc(func(mp mapping.Mapping) (float64, error) {
+			<-release
+			return w.Cost(mp)
+		}), nil
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		_, _ = (&MultiAnnealer{Base: Annealer{Problem: Problem{Mesh: p.Mesh, NumCores: p.NumCores},
+			Seed: 1, TempSteps: 3}, Restarts: 2, Workers: 2, NewObjective: newObj}).Run()
+	}()
+	pp, ok := got.(*par.Panic)
+	if !ok || pp.Value != "lane 1 objective" {
+		t.Fatalf("recovered %v (%T), want the lane's panic as a *par.Panic", got, got)
 	}
 }
 

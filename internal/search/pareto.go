@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"repro/internal/mapping"
-	"repro/internal/par"
 	"repro/internal/topology"
 )
 
@@ -80,8 +79,8 @@ type ParetoSA struct {
 const DefaultFrontSize = 32
 
 // paretoWalk is one walk's contribution, merged in walk order: its
-// archive, plus its evaluation counters and starting cost in res (whose
-// BestCost is the walk's best exact collapse).
+// archive, plus its evaluation counters, archive insertions and starting
+// cost in res (whose BestCost is the walk's best exact collapse).
 type paretoWalk struct {
 	archive *Archive
 	res     Result
@@ -105,7 +104,7 @@ func (e *ParetoSA) Run() (*FrontResult, error) {
 	if err := pollCtx(e.Ctx); err != nil {
 		return nil, err
 	}
-	shared, err := vectorObjective(e.Problem.Obj)
+	shared, err := vectorObjective(exactOf(e.Problem.Obj))
 	if err != nil {
 		return nil, err
 	}
@@ -128,21 +127,9 @@ func (e *ParetoSA) Run() (*FrontResult, error) {
 	if frontSize < 0 {
 		return nil, fmt.Errorf("search: front size %d", frontSize)
 	}
-	workers := par.Workers(e.Workers)
-	objs, err := perWorkerObjectives(min(workers, walks), e.Problem.Obj, e.NewObjective)
-	if err != nil {
-		return nil, err
-	}
-	vobjs := make([]VectorObjective, len(objs))
-	for i, obj := range objs {
-		if vobjs[i], err = vectorObjective(obj); err != nil {
-			return nil, err
-		}
-	}
-
 	results := make([]*paretoWalk, walks)
-	err = par.ForEachWorkerCtx(e.Ctx, walks, workers, func(w, i int) error {
-		res, err := e.walk(i, vobjs[w], k, frontSize)
+	err = runLanes(e.Ctx, e.Problem, e.NewObjective, walks, e.Workers, func(obj Objective, i int) error {
+		res, err := e.walk(i, obj, k, frontSize)
 		if err != nil {
 			return fmt.Errorf("search: pareto walk %d: %w", i, err)
 		}
@@ -153,25 +140,17 @@ func (e *ParetoSA) Run() (*FrontResult, error) {
 		return nil, err
 	}
 
-	front := &FrontResult{
-		Axes:    axes,
-		Weights: shared.CollapseWeights(),
-	}
+	var sum Result
 	merged := NewArchive(frontSize)
-	for i, r := range results {
-		if i == 0 {
-			front.InitialCost = r.res.InitialCost
-		}
-		front.Evaluations += r.res.Evaluations
-		front.ExactEvals += r.res.ExactEvals
-		front.SurrogateEvals += r.res.SurrogateEvals
-		front.Improvements += r.archive.Inserted()
+	for _, r := range results {
+		sum.add(&r.res)
 		for _, p := range r.archive.Points() {
 			merged.OfferPoint(p)
 		}
 	}
-	front.Points = merged.Points()
-	return front, nil
+	return &FrontResult{Axes: axes, Weights: shared.CollapseWeights(), Points: merged.Points(),
+		InitialCost: results[0].res.InitialCost, Evaluations: sum.Evaluations, ExactEvals: sum.ExactEvals,
+		SurrogateEvals: sum.SurrogateEvals, Improvements: sum.Improvements}, nil
 }
 
 // walkWeights returns walk i's scalarisation weights over k axes: pure
@@ -197,9 +176,13 @@ func walkWeights(rng *rand.Rand, i, k int) []float64 {
 	return w
 }
 
-// walk runs one weight-swept annealing walk, offering every evaluated
-// candidate to a fresh archive.
-func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWalk, error) {
+// walk runs one weight-swept annealing walk on the lane objective lane,
+// offering every evaluated candidate to a fresh archive.
+func (e *ParetoSA) walk(i int, lane Objective, k, frontSize int) (*paretoWalk, error) {
+	obj, err := vectorObjective(exactOf(lane))
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(e.Seed + int64(i)))
 	weights := walkWeights(rng, i, k)
 	collapse := obj.CollapseWeights()
@@ -218,13 +201,7 @@ func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWa
 	// candidates on the surrogate's vector view, and only accepted moves
 	// pay an exact component pricing — which is also the only pricing
 	// ever offered to the archive, so every front point is exact.
-	var sobj VectorObjective
-	if s := surrogateOf(obj); s != nil {
-		if sv, ok := s.(VectorObjective); ok {
-			sobj = sv
-		}
-	}
-	useSurr := sobj != nil
+	sobj, useSurr := surrogateOf(lane).(VectorObjective)
 
 	out := &paretoWalk{archive: NewArchive(frontSize)}
 	res := &out.res
@@ -271,7 +248,7 @@ func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWa
 	out.archive.Offer(cur, comps, res.InitialCost)
 
 	w := metropolis{engine: "pareto", restart: i, rng: rng, cur: cur, occ: occ, res: res,
-		surrogate: useSurr, onProgress: e.OnProgress}
+		onProgress: e.OnProgress}
 	// price prices the swapped mapping on every axis, offers it to the
 	// archive, and undoes the swap — the front engine has no incremental
 	// path (components must be exact evaluator output, never accumulated
@@ -280,11 +257,16 @@ func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWa
 	// moves are exact-priced, and only exact components reach the archive.
 	w.price = func(ta, tb topology.TileID, _ bool) (float64, float64, bool, error) {
 		mapping.SwapTiles(cur, occ, ta, tb)
+		res.Evaluations++
 		var err error
 		if useSurr {
+			res.SurrogateEvals++
 			err = sobj.ComponentsInto(cur, scomps)
-		} else if err = obj.ComponentsInto(cur, comps); err == nil {
-			out.archive.Offer(cur, comps, Collapse(collapse, comps))
+		} else {
+			res.ExactEvals++
+			if err = obj.ComponentsInto(cur, comps); err == nil {
+				out.archive.Offer(cur, comps, Collapse(collapse, comps))
+			}
 		}
 		mapping.SwapTiles(cur, occ, ta, tb) // undo
 		c := scalar(scomps)
@@ -314,5 +296,6 @@ func (e *ParetoSA) walk(i int, obj VectorObjective, k, frontSize int) (*paretoWa
 		e.StallSteps, 0}, cost); err != nil {
 		return nil, err
 	}
+	res.Improvements = out.archive.Inserted()
 	return out, nil
 }

@@ -11,8 +11,8 @@ type Progress struct {
 	// "tabu", "pareto").
 	Engine string
 	// Restart is the restart index (MultiAnnealer), shard index
-	// (ShardedExhaustive) or walk index (ParetoSA) the snapshot belongs
-	// to; 0 for serial engines.
+	// (ShardedExhaustive; 0 under a Limit) or walk index (ParetoSA) the
+	// snapshot belongs to; 0 for serial engines.
 	Restart int
 	// Step / Steps report outer-loop progress in engine-specific units:
 	// temperature steps for SA and pareto, iterations for tabu, samples
@@ -44,11 +44,19 @@ type Progress struct {
 }
 
 // ProgressFunc receives Progress snapshots. The parallel engines
-// (MultiAnnealer, ShardedExhaustive) invoke it concurrently from their
-// worker lanes, so implementations must be safe for concurrent use; they
-// must also not block for long (they run on the search hot path) and must
-// not mutate engine state.
+// (MultiAnnealer, ShardedExhaustive, ParetoSA) invoke it concurrently
+// from their worker lanes, so implementations must be safe for
+// concurrent use; they must also not block for long (they run on the
+// search hot path) and must not mutate engine state.
 type ProgressFunc func(Progress)
+
+// progress snapshots res's evaluation counters for an OnProgress
+// callback.
+func (res *Result) progress(engine string, restart, step, steps int, accepted, rejected int64, best float64) Progress {
+	return Progress{Engine: engine, Restart: restart, Step: step, Steps: steps, Evaluations: res.Evaluations,
+		ExactEvals: res.ExactEvals, BoundSkips: res.BoundSkips, SurrogateEvals: res.SurrogateEvals,
+		Accepted: accepted, Rejected: rejected, BestCost: best}
+}
 
 // pollEvery is the number of objective evaluations the inner loops let
 // elapse between cancellation checks: rare enough to stay invisible on

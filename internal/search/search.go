@@ -86,37 +86,6 @@ type ObjectiveFunc func(mp mapping.Mapping) (float64, error)
 // Cost implements Objective.
 func (f ObjectiveFunc) Cost(mp mapping.Mapping) (float64, error) { return f(mp) }
 
-// bindObjective primes an objective for one walk over the given starting
-// mapping: a DeltaObjective binds it via Reset (which also validates
-// injectivity), the fallback prices it with a plain Cost call. A
-// TieredObjective is unwrapped to its exact tier first, so tiered runs
-// bind and price on exactly the bare evaluator's code path. The caller
-// counts the returned evaluation (an exact one).
-func bindObjective(obj Objective, mp mapping.Mapping) (cost float64, dobj DeltaObjective, useDelta bool, err error) {
-	obj = exactOf(obj)
-	if dobj, ok := obj.(DeltaObjective); ok {
-		c, err := dobj.Reset(mp)
-		return c, dobj, true, err
-	}
-	c, err := obj.Cost(mp)
-	return c, nil, false, err
-}
-
-// repriceBest re-prices res.Best with one full evaluation — the delta
-// path's final guard against objectives whose deltas are only
-// approximately consistent with Cost. Deliberately not counted in
-// res.Evaluations: it is a guard, not search work, and keeping the count
-// identical to the full-recompute path makes the two paths directly
-// comparable in tests.
-func repriceBest(obj Objective, res *Result) error {
-	c, err := obj.Cost(res.Best)
-	if err != nil {
-		return err
-	}
-	res.BestCost = c
-	return nil
-}
-
 // Result reports the outcome of one search run.
 type Result struct {
 	// Best is the lowest-cost mapping found.
@@ -223,91 +192,32 @@ func (a *Annealer) Run() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	cost, dobj, useDelta, err := bindObjective(a.Problem.Obj, cur)
+	res := &Result{}
+	var inc incumbent
+	cost, err := inc.bind(a.Problem.Obj, res, cur, numTiles, true)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Best: cur.Clone(), BestCost: cost, InitialCost: cost, Evaluations: 1, ExactEvals: 1}
-	var inc incumbent
-	inc.bind(cur, numTiles, cost)
+	res.Best, res.BestCost, res.InitialCost = cur.Clone(), cost, cost
 
-	// Tier-B surrogate walk (see TieredObjective): candidates are priced
-	// on the calibrated surrogate and only accepted moves pay an exact
-	// pricing, so inc.cost (and therefore Best/BestCost) stays exact
-	// while the Metropolis decisions run on surrogate deltas. scost
-	// tracks the surrogate's own baseline the way inc.cost tracks the
-	// exact one on the delta path. Never combined with useDelta: a
-	// delta-capable exact objective is already as cheap as any surrogate.
-	surr := surrogateOf(a.Problem.Obj)
-	useSurr := surr != nil && !useDelta
-	var scost float64
-	if useSurr {
-		if scost, err = surr.Reset(cur); err != nil {
-			return nil, err
-		}
-	}
-	// Certified Metropolis rejection (see TieredObjective): a walk priced
-	// with full exact Cost calls certifies when its exact tier is a
-	// CutoffObjective — a delta-capable exact objective is already cheaper
-	// than any bound, and a surrogate walk decides on surrogate deltas
-	// the bound does not order. PriceBelow then checks its bounds
-	// before any exact work.
-	var below CutoffObjective
-	if !useDelta && !useSurr {
-		below = cutoffOf(a.Problem.Obj)
-	}
-
-	w := metropolis{engine: "SA", rng: rng, cur: inc.cur, occ: inc.occ, res: res,
-		surrogate: useSurr, onProgress: a.OnProgress}
+	w := metropolis{engine: "SA", rng: rng, cur: inc.cur, occ: inc.occ, res: res, onProgress: a.OnProgress}
+	// Certified Metropolis rejection (see CutoffObjective): a walk on the
+	// full path whose exact tier holds bounds certifies each move against
+	// the walk's variate before any exact work.
 	var reject func(lb float64) bool
-	if below != nil {
+	if inc.below != nil {
 		reject = func(lb float64) bool { return w.certify(lb - inc.cost) }
 	}
-	// price leaves cur/occ untouched: the delta path asks the objective
-	// for the O(deg) incremental price, the surrogate path prices in the
-	// surrogate's own scale, and the exact path applies the swap, prices
-	// the mapping — through the rejection test when certifying — and
-	// undoes it.
 	w.price = func(ta, tb topology.TileID, certify bool) (float64, float64, bool, error) {
-		switch {
-		case useDelta:
-			d, err := dobj.SwapDelta(inc.occ, ta, tb)
-			return inc.cost + d, d, false, err
-		case useSurr:
-			d, err := surr.SwapDelta(inc.occ, ta, tb)
-			return scost + d, d, false, err
+		if certify {
+			return inc.price(ta, tb, reject)
 		}
-		mapping.SwapTiles(inc.cur, inc.occ, ta, tb)
-		var c float64
-		var err error
-		var skipped bool
-		if certify && below != nil {
-			c, skipped, err = below.PriceBelow(inc.cur, reject)
-		} else {
-			c, err = a.Problem.Obj.Cost(inc.cur)
-		}
-		mapping.SwapTiles(inc.cur, inc.occ, ta, tb) // undo
-		return c, c - inc.cost, skipped, err
+		return inc.price(ta, tb, nil)
 	}
-	// accept adopts an exact cost for the swapped mapping: the delta
-	// path's Commit recompute (never an accumulation of deltas, see the
-	// DeltaObjective contract), the full path's priced cost, or — on the
-	// surrogate path — an immediate exact repricing, so the walk may be
-	// steered by the surrogate but the incumbent only holds exact values.
 	w.accept = func(ta, tb topology.TileID, c float64) (bool, error) {
-		switch {
-		case useDelta:
-			c = dobj.Commit(ta, tb)
-		case useSurr:
-			scost = surr.Commit(ta, tb)
-			var err error
-			if c, err = a.Problem.Obj.Cost(inc.cur); err != nil {
-				return false, err
-			}
-			res.Evaluations++
-			res.ExactEvals++
+		if err := inc.adopt("SA", ta, tb, c); err != nil {
+			return false, err
 		}
-		inc.adopt("SA", a.Problem.Obj, c)
 		if inc.cost < res.BestCost {
 			res.BestCost = inc.cost
 			copy(res.Best, inc.cur)
@@ -316,31 +226,16 @@ func (a *Annealer) Run() (*Result, error) {
 		}
 		return false, nil
 	}
-	w.reheat = func() error {
-		inc.moveTo(res.Best, res.BestCost)
-		var err error
-		switch {
-		case useDelta:
-			// Rebind the incremental baseline to the jump target. The
-			// full recompute also flushes any floating-point drift the
-			// accumulated deltas picked up since the last Reset.
-			inc.cost, err = dobj.Reset(inc.cur)
-			res.BestCost = inc.cost
-		case useSurr:
-			// Rebind the surrogate baseline; inc.cost stays the
-			// incumbent's exact BestCost.
-			scost, err = surr.Reset(inc.cur)
-		}
+	w.reheat = func() (err error) {
+		res.BestCost, err = inc.moveTo(res.Best, res.BestCost)
 		return err
 	}
 	if err := w.run(a.Ctx, schedule{a.InitialTemp, a.Alpha, a.MovesPerTemp, a.TempSteps,
 		a.StallSteps, a.Reheats}, cost); err != nil {
 		return nil, err
 	}
-	if useDelta || useSurr {
-		if err := repriceBest(a.Problem.Obj, res); err != nil {
-			return nil, err
-		}
+	if err := inc.finish(res); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -1,14 +1,6 @@
 package search
 
-import (
-	"errors"
-
-	"repro/internal/mapping"
-)
-
-// errNoVector reports a vector call on a tiered objective whose exact
-// tier is scalar-only.
-var errNoVector = errors.New("search: tiered objective's exact tier is not a VectorObjective")
+import "repro/internal/mapping"
 
 // This file is the two-tier evaluation seam: cheaper evaluation tiers
 // over an exact pricer, so the engines can avoid paying the exact cost (a
@@ -19,8 +11,8 @@ var errNoVector = errors.New("search: tiered objective's exact tier is not a Vec
 //     the engine's rejection test bounds ≤ the exact cost, bitwise on the
 //     computed float64s (for CDCM, the simulator's uncontended critical
 //     path, then the port-load bound). A candidate is either skipped at
-//     a bound or priced in full. An engine certifies when its exact tier
-//     is a CutoffObjective and its walk is on neither the delta nor the
+//     a bound or priced in full. A walk certifies when its exact tier
+//     is a CutoffObjective and it is on neither the delta nor the
 //     surrogate path. The strict-improvement engines (HillClimber, Tabu)
 //     skip a candidate whose bound already proves it cannot beat the
 //     scan's threshold, so Best, BestCost and the accept/reject
@@ -41,9 +33,15 @@ var errNoVector = errors.New("search: tiered objective's exact tier is not a Vec
 //     results are deterministic but not bit-identical to a
 //     surrogate-free run.
 //
-// Engines that use neither tier (exhaustive, random) see only Exact
-// through the plain Objective interface, so wrapping is behaviourally
-// free for them.
+// The tier is chosen once per walk, where the walk is bound: the
+// incumbent (incumbent.go) unwraps a TieredObjective and prices the
+// Annealer's, HillClimber's and Tabu's candidates on the exact tier's
+// DeltaObjective when it has one, else — only for the Annealer — on the
+// surrogate, else in full on the exact tier, certified when that is a
+// CutoffObjective. ParetoSA takes its vector view from the exact tier
+// and its vector surrogate through surrogateOf. Engines that use
+// neither tier (exhaustive, random) see only Exact through the plain
+// Objective interface, so wrapping is behaviourally free for them.
 
 // CutoffObjective is an exact objective that can skip pricing a
 // candidate once a certified lower bound on its cost settles the
@@ -62,8 +60,9 @@ type CutoffObjective interface {
 
 // TieredObjective wraps an exact Objective with the tier-B surrogate.
 // Exact is authoritative: Cost forwards to it, so any engine (or caller)
-// that ignores the surrogate prices exactly as before, and an exact tier
-// that is a CutoffObjective keeps certifying through the wrapper.
+// that ignores the surrogate prices exactly as before, and the engines
+// unwrap it (exactOf) to price, certify or take the vector view on the
+// exact tier itself.
 type TieredObjective struct {
 	// Exact is the authoritative pricer (the CDCM evaluator in core).
 	Exact Objective
@@ -77,61 +76,15 @@ type TieredObjective struct {
 // Cost implements Objective by forwarding to the exact tier.
 func (t *TieredObjective) Cost(mp mapping.Mapping) (float64, error) { return t.Exact.Cost(mp) }
 
-// exactVector returns the exact tier's vector view, or nil.
-func (t *TieredObjective) exactVector() VectorObjective {
-	v, ok := t.Exact.(VectorObjective)
-	if !ok {
-		return nil
-	}
-	return v
-}
-
-// Axes implements VectorObjective by forwarding to the exact tier; a
-// tiered objective over a scalar-only exact pricer reports no axes (and
-// vectorObjective rejects it, exactly as it rejects the bare pricer).
-func (t *TieredObjective) Axes() []string {
-	if v := t.exactVector(); v != nil {
-		return v.Axes()
-	}
-	return nil
-}
-
-// CollapseWeights implements VectorObjective by forwarding to the exact
-// tier.
-func (t *TieredObjective) CollapseWeights() []float64 {
-	if v := t.exactVector(); v != nil {
-		return v.CollapseWeights()
-	}
-	return nil
-}
-
-// ComponentsInto implements VectorObjective by forwarding to the exact
-// tier.
-func (t *TieredObjective) ComponentsInto(mp mapping.Mapping, dst []float64) error {
-	if v := t.exactVector(); v != nil {
-		return v.ComponentsInto(mp, dst)
-	}
-	return errNoVector
-}
-
-var _ VectorObjective = (*TieredObjective)(nil)
-
 // exactOf unwraps the authoritative pricer: the exact tier of a
-// TieredObjective, obj itself otherwise. bindObjective and the engines'
-// full-price paths go through it so a tiered CDCM run takes exactly the
-// code path a bare CDCM run takes.
+// TieredObjective, obj itself otherwise. The incumbent and ParetoSA go
+// through it so a tiered CDCM run takes exactly the code path a bare
+// CDCM run takes.
 func exactOf(obj Objective) Objective {
 	if t, ok := obj.(*TieredObjective); ok {
 		return t.Exact
 	}
 	return obj
-}
-
-// cutoffOf returns the exact tier of obj as a CutoffObjective, or nil:
-// the engines certify through it when their walk prices full exact costs.
-func cutoffOf(obj Objective) CutoffObjective {
-	c, _ := exactOf(obj).(CutoffObjective)
-	return c
 }
 
 // surrogateOf returns the tier-B surrogate of a tiered objective, or nil.

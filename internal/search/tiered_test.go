@@ -77,6 +77,8 @@ func checkTierInvariant(t *testing.T, name string, res *Result) {
 // a CutoffObjective — bare, or as the exact tier of a TieredObjective —
 // reproduce the uncertified runs bit for bit while skipping swaps
 // (BoundSkips > 0), and every skip is a pricing cut at its first bound.
+// A TieredObjective carrying a surrogate runs exactly as its bare exact
+// tier.
 func TestTierAFilterBitIdentical(t *testing.T) {
 	p, w := testProblem(t, 4, 3, 10)
 	for _, engine := range []string{"hill", "tabu"} {
@@ -124,6 +126,12 @@ func TestTierAFilterBitIdentical(t *testing.T) {
 		if fmt.Sprintf("%+v", *wrapped) != fmt.Sprintf("%+v", *tiered) {
 			t.Fatalf("%s: certifying through a TieredObjective changed the run: %+v vs %+v",
 				engine, *wrapped, *tiered)
+		}
+		// Hill and tabu never walk on a surrogate: one attached to the
+		// exact tier is ignored, bit for bit.
+		surr := run(&TieredObjective{Exact: w, Surrogate: &surrWire{deltaWireLength{wireLength: *w}}})
+		if surr.SurrogateEvals != 0 || fmt.Sprintf("%+v", *surr) != fmt.Sprintf("%+v", *bare) {
+			t.Fatalf("%s: an attached surrogate changed the run: %+v vs %+v", engine, *surr, *bare)
 		}
 		checkTierInvariant(t, engine+"/bare", bare)
 		checkTierInvariant(t, engine+"/tiered", tiered)

@@ -46,15 +46,14 @@ type metropolis struct {
 	// kernel applies accepted swaps to both before calling accept.
 	cur mapping.Mapping
 	occ []model.CoreID
-	// res carries the evaluation counters, which the hooks may advance
-	// too, and the BestCost progress snapshots report.
-	res *Result
-	// surrogate attributes candidate pricings to the tier-B surrogate.
-	surrogate  bool
+	// res carries the evaluation counters, which the price and accept
+	// hooks advance, and the BestCost progress snapshots report.
+	res        *Result
 	onProgress ProgressFunc
 
 	// price returns the cost of the walk with (ta, tb) swapped and its
-	// delta against the current cost, leaving cur and occ untouched. With
+	// delta against the current cost, leaving cur and occ untouched, and
+	// counts the pricing in res against the tier that priced it. With
 	// certify set, a hook that holds certified lower bounds on the move's
 	// exact cost may skip the move as soon as certify proves its
 	// rejection; skipped is then set and c, d are meaningless.
@@ -82,18 +81,6 @@ func (w *metropolis) propose() (ta, tb topology.TileID) {
 		if ta != tb {
 			return ta, tb
 		}
-	}
-}
-
-// priced counts one candidate pricing against the tier that priced it.
-// Evaluations always advances, so the poll cadence and the reported
-// totals are tier-independent.
-func (w *metropolis) priced() {
-	w.res.Evaluations++
-	if w.surrogate {
-		w.res.SurrogateEvals++
-	} else {
-		w.res.ExactEvals++
 	}
 }
 
@@ -146,7 +133,6 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 			if err != nil {
 				return err
 			}
-			w.priced()
 			if d > 0 {
 				sum += d
 				n++
@@ -194,12 +180,9 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 				return err
 			}
 			if skipped {
-				w.res.Evaluations++
-				w.res.BoundSkips++
 				rejected++
 				continue
 			}
-			w.priced()
 			if d > 0 && !w.drawn {
 				w.u = w.rng.Float64()
 			}
@@ -224,10 +207,7 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 		}
 		w.temp *= alpha
 		if w.onProgress != nil {
-			w.onProgress(Progress{Engine: w.engine, Restart: w.restart, Step: step + 1, Steps: steps,
-				Evaluations: w.res.Evaluations, ExactEvals: w.res.ExactEvals,
-				BoundSkips: w.res.BoundSkips, SurrogateEvals: w.res.SurrogateEvals,
-				Accepted: accepted, Rejected: rejected, BestCost: w.res.BestCost})
+			w.onProgress(w.res.progress(w.engine, w.restart, step+1, steps, accepted, rejected, w.res.BestCost))
 		}
 	}
 	return nil

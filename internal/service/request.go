@@ -61,7 +61,8 @@ type Request struct {
 	Model string `json:"model,omitempty"`
 	// Method is the search engine: "sa" (default), "es", "random",
 	// "hill" or "tabu". The pareto model has exactly one engine (the
-	// archived weight-swept annealer) and ignores Method.
+	// archived weight-swept annealer): it takes "sa" or no method, and any
+	// other is a bad request.
 	Method string `json:"method,omitempty"`
 	// Seed drives every stochastic engine deterministically.
 	Seed int64 `json:"seed,omitempty"`
@@ -207,6 +208,9 @@ func (r *Request) Resolve() (*Instance, error) {
 	method, err := core.ParseMethod(methodName)
 	if err != nil {
 		return nil, badRequest("%v", err)
+	}
+	if strategy == core.StrategyPareto && method != core.MethodSA {
+		return nil, badRequest("model pareto runs only method sa, not %q", methodName)
 	}
 
 	restarts := r.Restarts

@@ -398,14 +398,20 @@ var exploreHook func(in *Instance)
 // compute runs a leader job's exploration and encodes its Result. A
 // panic on the way fails the job, not the daemon: it is counted, its
 // stack is logged, and it returns as an error, so finishLeader releases
-// the job's in-flight entry and running count and caches nothing.
+// the job's in-flight entry and running count and caches nothing. A
+// panic on a search worker lane reaches here as a *par.Panic carrying
+// that lane's stack, which is the one logged.
 func (s *Server) compute(ctx context.Context, j *Job, onProgress search.ProgressFunc,
 	onPhase func(string)) (raw json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.m.panics.Add(1)
+			stack := debug.Stack()
+			if p, ok := r.(*par.Panic); ok {
+				stack = p.Stack
+			}
 			s.log.Error("job panicked", "job_id", j.ID, "panic", fmt.Sprint(r),
-				"stack", string(debug.Stack()), "request_id", j.requestID)
+				"stack", string(stack), "request_id", j.requestID)
 			raw, err = nil, fmt.Errorf("service: job panicked: %v", r)
 		}
 	}()

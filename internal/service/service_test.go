@@ -316,18 +316,20 @@ func TestBadRequestsRejected(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
 	bad := []*Request{
-		{},                                          // no app, no demo
-		{Demo: true, Mesh: "1x1"},                   // 4 cores cannot fit
-		{Demo: true, Tech: "90nm"},                  // unknown tech
-		{Demo: true, Model: "x"},                    // unknown model
-		{Demo: true, Method: "x"},                   // unknown method
-		{Demo: true, Routing: "zz"},                 // unknown routing
-		{Demo: true, Restarts: -1},                  // negative restarts
-		{Demo: true, Alpha: 1.5},                    // alpha outside (0,1)
-		{Demo: true, TempSteps: -5},                 // negative tuning
-		{Demo: true, FlitBits: -1},                  // invalid flit width
-		{Demo: true, Topology: "tube"},              // unknown topology
-		{Demo: true, App: model.PaperExampleCDCG()}, // app and demo together
+		{},                                            // no app, no demo
+		{Demo: true, Mesh: "1x1"},                     // 4 cores cannot fit
+		{Demo: true, Tech: "90nm"},                    // unknown tech
+		{Demo: true, Model: "x"},                      // unknown model
+		{Demo: true, Method: "x"},                     // unknown method
+		{Demo: true, Routing: "zz"},                   // unknown routing
+		{Demo: true, Restarts: -1},                    // negative restarts
+		{Demo: true, Alpha: 1.5},                      // alpha outside (0,1)
+		{Demo: true, TempSteps: -5},                   // negative tuning
+		{Demo: true, FlitBits: -1},                    // invalid flit width
+		{Demo: true, Topology: "tube"},                // unknown topology
+		{Demo: true, App: model.PaperExampleCDCG()},   // app and demo together
+		{Demo: true, Model: "pareto", Method: "hill"}, // pareto runs only SA
+		{Demo: true, Model: "pareto", Method: "es"},   // pareto runs only SA
 	}
 	for i, req := range bad {
 		if _, err := s.Submit(req); !errors.Is(err, ErrBadRequest) {
