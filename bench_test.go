@@ -952,17 +952,23 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 }
 
 // BenchmarkWormholeSimLarge measures one CDCM simulation of the largest
-// Table-1 instance (99 cores, 446 packets on 12x10).
+// Table-1 instance (99 cores, 446 packets on 12x10), on one reused
+// scratch like the search lanes (Run would add a scratch allocation per
+// op).
 func BenchmarkWormholeSimLarge(b *testing.B) {
 	mesh, cfg, g := largeInstance(b)
 	sim, err := wormhole.NewSimulator(mesh, cfg, g)
 	if err != nil {
 		b.Fatal(err)
 	}
+	sc := sim.NewScratch()
 	mp := mapping.Identity(g.NumCores())
+	if _, err := sim.RunScratch(mp, sc); err != nil { // grow the scratch
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.Run(mp); err != nil {
+		if _, err := sim.RunScratch(mp, sc); err != nil {
 			b.Fatal(err)
 		}
 	}

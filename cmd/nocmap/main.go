@@ -270,7 +270,6 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		cdcm.Simulator().RecordOccupancy = true
 		raw, _, err := cdcm.Simulate(res.Best)
 		if err != nil {
 			return err

@@ -38,7 +38,8 @@
 // parallel CDCM-objective searches scale with Workers and stay
 // bit-identical to the serial path. Per-resource occupancy recording is
 // opt-in (Simulator/Scratch RecordOccupancy) and only enabled by the
-// trace/Gantt renderers (see README "Allocation-free CDCM evaluation").
+// trace/Gantt renderers, through CDCM.Simulate (see README
+// "Allocation-free CDCM evaluation").
 //
 // On top of the simulator sits two-tier CDCM evaluation
 // (search.TieredObjective). Tier A is a certified lower bound and has

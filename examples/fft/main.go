@@ -67,7 +67,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cdcm.Simulator().RecordOccupancy = true
 	raw, _, err := cdcm.Simulate(cmp.CWMMapping)
 	if err != nil {
 		log.Fatal(err)

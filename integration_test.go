@@ -52,7 +52,6 @@ func TestEndToEndGeneratedApplication(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdcm.Simulator().RecordOccupancy = true
 	raw, metrics, err := cdcm.Simulate(cmp.CDCMMappings["0.07um"])
 	if err != nil {
 		t.Fatal(err)

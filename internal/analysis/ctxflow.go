@@ -14,18 +14,14 @@ import (
 //     context.Context field, or a receiver struct with one (the
 //     engines' Ctx-field idiom, whose nil value pins the historical
 //     bit-identical path).
-//  2. Fan-outs outside package par must use the Ctx variants
-//     (par.ForEachCtx / par.ForEachWorkerCtx); a nil context reproduces
-//     the ctx-less behavior exactly, so there is never a reason to call
-//     the bare ones from engine code.
-//  3. A function that takes a context must not perform a bare blocking
+//  2. A function that takes a context must not perform a bare blocking
 //     channel send the context cannot interrupt. Sends are fine inside
 //     a select with an alternative arm or default, and on code paths
 //     where the context is known nil (`if ctx == nil { ... }` — the
 //     documented uncancellable legacy path).
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "engine entry points and fan-outs must accept and honor context cancellation",
+	Doc:  "engine entry points must accept context cancellation, and functions holding a context must honor it",
 	Run:  runCtxflow,
 }
 
@@ -35,7 +31,7 @@ var entryPointNames = map[string]bool{"Run": true, "Explore": true, "CompareMode
 // entryPointPackages scope rule 1.
 var entryPointPackages = []string{"repro/internal/search", "repro/internal/core"}
 
-// sendCheckPackages scope rule 3 to the concurrency-bearing layers.
+// sendCheckPackages scope rule 2 to the concurrency-bearing layers.
 var sendCheckPackages = []string{
 	"repro/internal/search", "repro/internal/core", "repro/internal/par",
 	"repro/internal/service", "repro/internal/wormhole",
@@ -69,20 +65,6 @@ func runCtxflow(pass *Pass) error {
 			}
 			if fd.Body == nil {
 				continue
-			}
-			// Rule 2: ctx-less fan-outs.
-			if pkgPath != "repro/internal/par" {
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					call, ok := n.(*ast.CallExpr)
-					if !ok {
-						return true
-					}
-					fn := Callee(pass.Info, call)
-					if isPkgFunc(fn, "repro/internal/par", "ForEach", "ForEachWorker") {
-						pass.Reportf(call.Pos(), "par.%s cannot be canceled; use par.%sCtx (a nil context reproduces the exact same behavior)", fn.Name(), fn.Name())
-					}
-					return true
-				})
 			}
 			if checkSends {
 				checkBlockingSends(pass, fd)

@@ -52,15 +52,14 @@
 //     point. Exported Run/Explore/CompareModels in internal/search and
 //     internal/core must accept a context.Context (directly, via an
 //     options struct, or via a receiver field — the engines' Ctx-field
-//     seam). Fan-outs must use par.ForEachCtx/ForEachWorkerCtx rather
-//     than the ctx-less variants, and a function that has a context
-//     must not perform a bare blocking channel send the context cannot
-//     interrupt (sends inside a select with a default or alternative
-//     arm, or on a code path where the context is known nil, are fine).
+//     seam), and a function that has a context must not perform a
+//     bare blocking channel send the context cannot interrupt (sends
+//     inside a select with a default or alternative arm, or on a code
+//     path where the context is known nil, are fine).
 //
 //   - mutexhold: no potentially-blocking operation while holding a
 //     mutex — channel sends and receives outside a multi-arm select,
-//     par.Pool.Close, par.ForEach fan-outs, sync.WaitGroup.Wait, and
+//     par.Pool.Close, par.ForEachCtx fan-outs, sync.WaitGroup.Wait, and
 //     HTTP response writes (including SSE flushes). The service
 //     package's locks guard bookkeeping; anything that can park a
 //     goroutine must run after Unlock. Pool.TrySubmit is exempt by

@@ -13,10 +13,10 @@ import (
 //   - send on or receive from a channel outside a select with a
 //     default arm (the receiver may never come; the lock is now wedged
 //     and every other request piles up behind it);
-//   - call par.Pool.Submit or Pool.Close, or fan out via par.ForEach*
-//     (all of these block on worker goroutines that may themselves
-//     want the lock — Pool.TrySubmit is the sanctioned non-blocking
-//     seam and stays legal);
+//   - call par.Pool.Submit or Pool.Close, or fan out via
+//     par.ForEachCtx/ForEachWorkerCtx (all of these block on worker
+//     goroutines that may themselves want the lock — Pool.TrySubmit is
+//     the sanctioned non-blocking seam and stays legal);
 //   - wait on a sync.WaitGroup;
 //   - write to an http.ResponseWriter or flush an http.Flusher
 //     (including via fmt.Fprint* with the writer as destination): a
@@ -251,7 +251,7 @@ func (h *holdScan) exprCalls(e ast.Expr) {
 		switch {
 		case methodOn(fn, "repro/internal/par", "Pool", "Submit", "Close"):
 			h.pass.Reportf(call.Pos(), "par.Pool.%s blocks on worker goroutines while holding %s; use TrySubmit or unlock first", fn.Name(), key)
-		case isPkgFunc(fn, "repro/internal/par", "ForEach", "ForEachCtx", "ForEachWorker", "ForEachWorkerCtx"):
+		case isPkgFunc(fn, "repro/internal/par", "ForEachCtx", "ForEachWorkerCtx"):
 			h.pass.Reportf(call.Pos(), "par.%s fans out while holding %s; workers contending for the lock deadlock the fan-out", fn.Name(), key)
 		case methodOn(fn, "sync", "WaitGroup", "Wait"):
 			h.pass.Reportf(call.Pos(), "WaitGroup.Wait while holding %s; waiters that need the lock never finish", key)

@@ -32,17 +32,7 @@ func (e *CtxEngine) Run() error {
 
 // Explore takes the context as a parameter: also a seam.
 func Explore(ctx context.Context, steps int) error {
-	return badFanout(steps)
-}
-
-// badFanout uses the uncancelable par.ForEach.
-func badFanout(n int) error {
-	return par.ForEach(n, 2, func(i int) error { return nil }) // want `par.ForEach cannot be canceled`
-}
-
-// goodFanout threads a context (nil reproduces ForEach exactly).
-func goodFanout(ctx context.Context, n int) error {
-	return par.ForEachCtx(ctx, n, 2, func(i int) error { return nil })
+	return par.ForEachCtx(ctx, steps, 2, func(i int) error { return nil })
 }
 
 // badSend blocks on a send the context cannot interrupt.

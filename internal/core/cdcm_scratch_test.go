@@ -31,7 +31,7 @@ func TestCDCMCloneConcurrentBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.Clone().Simulator() != base.Simulator() {
+	if base.Clone().sim != base.sim {
 		t.Fatal("clone does not share the simulator core")
 	}
 

@@ -297,34 +297,20 @@ func (m Metrics) Total() float64 { return m.Energy.Total() }
 type CDCM struct {
 	Tech energy.Tech
 
-	// Evals, when non-nil, is incremented once per simulation run
-	// (EvaluateWith, and therefore Cost/Evaluate/ComponentsInto).
-	// Telemetry only; shared by clones so parallel lanes fold into one
-	// total.
+	// Evals, when non-nil, is incremented once per completed simulation
+	// (Evaluate, and therefore Cost/ComponentsInto, and PriceBelow when
+	// it does not skip). Telemetry only; shared by clones so parallel
+	// lanes fold into one total.
 	Evals *obs.Counter
 
 	sim *wormhole.Simulator
 	sc  *wormhole.Scratch
-	cut cdcmCutoff // PriceBelow's bound check, bound to this evaluator
 }
 
-// NewCDCM validates the inputs and builds the evaluator.
+// NewCDCM validates the inputs and builds the evaluator over the intact
+// NoC: NewCDCMFaults with no fault set.
 func NewCDCM(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CDCG) (*CDCM, error) {
-	if err := tech.Validate(); err != nil {
-		return nil, err
-	}
-	sim, err := wormhole.NewSimulator(mesh, cfg, g)
-	if err != nil {
-		return nil, err
-	}
-	return newCDCMLane(tech, nil, sim), nil
-}
-
-// newCDCMLane builds one evaluator lane over a simulator core.
-func newCDCMLane(tech energy.Tech, evals *obs.Counter, sim *wormhole.Simulator) *CDCM {
-	c := &CDCM{Tech: tech, Evals: evals, sim: sim, sc: sim.NewScratch()}
-	c.cut.c = c
-	return c
+	return NewCDCMFaults(mesh, cfg, tech, g, nil)
 }
 
 // Clone returns an independent evaluator lane sharing this evaluator's
@@ -332,24 +318,13 @@ func newCDCMLane(tech energy.Tech, evals *obs.Counter, sim *wormhole.Simulator) 
 // no re-validation and no route recomputation. Clones may run
 // concurrently with each other and with the original.
 func (c *CDCM) Clone() *CDCM {
-	return newCDCMLane(c.Tech, c.Evals, c.sim)
+	return &CDCM{Tech: c.Tech, Evals: c.Evals, sim: c.sim, sc: c.sim.NewScratch()}
 }
-
-// Simulator exposes the underlying wormhole simulator (e.g. to flip
-// RecordOccupancy for rendering runs).
-func (c *CDCM) Simulator() *wormhole.Simulator { return c.sim }
 
 // Evaluate runs the simulation and prices it under the evaluator's tech.
+// The run takes the scratch path (allocation-free in steady state);
+// Metrics copies everything out, so nothing retains the scratch.
 func (c *CDCM) Evaluate(mp mapping.Mapping) (Metrics, error) {
-	return c.EvaluateWith(mp, c.Tech)
-}
-
-// EvaluateWith runs the simulation and prices it under an arbitrary
-// technology profile — the Table-2 protocol prices the same pair of
-// mappings under both 0.35µm and 0.07µm. The run takes the scratch path
-// (allocation-free in steady state); Metrics copies everything out, so
-// nothing retains the scratch.
-func (c *CDCM) EvaluateWith(mp mapping.Mapping, tech energy.Tech) (Metrics, error) {
 	if c.Evals != nil {
 		c.Evals.Inc()
 	}
@@ -357,13 +332,13 @@ func (c *CDCM) EvaluateWith(mp mapping.Mapping, tech energy.Tech) (Metrics, erro
 	if err != nil {
 		return Metrics{}, err
 	}
-	return c.price(res, tech), nil
+	return c.price(res), nil
 }
 
-// price converts a simulation result into Metrics under tech.
+// price converts a simulation result into Metrics.
 //
 //nocvet:noalloc
-func (c *CDCM) price(res *wormhole.Result, tech energy.Tech) Metrics {
+func (c *CDCM) price(res *wormhole.Result) Metrics {
 	var rb, lb int64
 	for _, b := range res.RouterBits {
 		rb += b
@@ -371,8 +346,8 @@ func (c *CDCM) price(res *wormhole.Result, tech energy.Tech) Metrics {
 	for _, b := range res.LinkBits {
 		lb += b
 	}
-	dyn := tech.DynamicFromTraffic3D(rb, lb, res.TSVBits, res.CoreBits)
-	st := tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(res.ExecCycles))
+	dyn := c.Tech.DynamicFromTraffic3D(rb, lb, res.TSVBits, res.CoreBits)
+	st := c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(res.ExecCycles))
 	return Metrics{
 		ExecCycles:       res.ExecCycles,
 		ExecNS:           c.sim.Cfg.CyclesToNS(res.ExecCycles),
@@ -394,66 +369,71 @@ func (c *CDCM) Cost(mp mapping.Mapping) (float64, error) {
 }
 
 // PriceBelow implements search.CutoffObjective: ENoC of mp like Cost,
-// unless reject accepts a certified lower bound first. The bound prices
-// the simulator's texec bound (wormhole.Simulator.RunBelow) through the
-// pipeline Cost uses: the dynamic term is exact from the route-length
-// totals, the same integers a full run's bit aggregates sum to, and the
-// static term is monotone in texec, so every bound is ≤ the exact cost
-// on the computed float64s. Both bounds come before the first packet:
-// tier A, the uncontended critical path, and, when tier A is declined
-// and it is larger, the port-load bound (on graphs of 40 cores or more,
-// see wormhole.Simulator.PortLoadBound). A stop at either skips the
-// simulation and counts nothing in Evals; the engines count it as a
-// bound skip. Otherwise the mapping is simulated and priced in full.
+// unless reject accepts a certified lower bound first. Both bounds come
+// before the first packet: tier A, the simulator's uncontended critical
+// path (wormhole.Simulator.Bound), and, when tier A is declined and it
+// is larger, the port-load bound (wormhole.Simulator.PortLoad, on graphs
+// of 40 cores or more, see wormhole.Simulator.PortLoadBound). A stop at
+// either skips the simulation and counts nothing in Evals; the engines
+// count it as a bound skip. Otherwise the mapping is simulated and
+// priced in full.
 //
 //nocvet:noalloc
 func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cost float64, skipped bool, err error) {
-	c.cut.reject = reject
-	res, err := c.sim.RunBelow(mp, c.sc, &c.cut)
-	c.cut.reject = nil
-	switch {
-	case err != nil:
+	cp, t, err := c.sim.Bound(mp, c.sc)
+	if err != nil {
 		return 0, false, err
-	case res == nil:
+	}
+	//nocvet:ignore reject is the engine's allocation-free certified-rejection test
+	if reject(c.bound(t, cp)) {
 		return 0, true, nil
+	}
+	if c.sim.PortLoadBound {
+		load, err := c.sim.PortLoad(mp, c.sc)
+		if err != nil {
+			return 0, false, err
+		}
+		//nocvet:ignore reject is the engine's allocation-free certified-rejection test
+		if load > cp && reject(c.bound(t, load)) {
+			return 0, true, nil
+		}
+	}
+	res, err := c.sim.RunScratch(mp, c.sc)
+	if err != nil {
+		return 0, false, err
 	}
 	if c.Evals != nil {
 		c.Evals.Inc()
 	}
-	return c.price(res, c.Tech).Total(), false, nil
+	return c.price(res).Total(), false, nil
 }
 
 var _ search.CutoffObjective = (*CDCM)(nil)
 
-// cdcmCutoff is PriceBelow's wormhole.Cutoff: it prices a texec bound as
-// ENoC and hands it to the engine's rejection test.
-type cdcmCutoff struct {
-	c      *CDCM
-	reject func(lb float64) bool
-}
-
-// Stop implements wormhole.Cutoff.
+// bound prices a certified texec lower bound of a mapping with traffic
+// totals t through the pipeline price uses: the dynamic term is exact
+// from the route-length totals, the same integers a full run's bit
+// aggregates sum to, and the static term is monotone in texec, so the
+// bound is ≤ the exact cost on the computed float64s.
 //
 //nocvet:noalloc
-func (k *cdcmCutoff) Stop(t wormhole.Traffic, texecBound int64) bool {
-	c := k.c
+func (c *CDCM) bound(t wormhole.Traffic, texec int64) float64 {
 	dyn := c.Tech.DynamicFromTraffic3D(t.RouterBits, t.LinkBits, t.TSVBits, t.CoreBits)
-	lb := dyn + c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texecBound))
-	//nocvet:ignore reject is the engine's allocation-free certified-rejection test
-	return k.reject(lb)
+	return dyn + c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texec))
 }
 
 // Simulate runs the CDCG on a mapping and returns the raw wormhole result
-// (timeline, occupancies) together with the priced metrics. Unlike the
-// Cost/Evaluate hot path the returned Result has fresh backing arrays —
-// independent of the evaluator and safe to keep across later evaluations
-// (the trace/Gantt renderers rely on that). It runs on this evaluator's
-// own scratch, so clones may Simulate concurrently like they Cost
-// concurrently.
+// (timeline and occupancies) together with the priced metrics. It runs
+// on a fresh recording scratch, so the Result is independent of the
+// evaluator and safe to keep across later evaluations (the trace/Gantt
+// renderers rely on that), and clones may Simulate concurrently like
+// they Cost concurrently.
 func (c *CDCM) Simulate(mp mapping.Mapping) (*wormhole.Result, Metrics, error) {
-	res, err := c.sim.RunFresh(mp, c.sc)
+	sc := c.sim.NewScratch()
+	sc.RecordOccupancy = true
+	res, err := c.sim.RunScratch(mp, sc)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	return res, c.price(res, c.Tech), nil
+	return res, c.price(res), nil
 }

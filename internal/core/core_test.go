@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/noc"
 	"repro/internal/topology"
+	"repro/internal/wormhole"
 )
 
 // Paper mappings of Figure 1(c,d); core order A,B,E,F; tiles t1..t4=0..3.
@@ -365,7 +367,6 @@ func TestSimulateExposesRawResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdcm.Simulator().RecordOccupancy = true
 	raw, metrics, err := cdcm.Simulate(mapA)
 	if err != nil {
 		t.Fatal(err)
@@ -375,5 +376,38 @@ func TestSimulateExposesRawResult(t *testing.T) {
 	}
 	if len(raw.Packets) != g.NumPackets() {
 		t.Fatal("raw packet schedules missing")
+	}
+}
+
+// TestSimulateRecordsOccupancy: Simulate records occupancies with no
+// flag set, equal to Simulator.Run with RecordOccupancy on, and its
+// Result is not touched by later pricings on the same evaluator.
+func TestSimulateRecordsOccupancy(t *testing.T) {
+	mesh, cfg, tech, g := paperSetup(t)
+	cdcm, err := NewCDCM(mesh, cfg, tech, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _, err := cdcm.Simulate(mapA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := wormhole.NewSimulator(mesh, cfg, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RecordOccupancy = true
+	want, err := sim.Run(mapA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cdcm.Cost(mapping.Mapping{0, 1, 2, 3}); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(raw, want) {
+		t.Fatal("Simulate diverges from a recording Run")
+	}
+	if len(raw.Occupancies(wormhole.KindRouter, 0)) == 0 {
+		t.Fatal("Simulate recorded no occupancies")
 	}
 }

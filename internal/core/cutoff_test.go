@@ -18,13 +18,19 @@ import (
 	"repro/internal/wormhole"
 )
 
-// preCutoff is a wormhole.Cutoff that keeps the bounds offered and lets
-// the run complete.
-type preCutoff struct{ pre []int64 }
-
-func (f *preCutoff) Stop(_ wormhole.Traffic, texecBound int64) bool {
-	f.pre = append(f.pre, texecBound)
-	return false
+// preCutoff returns the simulator's texec bounds for mp in the order
+// PriceBelow offers them when each is declined: the critical path, then,
+// when PortLoadBound is set and it is larger, the port load.
+func preCutoff(sim *wormhole.Simulator, sc *wormhole.Scratch, mp mapping.Mapping) ([]int64, error) {
+	cp, _, err := sim.Bound(mp, sc)
+	if err != nil || !sim.PortLoadBound {
+		return []int64{cp}, err
+	}
+	load, err := sim.PortLoad(mp, sc)
+	if err != nil || load <= cp {
+		return []int64{cp}, err
+	}
+	return []int64{cp, load}, nil
 }
 
 // refTierA is the test-only reference for CDCM's tier-A bound, written
@@ -189,13 +195,13 @@ func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 							wantCycles = append(wantCycles, load)
 							wantPre = append(wantPre, dyn+tech.StaticEnergy(grid.mesh.NumTiles(), cfg.CyclesToSeconds(load)))
 						}
-						var pc preCutoff
-						if _, err := exact.sim.RunBelow(mp, sc, &pc); err != nil {
+						pre, err := preCutoff(exact.sim, sc, mp)
+						if err != nil {
 							t.Fatal(err)
 						}
-						if !slices.Equal(pc.pre, wantCycles) {
+						if !slices.Equal(pre, wantCycles) {
 							t.Fatalf("%s trial %d: simulator's bounds %v cycles, reference %v",
-								name, trial, pc.pre, wantCycles)
+								name, trial, pre, wantCycles)
 						}
 						// Fault detours are hop-wise at least as long as the
 						// intact routes, so the intact-route reference may

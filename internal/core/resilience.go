@@ -13,10 +13,10 @@ import (
 	"repro/internal/wormhole"
 )
 
-// NewCDCMFaults is NewCDCM over a fault-aware simulator: the route table
-// detours around the fault set's failed links/routers (see
-// wormhole.NewSimulatorFaults). A nil or empty fault set is bit-identical
-// to NewCDCM.
+// NewCDCMFaults validates the inputs and builds the evaluator over a
+// fault-aware simulator: the route table detours around the fault set's
+// failed links/routers (see wormhole.NewSimulatorFaults). A nil or empty
+// fault set prices the intact NoC, bit for bit.
 func NewCDCMFaults(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 	g *model.CDCG, fs *topology.FaultSet) (*CDCM, error) {
 	if err := tech.Validate(); err != nil {
@@ -26,7 +26,7 @@ func NewCDCMFaults(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 	if err != nil {
 		return nil, err
 	}
-	return newCDCMLane(tech, nil, sim), nil
+	return &CDCM{Tech: tech, sim: sim, sc: sim.NewScratch()}, nil
 }
 
 // UnreachablePenaltyFactor prices a fault scenario that partitions a

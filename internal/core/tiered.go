@@ -17,8 +17,8 @@ import (
 // search.TieredObjective. CDCM's exact pricing is a full wormhole
 // simulation per candidate; its certified bounds need no code here: they
 // are the bounds CDCM.PriceBelow offers before the first packet, tier A
-// (the simulator's uncontended critical path), then the port-load bound
-// (see wormhole.Simulator.RunBelow).
+// (the simulator's uncontended critical path, wormhole.Simulator.Bound),
+// then the port-load bound (wormhole.Simulator.PortLoad).
 //
 // cdcmSurrogate (tier B) is a calibrated analytic predictor of ENoC:
 // texec is approximated as an affine function of the uncontended

@@ -93,7 +93,6 @@ func NewFigureExample() (*FigureExample, error) {
 	if f.CDCM, err = core.NewCDCM(mesh, f.Cfg, f.Tech, f.G); err != nil {
 		return nil, err
 	}
-	f.CDCM.Simulator().RecordOccupancy = true
 	if f.ResA, f.MetricsA, err = f.CDCM.Simulate(f.MapA); err != nil {
 		return nil, err
 	}

@@ -65,6 +65,7 @@ func RunSensitivity(ctx context.Context, suite []Workload, cfg noc.Config, sampl
 		if err != nil {
 			return err
 		}
+		sc := sim.NewScratch()
 		rng := rand.New(rand.NewSource(seed))
 		o := SensitivityOutcome{Workload: w.Name, NoCSize: w.NoCSize(), MinRandom: math.MaxInt64}
 		var sumT, sumC int64
@@ -73,7 +74,7 @@ func RunSensitivity(ctx context.Context, suite []Workload, cfg noc.Config, sampl
 			if err != nil {
 				return err
 			}
-			res, err := sim.Run(mp)
+			res, err := sim.RunScratch(mp, sc)
 			if err != nil {
 				return err
 			}
@@ -90,7 +91,7 @@ func RunSensitivity(ctx context.Context, suite []Workload, cfg noc.Config, sampl
 		o.MeanContention = sumC / int64(samples)
 
 		timeObj := search.ObjectiveFunc(func(mp mapping.Mapping) (float64, error) {
-			res, err := sim.Run(mp)
+			res, err := sim.RunScratch(mp, sc)
 			if err != nil {
 				return 0, err
 			}

@@ -251,20 +251,6 @@ func (r *Registry) CounterVec(name, help, label string) *CounterVec {
 // instead of calling With per update.
 func (v *CounterVec) With(labelValue string) *Counter { return v.f.counter(labelValue) }
 
-// GaugeVec is a family of gauges split by one label.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a gauge family keyed by the given label name.
-func (r *Registry) GaugeVec(name, help, label string) *GaugeVec {
-	if label == "" {
-		panic("obs: gauge vec needs a label name")
-	}
-	return &GaugeVec{f: r.register(name, help, typeGauge, label, nil)}
-}
-
-// With returns the gauge for one label value, creating it on first use.
-func (v *GaugeVec) With(labelValue string) *Gauge { return v.f.gauge(labelValue) }
-
 // HistogramVec is a family of histograms split by one label.
 type HistogramVec struct {
 	f      *family

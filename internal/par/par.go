@@ -29,41 +29,33 @@ func Workers(n int) int {
 // DefaultWorkers is the CLI-facing default: one worker per logical CPU.
 func DefaultWorkers() int { return runtime.NumCPU() }
 
-// ForEach runs task(0..n-1) on up to `workers` goroutines and waits for
-// completion. Dispatch is in index order and stops once any task has
+// ForEachCtx runs task(0..n-1) on up to `workers` goroutines and waits
+// for completion. Dispatch is in index order and stops once any task has
 // failed (higher-index tasks not yet dispatched are skipped, so a failing
 // batch doesn't grind through the rest of its jobs); every task below the
 // first failing index is guaranteed to have run, which makes the returned
 // lowest-index error deterministic under any scheduling. workers <= 1
 // degenerates to a plain loop on the calling goroutine (no goroutines
 // spawned), so the serial path stays trivially debuggable.
-func ForEach(n, workers int, task func(i int) error) error {
-	return ForEachWorker(n, workers, func(_, i int) error { return task(i) })
-}
-
-// ForEachCtx is ForEach with cancellation: once ctx is done, tasks not yet
-// dispatched are skipped and the call returns — the lowest-index task
-// error if one exists (tasks that poll ctx themselves typically surface
-// ctx.Err() that way), ctx.Err() otherwise. A nil ctx is exactly ForEach.
+//
+// Once ctx is done, tasks not yet dispatched are skipped and the call
+// returns — the lowest-index task error if one exists (tasks that poll
+// ctx themselves typically surface ctx.Err() that way), ctx.Err()
+// otherwise. A nil ctx never cancels and pays no select: the
+// uncancellable behaviour, exactly.
 func ForEachCtx(ctx context.Context, n, workers int, task func(i int) error) error {
 	return ForEachWorkerCtx(ctx, n, workers, func(_, i int) error { return task(i) })
 }
 
-// ForEachWorker is ForEach with the pool lane exposed: task(w, i) runs
-// job i on worker goroutine w, where w is in [0, min(workers, n)). A
-// given w is never concurrent with itself, so callers can hand each
+// ForEachWorkerCtx is ForEachCtx with the pool lane exposed: task(w, i)
+// runs job i on worker goroutine w, where w is in [0, min(workers, n)).
+// A given w is never concurrent with itself, so callers can hand each
 // worker a private instance of non-concurrency-safe state (the search
 // engines allocate one objective evaluator per worker this way). Which
 // worker runs which job is scheduling-dependent — determinism of the
 // overall computation must come from the per-worker state being
-// semantically identical across lanes.
-func ForEachWorker(n, workers int, task func(worker, i int) error) error {
-	return ForEachWorkerCtx(nil, n, workers, task)
-}
-
-// ForEachWorkerCtx is ForEachWorker with cancellation, with the same
-// error-priority rule as ForEachCtx: task errors (lowest index) win over
-// the bare ctx.Err(). A nil ctx is exactly ForEachWorker.
+// semantically identical across lanes. Errors and cancellation follow
+// ForEachCtx's rules.
 //
 // A task that panics on a worker goroutine does not end the process:
 // the worker recovers it, dispatch stops as after an error, and once
@@ -129,8 +121,7 @@ func ForEachWorkerCtx(ctx context.Context, n, workers int, task func(worker, i i
 	return ctxErr
 }
 
-// Panic is the value ForEachWorkerCtx (and so every ForEach variant)
-// re-panics with on the calling goroutine when a task panicked on a
+// Panic is the value ForEachWorkerCtx (and so ForEachCtx) re-panics with on the calling goroutine when a task panicked on a
 // worker goroutine.
 type Panic struct {
 	// Value is what the task panicked with.

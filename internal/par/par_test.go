@@ -12,7 +12,7 @@ import (
 func TestForEachRunsEveryTask(t *testing.T) {
 	for _, workers := range []int{0, 1, 2, 7, 100} {
 		var ran [50]int32
-		err := ForEach(50, workers, func(i int) error {
+		err := ForEachCtx(nil, 50, workers, func(i int) error {
 			atomic.AddInt32(&ran[i], 1)
 			return nil
 		})
@@ -29,7 +29,7 @@ func TestForEachRunsEveryTask(t *testing.T) {
 
 func TestForEachReturnsLowestIndexError(t *testing.T) {
 	for _, workers := range []int{1, 3, 8} {
-		err := ForEach(20, workers, func(i int) error {
+		err := ForEachCtx(nil, 20, workers, func(i int) error {
 			if i == 7 || i == 13 {
 				return fmt.Errorf("task %d failed", i)
 			}
@@ -46,7 +46,7 @@ func TestForEachStopsDispatchAfterError(t *testing.T) {
 	// not all be ground through once the failure is visible.
 	var ran [200]int32
 	boom := errors.New("boom")
-	err := ForEach(200, 2, func(i int) error {
+	err := ForEachCtx(nil, 200, 2, func(i int) error {
 		atomic.AddInt32(&ran[i], 1)
 		if i == 3 {
 			return boom
@@ -75,7 +75,7 @@ func TestForEachWorkerLaneBounds(t *testing.T) {
 	// Worker ids must stay within [0, min(workers, n)) so callers can
 	// index per-lane state safely.
 	var bad int32
-	err := ForEachWorker(40, 4, func(w, i int) error {
+	err := ForEachWorkerCtx(nil, 40, 4, func(w, i int) error {
 		if w < 0 || w >= 4 {
 			atomic.AddInt32(&bad, 1)
 		}
@@ -90,7 +90,7 @@ func TestForEachWorkerLaneBounds(t *testing.T) {
 }
 
 func TestForEachEmpty(t *testing.T) {
-	if err := ForEach(0, 4, func(int) error { return errors.New("never") }); err != nil {
+	if err := ForEachCtx(nil, 0, 4, func(int) error { return errors.New("never") }); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -116,14 +116,14 @@ func TestForEachWorkerCarriesPanicToCaller(t *testing.T) {
 	var got any
 	func() {
 		defer func() { got = recover() }()
-		_ = ForEachWorker(len(ran), 2, func(w, i int) error {
+		_ = ForEachWorkerCtx(nil, len(ran), 2, func(w, i int) error {
 			atomic.AddInt32(&ran[i], 1)
 			if i == 1 || i == 3 {
 				panic(fmt.Sprintf("lane %d boom %d", w, i))
 			}
 			return nil
 		})
-		t.Error("ForEachWorker returned after a worker panicked")
+		t.Error("ForEachWorkerCtx returned after a worker panicked")
 	}()
 	p, ok := got.(*Panic)
 	if !ok {

@@ -5,8 +5,8 @@ import (
 	"sync/atomic"
 )
 
-// Pool is the daemon-facing sibling of ForEach: a long-lived bounded
-// worker pool with a bounded submission queue. ForEach serves one-shot
+// Pool is the daemon-facing sibling of ForEachCtx: a long-lived bounded
+// worker pool with a bounded submission queue. ForEachCtx serves one-shot
 // batch fan-outs of a known size; Pool serves an open-ended stream of
 // jobs arriving over time (the nocd mapping service schedules its job
 // queue onto one). Backpressure is explicit — TrySubmit refuses instead

@@ -121,15 +121,17 @@ func TestForEachCtxTaskErrorBeatsCtxError(t *testing.T) {
 	}
 }
 
+// TestForEachCtxNilCtxMatchesForEach: a nil ctx runs every task, as a
+// context that is never canceled does.
 func TestForEachCtxNilCtxMatchesForEach(t *testing.T) {
 	var a, b atomic.Int64
-	if err := ForEach(50, 4, func(int) error { a.Add(1); return nil }); err != nil {
+	if err := ForEachCtx(context.Background(), 50, 4, func(int) error { a.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if err := ForEachCtx(nil, 50, 4, func(int) error { b.Add(1); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if a.Load() != b.Load() {
-		t.Fatalf("nil-ctx variant ran %d tasks, ForEach ran %d", b.Load(), a.Load())
+	if a.Load() != 50 || b.Load() != 50 {
+		t.Fatalf("nil-ctx variant ran %d tasks, never-canceled ctx ran %d, want 50", b.Load(), a.Load())
 	}
 }

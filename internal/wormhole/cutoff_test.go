@@ -13,18 +13,42 @@ import (
 	"repro/internal/wormhole"
 )
 
-// boundLog is a wormhole.Cutoff that records every bound it is offered
-// and stops at the stopAt-th offer (never when stopAt is 0).
+// boundLog records every bound it is offered and stops at the stopAt-th
+// offer (never when stopAt is 0).
 type boundLog struct {
 	bounds  []int64
 	traffic []wormhole.Traffic
 	stopAt  int
 }
 
-func (b *boundLog) Stop(t wormhole.Traffic, texecBound int64) bool {
+func (b *boundLog) offer(t wormhole.Traffic, texecBound int64) bool {
 	b.bounds = append(b.bounds, texecBound)
 	b.traffic = append(b.traffic, t)
 	return len(b.bounds) == b.stopAt
+}
+
+// run prices mp on sc in core.CDCM.PriceBelow's order: it offers Bound's
+// critical path, then, when PortLoadBound is set and the port load is
+// larger, that load, and it simulates mp with RunScratch unless an offer
+// stopped it. It returns the Result, nil after a stop.
+func (b *boundLog) run(sim *wormhole.Simulator, mp mapping.Mapping, sc *wormhole.Scratch) (*wormhole.Result, error) {
+	cp, t, err := sim.Bound(mp, sc)
+	if err != nil {
+		return nil, err
+	}
+	if b.offer(t, cp) {
+		return nil, nil
+	}
+	if sim.PortLoadBound {
+		load, err := sim.PortLoad(mp, sc)
+		if err != nil {
+			return nil, err
+		}
+		if load > cp && b.offer(t, load) {
+			return nil, nil
+		}
+	}
+	return sim.RunScratch(mp, sc)
 }
 
 // refCriticalPath is the uncontended critical path of g under mp,
@@ -121,11 +145,11 @@ func refPortLoad(t *testing.T, fx refFixture, mp mapping.Mapping) int64 {
 // fixture and mapping of the reference sweep — 2-D, 3-D, torus, both
 // buffer policies, faults, ArbitrateLocal on and off — and along a
 // random swap sequence from each mapping, all through one scratch per
-// fixture: the bounds RunBelow offers are the critical path and, when
-// it is larger, refPortLoad's load; every bound is at most the reference
-// texec; and the per-port loads the scratch
-// keeps, updated from one mapping to the next, equal a recompute on a
-// fresh scratch.
+// fixture: the bounds offered in PriceBelow's order are the critical
+// path and, when it is larger, refPortLoad's load; every bound is at
+// most the reference texec; and the per-port loads the scratch keeps,
+// updated from one mapping to the next, equal a recompute on a fresh
+// scratch.
 func TestPortLoadBoundMatchesReference(t *testing.T) {
 	swaps := rand.New(rand.NewSource(21))
 	var above, incremental, local int
@@ -140,10 +164,10 @@ func TestPortLoadBoundMatchesReference(t *testing.T) {
 			_, prev, hadPrev := wormhole.ScratchLoads(sc)
 			want, _, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
 			log := &boundLog{}
-			_, err := sim.RunBelow(mp, sc, log)
+			_, err := log.run(sim, mp, sc)
 			if wantErr != nil || err != nil {
 				if !errors.Is(wantErr, topology.ErrUnreachable) || !errors.Is(err, wormhole.ErrUnreachable) {
-					t.Fatalf("instance %d run %d step %d: reference error %v, RunBelow error %v", i, run, step, wantErr, err)
+					t.Fatalf("instance %d run %d step %d: reference error %v, bounded run error %v", i, run, step, wantErr, err)
 				}
 				continue
 			}
@@ -172,8 +196,8 @@ func TestPortLoadBoundMatchesReference(t *testing.T) {
 				local++
 			}
 			fresh := sim.NewScratch()
-			if got := wormhole.PortLoad(sim, fresh, of); got != slices.Max(loads) {
-				t.Fatalf("instance %d run %d step %d: fresh port load %d, kept loads peak at %d", i, run, step, got, slices.Max(loads))
+			if got, err := sim.PortLoad(of, fresh); err != nil || got != slices.Max(loads) {
+				t.Fatalf("instance %d run %d step %d: fresh port load %d (%v), kept loads peak at %d", i, run, step, got, err, slices.Max(loads))
 			}
 			if full, _, _ := wormhole.ScratchLoads(fresh); !slices.Equal(loads, full) {
 				t.Fatalf("instance %d run %d step %d: updated loads %v, recomputed %v", i, run, step, loads, full)
@@ -242,7 +266,7 @@ func TestPortLoadBoundGate(t *testing.T) {
 			t.Fatalf("a %d-core fixture has PortLoadBound on", fx.g.NumCores())
 		}
 		log := &boundLog{}
-		if _, err := sim.RunBelow(mp, sim.NewScratch(), log); err != nil {
+		if _, err := log.run(sim, mp, sim.NewScratch()); err != nil {
 			continue // unreachable under the fixture's faults
 		}
 		cp := refCriticalPath(t, fx, mp)
@@ -257,12 +281,13 @@ func TestPortLoadBoundGate(t *testing.T) {
 }
 
 // TestRunBelowBoundSound is the cut-off soundness property, on the
-// reference sweep's fixtures: the bounds RunBelow offers are the
-// uncontended critical path and, when it is larger, the port load
-// (refPortLoad), neither exceeds the final texec, the traffic totals
-// are the full run's aggregates, and a run that is never stopped returns
-// exactly RunScratch's Result. Stopping at either offer returns no
-// Result.
+// reference sweep's fixtures: the bounds Bound and PortLoad offer in
+// PriceBelow's order are the uncontended critical path and, when it is
+// larger, the port load (refPortLoad), neither exceeds the final texec,
+// the traffic totals are the full run's aggregates, and a run that is
+// never stopped returns exactly RunScratch's Result on a fresh scratch:
+// the bounds leave no state behind that changes a run. Stopping at
+// either offer returns no Result.
 func TestRunBelowBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1404))
 	var stops [3]int
@@ -280,15 +305,15 @@ func TestRunBelowBoundSound(t *testing.T) {
 		}
 		want, wantErr := sim.RunScratch(mp, sc)
 		log := &boundLog{}
-		got, err := sim.RunBelow(mp, below, log)
+		got, err := log.run(sim, mp, below)
 		if wantErr != nil || err != nil {
 			if !errors.Is(wantErr, wormhole.ErrUnreachable) || !errors.Is(err, wormhole.ErrUnreachable) {
-				t.Fatalf("instance %d: RunScratch error %v, RunBelow error %v", i, wantErr, err)
+				t.Fatalf("instance %d: RunScratch error %v, bounded run error %v", i, wantErr, err)
 			}
 			continue
 		}
 		if got == nil || !reflect.DeepEqual(got, want) {
-			t.Fatalf("instance %d: uncut RunBelow diverges from RunScratch", i)
+			t.Fatalf("instance %d: uncut bounded run diverges from RunScratch", i)
 		}
 		cp, load := refCriticalPath(t, fx, mp), refPortLoad(t, fx, mp)
 		wantPre := []int64{cp}
@@ -317,7 +342,7 @@ func TestRunBelowBoundSound(t *testing.T) {
 
 		stopAt := 1 + rng.Intn(len(log.bounds))
 		cut := &boundLog{stopAt: stopAt}
-		res, err := sim.RunBelow(mp, below, cut)
+		res, err := cut.run(sim, mp, below)
 		if err != nil || res != nil || len(cut.bounds) != stopAt {
 			t.Fatalf("instance %d: stop at offer %d of %d returned result %v after %d offers, error %v",
 				i, stopAt, len(log.bounds), res != nil, len(cut.bounds), err)

@@ -16,12 +16,6 @@ func ScratchBookings(sc *Scratch) (ports, others int) {
 	return ports, others
 }
 
-// PortLoad brings sc's per-port loads to mp and returns the port-load
-// bound, as RunBelow does once the critical path is declined.
-func PortLoad(sim *Simulator, sc *Scratch, mp mapping.Mapping) int64 {
-	return sim.portLoad(sc, mp)
-}
-
 // ScratchLoads returns a copy of the per-port loads sc holds and the
 // mapping they are for; ok is false before sc has computed any.
 func ScratchLoads(sc *Scratch) (loads []int64, of mapping.Mapping, ok bool) {

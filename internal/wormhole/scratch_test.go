@@ -228,16 +228,16 @@ func TestScratchConcurrentClonesMatchSequential(t *testing.T) {
 	}
 }
 
-// TestRunFreshIndependentResult pins RunFresh's contract: same schedule
-// as RunScratch, but the Result survives later runs on the same scratch.
-func TestRunFreshIndependentResult(t *testing.T) {
+// TestRunIndependentResult pins Run's contract: same schedule as
+// RunScratch, but the Result survives later runs, Run's and a scratch's.
+func TestRunIndependentResult(t *testing.T) {
 	mesh, _ := topology.NewMesh(2, 2)
 	sim, err := NewSimulator(mesh, noc.PaperExample(), model.PaperExampleCDCG())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := sim.NewScratch()
-	fresh, err := sim.RunFresh(paperMappingA, sc)
+	fresh, err := sim.Run(paperMappingA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,15 +246,18 @@ func TestRunFreshIndependentResult(t *testing.T) {
 	if _, err := sim.RunScratch(other, sc); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sim.Run(other); err != nil {
+		t.Fatal(err)
+	}
 	if !resultsEqual(keep, fresh) {
-		t.Fatal("RunFresh result mutated by a later run on the same scratch")
+		t.Fatal("Run result mutated by a later run")
 	}
 	via, err := sim.RunScratch(paperMappingA, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !resultsEqual(via, fresh) {
-		t.Fatal("RunFresh schedule diverged from RunScratch")
+		t.Fatal("Run schedule diverged from RunScratch")
 	}
 }
 
@@ -274,9 +277,6 @@ func TestRunScratchRejectsForeignScratch(t *testing.T) {
 	}
 	if _, err := a.RunScratch(paperMappingA, nil); err == nil {
 		t.Fatal("nil scratch accepted")
-	}
-	if _, err := a.RunFresh(paperMappingA, b.NewScratch()); err == nil {
-		t.Fatal("RunFresh: scratch from another simulator accepted")
 	}
 	var zero Simulator
 	if _, err := zero.RunScratch(paperMappingA, nil); err == nil {

@@ -163,31 +163,27 @@ func (r *Result) Occupancies(kind ResourceKind, index int) []Occupancy {
 // descriptors, the per-packet constants and the dependence graph — is
 // immutable afterwards, so one Simulator is safe to share across
 // goroutines as long as each goroutine runs with its own Scratch
-// (NewScratch + RunScratch): that is how the parallel search engines
-// evaluate the CDCM objective concurrently without re-parsing or
-// locking.
-//
-// Run is the one-goroutine convenience path: it lazily keeps a private
-// internal scratch, so a Simulator used via Run is NOT safe for
-// concurrent use.
+// (NewScratch + RunScratch, Bound, PortLoad): that is how the parallel
+// search engines evaluate the CDCM objective concurrently without
+// re-parsing or locking. Run, the convenience path, simulates on a fresh
+// scratch per call, so it is safe for concurrent use too.
 type Simulator struct {
 	Mesh *topology.Mesh
 	Cfg  noc.Config
 	G    *model.CDCG
 
 	// RecordOccupancy keeps the per-resource busy lists on Results
-	// returned by Run, for rendering (Figure 3/4/5 style output). Leave
-	// false in search loops — recording snapshots every resource's full
-	// occupancy history, which only the trace/Gantt consumers need.
-	// RunScratch ignores it; set Scratch.RecordOccupancy instead.
+	// returned by Run, for rendering (Figure 3/4/5 style output): Run
+	// copies it to the fresh scratch it simulates on. RunScratch ignores
+	// it; set Scratch.RecordOccupancy instead.
 	RecordOccupancy bool
-	// PortLoadBound makes RunBelow offer the port-load bound once the
-	// critical path is declined (see RunBelow). NewSimulatorFaults sets
-	// it when a swap moves at most a tenth of the packets on average,
-	// that is on graphs of 40 cores or more: on smaller ones the update
-	// costs more than the simulations the bound saves. It changes only
-	// which runs may be skipped, never a Result, so the tests set it to
-	// check the bound on small graphs.
+	// PortLoadBound tells a pricer that skips runs at certified bounds
+	// (core.CDCM.PriceBelow) to offer PortLoad once Bound is declined.
+	// NewSimulatorFaults sets it when a swap moves at most a tenth of the
+	// packets on average, that is on graphs of 40 cores or more: on
+	// smaller ones the update costs more than the simulations the bound
+	// saves. It changes only which runs may be skipped, never a Result,
+	// so the tests set it to check the bound on small graphs.
 	PortLoadBound bool
 
 	dg       *graph.Digraph
@@ -228,7 +224,7 @@ type Simulator struct {
 	// NewSimulatorFaults): their bookings are then skipped unless a run
 	// records occupancies.
 	linkFree, tsvFree bool
-	// topo is a topological order of the packets; criticalPath walks it
+	// topo is a topological order of the packets; Bound walks it
 	// backwards to price each packet's uncontended remaining path.
 	topo []int32
 	// The port-load bound's index (see NewSimulatorFaults): the packets
@@ -237,7 +233,6 @@ type Simulator struct {
 	coreOff  []int32
 	coreRefs []coreRef
 
-	scratch  *Scratch // lazily built by Run; nil until then
 	initOnce bool
 }
 
@@ -272,11 +267,11 @@ type pktConst struct {
 }
 
 // Scratch is the mutable per-lane state of one simulation: busy lists,
-// the event heap, dependence counters and the reusable Result backing
-// arrays. Results returned by RunScratch point into the scratch and are
-// valid only until its next RunScratch — callers that keep a Result
-// across runs must copy what they need (or use Run, which returns an
-// independent Result).
+// the event heap, dependence counters, the port-load bound's sums and
+// the reusable Result backing arrays. Results returned by RunScratch
+// point into the scratch and are valid only until its next RunScratch —
+// callers that keep a Result across runs must copy what they need (or
+// use Run, which simulates on a scratch of its own).
 //
 // A Scratch belongs to the Simulator that created it and is not safe for
 // concurrent use; concurrency comes from running many scratches, one per
@@ -300,7 +295,7 @@ type Scratch struct {
 	hops        []hopPlan
 	seen        []model.CoreID // mapping-validation buffer, reused per run
 	// load[port] is the port-load bound's sum for loadMap, the last
-	// mapping RunBelow computed it for (loaded false until then).
+	// mapping PortLoad computed it for (loaded false until then).
 	load    []int64
 	loadMap mapping.Mapping
 	loaded  bool
@@ -490,7 +485,7 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	// ≥ Σ_p c_p with c_p = min(h_p+1, d_p), whichever packet is last.
 	// With tl ≥ 1, d_p ≥ h_p+1 on planar ports (d ≥ 2tr + (n+1)·tl) and
 	// on the local port (d = tr + n·tl), so c_p is h_p+1 there; only a
-	// TSV port slower than the path after it needs the min. portLoad
+	// TSV port slower than the path after it needs the min. PortLoad
 	// keeps these sums per port.
 	//
 	// A swap moves the packets of two of the nc cores: on average over
@@ -645,44 +640,18 @@ func (s *Simulator) NewScratch() *Scratch {
 	}
 }
 
-// Run simulates the CDCG under the given mapping and returns the
-// schedule as an independent Result (safe to keep across runs). It uses
-// a lazily-created internal scratch, so Run is not safe for concurrent
-// use — parallel callers use NewScratch with RunScratch or RunFresh.
+// Run simulates the CDCG under the given mapping on a fresh scratch
+// that copies RecordOccupancy, so the Result is independent (safe to
+// keep across runs) and Run is safe for concurrent use. Search loops
+// use NewScratch with RunScratch instead: Run allocates a scratch per
+// call.
 func (s *Simulator) Run(mp mapping.Mapping) (*Result, error) {
 	if !s.initOnce {
 		return nil, errors.New("wormhole: use NewSimulator")
 	}
-	if s.scratch == nil {
-		s.scratch = s.NewScratch()
-	}
-	return s.RunFresh(mp, s.scratch)
-}
-
-// RunFresh simulates with the caller's scratch like RunScratch but
-// returns an independent Result with fresh backing arrays, safe to keep
-// across later runs. It is the concurrency-safe form of Run: lanes that
-// occasionally need a durable Result (rendering snapshots, winner
-// reports) call it on their own scratch without touching the shared
-// internal one. Occupancies are recorded when either the scratch's or
-// the simulator's RecordOccupancy flag is set; flip those before
-// spinning up concurrent lanes.
-func (s *Simulator) RunFresh(mp mapping.Mapping, sc *Scratch) (*Result, error) {
-	if !s.initOnce {
-		return nil, errors.New("wormhole: use NewSimulator")
-	}
-	if sc == nil || sc.sim != s {
-		return nil, errors.New("wormhole: scratch is not from this simulator's NewScratch")
-	}
-	res := &Result{
-		Packets:    make([]PacketSchedule, s.G.NumPackets()),
-		RouterBits: make([]int64, s.numTiles),
-		LinkBits:   make([]int64, s.Mesh.NumLinks()),
-	}
-	if _, err := s.run(sc, res, mp, sc.RecordOccupancy || s.RecordOccupancy, nil); err != nil {
-		return nil, err
-	}
-	return res, nil
+	sc := s.NewScratch()
+	sc.RecordOccupancy = s.RecordOccupancy
+	return s.RunScratch(mp, sc)
 }
 
 // RunScratch simulates the CDCG under the given mapping using the
@@ -695,7 +664,45 @@ func (s *Simulator) RunFresh(mp mapping.Mapping, sc *Scratch) (*Result, error) {
 //
 //nocvet:noalloc
 func (s *Simulator) RunScratch(mp mapping.Mapping, sc *Scratch) (*Result, error) {
-	return s.RunBelow(mp, sc, nil)
+	if err := s.check(mp, sc); err != nil {
+		return nil, err
+	}
+	if err := s.run(sc, mp); err != nil {
+		return nil, err
+	}
+	return &sc.res, nil
+}
+
+// check validates one run's inputs, the same way for every entry point:
+// an initialised simulator, a scratch of its own, a mapping of every
+// core onto distinct tiles, and — on a faulted simulator — no packet
+// routed across a partition. The sentinel ErrUnreachable is static, so
+// the noalloc callers stay clean; resilience scoring catches it and
+// applies the documented penalty instead of treating it as a failure.
+//
+//nocvet:noalloc
+func (s *Simulator) check(mp mapping.Mapping, sc *Scratch) error {
+	if !s.initOnce {
+		return errors.New("wormhole: use NewSimulator")
+	}
+	if sc == nil || sc.sim != s {
+		return errors.New("wormhole: scratch is not from this simulator's NewScratch")
+	}
+	if len(mp) != s.G.NumCores() {
+		return fmt.Errorf("wormhole: mapping covers %d cores, CDCG has %d", len(mp), s.G.NumCores())
+	}
+	if err := mp.ValidateInto(s.numTiles, sc.seen); err != nil {
+		return err
+	}
+	if s.unreach != nil {
+		for i := range s.pkts {
+			pc := &s.pkts[i]
+			if s.unreach[int(mp[pc.src])*s.numTiles+int(mp[pc.dst])] {
+				return ErrUnreachable
+			}
+		}
+	}
+	return nil
 }
 
 // Traffic is the bit volume one mapping's routes carry, summed over every
@@ -707,62 +714,21 @@ type Traffic struct {
 	RouterBits, LinkBits, TSVBits, CoreBits int64
 }
 
-// Cutoff decides whether RunBelow may skip a simulation.
-type Cutoff interface {
-	// Stop reports whether the run may be skipped, given the mapping's
-	// traffic totals and a certified lower bound on its texec. RunBelow
-	// calls it, before the first packet, with the critical path, then,
-	// when it is larger and PortLoadBound is set, with the port-load
-	// bound.
-	Stop(t Traffic, texecBound int64) bool
-}
-
-// RunBelow is RunScratch with a cut-off: before the first packet it
-// offers stop certified lower bounds B ≤ texec, and it either skips the
-// simulation, as soon as stop accepts one, or simulates mp to
-// completion on the caller's scratch. The bounds, in increasing order:
-//
-//   - The uncontended critical path: the longest dependence chain of
-//     compute times plus contention-free packet durations K·(tr+tl) +
-//     V·(tTSV−tl) + n·tl under mp. It costs O(packets + dependences).
-//   - If stop declines that and PortLoadBound is set, the port-load
-//     bound, when it is larger: the largest per-port sum of
-//     min(hold+1, remaining path) over the packets that cross an
-//     arbitrated output port (see NewSimulatorFaults). The scratch keeps
-//     the per-port sums of the last mapping it bounded, so a swap re-adds
-//     only the packets of the cores that moved.
-//
-// It returns the Result (valid until the scratch's next run, like
-// RunScratch's) when the simulation ran, or a nil Result when stop
-// skipped it. A nil stop runs to completion: that is RunScratch.
+// Bound returns the first certified lower bound on mp's texec, the
+// uncontended critical path — the longest dependence chain of compute
+// times plus contention-free packet durations K·(tr+tl) + V·(tTSV−tl) +
+// n·tl — together with the traffic totals, at O(packets + dependences)
+// on the caller's scratch. It rejects exactly the mappings and scratches
+// RunScratch rejects, with the same errors, so a pricer may skip the run
+// at the bound. It walks the packets in reverse topological order,
+// using sc.ready as the per-packet "own duration plus the longest path
+// after it" scratch (run resets it).
 //
 //nocvet:noalloc
-func (s *Simulator) RunBelow(mp mapping.Mapping, sc *Scratch, stop Cutoff) (*Result, error) {
-	if !s.initOnce {
-		return nil, errors.New("wormhole: use NewSimulator")
+func (s *Simulator) Bound(mp mapping.Mapping, sc *Scratch) (texec int64, t Traffic, err error) {
+	if err := s.check(mp, sc); err != nil {
+		return 0, t, err
 	}
-	if sc == nil || sc.sim != s {
-		return nil, errors.New("wormhole: scratch is not from this simulator's NewScratch")
-	}
-	res := &sc.res
-	res.Packets = sc.packets
-	res.RouterBits = sc.routerBits
-	res.LinkBits = sc.linkBits
-	skipped, err := s.run(sc, res, mp, sc.RecordOccupancy, stop)
-	if err != nil || skipped {
-		return nil, err
-	}
-	return res, nil
-}
-
-// criticalPath prices the first cut-off bound for mp: the traffic
-// totals and the uncontended critical path. It walks the packets in
-// reverse topological order, using sc.ready as the per-packet "own
-// duration plus the longest path after it" scratch (run resets it
-// afterwards).
-//
-//nocvet:noalloc
-func (s *Simulator) criticalPath(sc *Scratch, mp mapping.Mapping) (lb int64, tot Traffic, err error) {
 	n := s.numTiles
 	tr, tl := s.Cfg.RoutingCycles, s.Cfg.LinkCycles
 	vadj := s.Cfg.TSVCycles() - tl
@@ -772,9 +738,6 @@ func (s *Simulator) criticalPath(sc *Scratch, mp mapping.Mapping) (lb int64, tot
 		p := int(s.topo[i])
 		pc := &s.pkts[p]
 		ri := int(mp[pc.src])*n + int(mp[pc.dst])
-		if s.unreach != nil && s.unreach[ri] {
-			return 0, tot, ErrUnreachable
-		}
 		route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
 		k := int64(len(route))
 		var v int64
@@ -785,29 +748,32 @@ func (s *Simulator) criticalPath(sc *Scratch, mp mapping.Mapping) (lb int64, tot
 				}
 			}
 		}
-		tot.RouterBits += pc.bits * k
-		tot.LinkBits += pc.bits * (k - 1)
-		tot.TSVBits += pc.bits * v
-		tot.CoreBits += 2 * pc.bits
+		t.RouterBits += pc.bits * k
+		t.LinkBits += pc.bits * (k - 1)
+		t.TSVBits += pc.bits * v
+		t.CoreBits += 2 * pc.bits
 		var rest int64
 		for _, q := range s.dg.Succ(p) {
 			rest = max(rest, path[q])
 		}
 		path[p] = pc.compute + k*(tr+tl) + v*vadj + pc.flits*tl + rest
-		lb = max(lb, path[p])
+		texec = max(texec, path[p])
 	}
-	return lb, tot, nil
+	return texec, t, nil
 }
 
-// portLoad returns the port-load bound of mp: the largest per-port sum
-// of c_p = min(h_p+1, d_p) over the packets crossing an arbitrated
-// output port (see NewSimulatorFaults). It brings sc.load from
-// sc.loadMap to mp by moving only the packets of the cores whose tiles
-// differ, each once; the first call adds every packet. mp has passed
-// criticalPath, so every route it uses is reachable.
+// PortLoad returns the port-load bound of mp, a certified lower bound on
+// its texec: the largest per-port sum of c_p = min(h_p+1, d_p) over the
+// packets crossing an arbitrated output port (see NewSimulatorFaults).
+// It rejects what Bound rejects. The scratch keeps the per-port sums of
+// the last mapping it bounded, so a swap re-adds only the packets of the
+// cores that moved, each once; the first call adds every packet.
 //
 //nocvet:noalloc
-func (s *Simulator) portLoad(sc *Scratch, mp mapping.Mapping) int64 {
+func (s *Simulator) PortLoad(mp mapping.Mapping, sc *Scratch) (int64, error) {
+	if err := s.check(mp, sc); err != nil {
+		return 0, err
+	}
 	if !sc.loaded {
 		for p := range s.pkts {
 			s.addLoad(sc.load, p, mp, 1)
@@ -822,7 +788,7 @@ func (s *Simulator) portLoad(sc *Scratch, mp mapping.Mapping) int64 {
 	for _, l := range sc.load {
 		peak = max(peak, l)
 	}
-	return peak
+	return peak, nil
 }
 
 // moveLoads adds sign·c_p, routed under on, for the packets of the cores
@@ -885,37 +851,18 @@ func (s *Simulator) tsvLoad(p int, route []hop) int64 {
 	return min(pc.vPortHold+1, d)
 }
 
-// run is the simulation core shared by Run, RunScratch and RunBelow: all
-// mutable state lives in sc, all shared state on s is read-only, and the
-// schedule is written into res (whose slices the caller sized). It
-// reports skipped when stop (nil for a plain run) accepted a bound
-// before the first packet; res is then untouched.
+// run is the simulation core behind RunScratch, on inputs check has
+// accepted: all mutable state lives in sc, all shared state on s is
+// read-only, and the schedule is written into sc.res over the scratch's
+// backing arrays.
 //
 //nocvet:noalloc
-func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record bool, stop Cutoff) (skipped bool, err error) {
-	if len(mp) != s.G.NumCores() {
-		return false, fmt.Errorf("wormhole: mapping covers %d cores, CDCG has %d", len(mp), s.G.NumCores())
-	}
-	if err := mp.ValidateInto(s.numTiles, sc.seen); err != nil {
-		return false, err
-	}
-	if stop != nil {
-		lb, tot, err := s.criticalPath(sc, mp)
-		if err != nil {
-			return false, err
-		}
-		//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
-		if stop.Stop(tot, lb) {
-			return true, nil
-		}
-		if s.PortLoadBound {
-			//nocvet:ignore Cutoff implementations are the evaluators' allocation-free bound checks
-			if load := s.portLoad(sc, mp); load > lb && stop.Stop(tot, load) {
-				return true, nil
-			}
-		}
-	}
-
+func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
+	record := sc.RecordOccupancy
+	res := &sc.res
+	res.Packets = sc.packets
+	res.RouterBits = sc.routerBits
+	res.LinkBits = sc.linkBits
 	np := s.G.NumPackets()
 	res.ExecCycles = 0
 	res.CoreBits = 0
@@ -961,13 +908,6 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 		pc := &s.pkts[p]
 		srcTile, dstTile := mp[pc.src], mp[pc.dst]
 		ri := int(srcTile)*n + int(dstTile)
-		if s.unreach != nil && s.unreach[ri] {
-			// The mapping routes this packet across a faulted partition.
-			// The sentinel is static so the noalloc hot path stays clean;
-			// resilience scoring catches it and applies the documented
-			// penalty instead of treating it as a failure.
-			return false, ErrUnreachable
-		}
 		route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
 		bits := pc.bits
 		var coreOut, coreIn *busyList
@@ -1085,14 +1025,14 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 		}
 	}
 	if scheduled != np {
-		return false, errors.New("wormhole: dependence deadlock (cyclic CDCG)")
+		return errors.New("wormhole: dependence deadlock (cyclic CDCG)")
 	}
 
 	if record {
 		for i := range sc.routerSpans {
 			sortOcc(sc.routerSpans[i].iv)
 		}
-		//nocvet:ignore trace recording is the diagnostic path (Run with record), never the annealer steady state
+		//nocvet:ignore trace recording is the diagnostic path (a recording scratch), never the annealer steady state
 		res.occ = &occStore{
 			routerSpans: snapshotAll(sc.routerSpans),
 			ports:       snapshotAll(sc.ports),
@@ -1101,7 +1041,7 @@ func (s *Simulator) run(sc *Scratch, res *Result, mp mapping.Mapping, record boo
 			coreIn:      snapshotAll(sc.coreIn),
 		}
 	}
-	return false, nil
+	return nil
 }
 
 // sortOcc sorts occupancies by (Start, Packet) via insertion sort; display
