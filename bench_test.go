@@ -290,9 +290,6 @@ func BenchmarkEvaluatorCWM(b *testing.B) {
 		b.Fatal(err)
 	}
 	mp := mapping.Identity(g.NumCores())
-	if _, err := cwm.Cost(mp); err != nil { // warm route cache
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -337,9 +334,6 @@ func BenchmarkInstrumentedEval(b *testing.B) {
 		}
 		cwm.Evals = evals
 		mp := mapping.Identity(g.NumCores())
-		if _, err := cwm.Cost(mp); err != nil { // warm route cache
-			b.Fatal(err)
-		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -19,6 +19,10 @@
 // (search.DeltaObjective, bit-identical to full recomputes), so the
 // large-mesh rows spend their time in the CDCM simulator, not in
 // re-walking communication graphs.
+//
+// Ctrl-C cancels the experiments that search (table2, buffers, ablation,
+// dim3, pareto, resilience, sensitivity); esvssa, cputime and vsrandom
+// take no context and run to their end.
 package main
 
 import (
@@ -106,7 +110,7 @@ func run(ctx context.Context, which string, seeds, steps, moves, maxTiles, depth
 		// Search.Workers as well would stack CompareModels' concurrent
 		// legs on top of the already-saturated workload pool.
 		rep, err := exp.RunTable2(suite, exp.Table2Options{
-			Search:   core.Options{Method: core.MethodSA, TempSteps: steps, MovesPerTemp: moves, Surrogate: surrogate},
+			Search:   core.Options{Method: core.MethodSA, TempSteps: steps, MovesPerTemp: moves, Ctx: ctx, Surrogate: surrogate},
 			Seeds:    seedList,
 			MaxTiles: maxTiles,
 			Workers:  workers,
@@ -145,7 +149,7 @@ func run(ctx context.Context, which string, seeds, steps, moves, maxTiles, depth
 			}
 		}
 		outs, err := exp.RunBuffers(small, noc.Config{}, nil,
-			core.Options{Method: core.MethodSA, Seed: seed, TempSteps: steps, MovesPerTemp: moves, Workers: workers, Surrogate: surrogate})
+			core.Options{Method: core.MethodSA, Seed: seed, TempSteps: steps, MovesPerTemp: moves, Workers: workers, Ctx: ctx, Surrogate: surrogate})
 		if err != nil {
 			return err
 		}
@@ -159,7 +163,7 @@ func run(ctx context.Context, which string, seeds, steps, moves, maxTiles, depth
 			}
 		}
 		outs, err := exp.RunAblations(small, nil,
-			core.Options{Method: core.MethodSA, Seed: seed, TempSteps: steps, MovesPerTemp: moves, Workers: workers, Surrogate: surrogate})
+			core.Options{Method: core.MethodSA, Seed: seed, TempSteps: steps, MovesPerTemp: moves, Workers: workers, Ctx: ctx, Surrogate: surrogate})
 		if err != nil {
 			return err
 		}
@@ -182,7 +186,7 @@ func run(ctx context.Context, which string, seeds, steps, moves, maxTiles, depth
 			return err
 		}
 		outs, err := exp.RunDim3(g, exp.DefaultDim3Shapes(depth, torus), noc.Config{},
-			core.Options{Method: core.MethodSA, Seed: seed, TempSteps: steps, MovesPerTemp: moves, Workers: workers, Surrogate: surrogate})
+			core.Options{Method: core.MethodSA, Seed: seed, TempSteps: steps, MovesPerTemp: moves, Workers: workers, Ctx: ctx, Surrogate: surrogate})
 		if err != nil {
 			return err
 		}

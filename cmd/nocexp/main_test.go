@@ -1,6 +1,10 @@
 package main
 
-import "testing"
+import (
+	"context"
+	"errors"
+	"testing"
+)
 
 // The fast experiments run end to end through the CLI entry point.
 func TestRunFastExperiments(t *testing.T) {
@@ -51,5 +55,20 @@ func TestRunBoundedExperiments(t *testing.T) {
 	}
 	if err := run(nil, "dim3", 1, 6, 10, 0, 4, "moebius", 100, 10, 1, 2, 0.08, 2, false); err == nil {
 		t.Fatal("dim3 accepted an unknown topology")
+	}
+}
+
+// TestRunHonorsCanceledContext: the interrupt context reaches every
+// experiment that searches under core.Options, so a run started after
+// Ctrl-C stops with context.Canceled instead of running to the end.
+// esvssa takes no context: its exhaustive search has no cancellation
+// path.
+func TestRunHonorsCanceledContext(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, which := range []string{"table2", "buffers", "ablation", "dim3"} {
+		if err := run(ctx, which, 1, 6, 10, 6, 4, "mesh", 100, 10, 1, 2, 0.08, 2, false); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: err = %v, want context.Canceled", which, err)
+		}
 	}
 }

@@ -46,7 +46,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/service"
-	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -356,11 +355,4 @@ func sniffJSON(br *bufio.Reader) (bool, error) {
 			return c == '{', br.UnreadByte()
 		}
 	}
-}
-
-// parseMesh resolves a grid spec exactly like the daemon does; kept as a
-// named function because the spec grammar is part of nocmap's CLI
-// contract (and its tests).
-func parseMesh(spec, topo string, depth, cores int) (*topology.Mesh, error) {
-	return service.ParseMesh(spec, topo, depth, cores)
 }

@@ -14,7 +14,7 @@ import (
 )
 
 func TestParseMeshExplicit(t *testing.T) {
-	m, err := parseMesh("3x2", "mesh", 0, 5)
+	m, err := service.ParseMesh("3x2", "mesh", 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestParseMeshAuto(t *testing.T) {
 		{1, 1, 1},
 	}
 	for _, tc := range cases {
-		m, err := parseMesh("", "mesh", 0, tc.cores)
+		m, err := service.ParseMesh("", "mesh", 0, tc.cores)
 		if err != nil {
 			t.Fatalf("cores %d: %v", tc.cores, err)
 		}
@@ -46,7 +46,7 @@ func TestParseMeshAuto(t *testing.T) {
 }
 
 func TestParseMesh3D(t *testing.T) {
-	m, err := parseMesh("2x3x4", "mesh", 0, 5)
+	m, err := service.ParseMesh("2x3x4", "mesh", 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestParseMesh3D(t *testing.T) {
 		t.Fatalf("mesh = %dx%dx%d", m.W(), m.H(), m.D())
 	}
 	// -depth stacks a planar spec...
-	m, err = parseMesh("2x2", "torus", 4, 5)
+	m, err = service.ParseMesh("2x2", "torus", 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +62,10 @@ func TestParseMesh3D(t *testing.T) {
 		t.Fatalf("mesh = %dx%dx%d %s", m.W(), m.H(), m.D(), m.Kind())
 	}
 	// ...and must agree with an explicit WxHxD spec.
-	if _, err := parseMesh("2x2x2", "mesh", 4, 5); err == nil {
+	if _, err := service.ParseMesh("2x2x2", "mesh", 4, 5); err == nil {
 		t.Fatal("conflicting -depth accepted")
 	}
-	if _, err := parseMesh("2x2", "klein-bottle", 0, 4); err == nil {
+	if _, err := service.ParseMesh("2x2", "klein-bottle", 0, 4); err == nil {
 		t.Fatal("unknown topology accepted")
 	}
 }
@@ -74,7 +74,7 @@ func TestParseMeshAutoWithDepth(t *testing.T) {
 	// Auto-sizing spreads the cores over the requested layers instead of
 	// replicating a full planar grid per layer: 16 cores at depth 4 fit a
 	// 2x2x4 (16 tiles), not a 4x4x4.
-	m, err := parseMesh("", "mesh", 4, 16)
+	m, err := service.ParseMesh("", "mesh", 4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestParseMeshAutoWithDepth(t *testing.T) {
 	}
 	// Non-dividing core counts still fit: 10 cores over 4 layers needs
 	// 3 per layer -> 2x2 layers, 16 tiles.
-	m, err = parseMesh("", "mesh", 4, 10)
+	m, err = service.ParseMesh("", "mesh", 4, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,11 +94,11 @@ func TestParseMeshAutoWithDepth(t *testing.T) {
 
 func TestParseMeshErrors(t *testing.T) {
 	for _, spec := range []string{"3", "ax2", "3xb", "0x4", "4x4junk", "2x2x4.5", " 2x2", "2x2x2x2"} {
-		if _, err := parseMesh(spec, "mesh", 0, 2); err == nil {
+		if _, err := service.ParseMesh(spec, "mesh", 0, 2); err == nil {
 			t.Errorf("spec %q accepted", spec)
 		}
 	}
-	if _, err := parseMesh("2x2", "mesh", 0, 5); err == nil {
+	if _, err := service.ParseMesh("2x2", "mesh", 0, 5); err == nil {
 		t.Error("oversubscribed mesh accepted")
 	}
 }

@@ -37,7 +37,7 @@
 // search worker its own scratch lane over the shared simulator core, so
 // parallel CDCM-objective searches scale with Workers and stay
 // bit-identical to the serial path. Per-resource occupancy recording is
-// opt-in (Simulator/Scratch RecordOccupancy) and only enabled by the
+// opt-in (Scratch.RecordOccupancy) and only enabled by the
 // trace/Gantt renderers, through CDCM.Simulate (see README
 // "Allocation-free CDCM evaluation").
 //

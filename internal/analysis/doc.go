@@ -83,7 +83,8 @@
 // statement. The reason is mandatory; an ignore without one is itself a
 // finding. Ignores are the escape hatch for code that is correct for
 // reasons the analyzers cannot see (an order-insensitive fan-out over a
-// subscriber set, an amortized cache-miss fallback); the reason string
+// subscriber set, a call through a callback its caller keeps
+// allocation-free); the reason string
 // is the reviewer-facing justification.
 //
 // # Running

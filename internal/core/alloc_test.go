@@ -1,41 +1,59 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/mapping"
+	"repro/internal/model"
 	"repro/internal/topology"
 )
 
 // TestCWMSwapDeltaCommitZeroAlloc pins the hot-path contract the
-// hotpath analyzer enforces statically: once the route cache is warm,
-// pricing and committing swaps allocates nothing. The warm-up sweep
-// touches every tile pair so the kCache misses (the one sanctioned
-// allocation-bearing fallback) are all behind us before measuring.
+// hotpath analyzer enforces statically: pricing and committing swaps
+// allocates nothing, from the first call after Reset on. The route
+// tables are filled in NewCWM, so there is no warm-up to wait out.
 func TestCWMSwapDeltaCommitZeroAlloc(t *testing.T) {
-	mesh, g := deltaInstance(t, 4, 4, 10)
+	cwm, occ := coldSweepCWM(t)
+	if allocs := swapSweepMallocs(t, cwm, occ); allocs != 0 {
+		t.Fatalf("SwapDelta+Commit allocates %d objects over a cold sweep, want 0", allocs)
+	}
+}
+
+// coldSweepCWM returns a CWM on an 8x8 mesh bound by Reset to a mapping
+// that packs its 10 cores into the 3x4 corner block, with the mapping's
+// occupancy view. The baseline's routes are short, so a sweep of swaps
+// across the mesh prices many tile pairs, and route lengths, that Reset
+// never touched.
+func coldSweepCWM(t *testing.T) (*CWM, []model.CoreID) {
+	t.Helper()
+	mesh, g := deltaInstance(t, 8, 8, 10)
 	cwm := newTestCWM(t, mesh, g)
-	mp := mapping.Identity(g.NumCores())
-	occ := mp.Occupants(mesh.NumTiles())
+	mp := make(mapping.Mapping, g.NumCores())
+	for i := range mp {
+		mp[i] = mesh.Tile(i%3, i/3)
+	}
 	if _, err := cwm.Reset(mp); err != nil {
 		t.Fatal(err)
 	}
-	n := topology.TileID(mesh.NumTiles())
-	for src := topology.TileID(0); src < n; src++ {
-		for dst := topology.TileID(0); dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			if _, err := cwm.routers(src, dst); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
+	return cwm, mp.Occupants(mesh.NumTiles())
+}
 
-	var a, b topology.TileID = 0, 1
-	allocs := testing.AllocsPerRun(64, func() {
-		if _, err := cwm.SwapDelta(occ, a, b); err != nil {
-			t.Fatal(err)
+// swapSweepMallocs prices and commits 64 swaps over tile pairs spread
+// across the mesh and returns the heap allocations of the whole sweep.
+// Unlike testing.AllocsPerRun it runs no warm-up call and does not
+// average, so a single allocation on a first-touched tile pair shows.
+func swapSweepMallocs(t *testing.T, cwm *CWM, occ []model.CoreID) uint64 {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	n := topology.TileID(len(occ))
+	var before, after runtime.MemStats
+	var a, b topology.TileID = 0, n - 1
+	var err error
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 64; i++ {
+		if _, err = cwm.SwapDelta(occ, a, b); err != nil {
+			break
 		}
 		cwm.Commit(a, b)
 		occ[a], occ[b] = occ[b], occ[a]
@@ -44,8 +62,10 @@ func TestCWMSwapDeltaCommitZeroAlloc(t *testing.T) {
 		if a == b {
 			b = (b + 1) % n
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SwapDelta+Commit steady state allocates %.1f objects/run, want 0", allocs)
 	}
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.Mallocs - before.Mallocs
 }

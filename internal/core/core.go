@@ -48,22 +48,15 @@ type CWM struct {
 	// feeds back into a cost.
 	Evals *obs.Counter
 
-	kCache   []int16 // routers per (srcTile, dstTile) pair, lazily filled
-	numTiles int     // cached Mesh.NumTiles(), the kCache stride
-	// routeBuf is the reused route buffer of the kCache miss path, so a
-	// lane filling its cache pair by pair allocates per longest route,
-	// not per pair.
-	routeBuf []topology.TileID
-
-	// flat is true on depth-1 grids, which have no vertical links: every
-	// vertical-traffic code path below is skipped, keeping the 2-D hot
-	// loops (and their results) exactly as they were before the 3-D
-	// extension. vCache mirrors kCache with the vertical (TSV) hop count
-	// of each tile pair and is nil when flat; it is filled by the same
-	// cache-miss path as kCache, so a non-zero kCache entry guarantees a
-	// valid vCache entry.
-	flat   bool
-	vCache []int16
+	// hops holds the minimal-route lengths of every (srcTile, dstTile)
+	// pair, row-major with stride numTiles, filled once in NewCWM from
+	// closed forms: K = Mesh.MinHops+1 routers and V = Mesh.VerticalHops
+	// vertical (TSV) links. Every RoutingAlgo is minimal and dimension-
+	// ordered, so these equal the lengths of the routes Mesh.AppendRoute
+	// walks (TestCWMHopTablesMatchRoutes pins it); V is zero on depth-1
+	// grids, so the 2-D aggregates carry a zero vertical term.
+	hops     []routeLen
+	numTiles int // cached Mesh.NumTiles(), the hops stride
 
 	// totalBits is Σw over all CWG edges. It links the two traffic
 	// aggregates — Σ w·(K−1) = Σ w·K − Σw for every mapping — so Cost and
@@ -82,22 +75,23 @@ type CWM struct {
 	adj []coreAdj
 
 	// Incremental-evaluation state bound by Reset (see cwm_delta.go): the
-	// baseline mapping, its occupancy view, the router count of each CWG
-	// edge's route under that baseline, and the integer traffic aggregate
-	// routerBits = Σ w·K (link-bits derive as routerBits − totalBits).
-	// Keeping the aggregate in exact integer arithmetic is what makes
-	// incremental evaluation bit-identical to a full recompute — swap
-	// deltas are integer updates, so equal-cost mappings tie exactly on
-	// both paths. On 3-D grids edgeV/tsvBits track the vertical (TSV)
-	// traffic aggregate Σ w·V the same way (V = vertical hops of the
-	// edge's route); both are nil/zero when flat.
+	// baseline mapping, its occupancy view, the route lengths of each CWG
+	// edge under that baseline, and the integer traffic aggregates
+	// routerBits = Σ w·K (link-bits derive as routerBits − totalBits) and
+	// tsvBits = Σ w·V. Keeping the aggregates in exact integer arithmetic
+	// is what makes incremental evaluation bit-identical to a full
+	// recompute — swap deltas are integer updates, so equal-cost mappings
+	// tie exactly on both paths.
 	bound      mapping.Mapping
 	boundOcc   []model.CoreID
-	edgeK      []int16
-	edgeV      []int16
+	edgeLen    []routeLen
 	routerBits int64
 	tsvBits    int64
 }
+
+// routeLen is the length of one minimal route: k routers and v vertical
+// (TSV) links.
+type routeLen struct{ k, v int16 }
 
 // NewCWM validates the inputs and builds the evaluator.
 func NewCWM(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CWG) (*CWM, error) {
@@ -121,46 +115,20 @@ func NewCWM(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CWG)
 		adj[e.Src].edges = append(adj[e.Src].edges, adjEdge{nbr: int32(e.Dst), edge: int32(i), bits: e.Bits})
 		adj[e.Dst].edges = append(adj[e.Dst].edges, adjEdge{nbr: int32(e.Src), edge: int32(i), bits: e.Bits})
 	}
-	c := &CWM{Mesh: mesh, Cfg: cfg, Tech: tech, G: g,
-		kCache:    make([]int16, mesh.NumTiles()*mesh.NumTiles()),
-		numTiles:  mesh.NumTiles(),
-		flat:      mesh.D() == 1,
+	n := mesh.NumTiles()
+	hops := make([]routeLen, n*n)
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			src, dst := topology.TileID(a), topology.TileID(b)
+			hops[a*n+b] = routeLen{k: int16(mesh.MinHops(src, dst) + 1), v: int16(mesh.VerticalHops(src, dst))}
+		}
+	}
+	return &CWM{Mesh: mesh, Cfg: cfg, Tech: tech, G: g,
+		hops:      hops,
+		numTiles:  n,
 		totalBits: g.TotalBits(),
 		coreBits:  2 * g.TotalBits(),
-		adj:       adj}
-	if !c.flat {
-		c.vCache = make([]int16, mesh.NumTiles()*mesh.NumTiles())
-	}
-	return c, nil
-}
-
-// routers returns K for a tile pair, caching the route length.
-//
-//nocvet:noalloc
-func (c *CWM) routers(src, dst topology.TileID) (int, error) {
-	if k := c.kCache[int(src)*c.numTiles+int(dst)]; k > 0 {
-		return int(k), nil
-	}
-	//nocvet:ignore cache-miss fallback: every pair is computed once, then served from kCache; amortized alloc-free
-	return c.routersSlow(src, dst)
-}
-
-// routersSlow computes and caches K (and, on 3-D grids, the vertical hop
-// count) on a cache miss; kept out of routers so the hot-path hit check
-// inlines into the evaluation loops.
-func (c *CWM) routersSlow(src, dst topology.TileID) (int, error) {
-	var err error
-	c.routeBuf, err = c.Mesh.AppendRoute(c.routeBuf[:0], c.Cfg.Routing, src, dst)
-	if err != nil {
-		return 0, err
-	}
-	k := len(c.routeBuf)
-	idx := int(src)*c.numTiles + int(dst)
-	c.kCache[idx] = int16(k)
-	if !c.flat {
-		c.vCache[idx] = int16(c.Mesh.VerticalHops(src, dst))
-	}
-	return k, nil
+		adj:       adj}, nil
 }
 
 // Cost implements search.Objective: EDyNoC in joules. The per-edge sum
@@ -201,16 +169,9 @@ func (c *CWM) fold(mp mapping.Mapping) (rb, vb int64, err error) {
 		return 0, 0, fmt.Errorf("core: mapping covers %d cores, CWG has %d", len(mp), c.G.NumCores())
 	}
 	for _, e := range c.G.Edges {
-		k, err := c.routers(mp[e.Src], mp[e.Dst])
-		if err != nil {
-			return 0, 0, err
-		}
-		rb += e.Bits * int64(k)
-		if !c.flat {
-			// routers filled the pair's cache line, so the vertical hop
-			// count is valid here.
-			vb += e.Bits * int64(c.vCache[int(mp[e.Src])*c.numTiles+int(mp[e.Dst])])
-		}
+		h := c.hops[int(mp[e.Src])*c.numTiles+int(mp[e.Dst])]
+		rb += e.Bits * int64(h.k)
+		vb += e.Bits * int64(h.v)
 	}
 	return rb, vb, nil
 }

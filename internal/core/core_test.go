@@ -380,8 +380,8 @@ func TestSimulateExposesRawResult(t *testing.T) {
 }
 
 // TestSimulateRecordsOccupancy: Simulate records occupancies with no
-// flag set, equal to Simulator.Run with RecordOccupancy on, and its
-// Result is not touched by later pricings on the same evaluator.
+// flag set, equal to a run on a fresh recording scratch, and its Result
+// is not touched by later pricings on the same evaluator.
 func TestSimulateRecordsOccupancy(t *testing.T) {
 	mesh, cfg, tech, g := paperSetup(t)
 	cdcm, err := NewCDCM(mesh, cfg, tech, g)
@@ -396,8 +396,9 @@ func TestSimulateRecordsOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RecordOccupancy = true
-	want, err := sim.Run(mapA)
+	sc := sim.NewScratch()
+	sc.RecordOccupancy = true
+	want, err := sim.RunScratch(mapA, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,7 +406,7 @@ func TestSimulateRecordsOccupancy(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(raw, want) {
-		t.Fatal("Simulate diverges from a recording Run")
+		t.Fatal("Simulate diverges from a recording scratch run")
 	}
 	if len(raw.Occupancies(wormhole.KindRouter, 0)) == 0 {
 		t.Fatal("Simulate recorded no occupancies")

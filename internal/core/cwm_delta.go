@@ -28,9 +28,9 @@ import (
 // includes contention-dependent execution time, a global property with no
 // cheap swap delta, so the search engines keep the full simulator path.
 //
-// The hot loop prices the moved core's edges against one kCache row: the
-// moving core's new tile is fixed across its whole edge list, and K is
-// direction-symmetric for the minimal dimension-ordered routings
+// The hot loop prices the moved core's edges against one row of the hops
+// table: the moving core's new tile is fixed across its whole edge list,
+// and K is direction-symmetric for the minimal dimension-ordered routings
 // (XY/YX/XYZ/ZYX) on mesh and torus in 2-D and 3-D alike (K = MinHops+1;
 // TestRouteKSymmetric and the property tests in internal/topology pin the
 // invariant), so K(newTile, otherTile) equals the K a full walk would
@@ -46,12 +46,12 @@ import (
 var _ search.DeltaObjective = (*CWM)(nil)
 
 // adjEdge is one incident edge in a core's adjacency: the other endpoint,
-// the index into G.Edges / edgeK, and the bit volume. One flat struct per
+// the index into G.Edges / edgeLen, and the bit volume. One flat struct per
 // edge keeps the hot loop at a single bounds check and one cache line per
 // couple of edges.
 type adjEdge struct {
 	nbr  int32 // other endpoint core
-	edge int32 // index into G.Edges / edgeK
+	edge int32 // index into G.Edges / edgeLen
 	bits int64
 }
 
@@ -74,10 +74,7 @@ func (c *CWM) Reset(mp mapping.Mapping) (float64, error) {
 	if c.bound == nil {
 		c.bound = mp.Clone()
 		c.boundOcc = mp.Occupants(c.numTiles)
-		c.edgeK = make([]int16, len(c.G.Edges))
-		if !c.flat {
-			c.edgeV = make([]int16, len(c.G.Edges))
-		}
+		c.edgeLen = make([]routeLen, len(c.G.Edges))
 	} else {
 		copy(c.bound, mp)
 		for i := range c.boundOcc {
@@ -90,17 +87,10 @@ func (c *CWM) Reset(mp mapping.Mapping) (float64, error) {
 	c.routerBits = 0
 	c.tsvBits = 0
 	for i, e := range c.G.Edges {
-		k, err := c.routers(mp[e.Src], mp[e.Dst])
-		if err != nil {
-			return 0, err
-		}
-		c.edgeK[i] = int16(k)
-		c.routerBits += e.Bits * int64(k)
-		if !c.flat {
-			v := c.vCache[int(mp[e.Src])*c.numTiles+int(mp[e.Dst])]
-			c.edgeV[i] = v
-			c.tsvBits += e.Bits * int64(v)
-		}
+		h := c.hops[int(mp[e.Src])*c.numTiles+int(mp[e.Dst])]
+		c.edgeLen[i] = h
+		c.routerBits += e.Bits * int64(h.k)
+		c.tsvBits += e.Bits * int64(h.v)
 	}
 	return c.Tech.DynamicFromTraffic3D(c.routerBits, c.routerBits-c.totalBits, c.tsvBits, c.coreBits), nil
 }
@@ -109,13 +99,13 @@ func (c *CWM) Reset(mp mapping.Mapping) (float64, error) {
 // exchanging the occupants of ta and tb, priced in O(deg(a)+deg(b))
 // against the bound baseline without applying the swap. occ must be the
 // occupancy view of the bound mapping (the search engines maintain it
-// alongside their working copy). Old router counts come from the edgeK
-// cache and new ones from a single kCache row per moved core, so pricing
-// records nothing — an accepted swap is folded in by Commit, which
-// re-probes the same warm rows. The returned delta is the difference of
-// the swapped and baseline costs, each derived from the exact integer
-// aggregate exactly as Cost derives them — which is what keeps the
-// incremental path bit-identical to full recomputes.
+// alongside their working copy). Old route lengths come from edgeLen and
+// new ones from a single hops row per moved core, so pricing records
+// nothing — an accepted swap is folded in by Commit, which re-probes the
+// same rows. The returned delta is the difference of the swapped and
+// baseline costs, each derived from the exact integer aggregate exactly
+// as Cost derives them — which is what keeps the incremental path
+// bit-identical to full recomputes.
 //
 //nocvet:noalloc
 func (c *CWM) SwapDelta(occ []model.CoreID, ta, tb topology.TileID) (float64, error) {
@@ -125,10 +115,7 @@ func (c *CWM) SwapDelta(occ []model.CoreID, ta, tb topology.TileID) (float64, er
 	if c.Evals != nil {
 		c.Evals.Inc()
 	}
-	dR, dV, err := c.swapAgg(occ, ta, tb)
-	if err != nil {
-		return 0, err
-	}
+	dR, dV := c.swapAgg(occ, ta, tb)
 	if dR == 0 && dV == 0 {
 		// Unchanged aggregates mean the full path would price the swapped
 		// mapping at a bit-identical cost, so the delta is an exact zero.
@@ -147,10 +134,10 @@ func (c *CWM) SwapDelta(occ []model.CoreID, ta, tb topology.TileID) (float64, er
 // mapping's exact integer aggregates without mutating the baseline.
 //
 //nocvet:noalloc
-func (c *CWM) swapAgg(occ []model.CoreID, ta, tb topology.TileID) (dR, dV int64, err error) {
+func (c *CWM) swapAgg(occ []model.CoreID, ta, tb topology.TileID) (dR, dV int64) {
 	ca, cb := occ[ta], occ[tb]
 	bound := c.bound
-	edgeK := c.edgeK
+	edgeLen := c.edgeLen
 	// Two passes: ca's incident edges, then cb's. Edges between ca and cb
 	// are priced once — the second pass skips edges touching ca (skip ==
 	// Unassigned matches no core, so the first pass skips nothing).
@@ -163,13 +150,7 @@ func (c *CWM) swapAgg(occ []model.CoreID, ta, tb topology.TileID) (dR, dV int64,
 			continue
 		}
 		skipI := int32(skip)
-		row := c.kCache[int(nt)*c.numTiles : (int(nt)+1)*c.numTiles]
-		// vrow stays nil on depth-1 grids: the vertical aggregate then
-		// costs the 2-D hot loop nothing but one predictable branch.
-		var vrow []int16
-		if !c.flat {
-			vrow = c.vCache[int(nt)*c.numTiles : (int(nt)+1)*c.numTiles]
-		}
+		row := c.hops[int(nt)*c.numTiles : (int(nt)+1)*c.numTiles]
 		for _, ae := range c.adj[x].edges {
 			if ae.nbr == skipI {
 				continue
@@ -180,35 +161,23 @@ func (c *CWM) swapAgg(occ []model.CoreID, ta, tb topology.TileID) (dR, dV int64,
 			} else if ot == tb {
 				ot = ta
 			}
-			k := row[ot]
-			if k == 0 {
-				//nocvet:ignore cache-miss fallback: every pair is computed once, then served from kCache; amortized alloc-free
-				kk, err := c.routersSlow(nt, ot)
-				if err != nil {
-					return 0, 0, err
-				}
-				k = int16(kk)
-			}
-			// Unconditional multiply-add: a dk==0 guard would mispredict
-			// on real swap mixes and cost more than the multiply.
-			dR += ae.bits * (int64(k) - int64(edgeK[ae.edge]))
-			if vrow != nil {
-				// routersSlow fills both caches, so vrow[ot] is valid
-				// whenever row[ot] is.
-				dV += ae.bits * (int64(vrow[ot]) - int64(c.edgeV[ae.edge]))
-			}
+			// Unconditional multiply-adds: a zero-change guard would
+			// mispredict on real swap mixes and cost more than the
+			// multiplies.
+			h, old := row[ot], edgeLen[ae.edge]
+			dR += ae.bits * (int64(h.k) - int64(old.k))
+			dV += ae.bits * (int64(h.v) - int64(old.v))
 		}
 	}
-	return dR, dV, nil
+	return dR, dV
 }
 
 // Commit implements search.DeltaObjective: it folds an accepted swap into
-// the bound baseline, refreshing the stored router count of every edge
+// the bound baseline, refreshing the stored route lengths of every edge
 // incident to the moved cores, and returns the exact cost of the updated
 // baseline (the same DynamicFromTraffic expression Cost evaluates, so the
 // engines' tracked cost stays bit-identical to full recomputes).
-// Re-probing the warm route-cache rows here keeps SwapDelta free of
-// bookkeeping — pricing runs for every proposal, commits only for
+// Re-probing the hops rows here keeps SwapDelta free of bookkeeping — pricing runs for every proposal, commits only for
 // accepted ones.
 //
 //nocvet:noalloc
@@ -222,8 +191,7 @@ func (c *CWM) Commit(ta, tb topology.TileID) float64 {
 
 // refreshEdges re-probes the edges incident to core x under the updated
 // baseline, skipping edges to skip (already refreshed by the partner's
-// pass). Route lookups cannot fail here: the baseline is a validated
-// mapping, so both endpoints are in-range tiles of a connected mesh.
+// pass).
 //
 //nocvet:noalloc
 func (c *CWM) refreshEdges(x, skip model.CoreID) {
@@ -231,36 +199,19 @@ func (c *CWM) refreshEdges(x, skip model.CoreID) {
 		return
 	}
 	nt := c.bound[x]
-	row := c.kCache[int(nt)*c.numTiles : (int(nt)+1)*c.numTiles]
-	var vrow []int16
-	if !c.flat {
-		vrow = c.vCache[int(nt)*c.numTiles : (int(nt)+1)*c.numTiles]
-	}
+	row := c.hops[int(nt)*c.numTiles : (int(nt)+1)*c.numTiles]
 	bound := c.bound
-	edgeK := c.edgeK
+	edgeLen := c.edgeLen
 	skipI := int32(skip)
 	for _, ae := range c.adj[x].edges {
 		if ae.nbr == skipI {
 			continue
 		}
-		// K is direction-symmetric (see the invariant note above), so the
-		// probe need not honour the edge's direction.
-		ot := bound[ae.nbr]
-		k := row[ot]
-		if k == 0 {
-			//nocvet:ignore cache-miss fallback: every pair is computed once, then served from kCache; amortized alloc-free
-			kk, err := c.routersSlow(nt, ot)
-			if err != nil {
-				panic("core: route failed for a validated bound mapping: " + err.Error())
-			}
-			k = int16(kk)
-		}
-		c.routerBits += ae.bits * (int64(k) - int64(edgeK[ae.edge]))
-		edgeK[ae.edge] = k
-		if vrow != nil {
-			v := vrow[ot]
-			c.tsvBits += ae.bits * (int64(v) - int64(c.edgeV[ae.edge]))
-			c.edgeV[ae.edge] = v
-		}
+		// Route lengths are direction-symmetric (see the invariant note
+		// above), so the probe need not honour the edge's direction.
+		h, old := row[bound[ae.nbr]], edgeLen[ae.edge]
+		c.routerBits += ae.bits * (int64(h.k) - int64(old.k))
+		c.tsvBits += ae.bits * (int64(h.v) - int64(old.v))
+		edgeLen[ae.edge] = h
 	}
 }

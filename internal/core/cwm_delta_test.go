@@ -271,3 +271,70 @@ func TestDeltaRunDeterministicUnderSeed(t *testing.T) {
 		t.Fatalf("same seed diverged on the delta path: %+v vs %+v", r1, r2)
 	}
 }
+
+// TestCWMHopTablesMatchRoutes pins NewCWM's closed-form route tables
+// against the routes themselves: for every tile pair, K must equal the
+// router count of the route Mesh.AppendRoute walks and V the number of
+// its steps that change layer. It covers every routing algorithm on
+// meshes and tori in 2-D and 3-D, with even torus dimensions (where the
+// two wrap directions tie) and odd ones.
+func TestCWMHopTablesMatchRoutes(t *testing.T) {
+	type grid struct {
+		name    string
+		w, h, d int
+		torus   bool
+	}
+	grids := []grid{
+		{"mesh5x3", 5, 3, 1, false},
+		{"mesh1x4", 1, 4, 1, false},
+		{"mesh3x2x3", 3, 2, 3, false},
+		{"torus4x4", 4, 4, 1, true},
+		{"torus2x3", 2, 3, 1, true},
+		{"torus5x3", 5, 3, 1, true},
+		{"torus4x2x2", 4, 2, 2, true},
+		{"torus3x3x4", 3, 3, 4, true},
+		{"torus2x2x3", 2, 2, 3, true},
+	}
+	algos := []topology.RoutingAlgo{topology.RouteXY, topology.RouteYX, topology.RouteXYZ, topology.RouteZYX, topology.RouteFA}
+	g := &model.CWG{Cores: model.MakeCores(2), Edges: []model.CWGEdge{{Src: 0, Dst: 1, Bits: 1}}}
+	for _, gr := range grids {
+		var mesh *topology.Mesh
+		var err error
+		if gr.torus {
+			mesh, err = topology.NewTorus3D(gr.w, gr.h, gr.d)
+		} else {
+			mesh, err = topology.NewMesh3D(gr.w, gr.h, gr.d)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := mesh.NumTiles()
+		for _, algo := range algos {
+			cfg := noc.Default()
+			cfg.Routing = algo
+			cwm, err := NewCWM(mesh, cfg, energy.Tech007, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var route []topology.TileID
+			for a := 0; a < n; a++ {
+				for b := 0; b < n; b++ {
+					route, err = mesh.AppendRoute(route[:0], algo, topology.TileID(a), topology.TileID(b))
+					if err != nil {
+						t.Fatal(err)
+					}
+					vert := 0
+					for i := 1; i < len(route); i++ {
+						if mesh.Coord(route[i]).Z != mesh.Coord(route[i-1]).Z {
+							vert++
+						}
+					}
+					if got := cwm.hops[a*n+b]; int(got.k) != len(route) || int(got.v) != vert {
+						t.Fatalf("%s %v t%d->t%d: table K=%d V=%d, route %v has K=%d V=%d",
+							gr.name, algo, a, b, got.k, got.v, route, len(route), vert)
+					}
+				}
+			}
+		}
+	}
+}

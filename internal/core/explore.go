@@ -244,9 +244,9 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 	}
 	phase("build")
 
-	// The evaluators are stateful (CWM route cache + delta binding, CDCM
-	// scratch), so the parallel engines receive a factory and build one
-	// per worker lane; the serial engines call it once. For CDCM the
+	// The evaluators are stateful (CWM delta binding, CDCM scratch), so
+	// the parallel engines receive a factory and build one per worker
+	// lane; the serial engines call it once. For CDCM the
 	// factory hands out clones of one shared evaluator: the simulator
 	// core (route/port tables, dependence graph) is built and validated
 	// once, each lane gets only its own scratch, and the lanes run

@@ -14,7 +14,7 @@ import (
 
 // TestMesh3DDepth1BitIdenticalThroughSA is the regression pin of the 3-D
 // extension's central promise: NewMesh3D(w, h, 1) is not merely similar
-// to NewMesh(w, h) — an end-to-end SA exploration (route caches, delta
+// to NewMesh(w, h) — an end-to-end SA exploration (route tables, delta
 // evaluation, wormhole pricing) retraces the 2-D run move for move, for
 // both strategies.
 func TestMesh3DDepth1BitIdenticalThroughSA(t *testing.T) {

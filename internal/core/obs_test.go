@@ -8,49 +8,17 @@ import (
 	"repro/internal/mapping"
 	"repro/internal/noc"
 	"repro/internal/obs"
-	"repro/internal/topology"
 )
 
 // TestInstrumentedCWMZeroAlloc pins that attaching the telemetry counter
-// keeps the warm CWM hot path allocation-free: the instrumented
-// SwapDelta/Commit loop must match the bare loop's 0 allocs/op.
+// keeps the CWM hot path allocation-free from the first call: the
+// instrumented SwapDelta/Commit sweep must match the bare sweep's zero.
 func TestInstrumentedCWMZeroAlloc(t *testing.T) {
-	mesh, g := deltaInstance(t, 4, 4, 10)
-	cwm := newTestCWM(t, mesh, g)
+	cwm, occ := coldSweepCWM(t)
 	var evals obs.Counter
 	cwm.Evals = &evals
-	mp := mapping.Identity(g.NumCores())
-	occ := mp.Occupants(mesh.NumTiles())
-	if _, err := cwm.Reset(mp); err != nil {
-		t.Fatal(err)
-	}
-	n := topology.TileID(mesh.NumTiles())
-	for src := topology.TileID(0); src < n; src++ {
-		for dst := topology.TileID(0); dst < n; dst++ {
-			if src == dst {
-				continue
-			}
-			if _, err := cwm.routers(src, dst); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	var a, b topology.TileID = 0, 1
-	allocs := testing.AllocsPerRun(64, func() {
-		if _, err := cwm.SwapDelta(occ, a, b); err != nil {
-			t.Fatal(err)
-		}
-		cwm.Commit(a, b)
-		occ[a], occ[b] = occ[b], occ[a]
-		a = (a + 1) % n
-		b = (b + 3) % n
-		if a == b {
-			b = (b + 1) % n
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("instrumented SwapDelta+Commit allocates %.1f objects/run, want 0", allocs)
+	if allocs := swapSweepMallocs(t, cwm, occ); allocs != 0 {
+		t.Fatalf("instrumented SwapDelta+Commit allocates %d objects over a cold sweep, want 0", allocs)
 	}
 	if evals.Value() == 0 {
 		t.Fatal("instrumented run recorded no evaluations")

@@ -178,10 +178,7 @@ func (s *cdcmSurrogate) SwapDelta(occ []model.CoreID, ta, tb topology.TileID) (f
 	if c.bound == nil {
 		return 0, errors.New("core: surrogate SwapDelta before Reset")
 	}
-	dR, dV, err := c.swapAgg(occ, ta, tb)
-	if err != nil {
-		return 0, err
-	}
+	dR, dV := c.swapAgg(occ, ta, tb)
 	if dR == 0 && dV == 0 {
 		return 0, nil
 	}

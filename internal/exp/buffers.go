@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/energy"
-	"repro/internal/mapping"
 	"repro/internal/noc"
 	"repro/internal/trace"
 	"repro/internal/wormhole"
@@ -43,47 +42,31 @@ func RunBuffers(suite []Workload, cfg noc.Config, depths []int64, searchOpts cor
 		if err != nil {
 			return nil, err
 		}
-		o := BufferOutcome{Workload: w.Name}
-		run := func(c noc.Config, mp mapping.Mapping) (int64, error) {
+		cdcmMap := cmp.CDCMMappings[energy.Tech007.Name]
+		// The last depth, -1, is the unbounded reference.
+		o := BufferOutcome{Workload: w.Name, Depths: append(append([]int64(nil), depths...), -1)}
+		for i, d := range o.Depths {
+			c := cfg
+			if i < len(depths) {
+				c.Buffers = noc.BuffersBounded
+				c.BufferFlits = d
+			}
+			// One simulator and one scratch per config price both winners.
 			sim, err := wormhole.NewSimulator(mesh, c, w.G)
 			if err != nil {
-				return 0, err
+				return nil, err
 			}
-			res, err := sim.Run(mp)
-			if err != nil {
-				return 0, err
-			}
-			return res.ExecCycles, nil
-		}
-		cdcmMap := cmp.CDCMMappings[energy.Tech007.Name]
-		for _, d := range depths {
-			c := cfg
-			c.Buffers = noc.BuffersBounded
-			c.BufferFlits = d
-			tw, err := run(c, cmp.CWMMapping)
+			sc := sim.NewScratch()
+			res, err := sim.RunScratch(cmp.CWMMapping, sc)
 			if err != nil {
 				return nil, err
 			}
-			td, err := run(c, cdcmMap)
-			if err != nil {
+			o.CWMExec = append(o.CWMExec, res.ExecCycles)
+			if res, err = sim.RunScratch(cdcmMap, sc); err != nil {
 				return nil, err
 			}
-			o.Depths = append(o.Depths, d)
-			o.CWMExec = append(o.CWMExec, tw)
-			o.CDCMExec = append(o.CDCMExec, td)
+			o.CDCMExec = append(o.CDCMExec, res.ExecCycles)
 		}
-		// Unbounded reference.
-		tw, err := run(cfg, cmp.CWMMapping)
-		if err != nil {
-			return nil, err
-		}
-		td, err := run(cfg, cdcmMap)
-		if err != nil {
-			return nil, err
-		}
-		o.Depths = append(o.Depths, -1)
-		o.CWMExec = append(o.CWMExec, tw)
-		o.CDCMExec = append(o.CDCMExec, td)
 		outs = append(outs, o)
 	}
 	return outs, nil

@@ -269,10 +269,7 @@ func RunCPUTime(suite []Workload, cfg noc.Config, iters int) ([]CPUTimeOutcome, 
 			return nil, err
 		}
 		mp := mapping.Identity(w.G.NumCores())
-		// Warm route caches before timing.
-		if _, err := cwm.Cost(mp); err != nil {
-			return nil, err
-		}
+		// Warm the CDCM scratch before timing.
 		if _, err := cdcm.Cost(mp); err != nil {
 			return nil, err
 		}

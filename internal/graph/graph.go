@@ -22,8 +22,7 @@ var ErrCycle = errors.New("graph: directed cycle detected")
 // graph with a fixed node count.
 type Digraph struct {
 	adj   [][]int
-	radj  [][]int
-	edges int
+	indeg []int
 }
 
 // New returns a directed graph with n nodes and no edges.
@@ -31,14 +30,11 @@ func New(n int) *Digraph {
 	if n < 0 {
 		n = 0
 	}
-	return &Digraph{adj: make([][]int, n), radj: make([][]int, n)}
+	return &Digraph{adj: make([][]int, n), indeg: make([]int, n)}
 }
 
 // N returns the number of nodes.
 func (g *Digraph) N() int { return len(g.adj) }
-
-// M returns the number of edges.
-func (g *Digraph) M() int { return g.edges }
 
 // AddEdge inserts the directed edge u->v. It returns an error if either
 // endpoint is out of range or if u == v (self loops are never meaningful
@@ -52,8 +48,7 @@ func (g *Digraph) AddEdge(u, v int) error {
 		return fmt.Errorf("graph: self loop on node %d", u)
 	}
 	g.adj[u] = append(g.adj[u], v)
-	g.radj[v] = append(g.radj[v], u)
-	g.edges++
+	g.indeg[v]++
 	return nil
 }
 
@@ -63,23 +58,16 @@ func (g *Digraph) AddEdge(u, v int) error {
 //nocvet:noalloc
 func (g *Digraph) Succ(u int) []int { return g.adj[u] }
 
-// Pred returns the predecessors of u. The returned slice is owned by the
-// graph and must not be modified.
-func (g *Digraph) Pred(u int) []int { return g.radj[u] }
-
 // InDegree returns the number of edges entering u.
 //
 //nocvet:noalloc
-func (g *Digraph) InDegree(u int) int { return len(g.radj[u]) }
-
-// OutDegree returns the number of edges leaving u.
-func (g *Digraph) OutDegree(u int) int { return len(g.adj[u]) }
+func (g *Digraph) InDegree(u int) int { return g.indeg[u] }
 
 // Sources returns all nodes with no incoming edges, in increasing order.
 func (g *Digraph) Sources() []int {
 	var s []int
 	for v := range g.adj {
-		if len(g.radj[v]) == 0 {
+		if g.indeg[v] == 0 {
 			s = append(s, v)
 		}
 	}
@@ -103,10 +91,7 @@ func (g *Digraph) Sinks() []int {
 // frontier), so repeated runs over the same graph agree.
 func (g *Digraph) TopoSort() ([]int, error) {
 	n := len(g.adj)
-	indeg := make([]int, n)
-	for v := range g.radj {
-		indeg[v] = len(g.radj[v])
-	}
+	indeg := append([]int(nil), g.indeg...)
 	// Min-heap over node indices keeps the order deterministic.
 	h := &intHeap{}
 	for v := 0; v < n; v++ {

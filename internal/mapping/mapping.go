@@ -63,9 +63,6 @@ func (m Mapping) ValidateInto(numTiles int, seen []model.CoreID) error {
 	return nil
 }
 
-// TileOf returns the tile hosting core c.
-func (m Mapping) TileOf(c model.CoreID) topology.TileID { return m[c] }
-
 // Occupants returns the inverse view: for each tile, the core it hosts or
 // Unassigned.
 func (m Mapping) Occupants(numTiles int) []model.CoreID {

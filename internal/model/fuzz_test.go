@@ -7,12 +7,12 @@ import (
 	"testing"
 )
 
-// The fuzz targets cover the two text parsers: any input must either be
+// The fuzz target covers the text parser: any input must either be
 // rejected with an error or produce a validated graph that survives a
 // parse → format → parse round trip — the canonical rendering must
 // reparse to the same graph and re-render byte-identically. Panics and
-// round-trip failures are both bugs. Seed corpora live under
-// testdata/fuzz; CI runs a short -fuzz smoke on both targets.
+// round-trip failures are both bugs. The seed corpus lives under
+// testdata/fuzz; CI runs a short -fuzz smoke on the target.
 
 func FuzzParseCDCG(f *testing.F) {
 	f.Add("name fig1\ncores A B E F\npacket pAB1 A B compute=6 bits=15\n")
@@ -56,30 +56,6 @@ func FuzzParseCDCG(f *testing.F) {
 		if !bytes.Equal(canon.Bytes(), canon2.Bytes()) {
 			t.Fatalf("canonical form is not a fixed point:\n--- first ---\n%s--- second ---\n%s",
 				canon.String(), canon2.String())
-		}
-	})
-}
-
-func FuzzParseCWG(f *testing.F) {
-	f.Add("cores A B E F\ncomm A B 15\ncomm B F 40\n")
-	f.Add("name app\ncores x y\ncomm x y 1\ncomm y x 2\n")
-	f.Add("cores a\n")
-	f.Add("# nothing\ncores p q r\ncomm p q 100 # tail comment\n")
-	f.Fuzz(func(t *testing.T, input string) {
-		g, err := ParseCWGText(strings.NewReader(input))
-		if err != nil {
-			return
-		}
-		var canon bytes.Buffer
-		if err := g.WriteText(&canon); err != nil {
-			t.Fatalf("WriteText failed on a parsed graph: %v", err)
-		}
-		g2, err := ParseCWGText(bytes.NewReader(canon.Bytes()))
-		if err != nil {
-			t.Fatalf("canonical form does not reparse: %v\n--- canonical ---\n%s", err, canon.String())
-		}
-		if !reflect.DeepEqual(g, g2) {
-			t.Fatalf("round trip changed the graph:\n%+v\nvs\n%+v", g, g2)
 		}
 	})
 }

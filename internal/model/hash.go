@@ -9,7 +9,7 @@ import (
 )
 
 // This file defines a canonical, content-only serialization of the
-// application models plus a content hash over it. The mapping service
+// CDCG plus a content hash over it. The mapping service
 // keys its result cache on these hashes: two requests whose graphs are
 // semantically identical — same cores, packets and dependence relation,
 // regardless of dependence-edge order or duplicate dependence entries —
@@ -61,36 +61,6 @@ func (g *CDCG) CanonicalBytes() []byte {
 // Hash returns the hex SHA-256 of CanonicalBytes — the CDCG's identity
 // for caching and deduplication.
 func (g *CDCG) Hash() string {
-	sum := sha256.Sum256(g.CanonicalBytes())
-	return hex.EncodeToString(sum[:])
-}
-
-// CanonicalBytes returns the canonical serialization of the CWG. Edges
-// are sorted by (src, dst) — volume aggregation makes the edge set
-// order-free, and Validate forbids duplicates, so sorting alone
-// canonicalises it.
-func (g *CWG) CanonicalBytes() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "cwg/v1 cores=%d edges=%d\n", len(g.Cores), len(g.Edges))
-	for _, c := range g.Cores {
-		fmt.Fprintf(&b, "core %d %d:%s\n", c.ID, len(c.Name), c.Name)
-	}
-	edges := make([]CWGEdge, len(g.Edges))
-	copy(edges, g.Edges)
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].Src != edges[j].Src {
-			return edges[i].Src < edges[j].Src
-		}
-		return edges[i].Dst < edges[j].Dst
-	})
-	for _, e := range edges {
-		fmt.Fprintf(&b, "edge %d %d %d\n", e.Src, e.Dst, e.Bits)
-	}
-	return b.Bytes()
-}
-
-// Hash returns the hex SHA-256 of CanonicalBytes.
-func (g *CWG) Hash() string {
 	sum := sha256.Sum256(g.CanonicalBytes())
 	return hex.EncodeToString(sum[:])
 }

@@ -64,18 +64,3 @@ func TestCanonicalBytesResistStringForgery(t *testing.T) {
 		t.Errorf("canonical bytes missing version tag: %q", a.CanonicalBytes()[:16])
 	}
 }
-
-func TestCWGHashIgnoresEdgeOrder(t *testing.T) {
-	g := PaperExampleCWG()
-	h := g.Hash()
-	perm := PaperExampleCWG()
-	perm.Edges[0], perm.Edges[len(perm.Edges)-1] = perm.Edges[len(perm.Edges)-1], perm.Edges[0]
-	if perm.Hash() != h {
-		t.Error("edge order changed the CWG hash")
-	}
-	mut := PaperExampleCWG()
-	mut.Edges[0].Bits++
-	if mut.Hash() == h {
-		t.Error("volume change kept the CWG hash")
-	}
-}

@@ -29,27 +29,6 @@ func ReadCDCG(r io.Reader) (*CDCG, error) {
 	return &g, nil
 }
 
-// WriteJSON serialises the CWG as indented JSON.
-func (g *CWG) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(g)
-}
-
-// ReadCWG parses a CWG from JSON and validates it.
-func ReadCWG(r io.Reader) (*CWG, error) {
-	var g CWG
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&g); err != nil {
-		return nil, fmt.Errorf("model: decoding CWG: %w", err)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return &g, nil
-}
-
 // DOT renders the CWG in Graphviz dot syntax, one edge per communication
 // labelled with its bit volume.
 func (g *CWG) DOT() string {

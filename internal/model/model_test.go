@@ -150,30 +150,12 @@ func TestJSONRoundTripCDCG(t *testing.T) {
 	}
 }
 
-func TestJSONRoundTripCWG(t *testing.T) {
-	g := PaperExampleCWG()
-	var buf bytes.Buffer
-	if err := g.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCWG(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.TotalBits() != 120 || len(back.Edges) != 5 {
-		t.Fatalf("round trip changed the graph: %+v", back)
-	}
-}
-
 func TestReadRejectsInvalid(t *testing.T) {
 	if _, err := ReadCDCG(strings.NewReader(`{"cores":[],"packets":[]}`)); err == nil {
 		t.Fatal("accepted empty CDCG")
 	}
 	if _, err := ReadCDCG(strings.NewReader(`{bogus`)); err == nil {
 		t.Fatal("accepted malformed JSON")
-	}
-	if _, err := ReadCWG(strings.NewReader(`{"cores":[{"id":0,"name":"x"}],"edges":[{"src":0,"dst":0,"bits":1}]}`)); err == nil {
-		t.Fatal("accepted self edge")
 	}
 }
 

@@ -28,13 +28,6 @@ import (
 //	packet pAF1 A F compute=6  bits=15 after=pAB1,pEA1
 //	packet pFB1 F B compute=6  bits=15 after=pAF1
 
-// The CWG variant of the format shares the name/cores directives and
-// declares aggregate communications instead of packets:
-//
-//	name  <application-name>
-//	cores <name> [<name> ...]
-//	comm  <src> <dst> <bits>
-
 // ParseText reads the text format and returns a validated CDCG.
 func ParseText(r io.Reader) (*CDCG, error) {
 	g := &CDCG{}
@@ -162,7 +155,7 @@ func sanitize(s, seps string) string {
 // packet-label canonicalisation. Parser-produced names pass through
 // untouched (they are whitespace- and comment-free by construction); the
 // sanitising exists for graphs built programmatically, whose names would
-// otherwise render to text the parsers cannot round-trip.
+// otherwise render to text the parser cannot round-trip.
 func writeNames(n int, name func(CoreID) string) []string {
 	names := make([]string, n)
 	used := make(map[string]bool, n)
@@ -178,86 +171,6 @@ func writeNames(n int, name func(CoreID) string) []string {
 		names[i] = l
 	}
 	return names
-}
-
-// ParseCWGText reads the CWG text format (name/cores/comm directives) and
-// returns a validated CWG.
-func ParseCWGText(r io.Reader) (*CWG, error) {
-	g := &CWG{}
-	coreByName := make(map[string]CoreID)
-
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
-			line = line[:i]
-		}
-		fields := strings.Fields(line)
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "name":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("model: line %d: name takes one argument", lineNo)
-			}
-			// CWG carries no name field; accepted for symmetry with the
-			// CDCG grammar so one header works for both projections.
-		case "core", "cores":
-			for _, name := range fields[1:] {
-				if _, dup := coreByName[name]; dup {
-					return nil, fmt.Errorf("model: line %d: duplicate core %q", lineNo, name)
-				}
-				id := CoreID(len(g.Cores))
-				coreByName[name] = id
-				g.Cores = append(g.Cores, Core{ID: id, Name: name})
-			}
-		case "comm":
-			if len(fields) != 4 {
-				return nil, fmt.Errorf("model: line %d: comm needs src, dst, bits", lineNo)
-			}
-			src, ok := coreByName[fields[1]]
-			if !ok {
-				return nil, fmt.Errorf("model: line %d: unknown core %q", lineNo, fields[1])
-			}
-			dst, ok := coreByName[fields[2]]
-			if !ok {
-				return nil, fmt.Errorf("model: line %d: unknown core %q", lineNo, fields[2])
-			}
-			bits, err := strconv.ParseInt(fields[3], 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("model: line %d: bits: %w", lineNo, err)
-			}
-			g.Edges = append(g.Edges, CWGEdge{Src: src, Dst: dst, Bits: bits})
-		default:
-			return nil, fmt.Errorf("model: line %d: unknown directive %q", lineNo, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("model: reading text CWG: %w", err)
-	}
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// WriteText renders the CWG in the text format parsed by ParseCWGText.
-func (g *CWG) WriteText(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	names := writeNames(len(g.Cores), g.CoreName)
-	bw.WriteString("cores")
-	for _, n := range names {
-		fmt.Fprintf(bw, " %s", n)
-	}
-	bw.WriteByte('\n')
-	for _, e := range g.Edges {
-		fmt.Fprintf(bw, "comm %s %s %d\n", names[e.Src], names[e.Dst], e.Bits)
-	}
-	return bw.Flush()
 }
 
 // WriteText renders the CDCG in the text format parsed by ParseText.

@@ -2,7 +2,6 @@ package model
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -147,86 +146,33 @@ func TestParseTextCommentsAndBlank(t *testing.T) {
 	}
 }
 
-func TestParseCWGText(t *testing.T) {
-	in := "name app\ncores A B C # trailing comment\ncomm A B 15\ncomm B C 40\n"
-	g, err := ParseCWGText(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumCores() != 3 || len(g.Edges) != 2 || g.TotalBits() != 55 {
-		t.Fatalf("parsed %d cores, %d edges, %d bits", g.NumCores(), len(g.Edges), g.TotalBits())
-	}
-	var buf bytes.Buffer
-	if err := g.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ParseCWGText(&buf)
-	if err != nil {
-		t.Fatalf("round trip: %v\n%s", err, buf.String())
-	}
-	if !reflect.DeepEqual(g, g2) {
-		t.Fatalf("round trip changed the graph: %+v vs %+v", g, g2)
-	}
-}
-
-func TestParseCWGTextErrors(t *testing.T) {
-	cases := map[string]string{
-		"bad directive":  "cores A B\nlink A B 3\n",
-		"unknown src":    "cores A\ncomm X A 3\n",
-		"unknown dst":    "cores A\ncomm A X 3\n",
-		"bad bits":       "cores A B\ncomm A B lots\n",
-		"negative bits":  "cores A B\ncomm A B -4\n",
-		"self comm":      "cores A B\ncomm A A 4\n",
-		"duplicate comm": "cores A B\ncomm A B 4\ncomm A B 5\n",
-		"duplicate core": "cores A A\n",
-		"short comm":     "cores A B\ncomm A B\n",
-		"name arity":     "name a b\ncores A\n",
-	}
-	for name, in := range cases {
-		if _, err := ParseCWGText(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: accepted %q", name, in)
-		}
-	}
-}
-
 // TestWriteTextSanitisesProgrammaticNames covers graphs built in code
 // rather than by the parser: core names carrying whitespace or '#', and
 // colliding names, must still render to parseable, round-trippable text.
 func TestWriteTextSanitisesProgrammaticNames(t *testing.T) {
-	g := &CWG{
+	g := &CDCG{
 		Cores: []Core{
 			{ID: 0, Name: "a b"},
 			{ID: 1, Name: "a_b"}, // collides with 0 after sanitising
 			{ID: 2, Name: "c#2"},
 		},
-		Edges: []CWGEdge{{Src: 0, Dst: 2, Bits: 7}, {Src: 1, Dst: 0, Bits: 3}},
+		Packets: []Packet{{ID: 0, Src: 0, Dst: 2, Bits: 7}, {ID: 1, Src: 1, Dst: 0, Bits: 3}},
 	}
 	var buf bytes.Buffer
 	if err := g.WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ParseCWGText(&buf)
+	g2, err := ParseText(&buf)
 	if err != nil {
 		t.Fatalf("sanitised output does not parse: %v\n%s", err, buf.String())
 	}
-	if g2.NumCores() != 3 || len(g2.Edges) != 2 ||
-		g2.Edges[0] != g.Edges[0] || g2.Edges[1] != g.Edges[1] {
+	if g2.NumCores() != 3 || len(g2.Packets) != 2 {
 		t.Fatalf("round trip changed the structure: %+v", g2)
 	}
-	cd := &CDCG{
-		Cores:   []Core{{ID: 0, Name: "x y"}, {ID: 1, Name: "x_y"}},
-		Packets: []Packet{{ID: 0, Src: 0, Dst: 1, Bits: 4}},
-	}
-	buf.Reset()
-	if err := cd.WriteText(&buf); err != nil {
-		t.Fatal(err)
-	}
-	cd2, err := ParseText(&buf)
-	if err != nil {
-		t.Fatalf("sanitised CDCG output does not parse: %v\n%s", err, buf.String())
-	}
-	p := cd2.Packets[0]
-	if cd2.NumCores() != 2 || p.Src != 0 || p.Dst != 1 || p.Bits != 4 {
-		t.Fatalf("round trip changed the structure: %+v", cd2)
+	for i, p := range g2.Packets {
+		q := g.Packets[i]
+		if p.Src != q.Src || p.Dst != q.Dst || p.Bits != q.Bits {
+			t.Fatalf("round trip changed packet %d: %+v vs %+v", i, p, q)
+		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // ObjectiveFactory builds one objective instance per worker goroutine.
-// The core evaluators are stateful (the CWM route cache and incremental
-// DeltaObjective binding, the CDCM wormhole simulator) and therefore not
+// The core evaluators are stateful (the CWM's incremental DeltaObjective
+// binding, the CDCM wormhole simulator) and therefore not
 // safe for concurrent use; the parallel engines call the factory once per
 // worker lane instead of sharing Problem.Obj. A nil factory falls back to
 // the shared objective, which is only correct when that objective is

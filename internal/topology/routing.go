@@ -146,7 +146,7 @@ func (m *Mesh) Route(algo RoutingAlgo, src, dst TileID) (Route, error) {
 
 // AppendRoute appends the routers of Route(algo, src, dst) to buf and
 // returns the extended slice. Callers that build many routes (route
-// tables, route-length caches) pass a reused buffer, so the walk
+// tables) pass a reused buffer, so the walk
 // allocates nothing once the buffer has grown to the longest route. On
 // error buf is returned unchanged.
 func (m *Mesh) AppendRoute(buf []TileID, algo RoutingAlgo, src, dst TileID) ([]TileID, error) {

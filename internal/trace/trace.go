@@ -125,7 +125,8 @@ func AnnotateCWM(mesh *topology.Mesh, g *model.CWG, mp mapping.Mapping,
 // router, inter-tile link and core link, in the paper's
 // "bits(src>dst):[start,end]" notation. Entries of packets that suffered
 // contention anywhere on their route are starred like the paper's figure.
-// The result must come from a run with RecordOccupancy enabled.
+// The result must come from a run on a scratch with RecordOccupancy set,
+// such as core.CDCM.Simulate.
 func AnnotateSchedule(mesh *topology.Mesh, g *model.CDCG, mp mapping.Mapping, res *wormhole.Result) string {
 	contended := make(map[model.PacketID]bool)
 	for _, ps := range res.Packets {

@@ -30,8 +30,9 @@ func paperRun(t *testing.T, mp mapping.Mapping) (*topology.Mesh, *model.CDCG, no
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RecordOccupancy = true
-	res, err := sim.Run(mp)
+	sc := sim.NewScratch()
+	sc.RecordOccupancy = true
+	res, err := sim.RunScratch(mp, sc)
 	if err != nil {
 		t.Fatal(err)
 	}

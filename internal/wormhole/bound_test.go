@@ -149,9 +149,8 @@ func TestBoundPortLoadSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestRunConcurrentMatchesSequential: Run simulates on a scratch of its
-// own, so goroutines sharing one simulator through Run — recording
-// occupancies — get exactly the Results sequential runs give. Run with
-// -race in CI.
+// own, so goroutines sharing one simulator through Run get exactly the
+// Results sequential runs give. Run with -race in CI.
 func TestRunConcurrentMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	mesh, _ := topology.NewMesh(3, 3)
@@ -160,7 +159,6 @@ func TestRunConcurrentMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RecordOccupancy = true
 	mps := make([]mapping.Mapping, 16)
 	want := make([]*Result, len(mps))
 	for i := range mps {

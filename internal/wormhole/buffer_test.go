@@ -38,8 +38,7 @@ func runBuffered(t *testing.T, policy noc.BufferPolicy, depth int64) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RecordOccupancy = true
-	res, err := sim.Run(mapping.Mapping{1, 0, 3, 2}) // B@t1, A@t2, F@t3, E@t4
+	res, err := RunRecording(sim, mapping.Mapping{1, 0, 3, 2}) // B@t1, A@t2, F@t3, E@t4
 	if err != nil {
 		t.Fatal(err)
 	}

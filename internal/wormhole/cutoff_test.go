@@ -373,12 +373,10 @@ func TestDefaultConfigBooksOnlyArbitratedPorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RecordOccupancy = true
-	rec, err := sim.Run(mp)
+	rec, err := wormhole.RunRecording(sim, mp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RecordOccupancy = false
 	var wantPorts int
 	for _, p := range rec.Packets {
 		wantPorts += p.K - 1

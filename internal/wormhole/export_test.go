@@ -21,3 +21,12 @@ func ScratchBookings(sc *Scratch) (ports, others int) {
 func ScratchLoads(sc *Scratch) (loads []int64, of mapping.Mapping, ok bool) {
 	return append([]int64(nil), sc.load...), sc.loadMap.Clone(), sc.loaded
 }
+
+// RunRecording simulates mp on a fresh scratch with RecordOccupancy set,
+// so the Result carries every resource's busy intervals and is
+// independent of later runs.
+func RunRecording(sim *Simulator, mp mapping.Mapping) (*Result, error) {
+	sc := sim.NewScratch()
+	sc.RecordOccupancy = true
+	return sim.RunScratch(mp, sc)
+}

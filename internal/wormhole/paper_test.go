@@ -24,7 +24,7 @@ var (
 	paperMappingB = mapping.Mapping{3, 0, 1, 2}
 )
 
-func newPaperSim(t *testing.T, record bool) *Simulator {
+func newPaperSim(t *testing.T) *Simulator {
 	t.Helper()
 	mesh, err := topology.NewMesh(2, 2)
 	if err != nil {
@@ -34,12 +34,11 @@ func newPaperSim(t *testing.T, record bool) *Simulator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.RecordOccupancy = record
 	return sim
 }
 
 func TestPaperMappingAExecutionTime(t *testing.T) {
-	sim := newPaperSim(t, false)
+	sim := newPaperSim(t)
 	res, err := sim.Run(paperMappingA)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +49,7 @@ func TestPaperMappingAExecutionTime(t *testing.T) {
 }
 
 func TestPaperMappingBExecutionTime(t *testing.T) {
-	sim := newPaperSim(t, false)
+	sim := newPaperSim(t)
 	res, err := sim.Run(paperMappingB)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +60,7 @@ func TestPaperMappingBExecutionTime(t *testing.T) {
 }
 
 func TestPaperMappingAPacketTimeline(t *testing.T) {
-	sim := newPaperSim(t, false)
+	sim := newPaperSim(t)
 	res, err := sim.Run(paperMappingA)
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +85,7 @@ func TestPaperMappingAPacketTimeline(t *testing.T) {
 }
 
 func TestPaperMappingBPacketTimeline(t *testing.T) {
-	sim := newPaperSim(t, false)
+	sim := newPaperSim(t)
 	res, err := sim.Run(paperMappingB)
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +125,8 @@ func occEq(t *testing.T, got []Occupancy, want []Occupancy, what string) {
 // annotates on the mapping-(a) CRG (Figure 3a). Packet IDs:
 // pAB1=0 pBF1=1 pEA1=2 pEA2=3 pAF1=4 pFB1=5. Tiles: t1=0 t2=1 t3=2 t4=3.
 func TestPaperFigure3aResourceIntervals(t *testing.T) {
-	sim := newPaperSim(t, true)
-	res, err := sim.Run(paperMappingA)
+	sim := newPaperSim(t)
+	res, err := RunRecording(sim, paperMappingA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,8 +228,8 @@ func TestPaperFigure3aResourceIntervals(t *testing.T) {
 // TestPaperFigure3bResourceIntervals spot-checks the contention-free
 // mapping (b) intervals the paper prints.
 func TestPaperFigure3bResourceIntervals(t *testing.T) {
-	sim := newPaperSim(t, true)
-	res, err := sim.Run(paperMappingB)
+	sim := newPaperSim(t)
+	res, err := RunRecording(sim, paperMappingB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +271,7 @@ func TestPaperFigure3bResourceIntervals(t *testing.T) {
 // the energy model: 255 router-bit and 135 link-bit for both mappings
 // (hence the identical 390 pJ dynamic energy of Figure 2).
 func TestPaperTrafficAggregates(t *testing.T) {
-	sim := newPaperSim(t, false)
+	sim := newPaperSim(t)
 	for _, tc := range []struct {
 		name string
 		mp   mapping.Mapping
@@ -304,7 +303,7 @@ func TestPaperTrafficAggregates(t *testing.T) {
 // TestPaperEquation8NoContention verifies delivered-start equals the
 // paper's equation (8) for every uncontended packet of mapping (b).
 func TestPaperEquation8NoContention(t *testing.T) {
-	sim := newPaperSim(t, false)
+	sim := newPaperSim(t)
 	res, err := sim.Run(paperMappingB)
 	if err != nil {
 		t.Fatal(err)

@@ -291,13 +291,13 @@ func TestRunScratchRejectsForeignScratch(t *testing.T) {
 }
 
 // TestScratchRecordOccupancy checks the per-scratch recording flag: off
-// by default (search lanes), on it produces the same occupancies Run
-// records via Simulator.RecordOccupancy.
+// by default (search lanes), and once set on a scratch that already ran
+// unrecorded it produces the same occupancies as a fresh recording
+// scratch on another simulator.
 func TestScratchRecordOccupancy(t *testing.T) {
 	mesh, _ := topology.NewMesh(2, 2)
 	g := model.PaperExampleCDCG()
-	ref := newPaperSim(t, true)
-	want, err := ref.Run(paperMappingA)
+	want, err := RunRecording(newPaperSim(t), paperMappingA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +321,7 @@ func TestScratchRecordOccupancy(t *testing.T) {
 	for tile := 0; tile < 4; tile++ {
 		for _, kind := range []ResourceKind{KindRouter, KindCoreOut, KindCoreIn} {
 			if !reflect.DeepEqual(res.Occupancies(kind, tile), want.Occupancies(kind, tile)) {
-				t.Fatalf("%s occupancies of tile %d diverged from the recording Run", kind, tile)
+				t.Fatalf("%s occupancies of tile %d diverged from the fresh recording scratch", kind, tile)
 			}
 		}
 	}

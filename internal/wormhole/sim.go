@@ -131,10 +131,10 @@ type occStore struct {
 }
 
 // Occupancies returns the recorded busy intervals of a resource, sorted by
-// start time, or nil if the run did not record them (RecordOccupancy was
-// false) or the resource index is out of range. For KindRouter the
-// intervals include input-buffer waiting and may overlap; all other kinds
-// are exclusive and never overlap.
+// start time, or nil if the run did not record them (its scratch's
+// RecordOccupancy was false) or the resource index is out of range. For
+// KindRouter the intervals include input-buffer waiting and may overlap;
+// all other kinds are exclusive and never overlap.
 func (r *Result) Occupancies(kind ResourceKind, index int) []Occupancy {
 	if r.occ == nil {
 		return nil
@@ -172,11 +172,6 @@ type Simulator struct {
 	Cfg  noc.Config
 	G    *model.CDCG
 
-	// RecordOccupancy keeps the per-resource busy lists on Results
-	// returned by Run, for rendering (Figure 3/4/5 style output): Run
-	// copies it to the fresh scratch it simulates on. RunScratch ignores
-	// it; set Scratch.RecordOccupancy instead.
-	RecordOccupancy bool
 	// PortLoadBound tells a pricer that skips runs at certified bounds
 	// (core.CDCM.PriceBelow) to offer PortLoad once Bound is declined.
 	// NewSimulatorFaults sets it when a swap moves at most a tenth of the
@@ -278,8 +273,9 @@ type pktConst struct {
 // goroutine, against the same shared Simulator.
 type Scratch struct {
 	// RecordOccupancy keeps the per-resource busy lists on Results
-	// produced through this scratch (see Simulator.RecordOccupancy).
-	// Leave false on search lanes: the snapshot allocates.
+	// produced through this scratch, for rendering (Figure 3/4/5 style
+	// output; core.CDCM.Simulate records). Leave false on search lanes:
+	// the snapshot allocates.
 	RecordOccupancy bool
 
 	sim *Simulator
@@ -641,17 +637,15 @@ func (s *Simulator) NewScratch() *Scratch {
 }
 
 // Run simulates the CDCG under the given mapping on a fresh scratch
-// that copies RecordOccupancy, so the Result is independent (safe to
-// keep across runs) and Run is safe for concurrent use. Search loops
-// use NewScratch with RunScratch instead: Run allocates a scratch per
-// call.
+// that records no occupancy, so the Result is independent (safe to keep
+// across runs) and Run is safe for concurrent use. Search loops use
+// NewScratch with RunScratch instead: Run allocates a scratch per call.
+// To record occupancy, run on a scratch with RecordOccupancy set.
 func (s *Simulator) Run(mp mapping.Mapping) (*Result, error) {
 	if !s.initOnce {
 		return nil, errors.New("wormhole: use NewSimulator")
 	}
-	sc := s.NewScratch()
-	sc.RecordOccupancy = s.RecordOccupancy
-	return s.RunScratch(mp, sc)
+	return s.RunScratch(mp, s.NewScratch())
 }
 
 // RunScratch simulates the CDCG under the given mapping using the

@@ -297,9 +297,8 @@ func TestQuickNoOverlapOnExclusiveResources(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sim.RecordOccupancy = true
 		mp, _ := mapping.Random(rng, nc, 9)
-		res, err := sim.Run(mp)
+		res, err := RunRecording(sim, mp)
 		if err != nil {
 			return false
 		}
@@ -367,12 +366,11 @@ func TestArbitrateLocalAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		simB.RecordOccupancy = true
 		mp, _ := mapping.Random(rng, nc, 9)
 		if _, err := simA.Run(mp); err != nil {
 			t.Fatal(err)
 		}
-		rb, err := simB.Run(mp)
+		rb, err := RunRecording(simB, mp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -390,7 +388,7 @@ func TestArbitrateLocalAblation(t *testing.T) {
 }
 
 func TestOccupanciesNilWithoutRecording(t *testing.T) {
-	sim := newPaperSim(t, false)
+	sim := newPaperSim(t)
 	res, err := sim.Run(paperMappingA)
 	if err != nil {
 		t.Fatal(err)
@@ -398,8 +396,7 @@ func TestOccupanciesNilWithoutRecording(t *testing.T) {
 	if res.Occupancies(KindRouter, 0) != nil {
 		t.Fatal("occupancies present without recording")
 	}
-	rec := newPaperSim(t, true)
-	res2, err := rec.Run(paperMappingA)
+	res2, err := RunRecording(sim, paperMappingA)
 	if err != nil {
 		t.Fatal(err)
 	}
