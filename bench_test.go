@@ -429,7 +429,7 @@ func BenchmarkExhaustiveVsSA(b *testing.B) {
 	}
 	var matches, total int
 	for i := 0; i < b.N; i++ {
-		outs, err := exp.RunESvsSA(ws, noc.Config{}, 1000, 1)
+		outs, err := exp.RunESvsSA(nil, ws, noc.Config{}, 1000, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -455,7 +455,7 @@ func BenchmarkVsRandom(b *testing.B) {
 	}
 	var avg float64
 	for i := 0; i < b.N; i++ {
-		outs, err := exp.RunVsRandom(ws, noc.Config{}, 60, 1)
+		outs, err := exp.RunVsRandom(nil, ws, noc.Config{}, 60, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

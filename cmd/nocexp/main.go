@@ -20,9 +20,9 @@
 // large-mesh rows spend their time in the CDCM simulator, not in
 // re-walking communication graphs.
 //
-// Ctrl-C cancels the experiments that search (table2, buffers, ablation,
-// dim3, pareto, resilience, sensitivity); esvssa, cputime and vsrandom
-// take no context and run to their end.
+// Ctrl-C cancels the experiments that search (table2, esvssa, vsrandom,
+// buffers, ablation, dim3, pareto, resilience, sensitivity); cputime
+// only times evaluations, takes no context and runs to its end.
 package main
 
 import (
@@ -121,7 +121,7 @@ func run(ctx context.Context, which string, seeds, steps, moves, maxTiles, depth
 		fmt.Println(rep.Render())
 	}
 	if do("esvssa") {
-		outs, err := exp.RunESvsSA(suite, noc.Config{}, esMax, seed)
+		outs, err := exp.RunESvsSA(ctx, suite, noc.Config{}, esMax, seed)
 		if err != nil {
 			return err
 		}
@@ -135,7 +135,7 @@ func run(ctx context.Context, which string, seeds, steps, moves, maxTiles, depth
 		fmt.Println(exp.RenderCPUTime(outs))
 	}
 	if do("vsrandom") {
-		outs, err := exp.RunVsRandom(suite, noc.Config{}, samples, seed)
+		outs, err := exp.RunVsRandom(ctx, suite, noc.Config{}, samples, seed)
 		if err != nil {
 			return err
 		}

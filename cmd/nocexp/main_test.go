@@ -59,15 +59,14 @@ func TestRunBoundedExperiments(t *testing.T) {
 }
 
 // TestRunHonorsCanceledContext: the interrupt context reaches every
-// experiment that searches under core.Options, so a run started after
-// Ctrl-C stops with context.Canceled instead of running to the end.
-// esvssa takes no context: its exhaustive search has no cancellation
-// path.
+// experiment that searches, so a run started after Ctrl-C stops with
+// context.Canceled instead of running to the end. esvssa gets an -esmax
+// that admits the small rows, so its exhaustive search does start.
 func TestRunHonorsCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, which := range []string{"table2", "buffers", "ablation", "dim3"} {
-		if err := run(ctx, which, 1, 6, 10, 6, 4, "mesh", 100, 10, 1, 2, 0.08, 2, false); !errors.Is(err, context.Canceled) {
+	for _, which := range []string{"table2", "buffers", "ablation", "dim3", "esvssa", "vsrandom"} {
+		if err := run(ctx, which, 1, 6, 10, 6, 4, "mesh", 1000, 10, 1, 2, 0.08, 2, false); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", which, err)
 		}
 	}

@@ -200,7 +200,11 @@ func run(o options) error {
 	}
 
 	start := time.Now()
-	res, err := in.Explore(nil, nil, nil, nil)
+	inst, err := core.NewInstance(in.Mesh, in.Cfg, in.G, in.Opts.Faults)
+	if err != nil {
+		return err
+	}
+	res, err := inst.Explore(in.Strategy, in.Tech, in.Opts)
 	if err != nil {
 		return err
 	}
@@ -265,11 +269,7 @@ func run(o options) error {
 	}
 
 	if o.gantt || o.annotate {
-		cdcm, err := core.NewCDCM(mesh, in.Cfg, in.Tech, g)
-		if err != nil {
-			return err
-		}
-		raw, _, err := cdcm.Simulate(res.Best)
+		raw, _, err := inst.CDCM(in.Tech).Simulate(res.Best)
 		if err != nil {
 			return err
 		}

@@ -33,13 +33,13 @@
 // wormhole.Simulator precomputes the full route table and dense
 // port/link adjacency tables once and is immutable afterwards, while all
 // mutable run state (busy lists, event heap, reusable Result backing)
-// lives in a per-lane wormhole.Scratch. core.CDCM.Clone hands each
-// search worker its own scratch lane over the shared simulator core, so
-// parallel CDCM-objective searches scale with Workers and stay
-// bit-identical to the serial path. Per-resource occupancy recording is
-// opt-in (Scratch.RecordOccupancy) and only enabled by the
-// trace/Gantt renderers, through CDCM.Simulate (see README
-// "Allocation-free CDCM evaluation").
+// lives in a per-lane wormhole.Scratch. A run builds its tables once, in
+// a core.Instance, whose CWM/CDCM/Resilience lanes give each worker, tech
+// and CompareModels leg its own state over them, so parallel searches
+// scale with Workers and stay bit-identical to the serial path.
+// Per-resource occupancy recording is opt-in (Scratch.RecordOccupancy)
+// and only enabled by the trace/Gantt renderers, through CDCM.Simulate
+// (see README "Allocation-free CDCM evaluation").
 //
 // On top of the simulator sits two-tier CDCM evaluation
 // (search.TieredObjective). Tier A is a certified lower bound and has

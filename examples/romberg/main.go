@@ -35,12 +35,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := noc.Default()
 	tech := energy.Tech007
+	// One instance serves both searches and the contrast pricing below.
+	in, err := core.NewInstance(mesh, noc.Default(), g, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	// Simulated annealing under the CDCM objective...
-	sa, err := core.Explore(core.StrategyCDCM, mesh, cfg, tech, g,
-		core.Options{Method: core.MethodSA, Seed: 3})
+	sa, err := in.Explore(core.StrategyCDCM, tech, core.Options{Method: core.MethodSA, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +57,7 @@ func main() {
 	// anchor. 9 cores on 10 tiles is 10!/1! placements; the anchor pins
 	// the root to the canonical quadrant, and a budget keeps the demo
 	// quick while still scanning a large sample.
-	es, err := core.Explore(core.StrategyCDCM, mesh, cfg, tech, g, core.Options{
+	es, err := in.Explore(core.StrategyCDCM, tech, core.Options{
 		Method:   core.MethodES,
 		ESAnchor: true,
 		ESLimit:  150000,
@@ -75,12 +78,7 @@ func main() {
 	}
 
 	// For contrast: how bad is a random placement?
-	worst, err := core.NewCDCM(mesh, cfg, tech, g)
-	if err != nil {
-		log.Fatal(err)
-	}
-	id := mapping.Identity(g.NumCores())
-	m, err := worst.Evaluate(id)
+	m, err := in.CDCM(tech).Evaluate(mapping.Identity(g.NumCores()))
 	if err != nil {
 		log.Fatal(err)
 	}

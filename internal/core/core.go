@@ -93,22 +93,18 @@ type CWM struct {
 // (TSV) links.
 type routeLen struct{ k, v int16 }
 
-// NewCWM validates the inputs and builds the evaluator.
+// NewCWM validates the inputs and builds the evaluator's tables: the
+// per-core adjacency and the route-length table. An Instance builds its
+// tables here once and hands out lanes sharing them (Instance.CWM).
 func NewCWM(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CWG) (*CWM, error) {
-	if mesh == nil {
-		return nil, errors.New("core: nil mesh")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if err := tech.Validate(); err != nil {
 		return nil, err
 	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if g.NumCores() > mesh.NumTiles() {
-		return nil, fmt.Errorf("core: %d cores exceed %d tiles", g.NumCores(), mesh.NumTiles())
+	if err := wormhole.CheckNoC(mesh, cfg, g.NumCores()); err != nil {
+		return nil, err
 	}
 	adj := make([]coreAdj, g.NumCores())
 	for i, e := range g.Edges {
@@ -248,13 +244,12 @@ func (m Metrics) Total() float64 { return m.Energy.Total() }
 // it executes the CDCG on the mapped NoC (wormhole simulator) and prices
 // the result with equation (10).
 //
-// The simulator core (route tables, port tables, dependence graph) is
-// immutable and shared; the mutable per-run state lives in a private
-// wormhole.Scratch. One CDCM is therefore cheap to Clone: clones share
-// the simulator and get their own scratch, which is how the parallel
-// search engines evaluate the CDCM objective concurrently without
-// rebuilding or locking anything. A single CDCM instance is still not
-// safe for concurrent use — give each goroutine its own clone.
+// The simulator (route tables, dependence graph) is immutable and
+// shared; the mutable per-run state lives in a private wormhole.Scratch.
+// A CDCM is therefore a cheap lane: Instance.CDCM and Clone hand out
+// lanes over one simulator, which is how the parallel search engines
+// price concurrently without rebuilding or locking anything. One lane
+// is not safe for concurrent use.
 type CDCM struct {
 	Tech energy.Tech
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/energy"
 	"repro/internal/mapping"
@@ -217,78 +218,85 @@ type ExploreResult struct {
 	Resilience *ResilienceScore
 }
 
-// GreedyInitial builds the constructive warm-start placement for an
-// application: mapping.SeedGreedy over the CWG communication volumes
-// (the deterministic highest-traffic-first heuristic).
-func GreedyInitial(mesh *topology.Mesh, g *model.CDCG) (mapping.Mapping, error) {
-	cwg := g.ToCWG()
-	edges := make([]mapping.TrafficEdge, len(cwg.Edges))
-	for i, e := range cwg.Edges {
-		edges[i] = mapping.TrafficEdge{A: e.Src, B: e.Dst, Bits: e.Bits}
-	}
-	return mapping.SeedGreedy(mesh, cwg.NumCores(), edges)
-}
-
 // Explore searches the mapping space of application g on the given NoC
-// under the chosen strategy and prices the winner with the CDCM simulator.
+// under the chosen strategy and prices the winner with the CDCM simulator:
+// NewInstance over opts.Faults, then the search on it.
 func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 	g *model.CDCG, opts Options) (*ExploreResult, error) {
+	if err := begin(strategy, tech, opts); err != nil {
+		return nil, err
+	}
+	in, err := NewInstance(mesh, cfg, g, opts.Faults)
+	if err != nil {
+		return nil, err
+	}
+	return in.explore(strategy, tech, opts)
+}
 
+// Explore is the package-level Explore on the instance's tables.
+// opts.Faults must be nil or the instance's fault set.
+func (in *Instance) Explore(strategy Strategy, tech energy.Tech, opts Options) (*ExploreResult, error) {
+	if opts.Faults != nil && opts.Faults != in.Faults {
+		return nil, fmt.Errorf("core: Options.Faults is not the instance's fault set")
+	}
+	if err := begin(strategy, tech, opts); err != nil {
+		return nil, err
+	}
+	return in.explore(strategy, tech, opts)
+}
+
+// begin refuses an unusable run before anything is built, then opens the build phase.
+func begin(strategy Strategy, tech energy.Tech, opts Options) error {
 	if strategy == StrategyPareto && opts.Method != MethodSA {
-		return nil, fmt.Errorf("core: the pareto strategy runs only method SA, not %s", opts.Method)
+		return fmt.Errorf("core: the pareto strategy runs only method SA, not %s", opts.Method)
 	}
-	phase := func(name string) {
-		if opts.OnPhase != nil {
-			opts.OnPhase(name)
-		}
+	if err := tech.Validate(); err != nil {
+		return err
 	}
-	phase("build")
+	opts.phase("build")
+	return nil
+}
 
+// phase announces an exploration phase to OnPhase, when set.
+func (o Options) phase(name string) {
+	if o.OnPhase != nil {
+		o.OnPhase(name)
+	}
+}
+
+func (in *Instance) explore(strategy Strategy, tech energy.Tech, opts Options) (*ExploreResult, error) {
 	// The evaluators are stateful (CWM delta binding, CDCM scratch), so
-	// the parallel engines receive a factory and build one per worker
-	// lane; the serial engines call it once. For CDCM the
-	// factory hands out clones of one shared evaluator: the simulator
-	// core (route/port tables, dependence graph) is built and validated
-	// once, each lane gets only its own scratch, and the lanes run
-	// concurrently against the shared immutable core.
+	// the parallel engines get a factory and derive one lane per worker
+	// from the instance; the serial engines call it once. cdcmBase prices
+	// the winner and is the template the CDCM search lanes clone.
+	cdcmBase := in.CDCM(tech)
 	var newObjective search.ObjectiveFactory
-	var cdcmBase *CDCM
 	var resBase *Resilience
+	var err error
 	switch strategy {
 	case StrategyCWM:
 		newObjective = func() (search.Objective, error) {
-			cwm, err := NewCWM(mesh, cfg, tech, g.ToCWG())
-			if err != nil {
-				return nil, err
-			}
+			cwm := in.CWM(tech)
 			cwm.Evals = opts.EvalCounter
 			return cwm, nil
 		}
 	case StrategyCDCM, StrategyPareto, StrategyResilience:
-		var err error
+		cdcmBase.Evals = opts.EvalCounter
 		// A non-empty fault set turns the resilience objective on:
 		// StrategyResilience requires it, and StrategyPareto then explores
 		// the resilience axes (intact energy × worst-fault latency) instead
 		// of CDCM's. The empty-fault CDCM/Pareto paths are untouched.
 		switch {
-		case strategy == StrategyResilience || (strategy == StrategyPareto && !opts.Faults.Empty()):
-			if opts.Faults.Empty() {
+		case strategy == StrategyResilience || (strategy == StrategyPareto && !in.Faults.Empty()):
+			if resBase = in.Resilience(tech); resBase == nil {
 				return nil, fmt.Errorf("core: %s strategy needs a non-empty fault set (Options.Faults)", strategy)
 			}
-			if resBase, err = NewResilience(mesh, cfg, tech, g, opts.Faults); err != nil {
-				return nil, err
-			}
-			cdcmBase = resBase.Intact()
 			// Instrumenting the intact CDCM counts one increment per
 			// resilience evaluation (clones share the counter); the
 			// per-fault degraded runs ride along uncounted.
-			cdcmBase.Evals = opts.EvalCounter
+			resBase.intact.Evals = opts.EvalCounter
 			newObjective = func() (search.Objective, error) { return resBase.Clone(), nil }
 		default:
-			if cdcmBase, err = NewCDCM(mesh, cfg, tech, g); err != nil {
-				return nil, err
-			}
-			cdcmBase.Evals = opts.EvalCounter
 			newObjective = func() (search.Objective, error) { return cdcmBase.Clone(), nil }
 
 			// Plain CDCM runs certify on their own: SA, hill and tabu
@@ -301,16 +309,12 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 				// Fitted once, before any lane exists: every worker lane
 				// shares the same immutable fit, so the surrogate walk is
 				// independent of the worker count.
-				fit, err := fitSurrogate(mesh, cfg, tech, g, cdcmBase, opts.Seed, opts.SurrogateSamples)
+				fit, err := fitSurrogate(in.CWM(tech), cdcmBase, opts.Seed, opts.SurrogateSamples)
 				if err != nil {
 					return nil, err
 				}
 				newObjective = func() (search.Objective, error) {
-					surr, err := newCDCMSurrogate(mesh, cfg, tech, g, fit)
-					if err != nil {
-						return nil, err
-					}
-					return &search.TieredObjective{Exact: cdcmBase.Clone(), Surrogate: surr}, nil
+					return &search.TieredObjective{Exact: cdcmBase.Clone(), Surrogate: &cdcmSurrogate{cwm: in.CWM(tech), fit: fit}}, nil
 				}
 			}
 		}
@@ -319,14 +323,14 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 	}
 
 	if opts.SeedGreedy && opts.Initial == nil {
-		seed, err := GreedyInitial(mesh, g)
+		seed, err := in.GreedyInitial()
 		if err != nil {
 			return nil, err
 		}
 		opts.Initial = seed
 	}
 
-	prob := search.Problem{Mesh: mesh, NumCores: g.NumCores()}
+	prob := search.Problem{Mesh: in.Mesh, NumCores: in.G.NumCores()}
 	serial := func() error {
 		obj, err := newObjective()
 		prob.Obj = obj
@@ -335,9 +339,8 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 	var (
 		res   *search.Result
 		front *search.FrontResult
-		err   error
 	)
-	phase("search")
+	opts.phase("search")
 	switch {
 	case strategy == StrategyPareto:
 		// StrategyPareto is engine and strategy in one: the front engine
@@ -438,48 +441,23 @@ func Explore(strategy Strategy, mesh *topology.Mesh, cfg noc.Config, tech energy
 		}
 	}
 
-	// Price the winner with the CDCM simulator. A CDCM-driven run already
-	// built the shared simulator core; reuse it instead of recomputing
-	// the route tables.
-	phase("price")
-	pricer := cdcmBase
-	if pricer == nil {
-		if pricer, err = NewCDCM(mesh, cfg, tech, g); err != nil {
-			return nil, err
-		}
-	}
-	metrics, err := pricer.Evaluate(res.Best)
+	// Price the winner with the CDCM simulator, and score it over the
+	// fault set when there is one.
+	opts.phase("price")
+	metrics, err := cdcmBase.Evaluate(res.Best)
 	if err != nil {
 		return nil, err
 	}
 	out := &ExploreResult{Strategy: strategy, Search: res, Best: res.Best, Metrics: metrics, Front: front}
-	if err := attachResilience(out, resBase, mesh, cfg, tech, g, opts.Faults); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// attachResilience scores the winning mapping over the run's fault set
-// (no-op when none was configured). Runs that already built a resilience
-// evaluator reuse it; the CWM/CDCM strategies build one here just to
-// score their winner.
-func attachResilience(out *ExploreResult, resBase *Resilience, mesh *topology.Mesh, cfg noc.Config,
-	tech energy.Tech, g *model.CDCG, fs *topology.FaultSet) error {
-	if fs.Empty() {
-		return nil
-	}
 	if resBase == nil {
-		var err error
-		if resBase, err = NewResilience(mesh, cfg, tech, g, fs); err != nil {
-			return err
+		resBase = in.Resilience(tech)
+	}
+	if resBase != nil {
+		if out.Resilience, err = resBase.Score(out.Best); err != nil {
+			return nil, err
 		}
 	}
-	sc, err := resBase.Score(out.Best)
-	if err != nil {
-		return err
-	}
-	out.Resilience = sc
-	return nil
+	return out, nil
 }
 
 // CompareOptions tunes the Table-2 protocol.
@@ -537,10 +515,15 @@ type Comparison struct {
 // The protocol's legs are independent explorations, so with
 // Options.Workers > 1 they run concurrently: the CWM exploration and
 // every per-tech random-start CDCM run launch immediately, and the
-// CWM-seeded refinements plus pricing follow once the CWM winner exists.
+// CWM-seeded refinements follow once the CWM winner exists.
 // Every leg is deterministic under its own seed, so the comparison is
-// bit-identical for every Workers value.
+// bit-identical for every Workers value. All legs and both pricers of
+// the CWM winner derive their evaluators from one Instance.
 func CompareModels(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, opts CompareOptions) (*Comparison, error) {
+	in, err := NewInstance(mesh, cfg, g, opts.Faults)
+	if err != nil {
+		return nil, err
+	}
 	optTech := opts.OptimizeTech
 	if optTech == (energy.Tech{}) {
 		optTech = energy.Tech007
@@ -549,13 +532,7 @@ func CompareModels(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, opts Comp
 	if len(report) == 0 {
 		report = []energy.Tech{energy.Tech035, energy.Tech007}
 	}
-	hasOpt := false
-	for _, t := range report {
-		if t.Name == optTech.Name {
-			hasOpt = true
-		}
-	}
-	if !hasOpt {
+	if !slices.ContainsFunc(report, func(t energy.Tech) bool { return t.Name == optTech.Name }) {
 		report = append(append([]energy.Tech{}, report...), optTech)
 	}
 
@@ -564,9 +541,9 @@ func CompareModels(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, opts Comp
 	// reporting tech (jobs 1..len(report)).
 	var cwmRes *ExploreResult
 	randRuns := make([]*ExploreResult, len(report))
-	err := par.ForEachCtx(opts.Ctx, 1+len(report), opts.Workers, func(i int) error {
+	err = par.ForEachCtx(opts.Ctx, 1+len(report), opts.Workers, func(i int) error {
 		if i == 0 {
-			res, err := Explore(StrategyCWM, mesh, cfg, optTech, g, opts.Options)
+			res, err := in.Explore(StrategyCWM, optTech, opts.Options)
 			if err != nil {
 				return fmt.Errorf("core: CWM exploration: %w", err)
 			}
@@ -574,7 +551,7 @@ func CompareModels(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, opts Comp
 			return nil
 		}
 		tech := report[i-1]
-		res, err := Explore(StrategyCDCM, mesh, cfg, tech, g, opts.Options)
+		res, err := in.Explore(StrategyCDCM, tech, opts.Options)
 		if err != nil {
 			return fmt.Errorf("core: CDCM exploration (%s): %w", tech.Name, err)
 		}
@@ -585,34 +562,25 @@ func CompareModels(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, opts Comp
 		return nil, err
 	}
 
-	// Phase 2 — per-tech legs downstream of the CWM winner: pricing the
-	// CWM mapping under the reporting tech and the CWM-seeded CDCM
-	// refinement.
-	cwmMetrics := make([]Metrics, len(report))
+	// Phase 2 — the CWM-seeded CDCM refinement per reporting tech.
 	seedRuns := make([]*ExploreResult, len(report))
-	err = par.ForEachCtx(opts.Ctx, 2*len(report), opts.Workers, func(i int) error {
-		tech := report[i/2]
-		if i%2 == 0 {
-			pricer, err := NewCDCM(mesh, cfg, tech, g)
-			if err != nil {
-				return err
-			}
-			mw, err := pricer.Evaluate(cwmRes.Best)
-			if err != nil {
-				return err
-			}
-			cwmMetrics[i/2] = mw
-			return nil
-		}
+	err = par.ForEachCtx(opts.Ctx, len(report), opts.Workers, func(i int) error {
 		seeded := opts.Options
 		seeded.Initial = cwmRes.Best
-		res, err := Explore(StrategyCDCM, mesh, cfg, tech, g, seeded)
+		res, err := in.Explore(StrategyCDCM, report[i], seeded)
 		if err != nil {
-			return fmt.Errorf("core: CDCM refinement (%s): %w", tech.Name, err)
+			return fmt.Errorf("core: CDCM refinement (%s): %w", report[i].Name, err)
 		}
-		seedRuns[i/2] = res
+		seedRuns[i] = res
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	// The CWM winner's run does not depend on the tech: simulate it once
+	// and price it under every reporting tech.
+	pricer := in.CDCM(optTech)
+	raw, err := in.sim.RunScratch(cwmRes.Best, pricer.sc)
 	if err != nil {
 		return nil, err
 	}
@@ -626,7 +594,8 @@ func CompareModels(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, opts Comp
 		ECS:            make(map[string]float64, len(report)),
 	}
 	for i, tech := range report {
-		mw := cwmMetrics[i]
+		pricer.Tech = tech
+		mw := pricer.price(raw)
 		cmp.CWMMetrics[tech.Name] = mw
 		randRun, seedRun := randRuns[i], seedRuns[i]
 		best := randRun

@@ -10,7 +10,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/search"
 	"repro/internal/topology"
-	"repro/internal/wormhole"
 )
 
 // NewCDCMFaults validates the inputs and builds the evaluator over a
@@ -22,7 +21,7 @@ func NewCDCMFaults(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 	if err := tech.Validate(); err != nil {
 		return nil, err
 	}
-	sim, err := wormhole.NewSimulatorFaults(mesh, cfg, g, fs)
+	sim, err := newSimulator(mesh, cfg, g, fs)
 	if err != nil {
 		return nil, err
 	}
@@ -66,74 +65,64 @@ var resilienceAxes = []string{"total_j", "worst_fault_cy"}
 // Like CDCM, a Resilience is not safe for concurrent use; Clone hands
 // each worker lane its own scratches over the shared simulator cores.
 type Resilience struct {
-	faults *topology.FaultSet
-
+	in     *Instance // its fault set and elements name the scenarios
 	intact *CDCM
-	lanes  []*CDCM // one fault-aware evaluator per single-fault scenario
-	elems  []topology.FaultElement
+	lanes  []*CDCM // one fault-aware evaluator per fault element
 
 	weights []float64
 	comps   []float64 // Cost's reusable component buffer
 }
 
-// NewResilience validates the inputs and builds the resilience evaluator:
-// one intact CDCM plus one fault-aware CDCM per element of the fault set.
-// The fault set must be non-empty — with no faults there is nothing to
-// degrade; callers wanting the intact objective use NewCDCM.
+// NewResilience validates the inputs and builds a standalone resilience
+// evaluator: NewInstance over the fault set, then Instance.Resilience.
 func NewResilience(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 	g *model.CDCG, fs *topology.FaultSet) (*Resilience, error) {
 	if fs.Empty() {
 		return nil, errors.New("core: resilience objective needs a non-empty fault set")
 	}
-	intact, err := NewCDCM(mesh, cfg, tech, g)
+	if err := tech.Validate(); err != nil {
+		return nil, err
+	}
+	in, err := NewInstance(mesh, cfg, g, fs)
 	if err != nil {
 		return nil, err
 	}
-	elems := fs.Elements()
-	lanes := make([]*CDCM, len(elems))
-	for i, e := range elems {
-		single, err := fs.Singleton(e)
-		if err != nil {
-			return nil, err
-		}
-		if lanes[i], err = NewCDCMFaults(mesh, cfg, tech, g, single); err != nil {
-			return nil, fmt.Errorf("core: fault scenario %s: %w", e, err)
-		}
+	return in.Resilience(tech), nil
+}
+
+// Resilience returns a fresh resilience lane under tech (valid, as for
+// Instance.CWM): an intact CDCM lane plus one lane per fault simulator.
+// It is nil when the instance has no faults: nothing can degrade.
+func (in *Instance) Resilience(tech energy.Tech) *Resilience {
+	if in.Faults.Empty() {
+		return nil
+	}
+	lanes := make([]*CDCM, len(in.faultSims))
+	for i, sim := range in.faultSims {
+		lanes[i] = &CDCM{Tech: tech, sim: sim, sc: sim.NewScratch()}
 	}
 	return &Resilience{
-		faults:  fs,
-		intact:  intact,
+		in:      in,
+		intact:  in.CDCM(tech),
 		lanes:   lanes,
-		elems:   elems,
-		weights: []float64{1, tech.StaticPower(mesh.NumTiles()) * cfg.CyclesToSeconds(1)},
+		weights: []float64{1, tech.StaticPower(in.Mesh.NumTiles()) * in.Cfg.CyclesToSeconds(1)},
 		comps:   make([]float64, len(resilienceAxes)),
-	}, nil
+	}
 }
 
 // Clone returns an independent evaluator lane: fresh scratches over the
 // shared intact and per-scenario simulator cores. Clones may run
 // concurrently with each other and with the original.
 func (r *Resilience) Clone() *Resilience {
-	lanes := make([]*CDCM, len(r.lanes))
+	c := *r
+	c.intact = r.intact.Clone()
+	c.lanes = make([]*CDCM, len(r.lanes))
 	for i, l := range r.lanes {
-		lanes[i] = l.Clone()
+		c.lanes[i] = l.Clone()
 	}
-	return &Resilience{
-		faults:  r.faults,
-		intact:  r.intact.Clone(),
-		lanes:   lanes,
-		elems:   r.elems,
-		weights: r.weights,
-		comps:   make([]float64, len(resilienceAxes)),
-	}
+	c.comps = make([]float64, len(resilienceAxes))
+	return &c
 }
-
-// Intact exposes the intact CDCM evaluator (route tables without faults);
-// Explore prices the winning mapping on it.
-func (r *Resilience) Intact() *CDCM { return r.intact }
-
-// Faults returns the fault set the evaluator scores against.
-func (r *Resilience) Faults() *topology.FaultSet { return r.faults }
 
 // Axes implements search.VectorObjective.
 func (r *Resilience) Axes() []string { return resilienceAxes }
@@ -247,11 +236,9 @@ func (r *Resilience) Score(mp mapping.Mapping) (*ResilienceScore, error) {
 	if err != nil {
 		return nil, err
 	}
-	tech := r.intact.Tech
-	cfg := r.intact.sim.Cfg
-	n := r.intact.sim.Mesh.NumTiles()
+	tech, cfg, n := r.intact.Tech, r.in.Cfg, r.in.Mesh.NumTiles()
 	sc := &ResilienceScore{
-		FaultKey:       r.faults.Key(),
+		FaultKey:       r.in.Faults.Key(),
 		BaseExecCycles: m0.ExecCycles,
 		BaseTotalJ:     m0.Total(),
 		Impacts:        make([]FaultImpact, len(r.lanes)),
@@ -259,7 +246,7 @@ func (r *Resilience) Score(mp mapping.Mapping) (*ResilienceScore, error) {
 	sc.WorstExecCycles = m0.ExecCycles
 	var sumCy, sumDJ float64
 	for i, lane := range r.lanes {
-		imp := FaultImpact{Element: r.elems[i].String()}
+		imp := FaultImpact{Element: r.in.elems[i].String()}
 		m, err := lane.Evaluate(mp)
 		switch {
 		case errors.Is(err, topology.ErrUnreachable):
@@ -268,7 +255,7 @@ func (r *Resilience) Score(mp mapping.Mapping) (*ResilienceScore, error) {
 			imp.TotalJ = m0.Energy.Dynamic + tech.StaticEnergy(n, cfg.CyclesToSeconds(imp.ExecCycles))
 			sc.Unreachable++
 		case err != nil:
-			return nil, fmt.Errorf("core: fault scenario %s: %w", r.elems[i], err)
+			return nil, fmt.Errorf("core: fault scenario %s: %w", r.in.elems[i], err)
 		default:
 			imp.ExecCycles = m.ExecCycles
 			imp.TotalJ = m.Total()

@@ -140,7 +140,7 @@ func TestResilienceUnreachablePenalty(t *testing.T) {
 		t.Fatal(err)
 	}
 	mp := mapping.Mapping{0, 3} // core 1 sits on the failed router's tile
-	m0, err := r.Intact().Evaluate(mp)
+	m0, err := r.intact.Evaluate(mp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/energy"
 	"repro/internal/mapping"
 	"repro/internal/model"
-	"repro/internal/noc"
 	"repro/internal/search"
 	"repro/internal/topology"
 )
@@ -46,28 +44,23 @@ const DefaultSurrogateSamples = 24
 
 // fitSurrogate calibrates the predictor for one instance: it prices
 // `samples` seeded random mappings exactly (on a private clone lane of
-// the exact evaluator) and least-squares fits simulated texec against the
-// uncontended hop aggregate L. The sample set is keyed by seed alone, so
-// a fixed (instance, seed, samples) triple always yields the same fit.
+// the exact evaluator) and least-squares fits simulated texec against
+// the CWM lane feat's uncontended hop aggregate L. The sample set is keyed
+// by seed alone, so a fixed (instance, seed, samples) triple yields one fit.
 // Degenerate sample sets (constant L) and inverted fits (B < 0, possible
 // on contention-dominated instances where L explains nothing) fall back
 // to the constant predictor at the mean — the surrogate then ranks by
 // dynamic energy alone, which is still a useful walk signal.
-func fitSurrogate(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
-	g *model.CDCG, exact *CDCM, seed int64, samples int) (surrogateFit, error) {
+func fitSurrogate(feat *CWM, exact *CDCM, seed int64, samples int) (surrogateFit, error) {
 	if samples <= 0 {
 		samples = DefaultSurrogateSamples
-	}
-	feat, err := NewCWM(mesh, cfg, tech, g.ToCWG())
-	if err != nil {
-		return surrogateFit{}, err
 	}
 	lane := exact.Clone()
 	rng := rand.New(rand.NewSource(seed))
 	comps := make([]float64, len(cwmAxes))
 	var sx, sy, sxx, sxy float64
 	for i := 0; i < samples; i++ {
-		mp, err := mapping.Random(rng, g.NumCores(), mesh.NumTiles())
+		mp, err := mapping.Random(rng, feat.G.NumCores(), feat.numTiles)
 		if err != nil {
 			return surrogateFit{}, err
 		}
@@ -100,7 +93,7 @@ func fitSurrogate(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 // cdcmSurrogate implements search.DeltaObjective and
 // search.VectorObjective as CDCM's tier-B approximation: ENoC with the
 // simulated texec replaced by the fitted predictor. Pricing runs over a
-// private CWM's integer aggregates, so a surrogate swap probe costs
+// private CWM lane's integer aggregates, so a surrogate swap probe costs
 // about as much as a CWM delta probe — the "as cheap as CWM" target.
 // One instance per worker lane; the fit is shared and immutable.
 type cdcmSurrogate struct {
@@ -112,16 +105,6 @@ var (
 	_ search.DeltaObjective  = (*cdcmSurrogate)(nil)
 	_ search.VectorObjective = (*cdcmSurrogate)(nil)
 )
-
-// newCDCMSurrogate builds one lane's surrogate evaluator around a fit.
-func newCDCMSurrogate(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
-	g *model.CDCG, fit surrogateFit) (*cdcmSurrogate, error) {
-	cwm, err := NewCWM(mesh, cfg, tech, g.ToCWG())
-	if err != nil {
-		return nil, err
-	}
-	return &cdcmSurrogate{cwm: cwm, fit: fit}, nil
-}
 
 // texecCycles predicts texec (in cycles, clamped non-negative) from the
 // traffic aggregates.

@@ -247,18 +247,15 @@ func TestTierABoundCertified(t *testing.T) {
 func TestSurrogateDeltaAndCollapseIdentity(t *testing.T) {
 	mesh, g := deltaInstance3D(t, 3, 2, 2, 10)
 	cfg, tech := tieredCfg(), energy.Tech007
-	exact, err := NewCDCM(mesh, cfg, tech, g)
+	in, err := NewInstance(mesh, cfg, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fit, err := fitSurrogate(mesh, cfg, tech, g, exact, 21, 8)
+	fit, err := fitSurrogate(in.CWM(tech), in.CDCM(tech), 21, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	surr, err := newCDCMSurrogate(mesh, cfg, tech, g, fit)
-	if err != nil {
-		t.Fatal(err)
-	}
+	surr := &cdcmSurrogate{cwm: in.CWM(tech), fit: fit}
 	rng := rand.New(rand.NewSource(4))
 	tiles := mesh.NumTiles()
 	comps := make([]float64, len(surr.Axes()))
@@ -324,15 +321,16 @@ func TestSurrogateDeltaAndCollapseIdentity(t *testing.T) {
 func TestSurrogateFitDeterministic(t *testing.T) {
 	mesh, g := deltaInstance(t, 3, 3, 8)
 	cfg, tech := noc.Default(), energy.Tech007
-	exact, err := NewCDCM(mesh, cfg, tech, g)
+	in, err := NewInstance(mesh, cfg, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := fitSurrogate(mesh, cfg, tech, g, exact, 7, 12)
+	exact, feat := in.CDCM(tech), in.CWM(tech)
+	a, err := fitSurrogate(feat, exact, 7, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := fitSurrogate(mesh, cfg, tech, g, exact, 7, 12)
+	b, err := fitSurrogate(feat, exact, 7, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -222,7 +222,11 @@ func TestExploreParetoFrontRepricesExactly(t *testing.T) {
 func TestExploreSeedGreedyNeverWorse(t *testing.T) {
 	mesh, g := vectorSetup(t)
 	cfg := noc.Default()
-	seed, err := GreedyInitial(mesh, g)
+	in, err := NewInstance(mesh, cfg, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := in.GreedyInitial()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,7 +198,7 @@ func TestRunTable2MaxTilesFilter(t *testing.T) {
 
 func TestRunESvsSA(t *testing.T) {
 	suite := smallSuite(t, 6) // 3x2 instances: spaces 720, 720, 720
-	outs, err := RunESvsSA(suite, noc.Config{}, 1000, 3)
+	outs, err := RunESvsSA(nil, suite, noc.Config{}, 1000, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestRunCPUTime(t *testing.T) {
 
 func TestRunVsRandom(t *testing.T) {
 	suite := smallSuite(t, 6)[:1]
-	outs, err := RunVsRandom(suite, noc.Config{}, 40, 5)
+	outs, err := RunVsRandom(nil, suite, noc.Config{}, 40, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -87,12 +88,11 @@ func NewFigureExample() (*FigureExample, error) {
 		MapA: mapping.Mapping{1, 0, 3, 2}, // Figure 1(c): B,A / F,E
 		MapB: mapping.Mapping{3, 0, 1, 2}, // Figure 1(d): B,E / F,A
 	}
-	if f.CWM, err = core.NewCWM(mesh, f.Cfg, f.Tech, f.G.ToCWG()); err != nil {
+	in, err := core.NewInstance(mesh, f.Cfg, f.G, nil)
+	if err != nil {
 		return nil, err
 	}
-	if f.CDCM, err = core.NewCDCM(mesh, f.Cfg, f.Tech, f.G); err != nil {
-		return nil, err
-	}
+	f.CWM, f.CDCM = in.CWM(f.Tech), in.CDCM(f.Tech)
 	if f.ResA, f.MetricsA, err = f.CDCM.Simulate(f.MapA); err != nil {
 		return nil, err
 	}
@@ -107,7 +107,7 @@ func NewFigureExample() (*FigureExample, error) {
 func (f *FigureExample) RenderFigure1() string {
 	var b strings.Builder
 	b.WriteString("Figure 1(a) — CWG:\n")
-	b.WriteString(f.G.ToCWG().DOT())
+	b.WriteString(f.CWM.G.DOT())
 	b.WriteString("\nFigure 1(b) — CDCG:\n")
 	b.WriteString(f.G.DOT())
 	name := func(c model.CoreID) string { return f.G.CoreName(c) }
@@ -178,8 +178,9 @@ type ESvsSAOutcome struct {
 // RunESvsSA reproduces the Section-5 claim that exhaustive search and
 // simulated annealing reach the same results on small NoCs. Workloads
 // whose placement space exceeds maxEvals are skipped (the paper itself
-// notes ES becomes unfeasible beyond small sizes).
-func RunESvsSA(suite []Workload, cfg noc.Config, maxEvals int64, seed int64) ([]ESvsSAOutcome, error) {
+// notes ES becomes unfeasible beyond small sizes). A non-nil ctx cancels
+// the searches; nil runs to the end.
+func RunESvsSA(ctx context.Context, suite []Workload, cfg noc.Config, maxEvals int64, seed int64) ([]ESvsSAOutcome, error) {
 	if cfg == (noc.Config{}) {
 		cfg = noc.Default()
 	}
@@ -189,18 +190,16 @@ func RunESvsSA(suite []Workload, cfg noc.Config, maxEvals int64, seed int64) ([]
 		if space <= 0 || space > maxEvals {
 			continue
 		}
-		mesh, err := w.Mesh()
+		in, err := w.Instance(cfg)
 		if err != nil {
 			return nil, err
 		}
 		for _, strat := range []core.Strategy{core.StrategyCWM, core.StrategyCDCM} {
-			es, err := core.Explore(strat, mesh, cfg, energy.Tech007, w.G,
-				core.Options{Method: core.MethodES})
+			es, err := in.Explore(strat, energy.Tech007, core.Options{Method: core.MethodES, Ctx: ctx})
 			if err != nil {
 				return nil, fmt.Errorf("exp: ES %s on %s: %w", strat, w.Name, err)
 			}
-			sa, err := core.Explore(strat, mesh, cfg, energy.Tech007, w.G,
-				core.Options{Method: core.MethodSA, Seed: seed})
+			sa, err := in.Explore(strat, energy.Tech007, core.Options{Method: core.MethodSA, Seed: seed, Ctx: ctx})
 			if err != nil {
 				return nil, fmt.Errorf("exp: SA %s on %s: %w", strat, w.Name, err)
 			}
@@ -256,18 +255,11 @@ func RunCPUTime(suite []Workload, cfg noc.Config, iters int) ([]CPUTimeOutcome, 
 	}
 	var outs []CPUTimeOutcome
 	for _, w := range suite {
-		mesh, err := w.Mesh()
+		in, err := w.Instance(cfg)
 		if err != nil {
 			return nil, err
 		}
-		cwm, err := core.NewCWM(mesh, cfg, energy.Tech007, w.G.ToCWG())
-		if err != nil {
-			return nil, err
-		}
-		cdcm, err := core.NewCDCM(mesh, cfg, energy.Tech007, w.G)
-		if err != nil {
-			return nil, err
-		}
+		cwm, cdcm := in.CWM(energy.Tech007), in.CDCM(energy.Tech007)
 		mp := mapping.Identity(w.G.NumCores())
 		// Warm the CDCM scratch before timing.
 		if _, err := cdcm.Cost(mp); err != nil {
@@ -293,7 +285,7 @@ func RunCPUTime(suite []Workload, cfg noc.Config, iters int) ([]CPUTimeOutcome, 
 		}
 		outs = append(outs, CPUTimeOutcome{
 			Workload:  w.Name,
-			NCC:       len(w.G.ToCWG().Edges),
+			NCC:       len(cwm.G.Edges),
 			NDP:       w.G.NumPackets() + len(w.G.Deps),
 			CWMEvalNS: cwmNS, CDCMEvalNS: cdcmNS, Ratio: ratio,
 		})
@@ -329,8 +321,9 @@ type VsRandomOutcome struct {
 }
 
 // RunVsRandom reproduces the related-work claim of Hu/Marculescu ([4]):
-// energy-aware mapping search beats random mapping by a wide margin.
-func RunVsRandom(suite []Workload, cfg noc.Config, samples int, seed int64) ([]VsRandomOutcome, error) {
+// energy-aware mapping search beats random mapping by a wide margin. A
+// non-nil ctx cancels the annealer; nil runs to the end.
+func RunVsRandom(ctx context.Context, suite []Workload, cfg noc.Config, samples int, seed int64) ([]VsRandomOutcome, error) {
 	if cfg == (noc.Config{}) {
 		cfg = noc.Default()
 	}
@@ -339,14 +332,11 @@ func RunVsRandom(suite []Workload, cfg noc.Config, samples int, seed int64) ([]V
 	}
 	var outs []VsRandomOutcome
 	for _, w := range suite {
-		mesh, err := w.Mesh()
+		in, err := w.Instance(cfg)
 		if err != nil {
 			return nil, err
 		}
-		cwm, err := core.NewCWM(mesh, cfg, energy.Tech007, w.G.ToCWG())
-		if err != nil {
-			return nil, err
-		}
+		mesh, cwm := in.Mesh, in.CWM(energy.Tech007)
 		// Mean (not best) random-mapping energy: the reference point of
 		// [4] is "a random mapping", not the best of many.
 		mean, err := meanRandomCost(mesh, cwm, w.G.NumCores(), samples, seed)
@@ -356,6 +346,7 @@ func RunVsRandom(suite []Workload, cfg noc.Config, samples int, seed int64) ([]V
 		sa := &search.Annealer{
 			Problem: search.Problem{Mesh: mesh, NumCores: w.G.NumCores(), Obj: cwm},
 			Seed:    seed,
+			Ctx:     ctx,
 		}
 		saRes, err := sa.Run()
 		if err != nil {

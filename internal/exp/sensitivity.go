@@ -13,7 +13,6 @@ import (
 	"repro/internal/par"
 	"repro/internal/search"
 	"repro/internal/trace"
-	"repro/internal/wormhole"
 )
 
 // SensitivityOutcome quantifies how mapping-sensitive a workload's
@@ -43,7 +42,7 @@ type SensitivityOutcome struct {
 // RunSensitivity samples `samples` random mappings per workload and
 // bounds the achievable ETR. Workloads are analysed concurrently on a
 // pool of `workers` goroutines (0 or 1 = serial); each job owns its own
-// simulator and RNG, so the outcome slice is bit-identical for every
+// instance and RNG, so the outcome slice is bit-identical for every
 // worker count. A non-nil ctx cancels the run between workloads and is
 // threaded into every exploration; a nil ctx reproduces the exact
 // uncancellable behavior.
@@ -57,15 +56,11 @@ func RunSensitivity(ctx context.Context, suite []Workload, cfg noc.Config, sampl
 	outs := make([]SensitivityOutcome, len(suite))
 	err := par.ForEachCtx(ctx, len(suite), workers, func(i int) error {
 		w := suite[i]
-		mesh, err := w.Mesh()
+		in, err := w.Instance(cfg)
 		if err != nil {
 			return err
 		}
-		sim, err := wormhole.NewSimulator(mesh, cfg, w.G)
-		if err != nil {
-			return err
-		}
-		sc := sim.NewScratch()
+		mesh, cdcm := in.Mesh, in.CDCM(energy.Tech007)
 		rng := rand.New(rand.NewSource(seed))
 		o := SensitivityOutcome{Workload: w.Name, NoCSize: w.NoCSize(), MinRandom: math.MaxInt64}
 		var sumT, sumC int64
@@ -74,7 +69,7 @@ func RunSensitivity(ctx context.Context, suite []Workload, cfg noc.Config, sampl
 			if err != nil {
 				return err
 			}
-			res, err := sim.RunScratch(mp, sc)
+			res, err := cdcm.Evaluate(mp)
 			if err != nil {
 				return err
 			}
@@ -85,13 +80,13 @@ func RunSensitivity(ctx context.Context, suite []Workload, cfg noc.Config, sampl
 				o.MaxRandom = res.ExecCycles
 			}
 			sumT += res.ExecCycles
-			sumC += res.TotalContention
+			sumC += res.ContentionCycles
 		}
 		o.MeanRandom = sumT / int64(samples)
 		o.MeanContention = sumC / int64(samples)
 
 		timeObj := search.ObjectiveFunc(func(mp mapping.Mapping) (float64, error) {
-			res, err := sim.RunScratch(mp, sc)
+			res, err := cdcm.Evaluate(mp)
 			if err != nil {
 				return 0, err
 			}
@@ -107,8 +102,7 @@ func RunSensitivity(ctx context.Context, suite []Workload, cfg noc.Config, sampl
 		}
 		o.BestTime = int64(tSA.BestCost)
 
-		cw, err := core.Explore(core.StrategyCWM, mesh, cfg, energy.Tech007, w.G,
-			core.Options{Method: core.MethodSA, Seed: seed, Ctx: ctx})
+		cw, err := in.Explore(core.StrategyCWM, energy.Tech007, core.Options{Method: core.MethodSA, Seed: seed, Ctx: ctx})
 		if err != nil {
 			return err
 		}

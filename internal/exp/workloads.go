@@ -10,7 +10,9 @@ import (
 
 	"repro/internal/appgen"
 	"repro/internal/apps"
+	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/noc"
 	"repro/internal/topology"
 )
 
@@ -39,6 +41,15 @@ func (w Workload) NoCSize() string { return fmt.Sprintf("%dx%d", w.MeshW, w.Mesh
 
 // Mesh instantiates the workload's mesh.
 func (w Workload) Mesh() (*topology.Mesh, error) { return topology.NewMesh(w.MeshW, w.MeshH) }
+
+// Instance builds the workload's core.Instance on its mesh under cfg.
+func (w Workload) Instance(cfg noc.Config) (*core.Instance, error) {
+	mesh, err := w.Mesh()
+	if err != nil {
+		return nil, err
+	}
+	return core.NewInstance(mesh, cfg, w.G, nil)
+}
 
 // Table1Suite regenerates the 18 workloads of Table 1 with the exact
 // published aggregate characteristics (cores, packets, total bits). Eight

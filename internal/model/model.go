@@ -142,9 +142,9 @@ func (g *CWG) Validate() error {
 }
 
 // Validate checks structural well-formedness of a CDCG: dense core and
-// packet IDs, endpoints in range, positive bit volumes, non-negative
-// computation times, dependence endpoints in range, and acyclicity of the
-// dependence relation (a cyclic CDCG can never execute).
+// packet IDs, endpoints in range, positive bit volumes with an int64
+// total, non-negative computation times, dependence endpoints in range,
+// and acyclicity of the dependence relation (a cyclic one never executes).
 func (g *CDCG) Validate() error {
 	if err := validateCores(g.Cores); err != nil {
 		return err
@@ -152,6 +152,7 @@ func (g *CDCG) Validate() error {
 	if len(g.Packets) == 0 {
 		return errors.New("model: CDCG has no packets")
 	}
+	var total int64
 	for i, p := range g.Packets {
 		if int(p.ID) != i {
 			return fmt.Errorf("model: packet %d has ID %d, want dense IDs", i, p.ID)
@@ -164,6 +165,9 @@ func (g *CDCG) Validate() error {
 		}
 		if p.Bits <= 0 {
 			return fmt.Errorf("model: packet %d has non-positive volume %d", i, p.Bits)
+		}
+		if total += p.Bits; total < 0 { // two non-negative int64s overflow negative
+			return fmt.Errorf("model: total bit volume overflows int64 at packet %d", i)
 		}
 		if p.Compute < 0 {
 			return fmt.Errorf("model: packet %d has negative computation time %d", i, p.Compute)

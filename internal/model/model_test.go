@@ -96,6 +96,7 @@ func TestValidateRejections(t *testing.T) {
 		{"dst out of range", func(g *CDCG) { g.Packets[0].Dst = -1 }},
 		{"self packet", func(g *CDCG) { g.Packets[0].Dst = g.Packets[0].Src }},
 		{"zero bits", func(g *CDCG) { g.Packets[0].Bits = 0 }},
+		{"total bits overflow", func(g *CDCG) { g.Packets[0].Bits, g.Packets[1].Bits = 1<<62, 1<<62 }},
 		{"negative compute", func(g *CDCG) { g.Packets[0].Compute = -1 }},
 		{"dep out of range", func(g *CDCG) { g.Deps[0].To = 42 }},
 		{"dep self loop", func(g *CDCG) { g.Deps[0].To = g.Deps[0].From }},

@@ -11,11 +11,7 @@ import (
 	"repro/internal/energy"
 	"repro/internal/model"
 	"repro/internal/noc"
-	"repro/internal/obs"
-	"repro/internal/search"
 	"repro/internal/topology"
-
-	"context"
 )
 
 // ErrBadRequest wraps every request-validation failure; the HTTP layer
@@ -337,21 +333,6 @@ func (in *Instance) Key() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Explore runs the instance's search under ctx with optional progress,
-// phase and evaluation-count reporting and prices the winner —
-// core.Explore with the instance's resolved parameters. All three
-// observability hooks may be nil; they are observational only, so the
-// result is bit-identical either way.
-func (in *Instance) Explore(ctx context.Context, onProgress search.ProgressFunc,
-	onPhase func(string), evals *obs.Counter) (*core.ExploreResult, error) {
-	opts := in.Opts
-	opts.Ctx = ctx
-	opts.OnProgress = onProgress
-	opts.OnPhase = onPhase
-	opts.EvalCounter = evals
-	return core.Explore(in.Strategy, in.Mesh, in.Cfg, in.Tech, in.G, opts)
-}
-
 // ParseTech resolves a technology profile by CLI/API name.
 func ParseTech(name string) (energy.Tech, error) {
 	switch name {
@@ -365,13 +346,22 @@ func ParseTech(name string) (energy.Tech, error) {
 	return energy.Tech{}, fmt.Errorf("unknown tech %q (want 0.35um, 0.07um or paper)", name)
 }
 
+// MaxTiles caps the grid ParseMesh accepts: the evaluators' tables grow
+// with the square of the tile count, and running out of memory is a
+// crash no recover catches. 1,024 is 8.5 times the 12x10 Table-1 grid.
+const MaxTiles = 1024
+
 // ParseMesh parses "WxH" or "WxHxD" (optionally stacked deeper by depth
 // and wrapped into a torus), or picks the smallest grid fitting the cores
 // when spec is empty: near-square layers, spread over depth layers when
 // given, so 16 cores at depth 4 auto-size to 2x2x4 rather than a 4x4
-// layer replicated 4 times. Shared by the nocmap CLI and the daemon so
+// layer replicated 4 times. A grid of more than MaxTiles tiles is refused
+// before it is allocated. Shared by the nocmap CLI and the daemon so
 // both resolve grid specs identically.
 func ParseMesh(spec, topo string, depth, cores int) (*topology.Mesh, error) {
+	if depth > MaxTiles {
+		return nil, fmt.Errorf("depth %d exceeds the %d-tile limit", depth, MaxTiles)
+	}
 	torus := false
 	switch topo {
 	case "", "mesh":
@@ -406,6 +396,10 @@ func ParseMesh(spec, topo string, depth, cores int) (*topology.Mesh, error) {
 			}
 			d = depth
 		}
+	}
+	// Each factor is checked alone first, so the product cannot overflow.
+	if w > MaxTiles || h > MaxTiles || d > MaxTiles || w*h*d > MaxTiles {
+		return nil, fmt.Errorf("grid %dx%dx%d exceeds the %d-tile limit", w, h, d, MaxTiles)
 	}
 	var mesh *topology.Mesh
 	var err error

@@ -47,6 +47,7 @@ import (
 
 	"sync"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/search"
@@ -418,7 +419,9 @@ func (s *Server) compute(ctx context.Context, j *Job, onProgress search.Progress
 	if exploreHook != nil {
 		exploreHook(j.in)
 	}
-	res, err := j.in.Explore(ctx, onProgress, onPhase, s.evals)
+	opts := j.in.Opts
+	opts.Ctx, opts.OnProgress, opts.OnPhase, opts.EvalCounter = ctx, onProgress, onPhase, s.evals
+	res, err := core.Explore(j.in.Strategy, j.in.Mesh, j.in.Cfg, j.in.Tech, j.in.G, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -42,9 +42,6 @@ func NewFaultSet(m *Mesh) *FaultSet {
 	}
 }
 
-// Mesh returns the grid the fault set is defined over.
-func (f *FaultSet) Mesh() *Mesh { return f.m }
-
 // Empty reports whether no element is failed. A nil *FaultSet is empty:
 // every fault-aware entry point treats nil and empty identically as "the
 // intact grid".

@@ -201,17 +201,12 @@ type Simulator struct {
 	// branch-free — no lazy fill, so concurrent RunScratch lanes never
 	// write here. A descriptor is as wide as the tile ID it replaces, so
 	// the table costs O(n²·avg-route-length) words, the same as a plain
-	// tile table. Construction walks one route per tile pair into a
-	// reused buffer — noise against any search, noticeable only when a
-	// Simulator is built to price a single mapping.
+	// tile table. core.Instance builds it once per run.
 	routeOff []int32
 	routes   []hop
-	// faults is the fault set the route table was built against (nil for
-	// an intact simulator — the NewSimulator path, which is bit-identical
-	// to the pre-fault behaviour). unreach[src*n+dst] marks tile pairs the
-	// fault set partitions; it is nil when every pair is reachable, so the
-	// intact hot loop pays a single nil check.
-	faults  *topology.FaultSet
+	// unreach[src*n+dst] marks tile pairs the fault set partitions; it is
+	// nil on an intact simulator, so the intact hot loop pays a single nil
+	// check.
 	unreach []bool
 
 	// linkFree and tsvFree mark the configurations in which no packet
@@ -400,17 +395,11 @@ func NewSimulator(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG) (*Simulato
 // path allocates nothing to report it). A nil or empty fault set is
 // bit-identical to NewSimulator.
 func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *topology.FaultSet) (*Simulator, error) {
-	if mesh == nil {
-		return nil, errors.New("wormhole: nil mesh")
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if err := g.Validate(); err != nil {
 		return nil, err
 	}
-	if g.NumCores() > mesh.NumTiles() {
-		return nil, fmt.Errorf("wormhole: %d cores exceed %d tiles", g.NumCores(), mesh.NumTiles())
+	if err := CheckNoC(mesh, cfg, g.NumCores()); err != nil {
+		return nil, err
 	}
 	dg, err := g.DepGraph()
 	if err != nil {
@@ -565,50 +554,50 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 		}
 	}
 	s.routes = make([]hop, 0, total)
-	if fs.Empty() {
-		var buf []topology.TileID
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				buf, err = mesh.AppendRoute(buf[:0], cfg.Routing, topology.TileID(a), topology.TileID(b))
-				if err != nil {
-					return nil, err
-				}
+	if !fs.Empty() {
+		s.unreach = make([]bool, n*n)
+	}
+	var buf []topology.TileID
+	for a := 0; a < n; a++ {
+		for b := 0; b < n; b++ {
+			src, dst := topology.TileID(a), topology.TileID(b)
+			if s.unreach == nil {
+				buf, err = mesh.AppendRoute(buf[:0], cfg.Routing, src, dst)
+			} else {
+				var r topology.Route
+				r, err = mesh.RouteFault(cfg.Routing, fs, src, dst)
+				buf = r.Tiles
+			}
+			switch {
+			case s.unreach != nil && errors.Is(err, topology.ErrUnreachable):
+				s.unreach[a*n+b] = true
+			case err != nil:
+				return nil, err
+			default:
 				if err := appendHops(buf); err != nil {
 					return nil, err
 				}
-				s.routeOff[a*n+b+1] = int32(len(s.routes))
 			}
-		}
-	} else {
-		if fs.Mesh() != mesh {
-			return nil, errors.New("wormhole: fault set belongs to a different mesh")
-		}
-		s.faults = fs
-		s.unreach = make([]bool, n*n)
-		for a := 0; a < n; a++ {
-			for b := 0; b < n; b++ {
-				r, err := mesh.RouteFault(cfg.Routing, fs, topology.TileID(a), topology.TileID(b))
-				switch {
-				case errors.Is(err, topology.ErrUnreachable):
-					s.unreach[a*n+b] = true
-				case err != nil:
-					return nil, err
-				default:
-					if err := appendHops(r.Tiles); err != nil {
-						return nil, err
-					}
-				}
-				s.routeOff[a*n+b+1] = int32(len(s.routes))
-			}
+			s.routeOff[a*n+b+1] = int32(len(s.routes))
 		}
 	}
 	s.initOnce = true
 	return s, nil
 }
 
-// Faults returns the fault set the simulator's route table was built
-// against, nil for an intact simulator.
-func (s *Simulator) Faults() *topology.FaultSet { return s.faults }
+// CheckNoC validates an evaluator's mesh, config and core count (core.NewCWM uses it too).
+func CheckNoC(mesh *topology.Mesh, cfg noc.Config, cores int) error {
+	if mesh == nil {
+		return errors.New("wormhole: nil mesh")
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cores > mesh.NumTiles() {
+		return fmt.Errorf("wormhole: %d cores exceed %d tiles", cores, mesh.NumTiles())
+	}
+	return nil
+}
 
 // NewScratch allocates a fresh per-lane scratch sized for this simulator.
 // Panics on a zero-value Simulator; construct with NewSimulator.
