@@ -111,3 +111,29 @@ func FuzzResolve(f *testing.F) {
 		}
 	})
 }
+
+// TestCacheKeyPinned pins the cache key by value: a cached result is
+// replayed only to a request whose key is byte-identical, so any change
+// to the hashed lines (the NoC line included) orphans every cache entry.
+func TestCacheKeyPinned(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		req  *Request
+		want string
+	}{
+		{"fast", fastRequest(3), "91323bd3811eea75e9a19b30e9c8b62273e490ce66bd08b4f98cfe99d62e7acd"},
+		{"cdcm fault_set", &Request{Demo: true, Mesh: "3x3", Model: "cdcm", Method: "hill", Seed: 5,
+			FaultSet: &FaultSetJSON{Links: [][2]int{{0, 1}}, Routers: []int{4}}},
+			"591cd77ef54c260e36e6a05cd72b1b72eb853df2a2eba63494e492a4f4ab2a5e"},
+		{"surrogate", &Request{Demo: true, Mesh: "2x2", Seed: 7, Surrogate: true},
+			"cf7f8705b392df952194d310edc010d2e4579546a26952645f8d00963fba9a92"},
+	} {
+		in, err := c.req.Resolve()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := in.Key(); got != c.want {
+			t.Errorf("%s: key %s, want %s", c.name, got, c.want)
+		}
+	}
+}
