@@ -116,7 +116,7 @@ func BenchmarkTable2_12x10(b *testing.B) { benchTable2Size(b, "12x10", largeBudg
 // example (the Figure-2 computation).
 func BenchmarkFigure2CWMEvaluation(b *testing.B) {
 	mesh, _ := topology.NewMesh(2, 2)
-	cwm, err := core.NewCWM(mesh, noc.PaperExample(), energy.PaperExample(),
+	cwm, err := core.NewCWM(mesh, noc.Default(), energy.PaperExample(),
 		model.PaperExampleCWG())
 	if err != nil {
 		b.Fatal(err)
@@ -136,7 +136,7 @@ func BenchmarkFigure2CWMEvaluation(b *testing.B) {
 // allocation-free in steady state (RunScratch).
 func BenchmarkFigure3CDCMEvaluation(b *testing.B) {
 	mesh, _ := topology.NewMesh(2, 2)
-	sim, err := wormhole.NewSimulator(mesh, noc.PaperExample(), model.PaperExampleCDCG())
+	sim, err := wormhole.NewSimulator(mesh, noc.Default(), model.PaperExampleCDCG())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func BenchmarkPriceBelowProbe(b *testing.B) {
 		{"full", func(float64) bool { return false }},
 	}
 	for _, in := range []instance{
-		{"Figure3", fig3Mesh, noc.PaperExample(), energy.PaperExample(), model.PaperExampleCDCG()},
+		{"Figure3", fig3Mesh, noc.Default(), energy.PaperExample(), model.PaperExampleCDCG()},
 		{"12x10", largeMesh, largeCfg, energy.Tech007, largeG},
 	} {
 		cdcm, err := core.NewCDCM(in.mesh, in.cfg, in.tech, in.g)
@@ -248,7 +248,7 @@ func BenchmarkPriceBelowProbe(b *testing.B) {
 // BenchmarkFigure4Gantt renders the Figure-4 timing diagram.
 func BenchmarkFigure4Gantt(b *testing.B) {
 	mesh, _ := topology.NewMesh(2, 2)
-	cfg := noc.PaperExample()
+	cfg := noc.Default()
 	g := model.PaperExampleCDCG()
 	sim, err := wormhole.NewSimulator(mesh, cfg, g)
 	if err != nil {
@@ -817,7 +817,7 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		return mesh, noc.PaperExample(), model.PaperExampleCDCG()
+		return mesh, noc.Default(), model.PaperExampleCDCG()
 	}
 	// The large SA schedule: fast cooling keeps the cold (low-acceptance)
 	// phase long, which is where tier B pays — rejected candidates never

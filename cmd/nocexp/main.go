@@ -20,9 +20,11 @@
 // large-mesh rows spend their time in the CDCM simulator, not in
 // re-walking communication graphs.
 //
+// An unknown -exp name is an error that lists the valid ones.
+//
 // Ctrl-C cancels the experiments that search (table2, esvssa, vsrandom,
-// buffers, ablation, dim3, pareto, resilience, sensitivity); cputime
-// only times evaluations, takes no context and runs to its end.
+// ablation, dim3, pareto, resilience, sensitivity); cputime only times
+// evaluations, takes no context and runs to its end.
 package main
 
 import (
@@ -32,15 +34,22 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/exp"
 	"repro/internal/noc"
 )
 
+// experiments are the -exp names run accepts. "all" runs the paper's
+// tables and figures, not the analysis extras after vsrandom.
+var experiments = []string{"table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5",
+	"esvssa", "cputime", "vsrandom", "sensitivity", "ablation", "dim3", "pareto", "resilience", "all"}
+
 func main() {
 	var (
-		which    = flag.String("exp", "all", "experiment: table1, table2, fig1..fig5, esvssa, cputime, vsrandom, sensitivity, buffers, ablation, dim3, pareto, resilience, all")
+		which    = flag.String("exp", "all", "experiment: "+strings.Join(experiments, ", "))
 		seeds    = flag.Int("seeds", 1, "number of search seeds to average over (table2)")
 		steps    = flag.Int("steps", 0, "SA temperature steps (0 = default)")
 		moves    = flag.Int("moves", 0, "SA moves per temperature (0 = default)")
@@ -66,6 +75,9 @@ func main() {
 }
 
 func run(ctx context.Context, which string, seeds, steps, moves, maxTiles, depth int, topo string, esMax int64, samples int, seed int64, workers int, faultRate float64, faultSeed int64, surrogate bool) error {
+	if !slices.Contains(experiments, which) {
+		return fmt.Errorf("unknown experiment %q (want one of %s)", which, strings.Join(experiments, ", "))
+	}
 	suite, err := exp.Table1Suite()
 	if err != nil {
 		return err
@@ -140,20 +152,6 @@ func run(ctx context.Context, which string, seeds, steps, moves, maxTiles, depth
 			return err
 		}
 		fmt.Println(exp.RenderVsRandom(outs))
-	}
-	if which == "buffers" { // analysis extra: not part of "all"
-		var small []exp.Workload
-		for _, w := range suite {
-			if maxTiles == 0 || w.MeshW*w.MeshH <= maxTiles {
-				small = append(small, w)
-			}
-		}
-		outs, err := exp.RunBuffers(small, noc.Config{}, nil,
-			core.Options{Method: core.MethodSA, Seed: seed, TempSteps: steps, MovesPerTemp: moves, Workers: workers, Ctx: ctx, Surrogate: surrogate})
-		if err != nil {
-			return err
-		}
-		fmt.Println(exp.RenderBuffers(outs))
 	}
 	if which == "ablation" { // analysis extra: not part of "all"
 		var small []exp.Workload

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -31,9 +32,6 @@ func TestRunBoundedExperiments(t *testing.T) {
 	}
 	if err := run(nil, "ablation", 1, 6, 10, 6, 4, "mesh", 100, 10, 1, 2, 0.08, 2, false); err != nil {
 		t.Fatalf("ablation: %v", err)
-	}
-	if err := run(nil, "buffers", 1, 6, 10, 6, 4, "mesh", 100, 10, 1, 2, 0.08, 2, false); err != nil {
-		t.Fatalf("buffers: %v", err)
 	}
 	if err := run(nil, "vsrandom", 1, 0, 0, 6, 4, "mesh", 100, 15, 1, 2, 0.08, 2, false); err != nil {
 		t.Fatalf("vsrandom: %v", err)
@@ -65,9 +63,21 @@ func TestRunBoundedExperiments(t *testing.T) {
 func TestRunHonorsCanceledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, which := range []string{"table2", "buffers", "ablation", "dim3", "esvssa", "vsrandom"} {
+	for _, which := range []string{"table2", "ablation", "dim3", "esvssa", "vsrandom"} {
 		if err := run(ctx, which, 1, 6, 10, 6, 4, "mesh", 1000, 10, 1, 2, 0.08, 2, false); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", which, err)
+		}
+	}
+}
+
+// TestRunRefusesUnknownExperiment: a misspelt or deleted experiment name
+// is an error naming the valid ones, not a silent run that prints
+// nothing.
+func TestRunRefusesUnknownExperiment(t *testing.T) {
+	for _, which := range []string{"tabel2", "buffers"} {
+		err := run(nil, which, 1, 0, 0, 0, 4, "mesh", 100, 10, 1, 2, 0.08, 2, false)
+		if err == nil || !strings.Contains(err.Error(), which) || !strings.Contains(err.Error(), "table2, fig1") {
+			t.Errorf("%s: err = %v, want an unknown-experiment error listing the names", which, err)
 		}
 	}
 }

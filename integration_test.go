@@ -75,12 +75,12 @@ func TestEndToEndDeterminism(t *testing.T) {
 	g := model.PaperExampleCDCG()
 	mesh, _ := topology.NewMesh(2, 2)
 	opts := core.CompareOptions{Options: core.Options{Method: core.MethodSA, Seed: 4, TempSteps: 15}}
-	first, err := core.CompareModels(mesh, noc.PaperExample(), g, opts)
+	first, err := core.CompareModels(mesh, noc.Default(), g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		again, err := core.CompareModels(mesh, noc.PaperExample(), g, opts)
+		again, err := core.CompareModels(mesh, noc.Default(), g, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

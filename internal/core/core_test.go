@@ -26,7 +26,7 @@ func paperSetup(t *testing.T) (*topology.Mesh, noc.Config, energy.Tech, *model.C
 	if err != nil {
 		t.Fatal(err)
 	}
-	return mesh, noc.PaperExample(), energy.PaperExample(), model.PaperExampleCDCG()
+	return mesh, noc.Default(), energy.PaperExample(), model.PaperExampleCDCG()
 }
 
 func almostEq(a, b float64) bool {

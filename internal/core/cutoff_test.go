@@ -126,8 +126,8 @@ func refPortLoad(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG,
 
 // TestPriceBelowMatchesTierAAndCost pins CDCM.PriceBelow against the
 // pricings it stands between, on the tier-A fixtures (2-D mesh, 3-D mesh
-// and 3-D torus, both buffer policies, with and without faults, with
-// ArbitrateLocal off and on): the simulator's bounds are refTierA's
+// and 3-D torus, with and without faults, with ArbitrateLocal off and
+// on): the simulator's bounds are refTierA's
 // critical path in cycles and, when it is larger, refPortLoad's port
 // load; priced, the bounds PriceBelow offers are refTierA's bound and
 // that load priced the same way, bit for bit (on a faulted mesh the
@@ -145,110 +145,104 @@ func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 		} else if !fs.Empty() {
 			faultSets = append(faultSets, fs)
 		}
-		for _, buffers := range []noc.BufferPolicy{noc.BuffersUnbounded, noc.BuffersBounded} {
-			for _, arbLocal := range []bool{false, true} {
-				cfg := tieredCfg()
-				cfg.Buffers = buffers
-				cfg.ArbitrateLocal = arbLocal
-				if buffers == noc.BuffersBounded {
-					cfg.BufferFlits = 4
+		for _, arbLocal := range []bool{false, true} {
+			cfg := tieredCfg()
+			cfg.ArbitrateLocal = arbLocal
+			for fi, fs := range faultSets {
+				name := fmt.Sprintf("%s/local=%v/faults=%d", grid.name, arbLocal, fi)
+				var exact *CDCM
+				var err error
+				if fs == nil {
+					exact, err = NewCDCM(grid.mesh, cfg, tech, grid.g)
+				} else {
+					exact, err = NewCDCMFaults(grid.mesh, cfg, tech, grid.g, fs)
 				}
-				for fi, fs := range faultSets {
-					name := fmt.Sprintf("%s/%s/local=%v/faults=%d", grid.name, buffers, arbLocal, fi)
-					var exact *CDCM
-					var err error
-					if fs == nil {
-						exact, err = NewCDCM(grid.mesh, cfg, tech, grid.g)
-					} else {
-						exact, err = NewCDCMFaults(grid.mesh, cfg, tech, grid.g, fs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exact.Evals = &obs.Counter{}
+				exact.sim.PortLoadBound = true // the grids are below its core count
+				sc := exact.sim.NewScratch()
+				rng := rand.New(rand.NewSource(17))
+				for trial := 0; trial < 12; trial++ {
+					mp, err := mapping.Random(rng, grid.g.NumCores(), grid.mesh.NumTiles())
+					if err != nil {
+						t.Fatal(err)
+					}
+					cost, err := exact.Cost(mp)
+					if errors.Is(err, topology.ErrUnreachable) {
+						continue
 					}
 					if err != nil {
 						t.Fatal(err)
 					}
-					exact.Evals = &obs.Counter{}
-					exact.sim.PortLoadBound = true // the grids are below its core count
-					sc := exact.sim.NewScratch()
-					rng := rand.New(rand.NewSource(17))
-					for trial := 0; trial < 12; trial++ {
-						mp, err := mapping.Random(rng, grid.g.NumCores(), grid.mesh.NumTiles())
-						if err != nil {
+					tierA, cp, dyn, err := refTierA(grid.mesh, cfg, tech, grid.g, fs, mp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					load, err := refPortLoad(grid.mesh, cfg, grid.g, fs, mp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantCycles, wantPre := []int64{cp}, []float64{tierA}
+					if load > cp {
+						loaded++
+						wantCycles = append(wantCycles, load)
+						wantPre = append(wantPre, dyn+tech.StaticEnergy(grid.mesh.NumTiles(), cfg.CyclesToSeconds(load)))
+					}
+					pre, err := preCutoff(exact.sim, sc, mp)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(pre, wantCycles) {
+						t.Fatalf("%s trial %d: simulator's bounds %v cycles, reference %v",
+							name, trial, pre, wantCycles)
+					}
+					// Fault detours are hop-wise at least as long as the
+					// intact routes, so the intact-route reference may
+					// only be looser on a faulted mesh.
+					intact := tierA
+					if fs != nil {
+						if intact, _, _, err = refTierA(grid.mesh, cfg, tech, grid.g, nil, mp); err != nil {
 							t.Fatal(err)
 						}
-						cost, err := exact.Cost(mp)
-						if errors.Is(err, topology.ErrUnreachable) {
-							continue
-						}
-						if err != nil {
-							t.Fatal(err)
-						}
-						tierA, cp, dyn, err := refTierA(grid.mesh, cfg, tech, grid.g, fs, mp)
-						if err != nil {
-							t.Fatal(err)
-						}
-						load, err := refPortLoad(grid.mesh, cfg, grid.g, fs, mp)
-						if err != nil {
-							t.Fatal(err)
-						}
-						wantCycles, wantPre := []int64{cp}, []float64{tierA}
-						if load > cp {
-							loaded++
-							wantCycles = append(wantCycles, load)
-							wantPre = append(wantPre, dyn+tech.StaticEnergy(grid.mesh.NumTiles(), cfg.CyclesToSeconds(load)))
-						}
-						pre, err := preCutoff(exact.sim, sc, mp)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !slices.Equal(pre, wantCycles) {
-							t.Fatalf("%s trial %d: simulator's bounds %v cycles, reference %v",
-								name, trial, pre, wantCycles)
-						}
-						// Fault detours are hop-wise at least as long as the
-						// intact routes, so the intact-route reference may
-						// only be looser on a faulted mesh.
-						intact := tierA
-						if fs != nil {
-							if intact, _, _, err = refTierA(grid.mesh, cfg, tech, grid.g, nil, mp); err != nil {
-								t.Fatal(err)
-							}
-						}
+					}
 
-						var lbs []float64
-						evals := exact.Evals.Value()
-						c, skipped, err := exact.PriceBelow(mp, func(lb float64) bool {
-							lbs = append(lbs, lb)
-							return false
-						})
-						if err != nil || skipped || math.Float64bits(c) != math.Float64bits(cost) {
-							t.Fatalf("%s trial %d: PriceBelow = %.17g (skipped %v, %v), Cost %.17g", name, trial, c, skipped, err, cost)
+					var lbs []float64
+					evals := exact.Evals.Value()
+					c, skipped, err := exact.PriceBelow(mp, func(lb float64) bool {
+						lbs = append(lbs, lb)
+						return false
+					})
+					if err != nil || skipped || math.Float64bits(c) != math.Float64bits(cost) {
+						t.Fatalf("%s trial %d: PriceBelow = %.17g (skipped %v, %v), Cost %.17g", name, trial, c, skipped, err, cost)
+					}
+					if !slices.Equal(lbs, wantPre) || intact > lbs[0] {
+						t.Fatalf("%s trial %d: bounds %.17g, reference %.17g, intact-route tier A %.17g",
+							name, trial, lbs, wantPre, intact)
+					}
+					for _, lb := range lbs {
+						if lb > cost {
+							t.Fatalf("%s trial %d: bounds %v exceed cost %.17g", name, trial, lbs, cost)
 						}
-						if !slices.Equal(lbs, wantPre) || intact > lbs[0] {
-							t.Fatalf("%s trial %d: bounds %.17g, reference %.17g, intact-route tier A %.17g",
-								name, trial, lbs, wantPre, intact)
-						}
-						for _, lb := range lbs {
-							if lb > cost {
-								t.Fatalf("%s trial %d: bounds %v exceed cost %.17g", name, trial, lbs, cost)
-							}
-						}
-						if got := exact.Evals.Value() - evals; got != 1 {
-							t.Fatalf("%s trial %d: full pricing counted %d evaluations, want 1", name, trial, got)
-						}
+					}
+					if got := exact.Evals.Value() - evals; got != 1 {
+						t.Fatalf("%s trial %d: full pricing counted %d evaluations, want 1", name, trial, got)
+					}
 
-						stopAt := 1 + rng.Intn(len(lbs))
-						calls := 0
-						evals = exact.Evals.Value()
-						_, skipped, err = exact.PriceBelow(mp, func(float64) bool {
-							calls++
-							return calls == stopAt
-						})
-						if err != nil || !skipped || calls != stopAt || exact.Evals.Value() != evals {
-							t.Fatalf("%s trial %d: stop at offer %d of %d gave skipped %v after %d offers (%v), %d evaluations",
-								name, trial, stopAt, len(lbs), skipped, calls, err, exact.Evals.Value()-evals)
-						}
-						if stopAt == 2 {
-							skipsAtLoad++
-						}
+					stopAt := 1 + rng.Intn(len(lbs))
+					calls := 0
+					evals = exact.Evals.Value()
+					_, skipped, err = exact.PriceBelow(mp, func(float64) bool {
+						calls++
+						return calls == stopAt
+					})
+					if err != nil || !skipped || calls != stopAt || exact.Evals.Value() != evals {
+						t.Fatalf("%s trial %d: stop at offer %d of %d gave skipped %v after %d offers (%v), %d evaluations",
+							name, trial, stopAt, len(lbs), skipped, calls, err, exact.Evals.Value()-evals)
+					}
+					if stopAt == 2 {
+						skipsAtLoad++
 					}
 				}
 			}

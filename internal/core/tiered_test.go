@@ -165,7 +165,7 @@ func preBound(t *testing.T, c *CDCM, mp mapping.Mapping) (float64, error) {
 // TestTierABoundCertified is the property test behind the skip rule: the
 // bounds offered before the first packet (tier A and the port-load
 // bound) never exceed the exact simulated cost — across 2-D/3-D/torus
-// grids, both buffer policies, and fault sets routed with RouteFault —
+// grids, and fault sets routed with RouteFault —
 // on random mappings and on swaps of them.
 func TestTierABoundCertified(t *testing.T) {
 	tech := energy.Tech007
@@ -179,60 +179,54 @@ func TestTierABoundCertified(t *testing.T) {
 		if !fs.Empty() {
 			faultSets = append(faultSets, fs)
 		}
-		for _, buffers := range []noc.BufferPolicy{noc.BuffersUnbounded, noc.BuffersBounded} {
-			cfg := tieredCfg()
-			cfg.Buffers = buffers
-			if buffers == noc.BuffersBounded {
-				cfg.BufferFlits = 4
+		cfg := tieredCfg()
+		for fi, fs := range faultSets {
+			name := fmt.Sprintf("%s/faults=%d", grid.name, fi)
+			var exact *CDCM
+			if fs == nil {
+				exact, err = NewCDCM(grid.mesh, cfg, tech, grid.g)
+			} else {
+				exact, err = NewCDCMFaults(grid.mesh, cfg, tech, grid.g, fs)
 			}
-			for fi, fs := range faultSets {
-				name := fmt.Sprintf("%s/%s/faults=%d", grid.name, buffers, fi)
-				var exact *CDCM
-				if fs == nil {
-					exact, err = NewCDCM(grid.mesh, cfg, tech, grid.g)
-				} else {
-					exact, err = NewCDCMFaults(grid.mesh, cfg, tech, grid.g, fs)
-				}
+			if err != nil {
+				t.Fatal(err)
+			}
+			exact.sim.PortLoadBound = true // the grids are below its core count
+			rng := rand.New(rand.NewSource(11))
+			tiles := grid.mesh.NumTiles()
+			for trial := 0; trial < 12; trial++ {
+				mp, err := mapping.Random(rng, grid.g.NumCores(), tiles)
 				if err != nil {
 					t.Fatal(err)
 				}
-				exact.sim.PortLoadBound = true // the grids are below its core count
-				rng := rand.New(rand.NewSource(11))
-				tiles := grid.mesh.NumTiles()
-				for trial := 0; trial < 12; trial++ {
-					mp, err := mapping.Random(rng, grid.g.NumCores(), tiles)
+				// check prices one candidate both ways.
+				check := func(what string, mp mapping.Mapping) {
+					t.Helper()
+					cost, err := exact.Cost(mp)
+					if errors.Is(err, topology.ErrUnreachable) {
+						return
+					}
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s trial %d %s: %v", name, trial, what, err)
 					}
-					// check prices one candidate both ways.
-					check := func(what string, mp mapping.Mapping) {
-						t.Helper()
-						cost, err := exact.Cost(mp)
-						if errors.Is(err, topology.ErrUnreachable) {
-							return
-						}
-						if err != nil {
-							t.Fatalf("%s trial %d %s: %v", name, trial, what, err)
-						}
-						lb, err := preBound(t, exact, mp)
-						if err != nil {
-							t.Fatalf("%s trial %d %s: %v", name, trial, what, err)
-						}
-						if lb > cost {
-							t.Fatalf("%s trial %d %s: bound %.17g exceeds exact %.17g", name, trial, what, lb, cost)
-						}
+					lb, err := preBound(t, exact, mp)
+					if err != nil {
+						t.Fatalf("%s trial %d %s: %v", name, trial, what, err)
 					}
-					check("base", mp)
-					for s := 0; s < 8; s++ {
-						ta := topology.TileID(rng.Intn(tiles))
-						tb := topology.TileID(rng.Intn(tiles))
-						if ta == tb {
-							continue
-						}
-						sm := mp.Clone()
-						mapping.SwapTiles(sm, mp.Occupants(tiles), ta, tb)
-						check(fmt.Sprintf("swap (%d,%d)", ta, tb), sm)
+					if lb > cost {
+						t.Fatalf("%s trial %d %s: bound %.17g exceeds exact %.17g", name, trial, what, lb, cost)
 					}
+				}
+				check("base", mp)
+				for s := 0; s < 8; s++ {
+					ta := topology.TileID(rng.Intn(tiles))
+					tb := topology.TileID(rng.Intn(tiles))
+					if ta == tb {
+						continue
+					}
+					sm := mp.Clone()
+					mapping.SwapTiles(sm, mp.Occupants(tiles), ta, tb)
+					check(fmt.Sprintf("swap (%d,%d)", ta, tb), sm)
 				}
 			}
 		}

@@ -82,7 +82,7 @@ func NewFigureExample() (*FigureExample, error) {
 	}
 	f := &FigureExample{
 		Mesh: mesh,
-		Cfg:  noc.PaperExample(),
+		Cfg:  noc.Default(),
 		Tech: energy.PaperExample(),
 		G:    model.PaperExampleCDCG(),
 		MapA: mapping.Mapping{1, 0, 3, 2}, // Figure 1(c): B,A / F,E

@@ -1,7 +1,9 @@
 // Package noc holds the architectural configuration of the target
 // network-on-chip: flit width, per-hop timing (the tr and tl parameters of
-// equations (6)-(8)), the clock period λ, the routing discipline and the
-// buffering policy.
+// equations (6)-(8)), the clock period λ and the routing discipline.
+// Router input buffers are unbounded, as in the paper's worked example:
+// a blocked packet waits in the contended router's input buffer without
+// holding anything upstream.
 package noc
 
 import (
@@ -9,29 +11,6 @@ import (
 
 	"repro/internal/topology"
 )
-
-// BufferPolicy selects how router input buffers behave under contention.
-type BufferPolicy int
-
-const (
-	// BuffersUnbounded models infinitely deep input buffers: a blocked
-	// packet is fully absorbed by the contended router, so upstream
-	// resources drain on their nominal schedule. This is the policy of
-	// the paper's worked example ("unbounded router buffers").
-	BuffersUnbounded BufferPolicy = iota
-	// BuffersBounded models input buffers of Config.BufferFlits flits:
-	// when a packet stalls longer than the buffer can absorb, the stall
-	// propagates upstream and extends the occupancy of earlier resources
-	// (extension; see wormhole package for the analytic model).
-	BuffersBounded
-)
-
-func (p BufferPolicy) String() string {
-	if p == BuffersBounded {
-		return "bounded"
-	}
-	return "unbounded"
-}
 
 // Config is the NoC architecture description shared by the wormhole timing
 // simulator and the energy model.
@@ -54,11 +33,6 @@ type Config struct {
 	ClockNS float64
 	// Routing selects the deterministic routing function (XY or YX).
 	Routing topology.RoutingAlgo
-	// Buffers selects the input-buffer policy.
-	Buffers BufferPolicy
-	// BufferFlits is the input-buffer depth in flits; only meaningful
-	// with BuffersBounded.
-	BufferFlits int64
 	// ArbitrateLocal, when true, makes the whole core-attachment path —
 	// the core output link, the router's local output port and the core
 	// input link — exclusive resources like the inter-tile ports. The
@@ -66,8 +40,8 @@ type Config struct {
 	// only tiles and inter-tile links as contention resources, and Figure
 	// 3(b) shows B→F [16,56] and A→F [48,63] overlapping on core F's
 	// input link. Core links remain timed (tl per flit) either way.
-	// Leave false for paper-faithful behaviour; true is an ablation (see
-	// EXPERIMENTS.md).
+	// Leave false for paper-faithful behaviour; true is an ablation
+	// (nocexp -exp ablation).
 	ArbitrateLocal bool
 }
 
@@ -85,23 +59,12 @@ func Default() Config {
 		LinkCycles:    1,
 		ClockNS:       1,
 		Routing:       topology.RouteXY,
-		Buffers:       BuffersUnbounded,
 	}
 }
 
-// PaperExample returns the exact configuration of the paper's Section 4.1
-// example: tr=2 cycles, tl=1 cycle, λ=1 ns, one-bit flits, unbounded
-// buffers, XY routing.
-func PaperExample() Config {
-	return Config{
-		FlitBits:      1,
-		RoutingCycles: 2,
-		LinkCycles:    1,
-		ClockNS:       1,
-		Routing:       topology.RouteXY,
-		Buffers:       BuffersUnbounded,
-	}
-}
+// PaperExample is Default under the name of the paper's Section 4.1
+// example, which perfbench's layer probes use.
+func PaperExample() Config { return Default() }
 
 // Validate checks the configuration for physical plausibility.
 func (c Config) Validate() error {
@@ -124,9 +87,6 @@ func (c Config) Validate() error {
 	}
 	if c.TSVLinkCycles < 0 {
 		return fmt.Errorf("noc: TSV link cycles must be non-negative, got %d", c.TSVLinkCycles)
-	}
-	if c.Buffers == BuffersBounded && c.BufferFlits <= 0 {
-		return fmt.Errorf("noc: bounded buffers need a positive depth, got %d", c.BufferFlits)
 	}
 	return nil
 }

@@ -10,8 +10,8 @@ func TestDefaultsValid(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Fatalf("Default invalid: %v", err)
 	}
-	if err := PaperExample().Validate(); err != nil {
-		t.Fatalf("PaperExample invalid: %v", err)
+	if PaperExample() != Default() {
+		t.Fatalf("PaperExample %+v differs from Default %+v", PaperExample(), Default())
 	}
 }
 
@@ -25,7 +25,6 @@ func TestValidateRejections(t *testing.T) {
 		{"zero tl", func(c *Config) { c.LinkCycles = 0 }},
 		{"zero clock", func(c *Config) { c.ClockNS = 0 }},
 		{"bad routing", func(c *Config) { c.Routing = topology.RoutingAlgo(9) }},
-		{"bounded without depth", func(c *Config) { c.Buffers = BuffersBounded; c.BufferFlits = 0 }},
 	}
 	for _, m := range mutations {
 		c := Default()
@@ -46,14 +45,14 @@ func TestFlits(t *testing.T) {
 			t.Errorf("Flits(%d) = %d, want %d", tc.bits, got, tc.want)
 		}
 	}
-	p := PaperExample() // 1-bit flits: n equals w
+	p := Default() // 1-bit flits: n equals w
 	if p.Flits(40) != 40 {
 		t.Errorf("paper Flits(40) = %d", p.Flits(40))
 	}
 }
 
 func TestDelayEquations(t *testing.T) {
-	c := PaperExample() // tr=2 tl=1
+	c := Default() // tr=2 tl=1
 	// Paper example B→F: K=2 routers, 40 flits: d = 2*3 + 40 = 46.
 	if got := c.UncontendedDelay(2, 40); got != 46 {
 		t.Errorf("UncontendedDelay = %d, want 46", got)
@@ -83,12 +82,6 @@ func TestUnitConversions(t *testing.T) {
 	}
 	if got := c.CyclesToSeconds(4); got != 10e-9 {
 		t.Errorf("CyclesToSeconds = %g", got)
-	}
-}
-
-func TestPolicyString(t *testing.T) {
-	if BuffersUnbounded.String() != "unbounded" || BuffersBounded.String() != "bounded" {
-		t.Fatal("BufferPolicy.String mismatch")
 	}
 }
 

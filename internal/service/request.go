@@ -302,9 +302,12 @@ func (in *Instance) Key() string {
 	io.WriteString(h, "nocd/job/v1\n")
 	io.WriteString(h, "app:"+in.G.Hash()+"\n")
 	fmt.Fprintf(h, "grid:%s:%s\n", in.GridSpec(), in.Mesh.Kind())
-	fmt.Fprintf(h, "noc:flit=%d tr=%d tl=%d tsv=%d clock=%g routing=%s buffers=%s bufflits=%d arb=%t\n",
+	// Router buffers are always unbounded; the line still spells that
+	// out, so keys stay byte-identical to those of cached results priced
+	// when the buffer depth was configurable.
+	fmt.Fprintf(h, "noc:flit=%d tr=%d tl=%d tsv=%d clock=%g routing=%s buffers=unbounded bufflits=0 arb=%t\n",
 		in.Cfg.FlitBits, in.Cfg.RoutingCycles, in.Cfg.LinkCycles, in.Cfg.TSVLinkCycles,
-		in.Cfg.ClockNS, in.Cfg.Routing, in.Cfg.Buffers, in.Cfg.BufferFlits, in.Cfg.ArbitrateLocal)
+		in.Cfg.ClockNS, in.Cfg.Routing, in.Cfg.ArbitrateLocal)
 	fmt.Fprintf(h, "tech:%s er=%g el=%g ec=%g etsv=%g ps=%g\n",
 		in.Tech.Name, in.Tech.ERbit, in.Tech.ELbit, in.Tech.ECbit, in.Tech.ETSVbit, in.Tech.PSRouter)
 	o := in.Opts

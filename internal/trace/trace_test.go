@@ -25,7 +25,7 @@ func paperRun(t *testing.T, mp mapping.Mapping) (*topology.Mesh, *model.CDCG, no
 		t.Fatal(err)
 	}
 	g := model.PaperExampleCDCG()
-	cfg := noc.PaperExample()
+	cfg := noc.Default()
 	sim, err := wormhole.NewSimulator(mesh, cfg, g)
 	if err != nil {
 		t.Fatal(err)

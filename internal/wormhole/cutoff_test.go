@@ -142,8 +142,8 @@ func refPortLoad(t *testing.T, fx refFixture, mp mapping.Mapping) int64 {
 }
 
 // TestPortLoadBoundMatchesReference pins the port-load bound on every
-// fixture and mapping of the reference sweep — 2-D, 3-D, torus, both
-// buffer policies, faults, ArbitrateLocal on and off — and along a
+// fixture and mapping of the reference sweep — 2-D, 3-D, torus, faults,
+// ArbitrateLocal on and off — and along a
 // random swap sequence from each mapping, all through one scratch per
 // fixture: the bounds offered in PriceBelow's order are the critical
 // path and, when it is larger, refPortLoad's load; every bound is at
@@ -355,7 +355,7 @@ func TestRunBelowBoundSound(t *testing.T) {
 }
 
 // TestDefaultConfigBooksOnlyArbitratedPorts pins the booking rule on
-// the paper's configuration (unbounded buffers, tr ≥ tl, free core
+// the paper's configuration (tr ≥ tl, free core
 // links): a packet crossing K routers books only its K−1 inter-tile
 // output ports, and nothing else of the run is kept.
 func TestDefaultConfigBooksOnlyArbitratedPorts(t *testing.T) {

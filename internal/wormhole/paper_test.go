@@ -30,7 +30,7 @@ func newPaperSim(t *testing.T) *Simulator {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(mesh, noc.PaperExample(), model.PaperExampleCDCG())
+	sim, err := NewSimulator(mesh, noc.Default(), model.PaperExampleCDCG())
 	if err != nil {
 		t.Fatal(err)
 	}

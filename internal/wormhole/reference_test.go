@@ -45,7 +45,7 @@ type refStep struct {
 	key        refKey
 	arbitrated bool
 	hold       int64 // busy through [t, t+hold]
-	rate       int64 // per-flit cycles of the hop (feeds bounded buffers)
+	rate       int64 // per-flit cycles of the hop
 	vertical   bool  // a TSV link, or a port feeding one
 
 	t, stall int64
@@ -206,21 +206,6 @@ func refSimulate(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *topolog
 				deliver = st.t + st.hold
 			}
 		}
-		if cfg.Buffers == noc.BuffersBounded {
-			// A port stall beyond what the input buffer absorbs (depth ×
-			// the feeding hop's per-flit time) holds the feeding hop and
-			// the port before it for the overflow.
-			for i, st := range steps {
-				if st.key.kind != refPort {
-					continue
-				}
-				if over := st.stall - cfg.BufferFlits*steps[i-1].rate; over > 0 {
-					for back := 1; back <= 2 && i-back >= 0; back++ {
-						steps[i-back].hold += over
-					}
-				}
-			}
-		}
 		for _, st := range steps {
 			refBook(book, st.key, st.t, st.hold)
 		}
@@ -244,16 +229,16 @@ type refFixture struct {
 }
 
 // linksNeverStall reports the condition under which no packet can wait
-// for an inter-tile link of per-flit time r: unbounded buffers and a
-// routing delay of at least r (see the kernel's link-booking rule).
+// for an inter-tile link of per-flit time r: a routing delay of at least
+// r (see the kernel's link-booking rule).
 func linksNeverStall(cfg noc.Config, r int64) bool {
-	return cfg.Buffers == noc.BuffersUnbounded && cfg.RoutingCycles >= r
+	return cfg.RoutingCycles >= r
 }
 
 // randomRefFixture draws a small instance: a 2-D mesh, 3-D mesh or torus
 // (2-wide tori included, where two directions reach one neighbour), a
 // routing order, routing/link/TSV times on both sides of the link-stall
-// condition, either buffer policy, arbitrated or free core links, an
+// condition, arbitrated or free core links, an
 // optional fault set, and a random dependent application.
 func randomRefFixture(t *testing.T, rng *rand.Rand) refFixture {
 	t.Helper()
@@ -279,10 +264,6 @@ func randomRefFixture(t *testing.T, rng *rand.Rand) refFixture {
 	cfg.LinkCycles = 1 + int64(rng.Intn(2))
 	cfg.FlitBits = []int{1, 4, 16, 64}[rng.Intn(4)]
 	cfg.ArbitrateLocal = rng.Intn(3) == 0
-	if rng.Intn(3) == 0 {
-		cfg.Buffers = noc.BuffersBounded
-		cfg.BufferFlits = []int64{1, 2, 3, 8}[rng.Intn(4)]
-	}
 	if mesh.D() > 1 {
 		cfg.TSVLinkCycles = int64(rng.Intn(5))
 		cfg.Routing = []topology.RoutingAlgo{topology.RouteXYZ, topology.RouteZYX, topology.RouteFA}[rng.Intn(3)]
@@ -365,8 +346,8 @@ func refSweep(t *testing.T, check func(i, run int, fx refFixture, sim *wormhole.
 // through one scratch per instance, so scratch reuse is covered too.
 //
 // From the reference's own bookings it also checks the link-stall
-// condition the kernel relies on: with unbounded buffers and a routing
-// delay of at least a link's per-flit time, no packet ever waits for
+// condition the kernel relies on: with a routing delay of at least a
+// link's per-flit time, no packet ever waits for
 // that link — and the sweep does see link stalls when the condition
 // fails, so the check is not vacuous.
 func TestSimulatorMatchesReference(t *testing.T) {
@@ -394,18 +375,18 @@ func TestSimulatorMatchesReference(t *testing.T) {
 
 		if linksNeverStall(fx.cfg, fx.cfg.LinkCycles) {
 			if stalls.planar != 0 {
-				t.Fatalf("instance %d run %d: %d stall cycles on planar links although tr ≥ tl with unbounded buffers",
+				t.Fatalf("instance %d run %d: %d stall cycles on planar links although tr ≥ tl",
 					i, run, stalls.planar)
 			}
-		} else if fx.cfg.Buffers == noc.BuffersUnbounded {
+		} else {
 			planarFail.planar += stalls.planar
 		}
 		if linksNeverStall(fx.cfg, fx.cfg.TSVCycles()) {
 			if stalls.vertical != 0 {
-				t.Fatalf("instance %d run %d: %d stall cycles on TSV links although tr ≥ tTSV with unbounded buffers",
+				t.Fatalf("instance %d run %d: %d stall cycles on TSV links although tr ≥ tTSV",
 					i, run, stalls.vertical)
 			}
-		} else if fx.cfg.Buffers == noc.BuffersUnbounded {
+		} else {
 			vertFail.vertical += stalls.vertical
 		}
 	})

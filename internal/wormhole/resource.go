@@ -22,9 +22,9 @@ type Occupancy struct {
 }
 
 // busyList is a list of closed busy intervals for one resource, sorted by
-// Start. Arbitrated resources keep non-overlapping intervals; unarbitrated
-// resources and backpressure extensions may overlap. maxEnd caches the
-// largest End so the common append-at-the-back acquisition is O(1).
+// Start. Arbitrated resources keep non-overlapping intervals;
+// unarbitrated resources may overlap. maxEnd caches the largest End so
+// the common append-at-the-back acquisition is O(1).
 type busyList struct {
 	iv     []Occupancy
 	maxEnd int64
@@ -44,42 +44,16 @@ func (b *busyList) reset() {
 //
 //nocvet:noalloc
 func (b *busyList) acquire(arrival, hold int64, pkt model.PacketID) int64 {
-	if len(b.iv) == 0 || arrival > b.maxEnd {
-		// Fast path: strictly after everything booked, so the interval
-		// goes at the back and extends maxEnd.
-		b.iv = append(b.iv, Occupancy{Packet: pkt, Start: arrival, End: arrival + hold})
-		if arrival+hold > b.maxEnd {
-			b.maxEnd = arrival + hold
-		}
-		return arrival
-	}
-	t := arrival
-	pos := len(b.iv)
-	for i := range b.iv {
-		cur := &b.iv[i]
-		if cur.End < t {
-			continue // entirely in the past w.r.t. t
-		}
-		if t+hold < cur.Start {
-			pos = i // fits wholly in the gap before cur
-			break
-		}
-		t = cur.End + 1 // conflict: jump past cur
-	}
-	b.iv = append(b.iv, Occupancy{})
-	copy(b.iv[pos+1:], b.iv[pos:])
-	b.iv[pos] = Occupancy{Packet: pkt, Start: t, End: t + hold}
-	if t+hold > b.maxEnd {
-		b.maxEnd = t + hold
-	}
+	t, pos := b.earliestFree(arrival, hold)
+	b.insert(pos, Occupancy{Packet: pkt, Start: t, End: t + hold})
 	return t
 }
 
 // record inserts [start, start+hold] keeping the list sorted by Start,
 // WITHOUT conflict checking. Used for resources that are timed but not
 // arbitrated (the paper's router→core delivery path, whose bookings may
-// overlap) and to commit planned hops. Bookings mostly arrive in
-// time-sorted order, so the insertion position is searched from the back.
+// overlap). Bookings mostly arrive in time-sorted order, so the
+// insertion position is searched from the back.
 //
 //nocvet:noalloc
 func (b *busyList) record(start, hold int64, pkt model.PacketID) {
@@ -91,37 +65,42 @@ func (b *busyList) record(start, hold int64, pkt model.PacketID) {
 		}
 		pos--
 	}
-	b.iv = append(b.iv, Occupancy{})
-	copy(b.iv[pos+1:], b.iv[pos:])
-	b.iv[pos] = Occupancy{Packet: pkt, Start: start, End: start + hold}
-	if start+hold > b.maxEnd {
-		b.maxEnd = start + hold
-	}
+	b.insert(pos, Occupancy{Packet: pkt, Start: start, End: start + hold})
 }
 
-// earliestFree returns the earliest instant >= arrival at which an
-// interval of the given hold length would fit, without booking it.
-// Bookings may overlap (backpressure extensions); the scan handles that:
-// t only grows, and any interval already passed has End below the t at
-// which it was examined.
+// insert places o at index pos and extends maxEnd.
 //
 //nocvet:noalloc
-func (b *busyList) earliestFree(arrival, hold int64) int64 {
+func (b *busyList) insert(pos int, o Occupancy) {
+	b.iv = append(b.iv, Occupancy{})
+	copy(b.iv[pos+1:], b.iv[pos:])
+	b.iv[pos] = o
+	b.maxEnd = max(b.maxEnd, o.End)
+}
+
+// earliestFree returns the earliest instant t >= arrival at which an
+// interval of the given hold length fits, and the index at which that
+// interval goes in the list, without booking it. The scan is correct on
+// overlapping bookings too: t only grows, and any interval already
+// passed has End below the t at which it was examined.
+//
+//nocvet:noalloc
+func (b *busyList) earliestFree(arrival, hold int64) (t int64, pos int) {
 	if len(b.iv) == 0 || arrival > b.maxEnd {
-		return arrival // fast path: strictly after everything booked
+		return arrival, len(b.iv) // fast path: strictly after everything booked
 	}
-	t := arrival
+	t = arrival
 	for i := range b.iv {
 		cur := &b.iv[i]
 		if cur.End < t {
-			continue
+			continue // entirely in the past w.r.t. t
 		}
 		if t+hold < cur.Start {
-			break
+			return t, i // fits wholly in the gap before cur
 		}
-		t = cur.End + 1
+		t = cur.End + 1 // conflict: jump past cur
 	}
-	return t
+	return t, len(b.iv)
 }
 
 // snapshot copies the interval list for external exposure.

@@ -55,49 +55,42 @@ func scratchMeshes(t *testing.T) []*topology.Mesh {
 
 // TestRunScratchMatchesRun pins the scratch fast path against Run
 // schedule-for-schedule: every field of every PacketSchedule and every
-// traffic aggregate must be identical, across 2-D/3-D/torus grids and
-// both buffer policies.
+// traffic aggregate must be identical, across 2-D/3-D/torus grids.
 func TestRunScratchMatchesRun(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for _, mesh := range scratchMeshes(t) {
-		for _, bounded := range []bool{false, true} {
-			cfg := noc.Default()
-			if mesh.D() > 1 {
-				cfg.Routing = topology.RouteXYZ
-				cfg.TSVLinkCycles = 3
-			}
-			if bounded {
-				cfg.Buffers = noc.BuffersBounded
-				cfg.BufferFlits = 2
-			}
-			nc := 2 + rng.Intn(mesh.NumTiles()-1)
-			g := randomValidCDCG(rng, nc, 30)
-			ref, err := NewSimulator(mesh, cfg, g)
+		cfg := noc.Default()
+		if mesh.D() > 1 {
+			cfg.Routing = topology.RouteXYZ
+			cfg.TSVLinkCycles = 3
+		}
+		nc := 2 + rng.Intn(mesh.NumTiles()-1)
+		g := randomValidCDCG(rng, nc, 30)
+		ref, err := NewSimulator(mesh, cfg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := NewSimulator(mesh, cfg, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc := sim.NewScratch()
+		for trial := 0; trial < 20; trial++ {
+			mp, err := mapping.Random(rng, nc, mesh.NumTiles())
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim, err := NewSimulator(mesh, cfg, g)
+			want, err := ref.Run(mp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			sc := sim.NewScratch()
-			for trial := 0; trial < 20; trial++ {
-				mp, err := mapping.Random(rng, nc, mesh.NumTiles())
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := ref.Run(mp)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := sim.RunScratch(mp, sc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !resultsEqual(want, got) {
-					t.Fatalf("mesh %dx%dx%d bounded=%v trial %d: scratch result diverged",
-						mesh.W(), mesh.H(), mesh.D(), bounded, trial)
-				}
+			got, err := sim.RunScratch(mp, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !resultsEqual(want, got) {
+				t.Fatalf("mesh %dx%dx%d trial %d: scratch result diverged",
+					mesh.W(), mesh.H(), mesh.D(), trial)
 			}
 		}
 	}
@@ -108,7 +101,7 @@ func TestRunScratchMatchesRun(t *testing.T) {
 // by the next run with that scratch.
 func TestRunScratchResultReused(t *testing.T) {
 	mesh, _ := topology.NewMesh(2, 2)
-	sim, err := NewSimulator(mesh, noc.PaperExample(), model.PaperExampleCDCG())
+	sim, err := NewSimulator(mesh, noc.Default(), model.PaperExampleCDCG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +225,7 @@ func TestScratchConcurrentClonesMatchSequential(t *testing.T) {
 // RunScratch, but the Result survives later runs, Run's and a scratch's.
 func TestRunIndependentResult(t *testing.T) {
 	mesh, _ := topology.NewMesh(2, 2)
-	sim, err := NewSimulator(mesh, noc.PaperExample(), model.PaperExampleCDCG())
+	sim, err := NewSimulator(mesh, noc.Default(), model.PaperExampleCDCG())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,11 +257,11 @@ func TestRunIndependentResult(t *testing.T) {
 func TestRunScratchRejectsForeignScratch(t *testing.T) {
 	mesh, _ := topology.NewMesh(2, 2)
 	g := model.PaperExampleCDCG()
-	a, err := NewSimulator(mesh, noc.PaperExample(), g)
+	a, err := NewSimulator(mesh, noc.Default(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSimulator(mesh, noc.PaperExample(), g)
+	b, err := NewSimulator(mesh, noc.Default(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +294,7 @@ func TestScratchRecordOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(mesh, noc.PaperExample(), g)
+	sim, err := NewSimulator(mesh, noc.Default(), g)
 	if err != nil {
 		t.Fatal(err)
 	}

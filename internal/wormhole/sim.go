@@ -283,7 +283,6 @@ type Scratch struct {
 	indeg       []int
 	ready       []int64
 	heap        pktHeap
-	hops        []hopPlan
 	seen        []model.CoreID // mapping-validation buffer, reused per run
 	// load[port] is the port-load bound's sum for loadMap, the last
 	// mapping PortLoad computed it for (loaded false until then).
@@ -297,85 +296,21 @@ type Scratch struct {
 	linkBits   []int64
 }
 
-// hopPlan is one resource traversal of the packet currently being routed:
-// computed during the plan pass, booked during the commit pass.
-type hopPlan struct {
-	list   *busyList
-	t      int64 // acquisition time
-	stall  int64 // t - arrival (only >0 on arbitrated resources)
-	hold   int64 // busy through [t, t+hold]
-	rate   int64 // per-flit cycles of the hop (tl, or tlv on a TSV link)
-	isPort bool  // router output port (where input buffering happens)
-}
-
-// plan computes the acquisition time of one hop. With unbounded buffers
-// (the default) the hop is booked immediately — occupancies never change
-// after the fact, so the extra plan/commit pass would be wasted work on
-// the annealer's hot path. With bounded buffers the hop is appended to
-// the plan and booked by the commit pass after backpressure extensions.
-// Unarbitrated resources acquire at arrival regardless of existing
-// bookings. A nil list marks a write-only hop this run does not keep:
-// it is timed (and, with bounded buffers, planned, since backpressure
-// reads its rate) but never booked.
+// book times one hop at the header's arrival: an arbitrated resource is
+// granted at the earliest fit at or after it, an unarbitrated one at the
+// arrival itself, regardless of existing bookings. A nil list marks a
+// hop this run does not keep: it is timed but never booked.
 //
 //nocvet:noalloc
-func (s *Simulator) plan(sc *Scratch, list *busyList, arrival, hold, rate int64, arbitrated, isPort bool, pkt model.PacketID) int64 {
-	if s.Cfg.Buffers != noc.BuffersBounded {
-		switch {
-		case list == nil:
-		case arbitrated:
-			return list.acquire(arrival, hold, pkt)
-		default:
-			list.record(arrival, hold, pkt)
-		}
-		return arrival
+func book(list *busyList, arrival, hold int64, arbitrated bool, pkt model.PacketID) int64 {
+	switch {
+	case list == nil:
+	case arbitrated:
+		return list.acquire(arrival, hold, pkt)
+	default:
+		list.record(arrival, hold, pkt)
 	}
-	t := arrival
-	if arbitrated {
-		t = list.earliestFree(arrival, hold)
-	}
-	sc.hops = append(sc.hops, hopPlan{list: list, t: t, stall: t - arrival, hold: hold, rate: rate, isPort: isPort})
-	return t
-}
-
-// applyBackpressure models bounded router input buffers: when a packet
-// waits S cycles at an output port, up to BufferFlits of its flits are
-// absorbed by the input buffer; any excess occupies the hop immediately
-// upstream (the feeding link — and transitively the port feeding that
-// link) for the overflow duration. This is a one-packet-deep analytic
-// approximation of wormhole backpressure: extended occupancies delay
-// later packets via earliest-fit, but intervals already booked by earlier
-// packets are not re-planned (an exact treatment needs flit-level
-// simulation; see DESIGN.md). With unbounded buffers it is a no-op.
-//
-//nocvet:noalloc
-func (s *Simulator) applyBackpressure(sc *Scratch, tl int64) {
-	if s.Cfg.Buffers != noc.BuffersBounded {
-		return
-	}
-	for i := range sc.hops {
-		hp := &sc.hops[i]
-		if !hp.isPort {
-			continue
-		}
-		// The buffer fills at the rate flits arrive over the feeding hop
-		// (the upstream link, or tl off the source core), so a buffer
-		// downstream of a slow TSV link absorbs proportionally more stall.
-		feedRate := tl
-		if i > 0 && !sc.hops[i-1].isPort {
-			feedRate = sc.hops[i-1].rate
-		}
-		capCycles := s.Cfg.BufferFlits * feedRate
-		if hp.stall <= capCycles {
-			continue
-		}
-		overflow := hp.stall - capCycles
-		// Extend the feeding link (hop i-1) and, if present, the port
-		// driving that link (hop i-2).
-		for back := 1; back <= 2 && i-back >= 0; back++ {
-			sc.hops[i-back].hold += overflow
-		}
-	}
+	return arrival
 }
 
 // NewSimulator validates the inputs and prepares a reusable simulator:
@@ -447,21 +382,17 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	// the later link request starts at t'+tr ≥ e+1+tr, which is past the
 	// earlier link booking's end e+r whenever tr+1 > r. Under that
 	// condition every link request is free at arrival, and the booking
-	// can be skipped without changing any timing. Three cases keep the
-	// bookings: bounded buffers (backpressure extends link holds past
-	// the port's), recorded runs (the occupancies are the output), and a
+	// can be skipped without changing any timing. Two cases keep the
+	// bookings: recorded runs (the occupancies are the output) and a
 	// link slower than tr.
-	unbounded := cfg.Buffers != noc.BuffersBounded
-	s.linkFree = unbounded && tr >= tl
-	s.tsvFree = unbounded && tr >= tlv
+	s.linkFree = tr >= tl
+	s.tsvFree = tr >= tlv
 
 	// The port-load bound. An arbitrated output port (every inter-tile
 	// port, and the local port under ArbitrateLocal) grants packet p an
 	// interval [t_p, t_p+h_p] that overlaps no other grant's, h_p being
-	// its unextended hold (portHold, or vPortHold feeding a TSV):
-	// acquire and earliestFree test exactly that interval against every
-	// booking, and backpressure only lengthens bookings afterwards. On
-	// integer cycles, grants sorted t_1 < … < t_m therefore satisfy
+	// its hold (portHold, or vPortHold feeding a TSV): acquire tests
+	// exactly that interval against every booking. On integer cycles, grants sorted t_1 < … < t_m therefore satisfy
 	// t_{i+1} ≥ t_i + h_i + 1, and with t_1 ≥ 0 the last one has
 	// t_m ≥ Σ_{i<m} (h_i+1). From its grant a packet needs at least d_p
 	// more cycles to be delivered — tr plus the link time r per router
@@ -898,17 +829,15 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 			coreOut, coreIn = &sc.coreOut[srcTile], &sc.coreIn[dstTile]
 		}
 
-		// Plan pass: walk the route head-first, computing acquisition
-		// times without booking anything (the hops of one packet touch
-		// distinct resources, so peek-then-book is exact).
-		sc.hops = sc.hops[:0]
+		// Walk the route head-first, booking each hop as the header
+		// reaches it.
 		var contention int64
 		h := k.start // header enters the source core's output link
 
 		// Source core -> local router link. Core links are timed but not
 		// arbitrated under the paper's CRG semantics (ArbitrateLocal
 		// false); see noc.Config.ArbitrateLocal.
-		t := s.plan(sc, coreOut, h, pc.linkHold, tl, arbLocal, false, k.id)
+		t := book(coreOut, h, pc.linkHold, arbLocal, k.id)
 		contention += t - h
 		h = t + tl
 
@@ -923,15 +852,15 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 			// 3(b) shows overlapping deliveries).
 			local := hp.link == localHop
 			vert := hp.link < 0 && !local
-			pHold, pRate := pc.portHold, tl
+			pHold := pc.portHold
 			if vert {
-				pHold, pRate = pc.vPortHold, tlv
+				pHold = pc.vPortHold
 			}
 			port := &sc.ports[hp.port]
 			if local && !keepLocal {
 				port = nil
 			}
-			t = s.plan(sc, port, h, pHold, pRate, !local || arbLocal, true, k.id)
+			t = book(port, h, pHold, !local || arbLocal, k.id)
 			contention += t - h
 			portEnd := t + pHold
 			h = t + tr
@@ -946,13 +875,13 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 			case local:
 				// Local router -> destination core link; delivery is when
 				// the last flit crosses it.
-				t = s.plan(sc, coreIn, h, pc.linkHold, tl, arbLocal, false, k.id)
+				t = book(coreIn, h, pc.linkHold, arbLocal, k.id)
 				contention += t - h
 				delivered = t + pc.linkHold
 			case vert:
 				li := ^hp.link
 				if bookTSV {
-					t = s.plan(sc, &sc.links[li], h, pc.vLinkHold, tlv, true, false, k.id)
+					t = sc.links[li].acquire(h, pc.vLinkHold, k.id)
 					contention += t - h
 					h = t
 				}
@@ -961,20 +890,12 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 				res.TSVBits += bits
 			default:
 				if bookLink {
-					t = s.plan(sc, &sc.links[hp.link], h, pc.linkHold, tl, true, false, k.id)
+					t = sc.links[hp.link].acquire(h, pc.linkHold, k.id)
 					contention += t - h
 					h = t
 				}
 				h += tl
 				res.LinkBits[hp.link] += bits
-			}
-		}
-		s.applyBackpressure(sc, tl)
-		// Commit pass: book every kept hop (including any backpressure
-		// extensions) so later packets see the occupancy.
-		for i := range sc.hops {
-			if hp := &sc.hops[i]; hp.list != nil {
-				hp.list.record(hp.t, hp.hold, k.id)
 			}
 		}
 		res.CoreBits += 2 * bits

@@ -96,7 +96,7 @@ func TestQuickEarliestFreeFastPathEquivalence(t *testing.T) {
 			}
 			arrival := int64(rng.Intn(500))
 			qh := int64(rng.Intn(60))
-			if b.earliestFree(arrival, qh) != ref(b.iv, arrival, qh) {
+			if got, _ := b.earliestFree(arrival, qh); got != ref(b.iv, arrival, qh) {
 				return false
 			}
 		}
@@ -146,25 +146,25 @@ func TestSimulatorRejectsBadInputs(t *testing.T) {
 	mesh, _ := topology.NewMesh(2, 2)
 	g := model.PaperExampleCDCG()
 
-	if _, err := NewSimulator(nil, noc.PaperExample(), g); err == nil {
+	if _, err := NewSimulator(nil, noc.Default(), g); err == nil {
 		t.Fatal("nil mesh accepted")
 	}
-	bad := noc.PaperExample()
+	bad := noc.Default()
 	bad.FlitBits = 0
 	if _, err := NewSimulator(mesh, bad, g); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 	badG := model.PaperExampleCDCG()
 	badG.Packets[0].Bits = -3
-	if _, err := NewSimulator(mesh, noc.PaperExample(), badG); err == nil {
+	if _, err := NewSimulator(mesh, noc.Default(), badG); err == nil {
 		t.Fatal("invalid CDCG accepted")
 	}
 	tiny, _ := topology.NewMesh(1, 2)
-	if _, err := NewSimulator(tiny, noc.PaperExample(), g); err == nil {
+	if _, err := NewSimulator(tiny, noc.Default(), g); err == nil {
 		t.Fatal("oversubscribed mesh accepted")
 	}
 
-	sim, err := NewSimulator(mesh, noc.PaperExample(), g)
+	sim, err := NewSimulator(mesh, noc.Default(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestMinimalSystem(t *testing.T) {
 		Cores:   model.MakeCores(2, "src", "dst"),
 		Packets: []model.Packet{{ID: 0, Src: 0, Dst: 1, Compute: 5, Bits: 10}},
 	}
-	cfg := noc.PaperExample()
+	cfg := noc.Default()
 	sim, err := NewSimulator(mesh, cfg, g)
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func TestSimulateOnTorus(t *testing.T) {
 			{ID: 0, Src: 0, Dst: 1, Compute: 5, Bits: 10},
 		},
 	}
-	cfg := noc.PaperExample()
+	cfg := noc.Default()
 
 	mesh, err := topology.NewMesh(4, 1)
 	if err != nil {
@@ -106,7 +106,7 @@ func TestTorusWrapPortContention(t *testing.T) {
 			{ID: 1, Src: 2, Dst: 1, Compute: 0, Bits: 20},
 		},
 	}
-	cfg := noc.PaperExample()
+	cfg := noc.Default()
 	sim, err := NewSimulator(torus, cfg, g)
 	if err != nil {
 		t.Fatal(err)
