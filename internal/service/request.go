@@ -252,6 +252,13 @@ func (r *Request) Resolve() (*Instance, error) {
 			return nil, badRequest("%v", err)
 		}
 	}
+	// Each failed element costs a full route table when the instance is
+	// built. Elements × tiles² is capped at MaxTiles², the work of one
+	// intact table of the largest grid.
+	if n, tiles := int64(faults.NumFailed()), int64(mesh.NumTiles()); n*tiles*tiles > MaxTiles*MaxTiles {
+		return nil, badRequest("%d fault elements on %d tiles exceed the route-table limit (elements × tiles² ≤ %d)",
+			n, tiles, MaxTiles*MaxTiles)
+	}
 	if strategy == core.StrategyResilience && faults.Empty() {
 		return nil, badRequest("model resilience needs a non-empty fault set (fault_set, or fault_rate drawing at least one fault)")
 	}

@@ -21,6 +21,14 @@ var oversizedGrids = []string{
 	`{"demo":true,"depth":4611686018427387904}`,
 }
 
+// overCapFaults are fault sets whose route-table work, elements ×
+// tiles², exceeds MaxTiles²: fault_rate 0.1 draws 57 elements on 16x16,
+// and two failed links on the largest grid are twice the cap.
+var overCapFaults = []string{
+	`{"demo":true,"mesh":"16x16","fault_rate":0.1,"fault_seed":1}`,
+	`{"demo":true,"mesh":"32x32","fault_set":{"links":[[0,1],[1,2]]}}`,
+}
+
 func decodeRequest(body []byte) (*Request, error) {
 	var req Request
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -69,6 +77,50 @@ func TestHTTPRefusesOversizedGrid(t *testing.T) {
 	pollUntil(t, ts, st.ID, StateSucceeded)
 }
 
+// TestFaultWorkCap: a fault set over the route-table cap is refused by
+// Resolve and answered 400 by the daemon, which keeps serving; a set at
+// the cap and every fault fixture of the package's tests resolve.
+func TestFaultWorkCap(t *testing.T) {
+	for _, body := range overCapFaults {
+		req, err := decodeRequest([]byte(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := req.Resolve(); !errors.Is(err, ErrBadRequest) {
+			t.Errorf("%s: err = %v, want ErrBadRequest", body, err)
+		}
+	}
+	for _, req := range []*Request{
+		{Demo: true, Mesh: "32x32", FaultSet: &FaultSetJSON{Links: [][2]int{{0, 1}}}},
+		{Demo: true, Mesh: "16x16", FaultSet: &FaultSetJSON{Routers: []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15}}},
+		{Demo: true, Mesh: "12x10", FaultRate: 0.08, FaultSeed: 1},
+		{Demo: true, Mesh: "4x4", FaultRate: 0.08, FaultSeed: 2},
+		resilienceRequest(1),
+		{Demo: true, Mesh: "3x3", Model: "resilience", FaultSet: &FaultSetJSON{Links: [][2]int{{3, 4}}}},
+		{Demo: true, Mesh: "3x3", Model: "resilience", FaultSet: &FaultSetJSON{Links: [][2]int{{0, 1}}, Routers: []int{4}}},
+	} {
+		in, err := req.Resolve()
+		if err != nil {
+			t.Fatalf("%+v: %v", req, err)
+		}
+		if in.Opts.Faults.Empty() {
+			t.Fatalf("%+v resolved to an empty fault set", req)
+		}
+	}
+
+	_, ts := testServer(t, Config{})
+	for _, body := range overCapFaults {
+		if resp, _ := postJob(t, ts, body); resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	resp, st := postJob(t, ts, `{"demo":true,"mesh":"3x3","model":"cwm","method":"sa","seed":7,"fault_rate":0.15,"fault_seed":2}`)
+	if resp.StatusCode != http.StatusAccepted && resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST after refusals: status %d", resp.StatusCode)
+	}
+	pollUntil(t, ts, st.ID, StateSucceeded)
+}
+
 // FuzzResolve drives the request path as POST /v1/jobs does: decode with
 // unknown fields refused, then Resolve. Resolve must never panic, every
 // error must wrap ErrBadRequest, and the same bytes must resolve to the
@@ -87,7 +139,7 @@ func FuzzResolve(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	for _, body := range oversizedGrids {
+	for _, body := range append(oversizedGrids, overCapFaults...) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
