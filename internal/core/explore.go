@@ -268,8 +268,18 @@ func (in *Instance) explore(strategy Strategy, tech energy.Tech, opts Options) (
 	// The evaluators are stateful (CWM delta binding, CDCM scratch), so
 	// the parallel engines get a factory and derive one lane per worker
 	// from the instance; the serial engines call it once. cdcmBase prices
-	// the winner and is the template the CDCM search lanes clone.
+	// the winner and is the template the CDCM search lanes clone; the
+	// first lane is cdcmBase itself, which is safe because every engine
+	// calls the factory on the calling goroutine and the winner is priced
+	// only after every lane has returned.
 	cdcmBase := in.CDCM(tech)
+	cdcmLanes := 0
+	cdcmLane := func() *CDCM {
+		if cdcmLanes++; cdcmLanes == 1 {
+			return cdcmBase
+		}
+		return cdcmBase.Clone()
+	}
 	var newObjective search.ObjectiveFactory
 	var resBase *Resilience
 	var err error
@@ -297,7 +307,7 @@ func (in *Instance) explore(strategy Strategy, tech energy.Tech, opts Options) (
 			resBase.intact.Evals = opts.EvalCounter
 			newObjective = func() (search.Objective, error) { return resBase.Clone(), nil }
 		default:
-			newObjective = func() (search.Objective, error) { return cdcmBase.Clone(), nil }
+			newObjective = func() (search.Objective, error) { return cdcmLane(), nil }
 
 			// Plain CDCM runs certify on their own: SA, hill and tabu
 			// price through CDCM.PriceBelow, whose bounds before the first
@@ -314,7 +324,7 @@ func (in *Instance) explore(strategy Strategy, tech energy.Tech, opts Options) (
 					return nil, err
 				}
 				newObjective = func() (search.Objective, error) {
-					return &search.TieredObjective{Exact: cdcmBase.Clone(), Surrogate: &cdcmSurrogate{cwm: in.CWM(tech), fit: fit}}, nil
+					return &search.TieredObjective{Exact: cdcmLane(), Surrogate: &cdcmSurrogate{cwm: in.CWM(tech), fit: fit}}, nil
 				}
 			}
 		}
