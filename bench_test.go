@@ -1,7 +1,8 @@
 package repro_test
 
-// One benchmark per table and figure of the paper (see DESIGN.md §6 for
-// the experiment index). Custom metrics carry the reproduced quantities:
+// One benchmark per table and figure of the paper (cmd/nocexp's package
+// doc lists the experiments). Custom metrics carry the reproduced
+// quantities:
 //
 //	go test -bench=. -benchmem
 //
@@ -90,8 +91,8 @@ func benchTable2Size(b *testing.B, size string, budget core.Options) {
 
 // The eight Table-2 rows. Small sizes use the harness defaults; the large
 // meshes use a bounded annealing budget so a bench iteration stays in the
-// tens of seconds (the full-budget numbers are in EXPERIMENTS.md, from
-// cmd/nocexp).
+// tens of seconds (the full-budget numbers are `nocexp -exp table2`,
+// pinned by internal/exp/testdata/table2_full.golden).
 func BenchmarkTable2_3x2(b *testing.B) { benchTable2Size(b, "3x2", core.Options{}) }
 func BenchmarkTable2_2x4(b *testing.B) { benchTable2Size(b, "2x4", core.Options{}) }
 func BenchmarkTable2_3x3(b *testing.B) { benchTable2Size(b, "3x3", core.Options{}) }
@@ -392,7 +393,7 @@ func BenchmarkEvaluatorCDCMParallel(b *testing.B) {
 
 // BenchmarkCPUTimeRatio reports the measured CDCM/CWM per-evaluation cost
 // ratio across the small workloads (Section 5's "worst case took only 23%
-// more CPU time" claim; see EXPERIMENTS.md for why our ratio differs).
+// more CPU time" claim; `nocexp -exp cputime` prints it per row).
 func BenchmarkCPUTimeRatio(b *testing.B) {
 	all := table1Suite(b)
 	var small []exp.Workload

@@ -5,8 +5,8 @@
 // Hierarchical tree traffic is the hard case for timing-aware mapping:
 // minimising bits×hops already pulls the tree together, so the CWM/CDCM
 // gap is smaller than for symmetric workloads like the FFT — running both
-// examples shows that contrast (the suite-level numbers live in
-// EXPERIMENTS.md).
+// examples shows that contrast (`nocexp -exp table2` prints the
+// suite-level numbers).
 //
 // Run with: go run ./examples/romberg
 package main

@@ -154,7 +154,7 @@ func PaperExample() Tech {
 // (the paper measures average energy savings of only 0.65% there), so the
 // profile has large dynamic per-bit energies — long 3.3V wires — and a
 // router leakage chosen so that static energy is 1-2% of a typical
-// workload's NoC energy. See EXPERIMENTS.md for the measured share.
+// workload's NoC energy.
 var Tech035 = Tech{
 	Name:     "0.35um",
 	ERbit:    4.0e-12,
@@ -170,8 +170,7 @@ var Tech035 = Tech{
 // share of the NoC total — the regime where CDCM's execution-time
 // reductions convert into energy savings. The constants put the static
 // share of a typical workload near 50%, consistent with the paper's
-// measured ECS0.07 ≈ 0.5 × ETR. See EXPERIMENTS.md for the measured
-// share.
+// measured ECS0.07 ≈ 0.5 × ETR.
 var Tech007 = Tech{
 	Name:     "0.07um",
 	ERbit:    0.16e-12,

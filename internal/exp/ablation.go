@@ -15,7 +15,8 @@ import (
 // topology variant. The paper treats the mesh with XY routing as its
 // target and notes "other NoC topologies can be equally treated"; these
 // ablations substantiate that the framework is topology-agnostic and
-// quantify the design choices DESIGN.md calls out.
+// quantify the model's design choices: routing order, wrap-around links
+// and core-link arbitration.
 type AblationOutcome struct {
 	Workload string
 	Variant  string

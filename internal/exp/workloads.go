@@ -31,8 +31,7 @@ type Workload struct {
 	// PaperCores is the core count as published. It equals
 	// G.NumCores() everywhere except the 3x4 instance published with 14
 	// cores — more cores than tiles, impossible under the paper's own
-	// one-core-per-tile formulation — which we clamp to 12 (see
-	// DESIGN.md, "Erratum handled").
+	// one-core-per-tile formulation — which we clamp to 12.
 	PaperCores int
 }
 
@@ -55,7 +54,7 @@ func (w Workload) Instance(cfg noc.Config) (*core.Instance, error) {
 // published aggregate characteristics (cores, packets, total bits). Eight
 // instances are the embedded applications (Romberg ×2, FFT-8 ×2, object
 // recognition ×2, image encoder ×2); the paper does not say which row is
-// which, so the assignment below is ours (EXPERIMENTS.md documents it).
+// which, so the assignment below is ours.
 // The remaining ten come from the TGFF-like generator under fixed seeds.
 func Table1Suite() ([]Workload, error) {
 	var suite []Workload
