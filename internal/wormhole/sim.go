@@ -392,7 +392,8 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	// port, and the local port under ArbitrateLocal) grants packet p an
 	// interval [t_p, t_p+h_p] that overlaps no other grant's, h_p being
 	// its hold (portHold, or vPortHold feeding a TSV): acquire tests
-	// exactly that interval against every booking. On integer cycles, grants sorted t_1 < … < t_m therefore satisfy
+	// exactly that interval against every booking. On integer cycles,
+	// grants sorted t_1 < … < t_m therefore satisfy
 	// t_{i+1} ≥ t_i + h_i + 1, and with t_1 ≥ 0 the last one has
 	// t_m ≥ Σ_{i<m} (h_i+1). From its grant a packet needs at least d_p
 	// more cycles to be delivered — tr plus the link time r per router
