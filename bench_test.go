@@ -949,22 +949,43 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 // BenchmarkWormholeSimLarge measures one CDCM simulation of the largest
 // Table-1 instance (99 cores, 446 packets on 12x10), on one reused
 // scratch like the search lanes (Run would add a scratch allocation per
-// op).
+// op). "identity" simulates the identity mapping; "random" cycles
+// through 64 seeded random mappings, which is closer to what a search
+// prices.
 func BenchmarkWormholeSimLarge(b *testing.B) {
 	mesh, cfg, g := largeInstance(b)
 	sim, err := wormhole.NewSimulator(mesh, cfg, g)
 	if err != nil {
 		b.Fatal(err)
 	}
-	sc := sim.NewScratch()
-	mp := mapping.Identity(g.NumCores())
-	if _, err := sim.RunScratch(mp, sc); err != nil { // grow the scratch
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sim.RunScratch(mp, sc); err != nil {
+	rng := rand.New(rand.NewSource(1))
+	random := make([]mapping.Mapping, 64)
+	for i := range random {
+		if random[i], err = mapping.Random(rng, g.NumCores(), mesh.NumTiles()); err != nil {
 			b.Fatal(err)
 		}
+	}
+	for _, leg := range []struct {
+		name string
+		mps  []mapping.Mapping
+	}{
+		{"identity", []mapping.Mapping{mapping.Identity(g.NumCores())}},
+		{"random", random},
+	} {
+		b.Run(leg.name, func(b *testing.B) {
+			sc := sim.NewScratch()
+			for _, mp := range leg.mps { // grow the scratch
+				if _, err := sim.RunScratch(mp, sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sim.RunScratch(leg.mps[i%len(leg.mps)], sc); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

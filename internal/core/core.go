@@ -274,7 +274,7 @@ func NewCDCM(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech, g *model.CDC
 // no re-validation and no route recomputation. Clones may run
 // concurrently with each other and with the original.
 func (c *CDCM) Clone() *CDCM {
-	return &CDCM{Tech: c.Tech, Evals: c.Evals, sim: c.sim, sc: c.sim.NewScratch()}
+	return &CDCM{Tech: c.Tech, Evals: c.Evals, sim: c.sim, sc: newScratch(c.sim)}
 }
 
 // Evaluate runs the simulation and prices it under the evaluator's tech.
@@ -385,7 +385,7 @@ func (c *CDCM) bound(t wormhole.Traffic, texec int64) float64 {
 // renderers rely on that), and clones may Simulate concurrently like
 // they Cost concurrently.
 func (c *CDCM) Simulate(mp mapping.Mapping) (*wormhole.Result, Metrics, error) {
-	sc := c.sim.NewScratch()
+	sc := newScratch(c.sim)
 	sc.RecordOccupancy = true
 	res, err := c.sim.RunScratch(mp, sc)
 	if err != nil {

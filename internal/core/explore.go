@@ -268,18 +268,13 @@ func (in *Instance) explore(strategy Strategy, tech energy.Tech, opts Options) (
 	// The evaluators are stateful (CWM delta binding, CDCM scratch), so
 	// the parallel engines get a factory and derive one lane per worker
 	// from the instance; the serial engines call it once. cdcmBase prices
-	// the winner and is the template the CDCM search lanes clone; the
-	// first lane is cdcmBase itself, which is safe because every engine
-	// calls the factory on the calling goroutine and the winner is priced
-	// only after every lane has returned.
+	// the winner and is the template the CDCM search lanes clone, resBase
+	// scores it and is the template of the resilience lanes. Each base is
+	// its own first lane, which is safe because every engine calls the
+	// factory on the calling goroutine and the winner is priced only after
+	// every lane has returned.
 	cdcmBase := in.CDCM(tech)
-	cdcmLanes := 0
-	cdcmLane := func() *CDCM {
-		if cdcmLanes++; cdcmLanes == 1 {
-			return cdcmBase
-		}
-		return cdcmBase.Clone()
-	}
+	cdcmLane := firstThenClones(cdcmBase, cdcmBase.Clone)
 	var newObjective search.ObjectiveFactory
 	var resBase *Resilience
 	var err error
@@ -305,7 +300,8 @@ func (in *Instance) explore(strategy Strategy, tech energy.Tech, opts Options) (
 			// resilience evaluation (clones share the counter); the
 			// per-fault degraded runs ride along uncounted.
 			resBase.intact.Evals = opts.EvalCounter
-			newObjective = func() (search.Objective, error) { return resBase.Clone(), nil }
+			resLane := firstThenClones(resBase, resBase.Clone)
+			newObjective = func() (search.Objective, error) { return resLane(), nil }
 		default:
 			newObjective = func() (search.Objective, error) { return cdcmLane(), nil }
 
@@ -357,9 +353,12 @@ func (in *Instance) explore(strategy Strategy, tech energy.Tech, opts Options) (
 		// over the objective's vector components (an annealer: Explore
 		// refused any other Method up front). The scalar Search result
 		// summarises the front's lowest-collapse point so every consumer
-		// of ExploreResult keeps working unchanged.
-		if err = serial(); err != nil {
-			break
+		// of ExploreResult keeps working unchanged. ParetoSA reads
+		// Problem.Obj only for its axes and collapse weights, so the
+		// base stands there without taking a lane.
+		prob.Obj = cdcmBase
+		if resBase != nil {
+			prob.Obj = resBase
 		}
 		front, err = (&search.ParetoSA{
 			Problem:      prob,
@@ -468,6 +467,19 @@ func (in *Instance) explore(strategy Strategy, tech energy.Tech, opts Options) (
 		}
 	}
 	return out, nil
+}
+
+// firstThenClones returns a lane factory that hands out base itself
+// first and a fresh clone on every later call.
+func firstThenClones[T any](base T, clone func() T) func() T {
+	used := false
+	return func() T {
+		if !used {
+			used = true
+			return base
+		}
+		return clone()
+	}
 }
 
 // CompareOptions tunes the Table-2 protocol.

@@ -12,8 +12,12 @@ import (
 	"repro/internal/wormhole"
 )
 
-// The table builders, variables only so a test can count the builds.
-var newSimulator, newCWM = wormhole.NewSimulatorFaults, NewCWM
+// The table and scratch builders, variables only so a test can count the
+// builds.
+var (
+	newSimulator, newCWM = wormhole.NewSimulatorFaults, NewCWM
+	newScratch           = (*wormhole.Simulator).NewScratch
+)
 
 // Instance is one mapping problem, built and validated once: the NoC, the
 // CDCG, and the immutable tables every evaluator prices from (one
@@ -70,7 +74,7 @@ func (in *Instance) CWM(tech energy.Tech) *CWM {
 // CDCM returns a fresh CDCM lane over the intact simulator, priced under
 // tech, which must be valid like CWM's.
 func (in *Instance) CDCM(tech energy.Tech) *CDCM {
-	return &CDCM{Tech: tech, sim: in.sim, sc: in.sim.NewScratch()}
+	return &CDCM{Tech: tech, sim: in.sim, sc: newScratch(in.sim)}
 }
 
 // GreedyInitial is the deterministic highest-traffic-first warm start:

@@ -84,6 +84,47 @@ func countBuilds(t *testing.T, run func() error) (sims, cwms int64) {
 	return ns.Load(), nc.Load()
 }
 
+// TestExploreOneScratchPerLane: an exploration hands out its pricing
+// bases as their own first lanes, so a serial resilience run on 3x3 with
+// two fault elements makes four scratches (the winner's CDCM pricer and
+// the resilience base's intact and two fault lanes) and a serial Pareto
+// run one.
+func TestExploreOneScratchPerLane(t *testing.T) {
+	mesh, g := deltaInstance(t, 3, 3, 7)
+	cfg := noc.Default()
+	fs := instanceFaults(t, mesh)
+	opts := Options{Method: MethodSA, Seed: 3, TempSteps: 4, MovesPerTemp: 6, Restarts: 1, Workers: 1}
+	for _, tc := range []struct {
+		strategy Strategy
+		faults   *topology.FaultSet
+		want     int64
+	}{
+		{StrategyResilience, fs, 4},
+		{StrategyPareto, nil, 1},
+		{StrategyPareto, fs, 4},
+		{StrategyCDCM, nil, 1},
+	} {
+		in, err := NewInstance(mesh, cfg, g, tc.faults)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n atomic.Int64
+		scratch := newScratch
+		newScratch = func(s *wormhole.Simulator) *wormhole.Scratch {
+			n.Add(1)
+			return scratch(s)
+		}
+		_, err = in.Explore(tc.strategy, energy.Tech007, opts)
+		newScratch = scratch
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := n.Load(); got != tc.want {
+			t.Errorf("%s (faults %v): Explore made %d scratches, want %d", tc.strategy, tc.faults != nil, got, tc.want)
+		}
+	}
+}
+
 // TestCompareModelsBuildsOneInstance: a comparison builds one simulator
 // and one CWM route-length table for all its concurrent legs and
 // pricers, and an exploration builds one simulator plus one per fault

@@ -25,7 +25,7 @@ func NewCDCMFaults(mesh *topology.Mesh, cfg noc.Config, tech energy.Tech,
 	if err != nil {
 		return nil, err
 	}
-	return &CDCM{Tech: tech, sim: sim, sc: sim.NewScratch()}, nil
+	return &CDCM{Tech: tech, sim: sim, sc: newScratch(sim)}, nil
 }
 
 // UnreachablePenaltyFactor prices a fault scenario that partitions a
@@ -99,7 +99,7 @@ func (in *Instance) Resilience(tech energy.Tech) *Resilience {
 	}
 	lanes := make([]*CDCM, len(in.faultSims))
 	for i, sim := range in.faultSims {
-		lanes[i] = &CDCM{Tech: tech, sim: sim, sc: sim.NewScratch()}
+		lanes[i] = &CDCM{Tech: tech, sim: sim, sc: newScratch(sim)}
 	}
 	return &Resilience{
 		in:      in,

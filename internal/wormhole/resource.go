@@ -24,10 +24,13 @@ type Occupancy struct {
 // busyList is a list of closed busy intervals for one resource, sorted by
 // Start. Arbitrated resources keep non-overlapping intervals;
 // unarbitrated resources may overlap. maxEnd caches the largest End so
-// the common append-at-the-back acquisition is O(1).
+// the common append-at-the-back acquisition is O(1). On an arbitrated
+// list, iv[:lo] are bookings that ended before the floor of an earlier
+// acquire; acquire never scans them again (see acquire).
 type busyList struct {
 	iv     []Occupancy
 	maxEnd int64
+	lo     int
 }
 
 // reset empties the list, retaining capacity for reuse across runs.
@@ -36,17 +39,52 @@ type busyList struct {
 func (b *busyList) reset() {
 	b.iv = b.iv[:0]
 	b.maxEnd = 0
+	b.lo = 0
 }
 
 // acquire books the earliest interval [t, t+hold] with t >= arrival that
 // does not overlap any existing booking, inserts it, and returns t.
 // Intervals are closed: a resource busy through cycle e is free from e+1.
 //
+// A request that starts after every booking (most of them in a run) is
+// appended by push, without a scan. Otherwise the bookings that end
+// before floor are passed over for good by advancing lo. The caller
+// promises floor <= arrival, and that no later acquire on this list
+// passes a floor or an arrival below this floor. Then a booking with
+// End < floor also has End below every later arrival, so the scan of
+// every later request would skip it (its "End < t" case) with t
+// unchanged and never insert before it: starting the scan at lo returns
+// the same t and the same position as a full scan. Arbitrated bookings
+// do not overlap, so their Ends rise with their Starts and the passed
+// bookings are a prefix. Nothing is removed, so recorded occupancies do
+// not change. The run passes the popped packet's start, which never
+// decreases (see Simulator.run).
+//
 //nocvet:noalloc
-func (b *busyList) acquire(arrival, hold int64, pkt model.PacketID) int64 {
+func (b *busyList) acquire(arrival, hold, floor int64, pkt model.PacketID) int64 {
+	if b.push(arrival, hold, pkt) {
+		return arrival
+	}
+	for b.lo < len(b.iv) && b.iv[b.lo].End < floor {
+		b.lo++
+	}
 	t, pos := b.earliestFree(arrival, hold)
 	b.insert(pos, Occupancy{Packet: pkt, Start: t, End: t + hold})
 	return t
+}
+
+// push appends [arrival, arrival+hold] and reports true when it starts
+// after every booking; otherwise it books nothing. It is acquire's
+// common case, small enough to inline where the run loop books ports.
+//
+//nocvet:noalloc
+func (b *busyList) push(arrival, hold int64, pkt model.PacketID) bool {
+	if arrival <= b.maxEnd && len(b.iv) > 0 {
+		return false
+	}
+	b.maxEnd = arrival + hold
+	b.iv = append(b.iv, Occupancy{Packet: pkt, Start: arrival, End: b.maxEnd})
+	return true
 }
 
 // record inserts [start, start+hold] keeping the list sorted by Start,
@@ -80,9 +118,10 @@ func (b *busyList) insert(pos int, o Occupancy) {
 
 // earliestFree returns the earliest instant t >= arrival at which an
 // interval of the given hold length fits, and the index at which that
-// interval goes in the list, without booking it. The scan is correct on
-// overlapping bookings too: t only grows, and any interval already
-// passed has End below the t at which it was examined.
+// interval goes in the list, without booking it. It scans from lo (see
+// acquire). The scan is correct on overlapping bookings too: t only
+// grows, and any interval already passed has End below the t at which it
+// was examined.
 //
 //nocvet:noalloc
 func (b *busyList) earliestFree(arrival, hold int64) (t int64, pos int) {
@@ -90,7 +129,7 @@ func (b *busyList) earliestFree(arrival, hold int64) (t int64, pos int) {
 		return arrival, len(b.iv) // fast path: strictly after everything booked
 	}
 	t = arrival
-	for i := range b.iv {
+	for i := b.lo; i < len(b.iv); i++ {
 		cur := &b.iv[i]
 		if cur.End < t {
 			continue // entirely in the past w.r.t. t

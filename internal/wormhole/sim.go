@@ -187,12 +187,12 @@ type Simulator struct {
 	// flit count and the four per-hop hold times — in one slice, so the
 	// run loop touches one cache line per packet.
 	pkts []pktConst
-	// baseIndeg and initHeap are the dependence state every run starts
-	// from: per-packet in-degrees and the heap of source packets (keyed
-	// by their compute time). Precomputing them turns per-run scheduling
-	// setup into two copies.
+	// baseIndeg and sources are the dependence state every run starts
+	// from: per-packet in-degrees and the source packets, keyed by their
+	// compute time and sorted (see run). Precomputing them turns per-run
+	// scheduling setup into one copy.
 	baseIndeg []int
-	initHeap  []pktKey
+	sources   []pktKey
 
 	// The full route table, precomputed at construction: the route from
 	// src to dst is routes[routeOff[src*n+dst]:routeOff[src*n+dst+1]], one
@@ -297,16 +297,17 @@ type Scratch struct {
 }
 
 // book times one hop at the header's arrival: an arbitrated resource is
-// granted at the earliest fit at or after it, an unarbitrated one at the
-// arrival itself, regardless of existing bookings. A nil list marks a
-// hop this run does not keep: it is timed but never booked.
+// granted at the earliest fit at or after it (floor as in
+// busyList.acquire), an unarbitrated one at the arrival itself,
+// regardless of existing bookings. A nil list marks a hop this run does
+// not keep: it is timed but never booked.
 //
 //nocvet:noalloc
-func book(list *busyList, arrival, hold int64, arbitrated bool, pkt model.PacketID) int64 {
+func book(list *busyList, arrival, hold, floor int64, arbitrated bool, pkt model.PacketID) int64 {
 	switch {
 	case list == nil:
 	case arbitrated:
-		return list.acquire(arrival, hold, pkt)
+		return list.acquire(arrival, hold, floor, pkt)
 	default:
 		list.record(arrival, hold, pkt)
 	}
@@ -362,7 +363,9 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 			srcHeap.push(pktKey{start: g.Packets[p].Compute, id: model.PacketID(p)})
 		}
 	}
-	s.initHeap = srcHeap.a
+	for srcHeap.len() > 0 {
+		s.sources = append(s.sources, srcHeap.pop())
+	}
 	order, err := dg.TopoSort()
 	if err != nil {
 		return nil, err
@@ -803,7 +806,7 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 	}
 	copy(sc.indeg, s.baseIndeg)
 	clear(sc.ready)
-	sc.heap.a = append(sc.heap.a[:0], s.initHeap...)
+	sc.heap.a = sc.heap.a[:0]
 
 	n := s.numTiles
 	tr, tl := s.Cfg.RoutingCycles, s.Cfg.LinkCycles
@@ -816,82 +819,86 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 	keepLocal := arbLocal || record
 	bookLink := !s.linkFree || record
 	bookTSV := !s.tsvFree || record
+	// Packets are simulated in (start, ID) order. The source packets
+	// come sorted from s.sources; the heap holds only the packets pushed
+	// as their last predecessor is delivered. Keys are distinct, so
+	// merging the two streams pops in the same order as one heap of both.
+	sources := s.sources
 	scheduled := 0
-	for sc.heap.len() > 0 {
-		k := sc.heap.pop()
+	for len(sources) > 0 || sc.heap.len() > 0 {
+		var k pktKey
+		if len(sources) > 0 && (sc.heap.len() == 0 || sources[0].less(sc.heap.a[0])) {
+			k, sources = sources[0], sources[1:]
+		} else {
+			k = sc.heap.pop()
+		}
 		p := int(k.id)
 		pc := &s.pkts[p]
 		srcTile, dstTile := mp[pc.src], mp[pc.dst]
 		ri := int(srcTile)*n + int(dstTile)
 		route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
+		last := len(route) - 1
 		bits := pc.bits
-		var coreOut, coreIn *busyList
+		var coreOut, coreIn, localPort *busyList
 		if keepLocal {
 			coreOut, coreIn = &sc.coreOut[srcTile], &sc.coreIn[dstTile]
+			localPort = &sc.ports[route[last].port]
 		}
 
 		// Walk the route head-first, booking each hop as the header
-		// reaches it.
+		// reaches it. Every hop arrives at or after k.start, and pops
+		// never decrease in start: a packet is pushed only once its last
+		// predecessor is delivered, after that predecessor's start, and
+		// it starts no earlier than that delivery. So k.start is a valid
+		// floor for every acquire of this run (see busyList.acquire).
+		floor := k.start
 		var contention int64
 		h := k.start // header enters the source core's output link
 
 		// Source core -> local router link. Core links are timed but not
 		// arbitrated under the paper's CRG semantics (ArbitrateLocal
 		// false); see noc.Config.ArbitrateLocal.
-		t := book(coreOut, h, pc.linkHold, arbLocal, k.id)
+		t := book(coreOut, h, pc.linkHold, floor, arbLocal, k.id)
 		contention += t - h
 		h = t + tl
 
-		// Routers (output-port arbitration) and the links they feed.
-		var delivered int64
-		for _, hp := range route {
+		// Inter-tile hops: arbitrated output ports and the links they
+		// feed. A port feeding a vertical link streams its flits at the
+		// TSV rate, so its hold time follows the link's.
+		for _, hp := range route[:last] {
 			arrival := h
 			tile := int(hp.port) / NumPorts
-			// A port feeding a vertical link streams its flits at the TSV
-			// rate, so its hold time follows the link's. The local output
-			// port is timed but not arbitrated (paper-faithful: Figure
-			// 3(b) shows overlapping deliveries).
-			local := hp.link == localHop
-			vert := hp.link < 0 && !local
+			vert := hp.link < 0
 			pHold := pc.portHold
 			if vert {
 				pHold = pc.vPortHold
 			}
-			port := &sc.ports[hp.port]
-			if local && !keepLocal {
-				port = nil
+			t = h
+			if port := &sc.ports[hp.port]; !port.push(h, pHold, k.id) {
+				t = port.acquire(h, pHold, floor, k.id)
 			}
-			t = book(port, h, pHold, !local || arbLocal, k.id)
 			contention += t - h
-			portEnd := t + pHold
 			h = t + tr
 			res.RouterBits[tile] += bits
 			if record {
 				// Display span: from arrival (incl. buffer wait) to the
 				// last flit leaving the router — the paper's annotation.
 				sc.routerSpans[tile].iv = append(sc.routerSpans[tile].iv,
-					Occupancy{Packet: k.id, Start: arrival, End: portEnd})
+					Occupancy{Packet: k.id, Start: arrival, End: t + pHold})
 			}
-			switch {
-			case local:
-				// Local router -> destination core link; delivery is when
-				// the last flit crosses it.
-				t = book(coreIn, h, pc.linkHold, arbLocal, k.id)
-				contention += t - h
-				delivered = t + pc.linkHold
-			case vert:
+			if vert {
 				li := ^hp.link
 				if bookTSV {
-					t = sc.links[li].acquire(h, pc.vLinkHold, k.id)
+					t = sc.links[li].acquire(h, pc.vLinkHold, floor, k.id)
 					contention += t - h
 					h = t
 				}
 				h += tlv
 				res.LinkBits[li] += bits
 				res.TSVBits += bits
-			default:
+			} else {
 				if bookLink {
-					t = sc.links[hp.link].acquire(h, pc.linkHold, k.id)
+					t = sc.links[hp.link].acquire(h, pc.linkHold, floor, k.id)
 					contention += t - h
 					h = t
 				}
@@ -899,6 +906,24 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 				res.LinkBits[hp.link] += bits
 			}
 		}
+
+		// The destination router's local output port, then the link down
+		// to the core; delivery is when the last flit crosses it. Both
+		// are timed but not arbitrated unless ArbitrateLocal
+		// (paper-faithful: Figure 3(b) shows overlapping deliveries).
+		arrival := h
+		tile := int(dstTile)
+		t = book(localPort, h, pc.portHold, floor, arbLocal, k.id)
+		contention += t - h
+		h = t + tr
+		res.RouterBits[tile] += bits
+		if record {
+			sc.routerSpans[tile].iv = append(sc.routerSpans[tile].iv,
+				Occupancy{Packet: k.id, Start: arrival, End: t + pc.portHold})
+		}
+		t = book(coreIn, h, pc.linkHold, floor, arbLocal, k.id)
+		contention += t - h
+		delivered := t + pc.linkHold
 		res.CoreBits += 2 * bits
 
 		res.Packets[p] = PacketSchedule{
@@ -991,9 +1016,6 @@ func (a pktKey) less(b pktKey) bool {
 
 // pktHeap is a binary min-heap of pktKey.
 type pktHeap struct{ a []pktKey }
-
-//nocvet:noalloc
-func (h *pktHeap) reset() { h.a = h.a[:0] }
 
 //nocvet:noalloc
 func (h *pktHeap) len() int { return len(h.a) }

@@ -2,6 +2,7 @@ package wormhole
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,30 +14,30 @@ import (
 
 func TestBusyListAcquireSequential(t *testing.T) {
 	var b busyList
-	if got := b.acquire(10, 5, 0); got != 10 {
+	if got := b.acquire(10, 5, 0, 0); got != 10 {
 		t.Fatalf("first acquire = %d", got)
 	}
 	// [10,15] booked; arrival 12 conflicts -> 16.
-	if got := b.acquire(12, 3, 1); got != 16 {
+	if got := b.acquire(12, 3, 0, 1); got != 16 {
 		t.Fatalf("conflicting acquire = %d, want 16", got)
 	}
 	// Gap fit: [0,8] is free for a hold of 8? [0,8] vs [10,15]: fits at 0... 0+8=8 < 10 OK.
-	if got := b.acquire(0, 8, 2); got != 0 {
+	if got := b.acquire(0, 8, 0, 2); got != 0 {
 		t.Fatalf("gap acquire = %d, want 0", got)
 	}
 	// Now [0,8],[10,15],[16,19]: arrival 0 hold 1 must go after 19 (no gap:
 	// 9..9 is a 1-wide gap but hold=1 needs [9,10] which hits [10,15]).
-	if got := b.acquire(0, 1, 3); got != 20 {
+	if got := b.acquire(0, 1, 0, 3); got != 20 {
 		t.Fatalf("tight acquire = %d, want 20", got)
 	}
 }
 
 func TestBusyListGapFitExact(t *testing.T) {
 	var b busyList
-	b.acquire(0, 4, 0)  // [0,4]
-	b.acquire(10, 4, 1) // [10,14]
+	b.acquire(0, 4, 0, 0)  // [0,4]
+	b.acquire(10, 4, 0, 1) // [10,14]
 	// Hold 4 needs [5,9]: exactly the gap.
-	if got := b.acquire(0, 4, 2); got != 5 {
+	if got := b.acquire(0, 4, 0, 2); got != 5 {
 		t.Fatalf("exact gap = %d, want 5", got)
 	}
 }
@@ -48,7 +49,7 @@ func TestBusyListNoOverlapInvariant(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			arrival := int64(rng.Intn(500))
 			hold := int64(rng.Intn(40))
-			got := b.acquire(arrival, hold, model.PacketID(i))
+			got := b.acquire(arrival, hold, 0, model.PacketID(i))
 			if got < arrival {
 				return false
 			}
@@ -92,7 +93,7 @@ func TestQuickEarliestFreeFastPathEquivalence(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				b.record(start, hold, model.PacketID(i)) // may overlap
 			} else {
-				b.acquire(start, hold, model.PacketID(i))
+				b.acquire(start, hold, 0, model.PacketID(i))
 			}
 			arrival := int64(rng.Intn(500))
 			qh := int64(rng.Intn(60))
@@ -104,6 +105,55 @@ func TestQuickEarliestFreeFastPathEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuickAcquireMatchesFullScan: on random booking sequences with
+// non-decreasing floors, acquire (append path, low-water index) grants
+// the same times and leaves the same list as a full-scan earliest fit
+// from the first booking.
+func TestQuickAcquireMatchesFullScan(t *testing.T) {
+	ref := func(iv []Occupancy, arrival, hold int64, pkt model.PacketID) ([]Occupancy, int64) {
+		t, pos := arrival, len(iv)
+		for i, o := range iv {
+			if o.End < t {
+				continue
+			}
+			if t+hold < o.Start {
+				pos = i
+				break
+			}
+			t = o.End + 1
+		}
+		return slices.Insert(iv, pos, Occupancy{Packet: pkt, Start: t, End: t + hold}), t
+	}
+	var skipped int
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var b busyList
+		var want []Occupancy
+		var floor int64
+		for i := 0; i < 120; i++ {
+			floor += int64(rng.Intn(8))
+			arrival := floor + int64(rng.Intn(60))
+			hold := int64(rng.Intn(12))
+			pkt := model.PacketID(i)
+			got := b.acquire(arrival, hold, floor, pkt)
+			var grant int64
+			want, grant = ref(want, arrival, hold, pkt)
+			if got != grant {
+				t.Logf("seed %d booking %d: acquire(%d, %d, floor %d) = %d, full scan %d", seed, i, arrival, hold, floor, got, grant)
+				return false
+			}
+		}
+		skipped += b.lo
+		return slices.Equal(b.iv, want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+	if skipped == 0 {
+		t.Fatal("no booking fell below a floor: the low-water index was never exercised")
 	}
 }
 
