@@ -164,12 +164,15 @@ func BenchmarkFigure3CDCMEvaluation(b *testing.B) {
 // random sequence to a fixed random mapping, prices the candidate and
 // undoes the swap. The rejection test sets how far a pricing runs:
 // "tierA" stops at the first bound (the uncontended critical path),
-// "load" declines it and stops at the port-load bound when that is
-// offered (a candidate without one is simulated in full), and "full"
-// declines every bound. cut_ratio is the share of candidates skipped. Two instances: the paper's
-// Figure-3 example, whose four cores are too few for the port-load
-// bound (see wormhole.Simulator.PortLoadBound), so "load" simulates it
-// in full, and the largest Table-1 row (12x10, 99 cores).
+// "load" declines it and stops at the second offer (the port-load
+// bound, or the heads-and-tails bound where the load is not above tier
+// A), "ht" declines two offers and stops at the third (the
+// heads-and-tails bound) — a candidate offered fewer is simulated in
+// full — and "full" declines every bound. cut_ratio is the share of
+// candidates skipped. Two instances: the paper's Figure-3 example,
+// whose four cores are too few for the port-load and heads-and-tails
+// bounds (see wormhole.Simulator.PortLoadBound), so "load" and "ht"
+// simulate it in full, and the largest Table-1 row (12x10, 99 cores).
 func BenchmarkPriceBelowProbe(b *testing.B) {
 	type instance struct {
 		name string
@@ -192,6 +195,10 @@ func BenchmarkPriceBelowProbe(b *testing.B) {
 		{"load", func(float64) bool {
 			calls++
 			return calls == 2
+		}},
+		{"ht", func(float64) bool {
+			calls++
+			return calls == 3
 		}},
 		{"full", func(float64) bool { return false }},
 	}

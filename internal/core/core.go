@@ -325,14 +325,15 @@ func (c *CDCM) Cost(mp mapping.Mapping) (float64, error) {
 }
 
 // PriceBelow implements search.CutoffObjective: ENoC of mp like Cost,
-// unless reject accepts a certified lower bound first. Both bounds come
+// unless reject accepts a certified lower bound first. Every bound comes
 // before the first packet: tier A, the simulator's uncontended critical
-// path (wormhole.Simulator.Bound), and, when tier A is declined and it
-// is larger, the port-load bound (wormhole.Simulator.PortLoad, on graphs
-// of 40 cores or more, see wormhole.Simulator.PortLoadBound). A stop at
-// either skips the simulation and counts nothing in Evals; the engines
-// count it as a bound skip. Otherwise the mapping is simulated and
-// priced in full.
+// path (wormhole.Simulator.Bound), and, on graphs of 40 cores or more
+// (see wormhole.Simulator.PortLoadBound), each time the bounds before
+// are declined and it is larger than all of them, the port-load bound
+// (wormhole.Simulator.PortLoad) and then the heads-and-tails bound
+// (wormhole.Simulator.HeadTail). A stop at any of them skips the
+// simulation and counts nothing in Evals; the engines count it as a
+// bound skip. Otherwise the mapping is simulated and priced in full.
 //
 //nocvet:noalloc
 func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cost float64, skipped bool, err error) {
@@ -351,6 +352,14 @@ func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cos
 		}
 		//nocvet:ignore reject is the engine's allocation-free certified-rejection test
 		if load > cp && reject(c.bound(t, load)) {
+			return 0, true, nil
+		}
+		ht, err := c.sim.HeadTail(mp, c.sc)
+		if err != nil {
+			return 0, false, err
+		}
+		//nocvet:ignore reject is the engine's allocation-free certified-rejection test
+		if ht > max(cp, load) && reject(c.bound(t, ht)) {
 			return 0, true, nil
 		}
 	}

@@ -20,17 +20,42 @@ import (
 
 // preCutoff returns the simulator's texec bounds for mp in the order
 // PriceBelow offers them when each is declined: the critical path, then,
-// when PortLoadBound is set and it is larger, the port load.
+// when PortLoadBound is set, the port load and the heads-and-tails
+// bound, each when it is larger than every one before.
 func preCutoff(sim *wormhole.Simulator, sc *wormhole.Scratch, mp mapping.Mapping) ([]int64, error) {
 	cp, _, err := sim.Bound(mp, sc)
 	if err != nil || !sim.PortLoadBound {
 		return []int64{cp}, err
 	}
 	load, err := sim.PortLoad(mp, sc)
-	if err != nil || load <= cp {
-		return []int64{cp}, err
+	if err != nil {
+		return nil, err
 	}
-	return []int64{cp, load}, nil
+	ht, err := sim.HeadTail(mp, sc)
+	if err != nil {
+		return nil, err
+	}
+	pre := []int64{cp}
+	if load > cp {
+		pre = append(pre, load)
+	}
+	if ht > max(cp, load) {
+		pre = append(pre, ht)
+	}
+	return pre, nil
+}
+
+// headTail is the simulator's heads-and-tails bound of mp, computed on a
+// fresh scratch.
+func headTail(sim *wormhole.Simulator, mp mapping.Mapping) (int64, error) {
+	sc := sim.NewScratch()
+	if _, _, err := sim.Bound(mp, sc); err != nil {
+		return 0, err
+	}
+	if _, err := sim.PortLoad(mp, sc); err != nil {
+		return 0, err
+	}
+	return sim.HeadTail(mp, sc)
 }
 
 // refTierA is the test-only reference for CDCM's tier-A bound, written
@@ -128,16 +153,18 @@ func refPortLoad(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG,
 // pricings it stands between, on the tier-A fixtures (2-D mesh, 3-D mesh
 // and 3-D torus, with and without faults, with ArbitrateLocal off and
 // on): the simulator's bounds are refTierA's
-// critical path in cycles and, when it is larger, refPortLoad's port
-// load; priced, the bounds PriceBelow offers are refTierA's bound and
-// that load priced the same way, bit for bit (on a faulted mesh the
-// intact-route tier-A reference is at most as tight); they never exceed
-// the exact cost; a pricing that is not skipped returns Cost's value bit
-// for bit and counts one evaluation; and stopping at either offer
-// reports skipped and counts none.
+// critical path in cycles, then refPortLoad's port load and the
+// heads-and-tails bound (pinned against its own reference in package
+// wormhole; here computed on a fresh scratch), each when it is larger
+// than every one before; priced, the bounds PriceBelow offers are
+// refTierA's bound and those cycles priced the same way, bit for bit
+// (on a faulted mesh the intact-route tier-A reference is at most as
+// tight); they never exceed the exact cost; a pricing that is not
+// skipped returns Cost's value bit for bit and counts one evaluation;
+// and stopping at any offer reports skipped and counts none.
 func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 	tech := energy.Tech007
-	var loaded, skipsAtLoad int
+	var loaded, skipsAtLoad, headed, skipsAtHT int
 	for _, grid := range tieredGrids(t) {
 		faultSets := []*topology.FaultSet{nil}
 		if fs, err := topology.GenerateFaults(grid.mesh, 0.1, 5); err != nil {
@@ -184,11 +211,20 @@ func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					ht, err := headTail(exact.sim, mp)
+					if err != nil {
+						t.Fatal(err)
+					}
 					wantCycles, wantPre := []int64{cp}, []float64{tierA}
 					if load > cp {
 						loaded++
 						wantCycles = append(wantCycles, load)
 						wantPre = append(wantPre, dyn+tech.StaticEnergy(grid.mesh.NumTiles(), cfg.CyclesToSeconds(load)))
+					}
+					if ht > max(cp, load) {
+						headed++
+						wantCycles = append(wantCycles, ht)
+						wantPre = append(wantPre, dyn+tech.StaticEnergy(grid.mesh.NumTiles(), cfg.CyclesToSeconds(ht)))
 					}
 					pre, err := preCutoff(exact.sim, sc, mp)
 					if err != nil {
@@ -241,21 +277,25 @@ func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 						t.Fatalf("%s trial %d: stop at offer %d of %d gave skipped %v after %d offers (%v), %d evaluations",
 							name, trial, stopAt, len(lbs), skipped, calls, err, exact.Evals.Value()-evals)
 					}
-					if stopAt == 2 {
+					switch {
+					case stopAt == 2 && load > cp:
 						skipsAtLoad++
+					case stopAt == len(wantCycles) && ht > max(cp, load):
+						skipsAtHT++
 					}
 				}
 			}
 		}
 	}
-	if loaded == 0 || skipsAtLoad == 0 {
-		t.Fatalf("%d port loads above the critical path, %d skips at the port load: a path is untested", loaded, skipsAtLoad)
+	if loaded == 0 || skipsAtLoad == 0 || headed == 0 || skipsAtHT == 0 {
+		t.Fatalf("%d port loads above the critical path, %d skips at the port load, %d heads-and-tails bounds above both, %d skips there: a path is untested",
+			loaded, skipsAtLoad, headed, skipsAtHT)
 	}
 }
 
 // TestPriceBelowZeroAllocs pins the cut-off pricing path to zero heap
-// allocations in steady state: skipped at the critical path, skipped at
-// the port-load bound, and priced in full.
+// allocations in steady state: skipped at the critical path, at the
+// port-load bound and at the heads-and-tails bound, and priced in full.
 func TestPriceBelowZeroAllocs(t *testing.T) {
 	grid := tieredGrids(t)[0]
 	exact, err := NewCDCM(grid.mesh, tieredCfg(), energy.Tech007, grid.g)
@@ -264,13 +304,13 @@ func TestPriceBelowZeroAllocs(t *testing.T) {
 	}
 	exact.Evals = &obs.Counter{}
 	exact.sim.PortLoadBound = true
-	// A mapping whose port load exceeds its critical path, so PriceBelow
-	// offers both bounds.
+	// A mapping whose port load exceeds its critical path and whose
+	// heads-and-tails bound exceeds both, so PriceBelow offers all three.
 	var mp mapping.Mapping
 	rng := rand.New(rand.NewSource(5))
-	for try, offers := 0, 0; offers < 2; try++ {
+	for try, offers := 0, 0; offers < 3; try++ {
 		if try == 100 {
-			t.Fatal("no mapping of 100 has a port load above its critical path")
+			t.Fatal("no mapping of 100 has its three bounds rising")
 		}
 		if mp, err = mapping.Random(rng, grid.g.NumCores(), grid.mesh.NumTiles()); err != nil {
 			t.Fatal(err)
@@ -302,6 +342,7 @@ func TestPriceBelowZeroAllocs(t *testing.T) {
 		{"priced in full", reject, 0, 0, false},
 		{"skip at the critical path", reject, 1, 0, true},
 		{"skip at the port-load bound", reject, 2, 0, true},
+		{"skip at the heads-and-tails bound", reject, 3, 0, true},
 		{"hill/tabu skip", atBound, 0, math.Inf(-1), true},
 		{"hill/tabu priced", atBound, 0, math.Inf(1), false},
 	} {

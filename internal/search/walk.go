@@ -220,7 +220,7 @@ func (w *metropolis) run(ctx context.Context, s schedule, scale float64) error {
 // variate: certify draws it there, once, and the test reuses it, which
 // leaves the RNG stream exactly as an unfiltered walk's. A pricing hook
 // calls it at most once per bound it holds before pricing the move, so
-// at most twice per move for CDCM.
+// at most three times per move for CDCM.
 func (w *metropolis) certify(dlb float64) bool {
 	if !(dlb > 0) {
 		return false

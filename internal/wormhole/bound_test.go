@@ -100,8 +100,8 @@ func TestBoundRejectsWhatRunScratchRejects(t *testing.T) {
 }
 
 // TestBoundPortLoadSteadyStateZeroAllocs pins the pre-packet bounds to
-// zero heap allocations: Bound, then PortLoad, on a swap sequence
-// through one scratch, on a planar and a stacked grid.
+// zero heap allocations: Bound, then PortLoad, then HeadTail, on a swap
+// sequence through one scratch, on a planar and a stacked grid.
 func TestBoundPortLoadSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	mesh2, _ := topology.NewMesh(4, 4)
@@ -137,12 +137,15 @@ func TestBoundPortLoadSteadyStateZeroAllocs(t *testing.T) {
 			if _, err := sim.PortLoad(mp, sc); err != nil {
 				t.Fatal(err)
 			}
+			if _, err := sim.HeadTail(mp, sc); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for range swaps {
 			step()
 		}
 		if allocs := testing.AllocsPerRun(64, step); allocs != 0 {
-			t.Fatalf("%dx%dx%d: Bound + PortLoad allocate %.1f objects/run, want 0",
+			t.Fatalf("%dx%dx%d: Bound + PortLoad + HeadTail allocate %.1f objects/run, want 0",
 				mesh.W(), mesh.H(), mesh.D(), allocs)
 		}
 	}

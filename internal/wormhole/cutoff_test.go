@@ -2,6 +2,7 @@ package wormhole_test
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -28,9 +29,10 @@ func (b *boundLog) offer(t wormhole.Traffic, texecBound int64) bool {
 }
 
 // run prices mp on sc in core.CDCM.PriceBelow's order: it offers Bound's
-// critical path, then, when PortLoadBound is set and the port load is
-// larger, that load, and it simulates mp with RunScratch unless an offer
-// stopped it. It returns the Result, nil after a stop.
+// critical path, then, when PortLoadBound is set, the port load and the
+// heads-and-tails bound, each when it is larger than every bound before
+// it, and it simulates mp with RunScratch unless an offer stopped it. It
+// returns the Result, nil after a stop.
 func (b *boundLog) run(sim *wormhole.Simulator, mp mapping.Mapping, sc *wormhole.Scratch) (*wormhole.Result, error) {
 	cp, t, err := sim.Bound(mp, sc)
 	if err != nil {
@@ -47,8 +49,29 @@ func (b *boundLog) run(sim *wormhole.Simulator, mp mapping.Mapping, sc *wormhole
 		if load > cp && b.offer(t, load) {
 			return nil, nil
 		}
+		ht, err := sim.HeadTail(mp, sc)
+		if err != nil {
+			return nil, err
+		}
+		if ht > max(cp, load) && b.offer(t, ht) {
+			return nil, nil
+		}
 	}
 	return sim.RunScratch(mp, sc)
+}
+
+// wantBounds is the list of bounds PriceBelow offers when each is
+// declined: the critical path, then the port load and the
+// heads-and-tails bound, each when it is larger than every one before.
+func wantBounds(cp, load, ht int64) []int64 {
+	want := []int64{cp}
+	if load > cp {
+		want = append(want, load)
+	}
+	if ht > max(cp, load) {
+		want = append(want, ht)
+	}
+	return want
 }
 
 // refCriticalPath is the uncontended critical path of g under mp,
@@ -141,13 +164,207 @@ func refPortLoad(t *testing.T, fx refFixture, mp mapping.Mapping) int64 {
 	return slices.Max(load)
 }
 
+// refHeadTail is the heads-and-tails bound of g under mp, computed from
+// Mesh.RouteFault routes. Every packet crossing an arbitrated output
+// port (as in refPortLoad) is one job there: its head is its uncontended
+// earliest start (the longest dependence chain of compute times and
+// uncontended durations before it, plus its compute time) plus the
+// uncontended time from its start to the router; its length is
+// refPortLoad's min(hold+1, d); its tail is d, minus that length, plus
+// the longest uncontended chain after its delivery. The bound is the
+// preemptive Jackson schedule's largest completion plus tail, simulated
+// directly (refJackson), on the port of largest load (ties to the lower
+// port index tile·NumPorts+direction, local = LocalPort).
+func refHeadTail(t *testing.T, fx refFixture, mp mapping.Mapping) int64 {
+	t.Helper()
+	cfg := fx.cfg
+	tr, tl := cfg.RoutingCycles, cfg.LinkCycles
+	n := fx.mesh.NumTiles()
+	pkts := fx.g.Packets
+	routes := make([][]topology.TileID, len(pkts))
+	rates := make([][]int64, len(pkts))
+	dur := make([]int64, len(pkts))
+	for p, pk := range pkts {
+		r, err := fx.mesh.RouteFault(cfg.Routing, fx.fs, mp[pk.Src], mp[pk.Dst])
+		if err != nil {
+			t.Fatal(err)
+		}
+		routes[p] = r.Tiles
+		last := len(r.Tiles) - 1
+		rates[p] = make([]int64, len(r.Tiles))
+		dur[p] = tl + cfg.Flits(pk.Bits)*tl
+		for i := range r.Tiles {
+			rates[p][i] = tl
+			if i < last && fx.mesh.Coord(r.Tiles[i]).Z != fx.mesh.Coord(r.Tiles[i+1]).Z {
+				rates[p][i] = cfg.TSVCycles()
+			}
+			dur[p] += tr
+			if i < last {
+				dur[p] += rates[p][i]
+			}
+		}
+	}
+	// Dependences point from lower to higher packet IDs in the fixtures.
+	start := make([]int64, len(pkts))
+	after := make([]int64, len(pkts))
+	for p, pk := range pkts {
+		for _, d := range fx.g.Deps {
+			if int(d.To) == p {
+				start[p] = max(start[p], start[d.From]+dur[d.From])
+			}
+		}
+		start[p] += pk.Compute
+	}
+	for p := len(pkts) - 1; p >= 0; p-- {
+		for _, d := range fx.g.Deps {
+			if int(d.From) == p {
+				after[p] = max(after[p], pkts[d.To].Compute+dur[d.To]+after[d.To])
+			}
+		}
+	}
+	type port struct {
+		load int64
+		jobs []refJob
+	}
+	ports := make([]port, n*wormhole.NumPorts)
+	for p, pk := range pkts {
+		f := cfg.Flits(pk.Bits)
+		last := len(routes[p]) - 1
+		off := tl
+		for i, tile := range routes[p] {
+			dir := wormhole.LocalPort
+			if i < last {
+				for dir = 0; ; dir++ {
+					if nb, ok := fx.mesh.Neighbor(tile, topology.Direction(dir)); ok && nb == routes[p][i+1] {
+						break
+					}
+				}
+			}
+			if i < last || cfg.ArbitrateLocal {
+				d := dur[p] - off
+				c := min(tr+(f-1)*rates[p][i]+1, d)
+				pt := &ports[int(tile)*wormhole.NumPorts+dir]
+				pt.load += c
+				pt.jobs = append(pt.jobs, refJob{r: start[p] + off, c: c, q: d - c + after[p]})
+			}
+			off += tr + rates[p][i]
+		}
+	}
+	top := 0
+	for i := range ports {
+		if ports[i].load > ports[top].load {
+			top = i
+		}
+	}
+	return refJackson(ports[top].jobs)
+}
+
+// refJob is one packet at one port of refHeadTail: head r, length c,
+// tail q.
+type refJob struct{ r, c, q int64 }
+
+// refJackson simulates the preemptive Jackson schedule of jobs event by
+// event, scanning every job at each event: the released unfinished job
+// with the largest tail runs until it finishes or another job is
+// released. It returns the largest completion time plus tail.
+func refJackson(jobs []refJob) int64 {
+	rem := make([]int64, len(jobs))
+	left := 0
+	for i, j := range jobs {
+		rem[i] = j.c
+		left++
+	}
+	var t, best int64
+	t = math.MinInt64
+	for left > 0 {
+		pick := -1
+		next := int64(math.MaxInt64)
+		for i, j := range jobs {
+			if rem[i] == 0 {
+				continue
+			}
+			if j.r > t {
+				next = min(next, j.r)
+			} else if pick < 0 || j.q > jobs[pick].q {
+				pick = i
+			}
+		}
+		if pick < 0 {
+			t = next
+			continue
+		}
+		run := rem[pick]
+		if next != math.MaxInt64 {
+			run = min(run, next-t)
+		}
+		t += run
+		rem[pick] -= run
+		if rem[pick] == 0 {
+			best = max(best, t+jobs[pick].q)
+			left--
+		}
+	}
+	return best
+}
+
+// TestHeadTailBoundMatchesReference pins HeadTail on every fixture and
+// mapping of the reference sweep (2-D, 3-D, torus, faults,
+// ArbitrateLocal on and off), after Bound and PortLoad on one scratch
+// per fixture: it equals refHeadTail, it is at least the port load, and
+// it never exceeds the reference texec. A call that does not follow both bounds on the same
+// mapping is refused.
+func TestHeadTailBoundMatchesReference(t *testing.T) {
+	var above int
+	refSweep(t, func(i, run int, fx refFixture, sim *wormhole.Simulator, sc *wormhole.Scratch, mp mapping.Mapping) {
+		want, _, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
+		if wantErr != nil {
+			return
+		}
+		cp, _, err := sim.Bound(mp, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.HeadTail(mp, sc); err == nil && run == 0 {
+			t.Fatalf("instance %d: HeadTail before PortLoad was not refused", i)
+		}
+		load, err := sim.PortLoad(mp, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ht, err := sim.HeadTail(mp, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref := refHeadTail(t, fx, mp); ht != ref {
+			t.Fatalf("instance %d run %d: heads-and-tails bound %d, reference %d", i, run, ht, ref)
+		}
+		if ht < load || ht > want.ExecCycles {
+			t.Fatalf("instance %d run %d: heads-and-tails bound %d outside [port load %d, texec %d]",
+				i, run, ht, load, want.ExecCycles)
+		}
+		if ht > max(cp, load) {
+			above++
+		}
+		other := mp.Clone()
+		other[0], other[1] = other[1], other[0]
+		if _, err := sim.HeadTail(other, sc); err == nil {
+			t.Fatalf("instance %d run %d: HeadTail on another mapping than the bounds' was not refused", i, run)
+		}
+	})
+	t.Logf("%d heads-and-tails bounds above the critical path and the port load", above)
+	if above == 0 {
+		t.Fatal("no heads-and-tails bound above the critical path and the port load: the check is vacuous")
+	}
+}
+
 // TestPortLoadBoundMatchesReference pins the port-load bound on every
 // fixture and mapping of the reference sweep — 2-D, 3-D, torus, faults,
 // ArbitrateLocal on and off — and along a
 // random swap sequence from each mapping, all through one scratch per
 // fixture: the bounds offered in PriceBelow's order are the critical
-// path and, when it is larger, refPortLoad's load; every bound is at
-// most the reference texec; and the per-port loads the scratch keeps,
+// path, then refPortLoad's load and refHeadTail's bound, each when it is
+// larger than every one before; every bound is at most the reference
+// texec; and the per-port loads the scratch keeps,
 // updated from one mapping to the next, equal a recompute on a fresh
 // scratch.
 func TestPortLoadBoundMatchesReference(t *testing.T) {
@@ -172,11 +389,10 @@ func TestPortLoadBoundMatchesReference(t *testing.T) {
 				continue
 			}
 			cp, load := refCriticalPath(t, fx, mp), refPortLoad(t, fx, mp)
-			wantPre := []int64{cp}
 			if load > cp {
-				wantPre = append(wantPre, load)
 				above++
 			}
+			wantPre := wantBounds(cp, load, refHeadTail(t, fx, mp))
 			if !slices.Equal(log.bounds, wantPre) {
 				t.Fatalf("instance %d run %d step %d: bounds %v, want %v (critical path %d, port load %d)",
 					i, run, step, log.bounds, wantPre, cp, load)
@@ -281,16 +497,17 @@ func TestPortLoadBoundGate(t *testing.T) {
 }
 
 // TestRunBelowBoundSound is the cut-off soundness property, on the
-// reference sweep's fixtures: the bounds Bound and PortLoad offer in
-// PriceBelow's order are the uncontended critical path and, when it is
-// larger, the port load (refPortLoad), neither exceeds the final texec,
-// the traffic totals are the full run's aggregates, and a run that is
-// never stopped returns exactly RunScratch's Result on a fresh scratch:
-// the bounds leave no state behind that changes a run. Stopping at
-// either offer returns no Result.
+// reference sweep's fixtures: the bounds Bound, PortLoad and HeadTail
+// offer in PriceBelow's order are the uncontended critical path, then
+// the port load (refPortLoad) and the heads-and-tails bound
+// (refHeadTail), each when it is larger than every one before, none
+// exceeds the final texec, the traffic totals are the full run's
+// aggregates, and a run that is never stopped returns exactly
+// RunScratch's Result on a fresh scratch: the bounds leave no state
+// behind that changes a run. Stopping at any offer returns no Result.
 func TestRunBelowBoundSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(1404))
-	var stops [3]int
+	var stops [4]int
 	for i := 0; i < refInstances/2; i++ {
 		fx := randomRefFixture(t, rng)
 		sim, err := wormhole.NewSimulatorFaults(fx.mesh, fx.cfg, fx.g, fx.fs)
@@ -316,10 +533,7 @@ func TestRunBelowBoundSound(t *testing.T) {
 			t.Fatalf("instance %d: uncut bounded run diverges from RunScratch", i)
 		}
 		cp, load := refCriticalPath(t, fx, mp), refPortLoad(t, fx, mp)
-		wantPre := []int64{cp}
-		if load > cp {
-			wantPre = append(wantPre, load)
-		}
+		wantPre := wantBounds(cp, load, refHeadTail(t, fx, mp))
 		if !slices.Equal(log.bounds, wantPre) {
 			t.Fatalf("instance %d: bounds %v, want %v (critical path %d, port load %d)",
 				i, log.bounds, wantPre, cp, load)
@@ -349,8 +563,9 @@ func TestRunBelowBoundSound(t *testing.T) {
 		}
 		stops[stopAt]++
 	}
-	if stops[1] == 0 || stops[2] == 0 {
-		t.Fatalf("stops at the critical path %d, at the port load %d: a stop check is vacuous", stops[1], stops[2])
+	if stops[1] == 0 || stops[2] == 0 || stops[3] == 0 {
+		t.Fatalf("stops at the critical path %d, at the port load %d, at the heads-and-tails bound %d: a stop check is vacuous",
+			stops[1], stops[2], stops[3])
 	}
 }
 

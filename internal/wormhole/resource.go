@@ -3,9 +3,16 @@
 //
 // Every NoC resource — router, inter-tile link, core↔router link — keeps a
 // list of closed busy intervals ("cost variable lists" in the paper). A
-// packet acquires each resource along its XY route at the earliest instant
-// the resource is continuously free, waiting in the router input buffer
+// packet acquires each resource along its route (the configured routing
+// function, precomputed per tile pair) at the earliest instant the
+// resource is continuously free, waiting in the router input buffer
 // otherwise; that wait is the contention delay the CWM model cannot see.
+//
+// Packets are simulated in order of start time, so most requests start
+// after every booking of the resource and are appended without a scan.
+// The rest scan for the earliest gap from a low-water index: bookings
+// that ended before the current packet's start can never conflict with
+// this or any later request, so each list passes over them once.
 package wormhole
 
 import (

@@ -285,10 +285,23 @@ type Scratch struct {
 	heap        pktHeap
 	seen        []model.CoreID // mapping-validation buffer, reused per run
 	// load[port] is the port-load bound's sum for loadMap, the last
-	// mapping PortLoad computed it for (loaded false until then).
-	load    []int64
-	loadMap mapping.Mapping
-	loaded  bool
+	// mapping PortLoad computed it for (loaded false until then), and
+	// peakPort the lowest port of the largest sum. hotHops are the hops
+	// that make up the sum of port hot (-1 for none), kept by PortLoad's
+	// updates and rebuilt by HeadTail when the peak moves to another port.
+	load     []int64
+	loadMap  mapping.Mapping
+	loaded   bool
+	peakPort int32
+	hot      int32
+	hotHops  []pktHop
+	// Bound's per-packet uncontended durations and paths (each packet's
+	// duration plus the longest path after it) for boundMap, and
+	// HeadTail's jobs and heap, grown on first use.
+	dur, path []int64
+	boundMap  mapping.Mapping
+	jobs      []htJob
+	jq        []int32
 
 	res        Result
 	packets    []PacketSchedule
@@ -407,6 +420,32 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	// on the local port (d = tr + n·tl), so c_p is h_p+1 there; only a
 	// TSV port slower than the path after it needs the min. PortLoad
 	// keeps these sums per port.
+	//
+	// The heads-and-tails bound (HeadTail) refines this on one port. Let
+	// o_p be the uncontended time from packet p's start to its header
+	// reaching the port: tl for the core link, then tr and the link time
+	// per router before it. The packet cannot start before its
+	// uncontended earliest start e_p (compute times and uncontended
+	// durations along its longest dependence chain: every real delivery
+	// is at least uncontended), so its grant is t_p ≥ r_p = e_p + o_p,
+	// its head. From the grant it is delivered no earlier than t_p + d_p,
+	// and every chain of successors hangs its uncontended length L_p off
+	// that delivery, so texec ≥ t_p + d_p + L_p = t_p + c_p + q_p with
+	// tail q_p = d_p − c_p + L_p ≥ 0. Writing the tail from d_p − c_p,
+	// not d_p, is what keeps the packet's own delivery from being
+	// counted twice: its time on the port, c_p, and the rest of its path
+	// together make d_p. With D_p the uncontended duration from start to
+	// delivery, d_p = D_p − o_p, and Bound's path P_p = compute_p + D_p +
+	// L_p gives q_p = P_p − compute_p − o_p − c_p. Now read the grants as
+	// a one-machine schedule: job p runs over [t_p, t_p+c_p), which is
+	// within [t_p, t_p+h_p] since c_p ≤ h_p+1, so no two jobs overlap
+	// (the grants are disjoint closed intervals); each starts at or after
+	// its head, and its completion plus tail is at most texec. It is a
+	// feasible non-preemptive schedule, so texec is at least the optimum
+	// of the preemptive one-machine problem with heads and tails, which
+	// the preemptive Jackson schedule attains (Carlier, "The one-machine
+	// sequencing problem", EJOR 1982). Taking every job with r ≥ 0 and
+	// q ≥ 0, that optimum is at least Σ c_p, the port's load.
 	//
 	// A swap moves the packets of two of the nc cores: on average over
 	// core pairs 2(2nc−3)/(nc(nc−1)) of them, each packet joining two
@@ -554,6 +593,10 @@ func (s *Simulator) NewScratch() *Scratch {
 		seen:        make([]model.CoreID, n),
 		load:        make([]int64, n*NumPorts),
 		loadMap:     make(mapping.Mapping, s.G.NumCores()),
+		hot:         -1,
+		dur:         make([]int64, np),
+		path:        make([]int64, np),
+		boundMap:    make(mapping.Mapping, s.G.NumCores()),
 		packets:     make([]PacketSchedule, np),
 		routerBits:  make([]int64, n),
 		linkBits:    make([]int64, s.Mesh.NumLinks()),
@@ -638,9 +681,9 @@ type Traffic struct {
 // n·tl — together with the traffic totals, at O(packets + dependences)
 // on the caller's scratch. It rejects exactly the mappings and scratches
 // RunScratch rejects, with the same errors, so a pricer may skip the run
-// at the bound. It walks the packets in reverse topological order,
-// using sc.ready as the per-packet "own duration plus the longest path
-// after it" scratch (run resets it).
+// at the bound. It walks the packets in reverse topological order and
+// leaves each packet's uncontended duration and path (the duration plus
+// the longest path after it) in sc.dur and sc.path for HeadTail.
 //
 //nocvet:noalloc
 func (s *Simulator) Bound(mp mapping.Mapping, sc *Scratch) (texec int64, t Traffic, err error) {
@@ -651,7 +694,7 @@ func (s *Simulator) Bound(mp mapping.Mapping, sc *Scratch) (texec int64, t Traff
 	tr, tl := s.Cfg.RoutingCycles, s.Cfg.LinkCycles
 	vadj := s.Cfg.TSVCycles() - tl
 	stacked := s.Mesh.D() > 1
-	path := sc.ready
+	path := sc.path
 	for i := len(s.topo) - 1; i >= 0; i-- {
 		p := int(s.topo[i])
 		pc := &s.pkts[p]
@@ -674,9 +717,11 @@ func (s *Simulator) Bound(mp mapping.Mapping, sc *Scratch) (texec int64, t Traff
 		for _, q := range s.dg.Succ(p) {
 			rest = max(rest, path[q])
 		}
-		path[p] = pc.compute + k*(tr+tl) + v*vadj + pc.flits*tl + rest
+		sc.dur[p] = k*(tr+tl) + v*vadj + pc.flits*tl
+		path[p] = pc.compute + sc.dur[p] + rest
 		texec = max(texec, path[p])
 	}
+	copy(sc.boundMap, mp)
 	return texec, t, nil
 }
 
@@ -694,7 +739,7 @@ func (s *Simulator) PortLoad(mp mapping.Mapping, sc *Scratch) (int64, error) {
 	}
 	if !sc.loaded {
 		for p := range s.pkts {
-			s.addLoad(sc.load, p, mp, 1)
+			s.addLoad(sc, p, mp, 1)
 		}
 		sc.loaded = true
 	} else {
@@ -703,8 +748,10 @@ func (s *Simulator) PortLoad(mp mapping.Mapping, sc *Scratch) (int64, error) {
 	}
 	copy(sc.loadMap, mp)
 	var peak int64
-	for _, l := range sc.load {
-		peak = max(peak, l)
+	for port, l := range sc.load {
+		if l > peak {
+			peak, sc.peakPort = l, int32(port)
+		}
 	}
 	return peak, nil
 }
@@ -723,29 +770,59 @@ func (s *Simulator) moveLoads(sc *Scratch, mp, on mapping.Mapping, sign int64) {
 			if r.src >= 0 && sc.loadMap[r.src] != mp[r.src] {
 				continue
 			}
-			s.addLoad(sc.load, int(r.pkt), on, sign)
+			s.addLoad(sc, int(r.pkt), on, sign)
 		}
 	}
 }
 
 // addLoad adds sign·c_p to the load of every arbitrated output port on
-// packet p's route under mp.
+// packet p's route under mp, and adds the packet's hop at the hot port
+// to hotHops (sign > 0) or removes it.
 //
 //nocvet:noalloc
-func (s *Simulator) addLoad(load []int64, p int, mp mapping.Mapping, sign int64) {
+func (s *Simulator) addLoad(sc *Scratch, p int, mp mapping.Mapping, sign int64) {
 	pc := &s.pkts[p]
 	ri := int(mp[pc.src])*s.numTiles + int(mp[pc.dst])
 	route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
 	last := len(route) - 1
 	w := sign * (pc.portHold + 1)
 	if s.Cfg.ArbitrateLocal {
-		load[route[last].port] += w
+		sc.load[route[last].port] += w
+		if route[last].port == sc.hot {
+			sc.moveHot(p, last, sign)
+		}
 	}
 	for i, hp := range route[:last] {
 		if hp.link >= 0 {
-			load[hp.port] += w
+			sc.load[hp.port] += w
 		} else {
-			load[hp.port] += sign * s.tsvLoad(p, route[i:])
+			sc.load[hp.port] += sign * s.tsvLoad(p, route[i:])
+		}
+		if hp.port == sc.hot {
+			sc.moveHot(p, i, sign)
+		}
+	}
+}
+
+// pktHop is hop j of packet p's route.
+type pktHop struct{ p, j int32 }
+
+// moveHot adds hop j of packet p to hotHops (sign > 0) or removes the
+// packet's hop, which it holds at most once: a route never requests one
+// port twice.
+//
+//nocvet:noalloc
+func (sc *Scratch) moveHot(p, j int, sign int64) {
+	if sign > 0 {
+		sc.hotHops = append(sc.hotHops, pktHop{p: int32(p), j: int32(j)})
+		return
+	}
+	for i, h := range sc.hotHops {
+		if h.p == int32(p) {
+			last := len(sc.hotHops) - 1
+			sc.hotHops[i] = sc.hotHops[last]
+			sc.hotHops = sc.hotHops[:last]
+			return
 		}
 	}
 }
