@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/mapping"
@@ -369,16 +370,25 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 		}
 	}
 	s.baseIndeg = make([]int, g.NumPackets())
-	var srcHeap pktHeap
+	sources := 0
 	for p := range g.Packets {
 		s.baseIndeg[p] = dg.InDegree(p)
 		if s.baseIndeg[p] == 0 {
-			srcHeap.push(pktKey{start: g.Packets[p].Compute, id: model.PacketID(p)})
+			sources++
 		}
 	}
-	for srcHeap.len() > 0 {
-		s.sources = append(s.sources, srcHeap.pop())
+	s.sources = make([]pktKey, 0, sources)
+	for p := range g.Packets {
+		if s.baseIndeg[p] == 0 {
+			s.sources = append(s.sources, pktKey{start: g.Packets[p].Compute, id: model.PacketID(p)})
+		}
 	}
+	slices.SortFunc(s.sources, func(a, b pktKey) int {
+		if a.less(b) {
+			return -1
+		}
+		return 1
+	})
 	order, err := dg.TopoSort()
 	if err != nil {
 		return nil, err
