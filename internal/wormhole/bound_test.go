@@ -116,6 +116,7 @@ func TestBoundPortLoadSteadyStateZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sim.PortLoadBound = true // the grids are below its core count
 		sc := sim.NewScratch()
 		mp, err := mapping.Random(rng, nc, mesh.NumTiles())
 		if err != nil {

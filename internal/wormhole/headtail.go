@@ -10,34 +10,44 @@ import (
 // (earliest grant), its length c and its tail q.
 type htJob struct{ r, c, q int64 }
 
-// errHeadTailOrder reports a HeadTail call that does not follow Bound
-// and PortLoad on the same mapping and scratch.
-var errHeadTailOrder = errors.New("wormhole: HeadTail must follow Bound and PortLoad on the same mapping and scratch")
+// errHeadTailOrder reports a HeadTail call on a simulator without
+// PortLoadBound, or one that does not follow Bound and PortLoad on the
+// same mapping and scratch.
+var errHeadTailOrder = errors.New("wormhole: HeadTail needs PortLoadBound and must follow Bound and PortLoad on the same mapping and scratch")
 
 // HeadTail returns the heads-and-tails bound of mp, a certified lower
 // bound on its texec at least as large as the port-load bound (see
 // NewSimulatorFaults): on the port with the largest PortLoad sum, ties
 // to the lower port index, the largest completion time plus tail of the
-// preemptive Jackson schedule of the packets crossing it. It reads what
-// Bound (the per-packet uncontended durations and paths) and PortLoad
-// (the per-port sums, and the members of the port it last bounded while
-// that stays the peak) leave on sc, so it must follow both on mp and sc;
-// otherwise it returns an error.
+// preemptive Jackson schedule of the packets crossing it. It is part of
+// the port-load tier: it needs PortLoadBound, and it reads what Bound
+// (the per-packet paths) and PortLoad (the per-port sums, and the
+// members of the port it last bounded while that stays the peak) leave
+// on sc, so it must follow both on mp and sc; otherwise it returns an
+// error.
 //
 //nocvet:noalloc
 func (s *Simulator) HeadTail(mp mapping.Mapping, sc *Scratch) (int64, error) {
-	if sc == nil || sc.sim != s || !sc.loaded || !sameMapping(mp, sc.loadMap) || !sameMapping(mp, sc.boundMap) {
+	if !s.PortLoadBound || sc == nil || sc.sim != s || !sc.loaded ||
+		!sameMapping(mp, sc.loadMap) || !sameMapping(mp, sc.boundMap) {
 		return 0, errHeadTailOrder
 	}
 	// Heads: every packet's uncontended earliest start, one forward pass
-	// over the durations Bound left in sc.dur, on sc.ready (run resets
-	// it).
+	// on sc.ready (run resets it). A packet's uncontended duration is its
+	// path less its compute time and the longest path after it.
 	est := sc.ready
 	clear(est)
 	for _, p := range s.topo {
-		est[p] += s.pkts[p].compute
+		succ := s.dg.Succ(int(p))
+		var rest int64
+		for _, q := range succ {
+			rest = max(rest, sc.path[q])
+		}
+		pc := &s.pkts[p]
+		sc.dur[p] = sc.path[p] - pc.compute - rest
+		est[p] += pc.compute
 		fin := est[p] + sc.dur[p]
-		for _, q := range s.dg.Succ(int(p)) {
+		for _, q := range succ {
 			est[q] = max(est[q], fin)
 		}
 	}

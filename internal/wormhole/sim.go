@@ -296,10 +296,11 @@ type Scratch struct {
 	peakPort int32
 	hot      int32
 	hotHops  []pktHop
-	// Bound's per-packet uncontended durations and paths (each packet's
-	// duration plus the longest path after it) for boundMap, and
-	// HeadTail's jobs and heap, grown on first use.
-	dur, path []int64
+	// Bound's per-packet paths (each packet's uncontended duration plus
+	// the longest path after it) for boundMap, and HeadTail's per-packet
+	// uncontended durations, jobs and heap, the last two grown on first
+	// use.
+	path, dur []int64
 	boundMap  mapping.Mapping
 	jobs      []htJob
 	jq        []int32
@@ -604,8 +605,8 @@ func (s *Simulator) NewScratch() *Scratch {
 		load:        make([]int64, n*NumPorts),
 		loadMap:     make(mapping.Mapping, s.G.NumCores()),
 		hot:         -1,
-		dur:         make([]int64, np),
 		path:        make([]int64, np),
+		dur:         make([]int64, np),
 		boundMap:    make(mapping.Mapping, s.G.NumCores()),
 		packets:     make([]PacketSchedule, np),
 		routerBits:  make([]int64, n),
@@ -692,8 +693,9 @@ type Traffic struct {
 // on the caller's scratch. It rejects exactly the mappings and scratches
 // RunScratch rejects, with the same errors, so a pricer may skip the run
 // at the bound. It walks the packets in reverse topological order and
-// leaves each packet's uncontended duration and path (the duration plus
-// the longest path after it) in sc.dur and sc.path for HeadTail.
+// leaves each packet's path (its own uncontended duration plus the
+// longest path after it) in sc.path, for HeadTail where PortLoadBound
+// is set.
 //
 //nocvet:noalloc
 func (s *Simulator) Bound(mp mapping.Mapping, sc *Scratch) (texec int64, t Traffic, err error) {
@@ -727,11 +729,12 @@ func (s *Simulator) Bound(mp mapping.Mapping, sc *Scratch) (texec int64, t Traff
 		for _, q := range s.dg.Succ(p) {
 			rest = max(rest, path[q])
 		}
-		sc.dur[p] = k*(tr+tl) + v*vadj + pc.flits*tl
-		path[p] = pc.compute + sc.dur[p] + rest
+		path[p] = pc.compute + k*(tr+tl) + v*vadj + pc.flits*tl + rest
 		texec = max(texec, path[p])
 	}
-	copy(sc.boundMap, mp)
+	if s.PortLoadBound {
+		copy(sc.boundMap, mp)
+	}
 	return texec, t, nil
 }
 
