@@ -56,7 +56,11 @@
 // cores or more, where a swap moves at most a tenth of the packets: on
 // the large rows, where texec is mostly one port's queue, it certifies
 // most rejections that tier A cannot, while on small graphs the update
-// costs more than the simulation time it saves. Both bounds come before
+// costs more than the simulation time it saves. Where it is offered, a
+// third bound follows when it is larger still: the heads-and-tails bound
+// of the most loaded port, the preemptive Jackson schedule of its
+// packets, each released at its uncontended earliest arrival there and
+// followed by its uncontended remaining path. Every bound comes before
 // the first packet: a candidate is either skipped there or simulated in
 // full. The tier is chosen once per walk, where the walk is bound: the
 // search incumbent prices SA's, hill's and tabu's candidates on the exact

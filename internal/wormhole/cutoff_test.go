@@ -269,14 +269,11 @@ type refJob struct{ r, c, q int64 }
 // released. It returns the largest completion time plus tail.
 func refJackson(jobs []refJob) int64 {
 	rem := make([]int64, len(jobs))
-	left := 0
 	for i, j := range jobs {
 		rem[i] = j.c
-		left++
 	}
-	var t, best int64
-	t = math.MinInt64
-	for left > 0 {
+	t, best := int64(math.MinInt64), int64(0)
+	for left := len(jobs); left > 0; {
 		pick := -1
 		next := int64(math.MaxInt64)
 		for i, j := range jobs {
@@ -311,8 +308,8 @@ func refJackson(jobs []refJob) int64 {
 // mapping of the reference sweep (2-D, 3-D, torus, faults,
 // ArbitrateLocal on and off), after Bound and PortLoad on one scratch
 // per fixture: it equals refHeadTail, it is at least the port load, and
-// it never exceeds the reference texec. A call that does not follow both bounds on the same
-// mapping is refused.
+// it never exceeds the reference texec. A call that does not follow both
+// bounds on the same mapping is refused.
 func TestHeadTailBoundMatchesReference(t *testing.T) {
 	var above int
 	refSweep(t, func(i, run int, fx refFixture, sim *wormhole.Simulator, sc *wormhole.Scratch, mp mapping.Mapping) {
@@ -449,7 +446,8 @@ func movedPackets(fx refFixture, a, b mapping.Mapping) int {
 // TestPortLoadBoundGate checks where NewSimulator turns the port-load
 // bound on, from 40 cores (where a swap moves at most a tenth of the
 // packets on average), and that a simulator with it off offers only the
-// critical path, even where the port load is larger.
+// critical path, even where the port load is larger, and refuses
+// HeadTail.
 func TestPortLoadBoundGate(t *testing.T) {
 	mesh, err := topology.NewMesh(8, 5)
 	if err != nil {
@@ -491,6 +489,16 @@ func TestPortLoadBoundGate(t *testing.T) {
 		}
 		if !slices.Equal(log.bounds, []int64{cp}) {
 			t.Fatalf("bound off: bounds %v, want [%d]", log.bounds, cp)
+		}
+		sc := sim.NewScratch()
+		if _, _, err := sim.Bound(mp, sc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.PortLoad(mp, sc); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sim.HeadTail(mp, sc); err == nil {
+			t.Fatal("bound off: HeadTail was not refused")
 		}
 		return
 	}

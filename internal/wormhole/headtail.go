@@ -107,6 +107,29 @@ func (s *Simulator) gatherHot(sc *Scratch, mp mapping.Mapping) {
 	}
 }
 
+// pktHop is hop j of packet p's route.
+type pktHop struct{ p, j int32 }
+
+// moveHot adds hop j of packet p to hotHops (sign > 0) or removes the
+// packet's hop, which it holds at most once: a route never requests one
+// port twice.
+//
+//nocvet:noalloc
+func (sc *Scratch) moveHot(p, j int, sign int64) {
+	if sign > 0 {
+		sc.hotHops = append(sc.hotHops, pktHop{p: int32(p), j: int32(j)})
+		return
+	}
+	for i, h := range sc.hotHops {
+		if h.p == int32(p) {
+			last := len(sc.hotHops) - 1
+			sc.hotHops[i] = sc.hotHops[last]
+			sc.hotHops = sc.hotHops[:last]
+			return
+		}
+	}
+}
+
 // sameMapping reports whether a and b place every core alike.
 //
 //nocvet:noalloc

@@ -817,29 +817,6 @@ func (s *Simulator) addLoad(sc *Scratch, p int, mp mapping.Mapping, sign int64) 
 	}
 }
 
-// pktHop is hop j of packet p's route.
-type pktHop struct{ p, j int32 }
-
-// moveHot adds hop j of packet p to hotHops (sign > 0) or removes the
-// packet's hop, which it holds at most once: a route never requests one
-// port twice.
-//
-//nocvet:noalloc
-func (sc *Scratch) moveHot(p, j int, sign int64) {
-	if sign > 0 {
-		sc.hotHops = append(sc.hotHops, pktHop{p: int32(p), j: int32(j)})
-		return
-	}
-	for i, h := range sc.hotHops {
-		if h.p == int32(p) {
-			last := len(sc.hotHops) - 1
-			sc.hotHops[i] = sc.hotHops[last]
-			sc.hotHops = sc.hotHops[:last]
-			return
-		}
-	}
-}
-
 // tsvLoad is c_p = min(h_p+1, d_p) of packet p at the TSV port that
 // starts route: d_p, its uncontended time from the grant there to
 // delivery, is tr plus the link time per router up to the destination,
