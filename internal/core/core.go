@@ -303,7 +303,9 @@ func (c *CDCM) price(res *wormhole.Result) Metrics {
 		lb += b
 	}
 	dyn := c.Tech.DynamicFromTraffic3D(rb, lb, res.TSVBits, res.CoreBits)
-	st := c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(res.ExecCycles))
+	// The conversion keeps the product from fusing into a later sum, so
+	// bound adds the same rounded terms.
+	st := float64(c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(res.ExecCycles)))
 	return Metrics{
 		ExecCycles:       res.ExecCycles,
 		ExecNS:           c.sim.Cfg.CyclesToNS(res.ExecCycles),
@@ -333,7 +335,9 @@ func (c *CDCM) Cost(mp mapping.Mapping) (float64, error) {
 // (wormhole.Simulator.PortLoad) and then the heads-and-tails bound
 // (wormhole.Simulator.HeadTail). A stop at any of them skips the
 // simulation and counts nothing in Evals; the engines count it as a
-// bound skip. Otherwise the mapping is simulated and priced in full.
+// bound skip. Otherwise the mapping is simulated for its texec alone
+// (wormhole.Simulator.Texec) and priced with the traffic totals of the
+// first bound: the same integers and the same float64 sum as Cost.
 //
 //nocvet:noalloc
 func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cost float64, skipped bool, err error) {
@@ -363,28 +367,30 @@ func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cos
 			return 0, true, nil
 		}
 	}
-	res, err := c.sim.RunScratch(mp, c.sc)
+	texec, err := c.sim.Texec(mp, c.sc)
 	if err != nil {
 		return 0, false, err
 	}
 	if c.Evals != nil {
 		c.Evals.Inc()
 	}
-	return c.price(res).Total(), false, nil
+	return c.bound(t, texec), false, nil
 }
 
 var _ search.CutoffObjective = (*CDCM)(nil)
 
-// bound prices a certified texec lower bound of a mapping with traffic
-// totals t through the pipeline price uses: the dynamic term is exact
-// from the route-length totals, the same integers a full run's bit
-// aggregates sum to, and the static term is monotone in texec, so the
-// bound is ≤ the exact cost on the computed float64s.
+// bound prices a texec of a mapping with traffic totals t through the
+// pipeline price uses: the dynamic term is exact from the route-length
+// totals, the same integers a full run's bit aggregates sum to, and the
+// static term is monotone in texec. So at a certified lower bound on
+// texec it is ≤ the exact cost on the computed float64s, and at the
+// simulated texec it is that cost, bit for bit: price(res).Total() adds
+// the same two rounded terms in the same order.
 //
 //nocvet:noalloc
 func (c *CDCM) bound(t wormhole.Traffic, texec int64) float64 {
 	dyn := c.Tech.DynamicFromTraffic3D(t.RouterBits, t.LinkBits, t.TSVBits, t.CoreBits)
-	return dyn + c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texec))
+	return dyn + float64(c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texec)))
 }
 
 // Simulate runs the CDCG on a mapping and returns the raw wormhole result

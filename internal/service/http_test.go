@@ -397,3 +397,79 @@ func TestPanickingJobFailsAndDaemonServes(t *testing.T) {
 		t.Fatalf("healthz after the panic: %d %q", resp.StatusCode, hb)
 	}
 }
+
+// TestFinishedJobDropsInstance: a finished job keeps its status, result
+// and event stream but not its resolved instance. A computed job, a
+// cache hit of it, a follower of a shared computation and a job
+// canceled while queued all hold no instance once terminal, and the
+// computed job and its cache hit still answer their status, their
+// result and their event stream over HTTP.
+func TestFinishedJobDropsInstance(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1})
+	held := func(id string) bool {
+		j, ok := s.Job(id)
+		if !ok {
+			t.Fatalf("job %s is not retained", id)
+		}
+		j.mu.Lock()
+		defer j.mu.Unlock()
+		return j.in != nil
+	}
+	req := `{"demo":true,"mesh":"2x2","model":"cdcm","method":"sa","seed":3,"temp_steps":20,"moves_per_temp":20}`
+	_, first := postJob(t, ts, req)
+	done := pollUntil(t, ts, first.ID, StateSucceeded)
+	_, hit := postJob(t, ts, req)
+	if hit.State != StateSucceeded || !hit.CacheHit {
+		t.Fatalf("resubmission: %+v, want a cache hit", hit)
+	}
+
+	// A follower attaches to a running leader; canceling a job still
+	// queued behind it finishes that one before it computes.
+	slow := `{"demo":true,"mesh":"3x3","model":"cdcm","seed":%d,"temp_steps":1048576,"moves_per_temp":4096,"stall_steps":1048576}`
+	_, leader := postJob(t, ts, fmt.Sprintf(slow, 1))
+	pollUntil(t, ts, leader.ID, StateRunning)
+	if !held(leader.ID) {
+		t.Fatalf("running job %s holds no instance", leader.ID)
+	}
+	_, follower := postJob(t, ts, fmt.Sprintf(slow, 1))
+	_, queued := postJob(t, ts, fmt.Sprintf(slow, 2))
+	for _, id := range []string{queued.ID, leader.ID} {
+		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	for _, id := range []string{leader.ID, follower.ID, queued.ID} {
+		pollUntil(t, ts, id, StateCanceled)
+	}
+
+	for _, id := range []string{first.ID, hit.ID, leader.ID, follower.ID, queued.ID} {
+		if held(id) {
+			t.Errorf("finished job %s still holds its instance", id)
+		}
+	}
+	for _, id := range []string{first.ID, hit.ID} {
+		code, st := getStatus(t, ts, id)
+		if code != http.StatusOK || st.State != StateSucceeded || !bytes.Equal(st.Result, done.Result) {
+			t.Fatalf("GET %s after the instance was dropped: %d %+v", id, code, st)
+		}
+		var res Result
+		if err := json.Unmarshal(st.Result, &res); err != nil || len(res.Mapping) != 4 {
+			t.Fatalf("job %s result %s does not decode to a 4-core mapping: %v", id, st.Result, err)
+		}
+		resp, err := http.Get(ts.URL + "/v1/jobs/" + id + "/events")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := readAll(resp)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(body, `"type":"done"`) || !strings.Contains(body, `"state":"succeeded"`) {
+			t.Errorf("job %s event stream after the instance was dropped: %q", id, body)
+		}
+	}
+}

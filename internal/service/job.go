@@ -124,7 +124,6 @@ type Job struct {
 	// Immutable after creation.
 	ID  string
 	key string
-	in  *Instance
 	// requestID is the submitting request's X-Request-ID (empty for
 	// in-process submissions without one); it rides on the job status
 	// and on every SSE event so clients can correlate with the logs.
@@ -133,7 +132,12 @@ type Job struct {
 	// snapshots of fake-clocked servers report fake elapsed times too.
 	clock func() time.Time
 
-	mu        sync.Mutex
+	mu sync.Mutex
+	// in is the resolved instance (CDCG, mesh, options). start hands it
+	// to the one compute, and finish drops it, so the thousands of
+	// retained finished jobs keep their status and result, not their
+	// instances.
+	in        *Instance
 	state     State
 	cacheHit  bool
 	canceling bool // cancel requested; runJob turns it into StateCanceled
@@ -307,19 +311,19 @@ func (j *Job) markPhase(name string, t time.Time) {
 	j.mu.Unlock()
 }
 
-// start transitions queued -> running and records the cancel function.
-// It reports false when cancellation was requested first, in which case
-// the caller must not compute.
-func (j *Job) start(cancel context.CancelFunc, now time.Time) bool {
+// start transitions queued -> running, records the cancel function and
+// returns the instance to compute. It returns nil when cancellation was
+// requested first, in which case the caller must not compute.
+func (j *Job) start(cancel context.CancelFunc, now time.Time) *Instance {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.canceling || j.state.Terminal() {
-		return false
+		return nil
 	}
 	j.state = StateRunning
 	j.started = now
 	j.cancel = cancel
-	return true
+	return j.in
 }
 
 // requestCancel marks the job for cancellation and interrupts a running
@@ -362,6 +366,7 @@ func (j *Job) finish(result json.RawMessage, err error, cacheHit bool, now time.
 		j.errMsg = err.Error()
 	}
 	j.finished = now
+	j.in = nil
 	subs := make([]chan Event, 0, len(j.subs))
 	//nocvet:ignore every subscriber gets the same event and delivery is non-blocking, so fan-out order is unobservable
 	for ch := range j.subs {

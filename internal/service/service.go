@@ -359,7 +359,8 @@ func (s *Server) Cancel(id string) (*Job, bool) {
 func (s *Server) runJob(j *Job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
-	if !j.start(cancel, s.now()) {
+	in := j.start(cancel, s.now())
+	if in == nil {
 		// Canceled while queued; Cancel normally finished it already, so
 		// this finish is usually a no-op.
 		if j.finish(nil, context.Canceled, false, s.now()) {
@@ -369,7 +370,7 @@ func (s *Server) runJob(j *Job) {
 	}
 	s.m.compute.Add(1)
 	s.m.running.Add(1)
-	s.log.Info("job started", "job_id", j.ID, "strategy", j.in.Strategy.String(),
+	s.log.Info("job started", "job_id", j.ID, "strategy", in.Strategy.String(),
 		"request_id", j.requestID)
 	onProgress := func(p search.Progress) {
 		d := j.publishProgress(p)
@@ -387,8 +388,8 @@ func (s *Server) runJob(j *Job) {
 		}
 	}
 	onPhase := func(name string) { j.markPhase(name, s.now()) }
-	raw, err := s.compute(ctx, j, onProgress, onPhase)
-	s.finishLeader(j, raw, err)
+	raw, err := s.compute(ctx, j, in, onProgress, onPhase)
+	s.finishLeader(j, in, raw, err)
 }
 
 // exploreHook is a test-only hook invoked on the compute goroutine just
@@ -402,7 +403,7 @@ var exploreHook func(in *Instance)
 // the job's in-flight entry and running count and caches nothing. A
 // panic on a search worker lane reaches here as a *par.Panic carrying
 // that lane's stack, which is the one logged.
-func (s *Server) compute(ctx context.Context, j *Job, onProgress search.ProgressFunc,
+func (s *Server) compute(ctx context.Context, j *Job, in *Instance, onProgress search.ProgressFunc,
 	onPhase func(string)) (raw json.RawMessage, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -417,27 +418,27 @@ func (s *Server) compute(ctx context.Context, j *Job, onProgress search.Progress
 		}
 	}()
 	if exploreHook != nil {
-		exploreHook(j.in)
+		exploreHook(in)
 	}
-	opts := j.in.Opts
+	opts := in.Opts
 	opts.Ctx, opts.OnProgress, opts.OnPhase, opts.EvalCounter = ctx, onProgress, onPhase, s.evals
-	res, err := core.Explore(j.in.Strategy, j.in.Mesh, j.in.Cfg, j.in.Tech, j.in.G, opts)
+	res, err := core.Explore(in.Strategy, in.Mesh, in.Cfg, in.Tech, in.G, opts)
 	if err != nil {
 		return nil, err
 	}
-	return json.Marshal(NewResult(j.in, res))
+	return json.Marshal(NewResult(in, res))
 }
 
 // finishLeader completes a leader job and everything attached to it, and
 // feeds the cache on success. The job's metrics are updated before its
 // terminal state is published, so a client that polls until the job is
 // done and then scrapes /metrics sees them.
-func (s *Server) finishLeader(j *Job, raw json.RawMessage, err error) {
+func (s *Server) finishLeader(j *Job, in *Instance, raw json.RawMessage, err error) {
 	now := s.now()
 	if st := j.Status(); st.StartedAt != nil {
 		// Job latency by model/strategy, on the server clock seam. Only
 		// computed jobs observe: cache hits never start.
-		s.jobDuration.With(j.in.Strategy.String()).Observe(now.Sub(*st.StartedAt).Seconds())
+		s.jobDuration.With(in.Strategy.String()).Observe(now.Sub(*st.StartedAt).Seconds())
 	}
 	s.m.running.Add(-1)
 	s.mu.Lock()

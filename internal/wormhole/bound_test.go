@@ -1,8 +1,10 @@
 package wormhole
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -196,6 +198,68 @@ func TestRunConcurrentMatchesSequential(t *testing.T) {
 			if !reflect.DeepEqual(got[w][i], want[i]) {
 				t.Fatalf("goroutine %d, mapping %d: concurrent Run diverged from a sequential one", w, i)
 			}
+		}
+	}
+}
+
+// TestNewSimulatorRefusesUnkeyableHorizon pins the guard of the packed
+// event key: model.Validate accepts any compute time, so a CDCG whose
+// certified horizon does not fit the bits above the packet ID must be
+// refused by NewSimulator with an error, not simulated out of order. At
+// the largest horizon that fits, the run still orders its packets by
+// start and keeps every start whole.
+func TestNewSimulatorRefusesUnkeyableHorizon(t *testing.T) {
+	mesh, err := topology.NewMesh(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	app := func(compute0, compute1 int64) *model.CDCG {
+		return &model.CDCG{
+			Cores: model.MakeCores(3),
+			Packets: []model.Packet{
+				{ID: 0, Src: 0, Dst: 1, Compute: compute0, Bits: 64},
+				{ID: 1, Src: 1, Dst: 2, Compute: compute1, Bits: 64},
+				{ID: 2, Src: 2, Dst: 0, Compute: 3, Bits: 64},
+			},
+			Deps: []model.Dep{{From: 1, To: 2}},
+		}
+	}
+	base, err := NewSimulator(mesh, noc.Default(), app(0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, limit := base.horizon(), uint64(1)<<(63-base.idBits)
+
+	// Packet 0's compute time adds to the horizon one for one.
+	fits := int64(limit - 1 - h0)
+	sim, err := NewSimulator(mesh, noc.Default(), app(fits, 0))
+	if err != nil {
+		t.Fatalf("horizon %d below the limit %d refused: %v", limit-1, limit, err)
+	}
+	mp := mapping.Mapping{0, 1, 3}
+	res, err := sim.Run(mp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Packets[0].Start != fits || res.Packets[0].Delivered != res.ExecCycles ||
+		res.Packets[2].Start != res.Packets[1].Delivered+3 || res.Packets[2].Delivered >= res.Packets[0].Start {
+		t.Fatalf("schedule at the largest keyable horizon: %+v", res.Packets)
+	}
+	if texec, err := sim.Texec(mp, sim.NewScratch()); err != nil || texec != res.ExecCycles {
+		t.Fatalf("Texec %d (%v), RunScratch %d", texec, err, res.ExecCycles)
+	}
+
+	for _, tc := range []struct {
+		name               string
+		compute0, compute1 int64
+	}{
+		{"one cycle past the limit", fits + 1, 0},
+		{"largest compute", math.MaxInt64, 0},
+		{"sum past 2^64", math.MaxInt64, math.MaxInt64},
+	} {
+		if _, err := NewSimulator(mesh, noc.Default(), app(tc.compute0, tc.compute1)); err == nil ||
+			!strings.Contains(err.Error(), "event horizon") {
+			t.Fatalf("%s: NewSimulator error %v, want the event-horizon refusal", tc.name, err)
 		}
 	}
 }

@@ -30,3 +30,7 @@ func RunRecording(sim *Simulator, mp mapping.Mapping) (*Result, error) {
 	sc.RecordOccupancy = true
 	return sim.RunScratch(mp, sc)
 }
+
+// Horizon is the certified bound NewSimulatorFaults checks against the
+// packed event key: no start or delivery of any run comes later.
+func Horizon(sim *Simulator) uint64 { return sim.horizon() }

@@ -56,7 +56,6 @@ func (s *Simulator) HeadTail(mp mapping.Mapping, sc *Scratch) (int64, error) {
 		s.gatherHot(sc, mp)
 	}
 	tr, tl, tlv := s.Cfg.RoutingCycles, s.Cfg.LinkCycles, s.Cfg.TSVCycles()
-	stacked := s.Mesh.D() > 1
 	sc.jobs = sc.jobs[:0]
 	for _, h := range sc.hotHops {
 		pc := &s.pkts[h.p]
@@ -65,7 +64,7 @@ func (s *Simulator) HeadTail(mp mapping.Mapping, sc *Scratch) (int64, error) {
 		// before it. Only stacked grids have vertical hops, whose links
 		// and ports run at the TSV rate.
 		off, hold := tl+int64(h.j)*(tr+tl), pc.portHold
-		if stacked {
+		if s.stacked {
 			ri := int(mp[pc.src])*s.numTiles + int(mp[pc.dst])
 			route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
 			for _, hp := range route[:h.j] {

@@ -12,7 +12,17 @@
 // after every booking of the resource and are appended without a scan.
 // The rest scan for the earliest gap from a low-water index: bookings
 // that ended before the current packet's start can never conflict with
-// this or any later request, so each list passes over them once.
+// this or any later request, so each list passes over them once. The
+// order comes from one integer per event, the start time above the
+// packet ID (pktKey), so the event heap compares with one instruction;
+// NewSimulatorFaults refuses a CDCG whose certified horizon would not
+// leave the start times room above the IDs.
+//
+// A search needs only texec from a simulation: the energy's traffic
+// totals follow from the routes (Simulator.Bound). Simulator.Texec runs
+// the same kernel as RunScratch without its schedule, bit tallies and
+// contention sums, and core.CDCM.PriceBelow prices with it, bit for bit
+// the cost of a full run.
 package wormhole
 
 import (

@@ -124,7 +124,7 @@ func TestRunScratchResultReused(t *testing.T) {
 
 // TestRunScratchSteadyStateZeroAllocs is the headline allocation test of
 // the scratch subsystem: after warmup, a full CDCM wormhole simulation
-// performs zero heap allocations.
+// performs zero heap allocations, and so does the texec-only run.
 func TestRunScratchSteadyStateZeroAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mesh, _ := topology.NewMesh(4, 4)
@@ -159,6 +159,16 @@ func TestRunScratchSteadyStateZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("RunScratch steady state allocates %.1f objects/run, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(64, func() {
+		mp := mps[i%len(mps)]
+		i++
+		if _, err := sim.Texec(mp, sc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Texec steady state allocates %.1f objects/run, want 0", allocs)
 	}
 }
 

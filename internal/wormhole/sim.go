@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
+	"strconv"
 
 	"repro/internal/graph"
 	"repro/internal/mapping"
@@ -164,9 +166,9 @@ func (r *Result) Occupancies(kind ResourceKind, index int) []Occupancy {
 // descriptors, the per-packet constants and the dependence graph — is
 // immutable afterwards, so one Simulator is safe to share across
 // goroutines as long as each goroutine runs with its own Scratch
-// (NewScratch + RunScratch, Bound, PortLoad): that is how the parallel
-// search engines evaluate the CDCM objective concurrently without
-// re-parsing or locking. Run, the convenience path, simulates on a fresh
+// (NewScratch + RunScratch or Texec, Bound, PortLoad): that is how the
+// parallel search engines evaluate the CDCM objective concurrently
+// without re-parsing or locking. Run, the convenience path, simulates on a fresh
 // scratch per call, so it is safe for concurrent use too.
 type Simulator struct {
 	Mesh *topology.Mesh
@@ -191,9 +193,11 @@ type Simulator struct {
 	// baseIndeg and sources are the dependence state every run starts
 	// from: per-packet in-degrees and the source packets, keyed by their
 	// compute time and sorted (see run). Precomputing them turns per-run
-	// scheduling setup into one copy.
+	// scheduling setup into one copy. idBits is the width of the packet
+	// ID in a pktKey.
 	baseIndeg []int
 	sources   []pktKey
+	idBits    uint
 
 	// The full route table, precomputed at construction: the route from
 	// src to dst is routes[routeOff[src*n+dst]:routeOff[src*n+dst+1]], one
@@ -205,16 +209,20 @@ type Simulator struct {
 	// tile table. core.Instance builds it once per run.
 	routeOff []int32
 	routes   []hop
-	// unreach[src*n+dst] marks tile pairs the fault set partitions; it is
-	// nil on an intact simulator, so the intact hot loop pays a single nil
-	// check.
-	unreach []bool
+	// rlen[src*n+dst] is that route's length K in routers, so Bound
+	// prices the traffic with one 2-byte load instead of two offsets.
+	// It is 0 for a pair the fault set partitions; only a faulted
+	// simulator checks for that, so the intact path pays one flag test.
+	rlen    []uint16
+	faulted bool
 
 	// linkFree and tsvFree mark the configurations in which no packet
 	// can wait for a planar or a vertical inter-tile link (see
 	// NewSimulatorFaults): their bookings are then skipped unless a run
-	// records occupancies.
-	linkFree, tsvFree bool
+	// records occupancies. stacked marks a grid of more than one layer,
+	// the only kind with vertical hops; the bounds read it here rather
+	// than through the mesh, whose cache line is cold on every probe.
+	linkFree, tsvFree, stacked bool
 	// topo is a topological order of the packets; Bound walks it
 	// backwards to price each packet's uncontended remaining path.
 	topo []int32
@@ -378,18 +386,6 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 			sources++
 		}
 	}
-	s.sources = make([]pktKey, 0, sources)
-	for p := range g.Packets {
-		if s.baseIndeg[p] == 0 {
-			s.sources = append(s.sources, pktKey{start: g.Packets[p].Compute, id: model.PacketID(p)})
-		}
-	}
-	slices.SortFunc(s.sources, func(a, b pktKey) int {
-		if a.less(b) {
-			return -1
-		}
-		return 1
-	})
 	order, err := dg.TopoSort()
 	if err != nil {
 		return nil, err
@@ -414,6 +410,7 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	// link slower than tr.
 	s.linkFree = tr >= tl
 	s.tsvFree = tr >= tlv
+	s.stacked = mesh.D() > 1
 
 	// The port-load bound. An arbitrated output port (every inter-tile
 	// port, and the local port under ArbitrateLocal) grants packet p an
@@ -532,6 +529,7 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 	// fill pass; fault-aware detours can be longer, so that total is only
 	// a best-effort capacity hint there.
 	s.routeOff = make([]int32, n*n+1)
+	s.rlen = make([]uint16, n*n)
 	total := 0
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
@@ -539,14 +537,12 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 		}
 	}
 	s.routes = make([]hop, 0, total)
-	if !fs.Empty() {
-		s.unreach = make([]bool, n*n)
-	}
+	s.faulted = !fs.Empty()
 	var buf []topology.TileID
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			src, dst := topology.TileID(a), topology.TileID(b)
-			if s.unreach == nil {
+			if !s.faulted {
 				buf, err = mesh.AppendRoute(buf[:0], cfg.Routing, src, dst)
 			} else {
 				var r topology.Route
@@ -554,20 +550,78 @@ func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *
 				buf = r.Tiles
 			}
 			switch {
-			case s.unreach != nil && errors.Is(err, topology.ErrUnreachable):
-				s.unreach[a*n+b] = true
+			case s.faulted && errors.Is(err, topology.ErrUnreachable):
 			case err != nil:
 				return nil, err
+			case len(buf) > math.MaxUint16:
+				return nil, fmt.Errorf("wormhole: route %d->%d crosses %d routers, more than %d", a, b, len(buf), math.MaxUint16)
 			default:
 				if err := appendHops(buf); err != nil {
 					return nil, err
 				}
+				s.rlen[a*n+b] = uint16(len(buf))
 			}
 			s.routeOff[a*n+b+1] = int32(len(s.routes))
 		}
 	}
+
+	// The packed event keys (see pktKey): IDs take the low bits, and the
+	// start times must fit the rest.
+	s.idBits = uint(bits.Len(uint(g.NumPackets())))
+	if h := s.horizon(); h >= 1<<(63-s.idBits) {
+		return nil, fmt.Errorf("wormhole: the CDCG's certified event horizon of %s cycles does not fit the %d bits the packed event key leaves for start times beside %d packet IDs; shorten its compute times or packet volumes",
+			horizonString(h), 63-s.idBits, g.NumPackets())
+	}
+	s.sources = make([]pktKey, 0, sources)
+	for p := range g.Packets {
+		if s.baseIndeg[p] == 0 {
+			s.sources = append(s.sources, s.key(g.Packets[p].Compute, p))
+		}
+	}
+	slices.Sort(s.sources)
 	s.initOnce = true
 	return s, nil
+}
+
+// horizon returns H, the certified bound on every start and delivery
+// time of any run (see pktKey). It saturates at math.MaxUint64 instead
+// of overflowing.
+func (s *Simulator) horizon() uint64 {
+	kmax := uint64(slices.Max(s.rlen))
+	tr, r := uint64(s.Cfg.RoutingCycles), uint64(max(s.Cfg.LinkCycles, s.Cfg.TSVCycles()))
+	b := 2*kmax + 1
+	var h, m uint64
+	for _, p := range s.G.Packets {
+		f := uint64(p.Bits)/uint64(s.Cfg.FlitBits) + 1 // never below Flits, never overflowing
+		hold := addSat(tr, mulSat(f, r))               // m_p
+		u := addSat(mulSat(kmax+1, addSat(tr, r)), mulSat(f, r))
+		h = addSat(h, addSat(uint64(p.Compute), addSat(u, mulSat(b, addSat(hold, 1)))))
+		m = max(m, hold)
+	}
+	return addSat(h, mulSat(mulSat(uint64(len(s.G.Packets)), b), m))
+}
+
+// horizonString prints a horizon, naming a saturated one as such.
+func horizonString(h uint64) string {
+	if h == math.MaxUint64 {
+		return "at least 2^64"
+	}
+	return strconv.FormatUint(h, 10)
+}
+
+// addSat and mulSat are a+b and a·b, saturating at math.MaxUint64.
+func addSat(a, b uint64) uint64 {
+	if sum, carry := bits.Add64(a, b, 0); carry == 0 {
+		return sum
+	}
+	return math.MaxUint64
+}
+
+func mulSat(a, b uint64) uint64 {
+	if hi, lo := bits.Mul64(a, b); hi == 0 {
+		return lo
+	}
+	return math.MaxUint64
 }
 
 // CheckNoC validates an evaluator's mesh, config and core count (core.NewCWM uses it too).
@@ -639,10 +693,26 @@ func (s *Simulator) RunScratch(mp mapping.Mapping, sc *Scratch) (*Result, error)
 	if err := s.check(mp, sc); err != nil {
 		return nil, err
 	}
-	if err := s.run(sc, mp); err != nil {
+	if _, err := s.run(sc, mp, true); err != nil {
 		return nil, err
 	}
 	return &sc.res, nil
+}
+
+// Texec simulates the CDCG under mp on the caller's scratch and returns
+// only texec, the ExecCycles RunScratch would report. It books the same
+// hops at the same cycles but writes no Result: no packet schedules, no
+// bit tallies, no contention and, whatever RecordOccupancy says, no
+// occupancies. It rejects what RunScratch rejects. It is the exact tier
+// of core.CDCM.PriceBelow, which takes the energy's traffic totals from
+// Bound.
+//
+//nocvet:noalloc
+func (s *Simulator) Texec(mp mapping.Mapping, sc *Scratch) (int64, error) {
+	if err := s.check(mp, sc); err != nil {
+		return 0, err
+	}
+	return s.run(sc, mp, false)
 }
 
 // check validates one run's inputs, the same way for every entry point:
@@ -666,10 +736,10 @@ func (s *Simulator) check(mp mapping.Mapping, sc *Scratch) error {
 	if err := mp.ValidateInto(s.numTiles, sc.seen); err != nil {
 		return err
 	}
-	if s.unreach != nil {
+	if s.faulted {
 		for i := range s.pkts {
 			pc := &s.pkts[i]
-			if s.unreach[int(mp[pc.src])*s.numTiles+int(mp[pc.dst])] {
+			if s.rlen[int(mp[pc.src])*s.numTiles+int(mp[pc.dst])] == 0 {
 				return ErrUnreachable
 			}
 		}
@@ -705,17 +775,15 @@ func (s *Simulator) Bound(mp mapping.Mapping, sc *Scratch) (texec int64, t Traff
 	n := s.numTiles
 	tr, tl := s.Cfg.RoutingCycles, s.Cfg.LinkCycles
 	vadj := s.Cfg.TSVCycles() - tl
-	stacked := s.Mesh.D() > 1
 	path := sc.path
 	for i := len(s.topo) - 1; i >= 0; i-- {
 		p := int(s.topo[i])
 		pc := &s.pkts[p]
 		ri := int(mp[pc.src])*n + int(mp[pc.dst])
-		route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
-		k := int64(len(route))
+		k := int64(s.rlen[ri])
 		var v int64
-		if stacked {
-			for _, hp := range route {
+		if s.stacked {
+			for _, hp := range s.routes[s.routeOff[ri]:s.routeOff[ri+1]] {
 				if hp.link < 0 && hp.link != localHop {
 					v++
 				}
@@ -836,26 +904,30 @@ func (s *Simulator) tsvLoad(p int, route []hop) int64 {
 	return min(pc.vPortHold+1, d)
 }
 
-// run is the simulation core behind RunScratch, on inputs check has
-// accepted: all mutable state lives in sc, all shared state on s is
-// read-only, and the schedule is written into sc.res over the scratch's
-// backing arrays.
+// run is the simulation core behind RunScratch and Texec, on inputs
+// check has accepted: all mutable state lives in sc, all shared state on
+// s is read-only. It returns texec. With detail (RunScratch) it also
+// writes the schedule, the bit tallies and the contention into sc.res
+// over the scratch's backing arrays, and on a recording scratch the
+// occupancies. Without it (Texec) it books and times every hop the same
+// way and stores nothing else, so both modes return the same texec from
+// one kernel.
 //
 //nocvet:noalloc
-func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
-	record := sc.RecordOccupancy
+func (s *Simulator) run(sc *Scratch, mp mapping.Mapping, detail bool) (int64, error) {
+	record := detail && sc.RecordOccupancy
 	res := &sc.res
-	res.Packets = sc.packets
-	res.RouterBits = sc.routerBits
-	res.LinkBits = sc.linkBits
-	np := s.G.NumPackets()
-	res.ExecCycles = 0
-	res.CoreBits = 0
-	res.TSVBits = 0
-	res.TotalContention = 0
-	res.occ = nil
-	clear(res.RouterBits)
-	clear(res.LinkBits)
+	if detail {
+		res.Packets = sc.packets
+		res.RouterBits = sc.routerBits
+		res.LinkBits = sc.linkBits
+		res.CoreBits = 0
+		res.TSVBits = 0
+		res.TotalContention = 0
+		res.occ = nil
+		clear(res.RouterBits)
+		clear(res.LinkBits)
+	}
 	for i := range sc.ports {
 		sc.ports[i].reset()
 	}
@@ -886,20 +958,23 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 	keepLocal := arbLocal || record
 	bookLink := !s.linkFree || record
 	bookTSV := !s.tsvFree || record
-	// Packets are simulated in (start, ID) order. The source packets
-	// come sorted from s.sources; the heap holds only the packets pushed
-	// as their last predecessor is delivered. Keys are distinct, so
-	// merging the two streams pops in the same order as one heap of both.
+	// Packets are simulated in (start, ID) order, the order of their
+	// packed keys. The source packets come sorted from s.sources; the
+	// heap holds only the packets pushed as their last predecessor is
+	// delivered. Keys are distinct, so merging the two streams pops in
+	// the same order as one heap of both.
 	sources := s.sources
 	scheduled := 0
-	for len(sources) > 0 || sc.heap.len() > 0 {
+	var texec int64
+	for len(sources) > 0 || len(sc.heap.a) > 0 {
 		var k pktKey
-		if len(sources) > 0 && (sc.heap.len() == 0 || sources[0].less(sc.heap.a[0])) {
+		if len(sources) > 0 && (len(sc.heap.a) == 0 || sources[0] < sc.heap.a[0]) {
 			k, sources = sources[0], sources[1:]
 		} else {
 			k = sc.heap.pop()
 		}
-		p := int(k.id)
+		start, p := s.keyStart(k), s.keyID(k)
+		id := model.PacketID(p)
 		pc := &s.pkts[p]
 		srcTile, dstTile := mp[pc.src], mp[pc.dst]
 		ri := int(srcTile)*n + int(dstTile)
@@ -913,64 +988,65 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 		}
 
 		// Walk the route head-first, booking each hop as the header
-		// reaches it. Every hop arrives at or after k.start, and pops
-		// never decrease in start: a packet is pushed only once its last
+		// reaches it. Every hop arrives at or after start, and pops never
+		// decrease in start: a packet is pushed only once its last
 		// predecessor is delivered, after that predecessor's start, and
-		// it starts no earlier than that delivery. So k.start is a valid
+		// it starts no earlier than that delivery. So start is a valid
 		// floor for every acquire of this run (see busyList.acquire).
-		floor := k.start
-		var contention int64
-		h := k.start // header enters the source core's output link
+		floor := start
 
 		// Source core -> local router link. Core links are timed but not
 		// arbitrated under the paper's CRG semantics (ArbitrateLocal
 		// false); see noc.Config.ArbitrateLocal.
-		t := book(coreOut, h, pc.linkHold, floor, arbLocal, k.id)
-		contention += t - h
-		h = t + tl
+		h := book(coreOut, start, pc.linkHold, floor, arbLocal, id) + tl
 
 		// Inter-tile hops: arbitrated output ports and the links they
 		// feed. A port feeding a vertical link streams its flits at the
-		// TSV rate, so its hold time follows the link's.
+		// TSV rate, so its hold time follows the link's. v counts the
+		// vertical hops for the contention.
+		var v int64
 		for _, hp := range route[:last] {
 			arrival := h
-			tile := int(hp.port) / NumPorts
 			vert := hp.link < 0
 			pHold := pc.portHold
 			if vert {
 				pHold = pc.vPortHold
 			}
-			t = h
-			if port := &sc.ports[hp.port]; !port.push(h, pHold, k.id) {
-				t = port.acquire(h, pHold, floor, k.id)
+			t := h
+			if port := &sc.ports[hp.port]; !port.push(h, pHold, id) {
+				t = port.acquire(h, pHold, floor, id)
 			}
-			contention += t - h
 			h = t + tr
-			res.RouterBits[tile] += bits
-			if record {
-				// Display span: from arrival (incl. buffer wait) to the
-				// last flit leaving the router — the paper's annotation.
-				sc.routerSpans[tile].iv = append(sc.routerSpans[tile].iv,
-					Occupancy{Packet: k.id, Start: arrival, End: t + pHold})
+			if detail {
+				tile := int(hp.port) / NumPorts
+				res.RouterBits[tile] += bits
+				if record {
+					// Display span: from arrival (incl. buffer wait) to
+					// the last flit leaving the router — the paper's
+					// annotation.
+					sc.routerSpans[tile].iv = append(sc.routerSpans[tile].iv,
+						Occupancy{Packet: id, Start: arrival, End: t + pHold})
+				}
 			}
 			if vert {
 				li := ^hp.link
 				if bookTSV {
-					t = sc.links[li].acquire(h, pc.vLinkHold, floor, k.id)
-					contention += t - h
-					h = t
+					h = sc.links[li].acquire(h, pc.vLinkHold, floor, id)
 				}
 				h += tlv
-				res.LinkBits[li] += bits
-				res.TSVBits += bits
+				if detail {
+					res.LinkBits[li] += bits
+					res.TSVBits += bits
+					v++
+				}
 			} else {
 				if bookLink {
-					t = sc.links[hp.link].acquire(h, pc.linkHold, floor, k.id)
-					contention += t - h
-					h = t
+					h = sc.links[hp.link].acquire(h, pc.linkHold, floor, id)
 				}
 				h += tl
-				res.LinkBits[hp.link] += bits
+				if detail {
+					res.LinkBits[hp.link] += bits
+				}
 			}
 		}
 
@@ -979,32 +1055,32 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 		// are timed but not arbitrated unless ArbitrateLocal
 		// (paper-faithful: Figure 3(b) shows overlapping deliveries).
 		arrival := h
-		tile := int(dstTile)
-		t = book(localPort, h, pc.portHold, floor, arbLocal, k.id)
-		contention += t - h
-		h = t + tr
-		res.RouterBits[tile] += bits
-		if record {
-			sc.routerSpans[tile].iv = append(sc.routerSpans[tile].iv,
-				Occupancy{Packet: k.id, Start: arrival, End: t + pc.portHold})
-		}
-		t = book(coreIn, h, pc.linkHold, floor, arbLocal, k.id)
-		contention += t - h
-		delivered := t + pc.linkHold
-		res.CoreBits += 2 * bits
-
-		res.Packets[p] = PacketSchedule{
-			ID:         k.id,
-			Ready:      k.start - pc.compute,
-			Start:      k.start,
-			Delivered:  delivered,
-			Contention: contention,
-			K:          len(route),
-			Flits:      pc.flits,
-		}
-		res.TotalContention += contention
-		if delivered > res.ExecCycles {
-			res.ExecCycles = delivered
+		t := book(localPort, h, pc.portHold, floor, arbLocal, id)
+		delivered := book(coreIn, t+tr, pc.linkHold, floor, arbLocal, id) + pc.linkHold
+		texec = max(texec, delivered)
+		if detail {
+			tile := int(dstTile)
+			res.RouterBits[tile] += bits
+			if record {
+				sc.routerSpans[tile].iv = append(sc.routerSpans[tile].iv,
+					Occupancy{Packet: id, Start: arrival, End: t + pc.portHold})
+			}
+			res.CoreBits += 2 * bits
+			// Every cycle between start and delivery beyond the packet's
+			// uncontended duration (Bound's K·(tr+tl) + V·(tTSV−tl) +
+			// n·tl) was spent waiting for a booking.
+			k := int64(len(route))
+			contention := delivered - start - (k*(tr+tl) + v*(tlv-tl) + pc.flits*tl)
+			res.Packets[p] = PacketSchedule{
+				ID:         id,
+				Ready:      start - pc.compute,
+				Start:      start,
+				Delivered:  delivered,
+				Contention: contention,
+				K:          len(route),
+				Flits:      pc.flits,
+			}
+			res.TotalContention += contention
 		}
 		scheduled++
 
@@ -1014,17 +1090,17 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 			}
 			sc.indeg[succ]--
 			if sc.indeg[succ] == 0 {
-				sc.heap.push(pktKey{
-					start: sc.ready[succ] + s.pkts[succ].compute,
-					id:    model.PacketID(succ),
-				})
+				sc.heap.push(s.key(sc.ready[succ]+s.pkts[succ].compute, succ))
 			}
 		}
 	}
-	if scheduled != np {
-		return errors.New("wormhole: dependence deadlock (cyclic CDCG)")
+	if scheduled != len(s.pkts) {
+		return 0, errors.New("wormhole: dependence deadlock (cyclic CDCG)")
 	}
-
+	if !detail {
+		return texec, nil
+	}
+	res.ExecCycles = texec
 	if record {
 		for i := range sc.routerSpans {
 			sortOcc(sc.routerSpans[i].iv)
@@ -1038,7 +1114,7 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
 			coreIn:      snapshotAll(sc.coreIn),
 		}
 	}
-	return nil
+	return texec, nil
 }
 
 // sortOcc sorts occupancies by (Start, Packet) via insertion sort; display
@@ -1066,26 +1142,55 @@ func snapshotAll(ls []busyList) []busyList {
 	return out
 }
 
-// pktKey orders packets by transmission start time, tie-broken by ID so
-// runs are fully deterministic.
-type pktKey struct {
-	start int64
-	id    model.PacketID
+// pktKey is one event of a run, a packet's transmission start and its
+// ID packed into one integer: start<<idBits | id, where idBits =
+// bits.Len(packets) holds every ID. While every start fits the bits
+// above the ID, comparing keys compares (start, ID) lexicographically:
+// the start decides unless two are equal, and then the IDs do. So one
+// integer compare orders the run by start with ties broken by ID, and a
+// heap entry is 8 bytes.
+//
+// model.Validate does not bound compute times, so NewSimulatorFaults
+// certifies the fit. Let K be the longest route of the table in routers,
+// r = max(tl, tTSV), n_p packet p's flit count (at most bits/width+1)
+// and m_p = tr + n_p·r, which is at least each of p's hold times. A
+// packet books at most b = 2K+1 resources (its core link out, K−1 ports
+// and K−1 links, the local port and the core link in). Without waiting
+// it is delivered at most u_p = (K+1)·(tr+r) + n_p·r after its start.
+// Each wait ends at an earliest fit: the grant t for hold h at arrival
+// a is the first t ≥ a such that [t, t+h] meets no booking of the
+// resource, so every cycle of [a, t) lies in [s−h, e] for some booking
+// [s, e] there. Follow a packet back through the predecessors whose
+// deliveries released it: each wait of the chain starts after the
+// previous one's grant, and a packet starts after its predecessor's
+// delivery, so the chain's waits are disjoint, and one booking [s, e]
+// covers at most e−s+1+M of their cycles, M = max m_p. A run holds at
+// most np·b bookings, so every start and delivery is at most
+//
+//	H = Σ_p (compute_p + u_p + b·(m_p+1)) + np·b·M.
+//
+// NewSimulatorFaults refuses a CDCG with H ≥ 2^(63−idBits). Then every
+// start fits the 64−idBits bits above the ID, and every booking's end,
+// a grant plus a hold and so at most 2H, stays below 2^63.
+type pktKey uint64
+
+// key packs a start and a packet ID.
+//
+//nocvet:noalloc
+func (s *Simulator) key(start int64, id int) pktKey {
+	return pktKey(uint64(start)<<(s.idBits&63) | uint64(id))
 }
 
+// keyStart and keyID unpack a key.
+//
 //nocvet:noalloc
-func (a pktKey) less(b pktKey) bool {
-	if a.start != b.start {
-		return a.start < b.start
-	}
-	return a.id < b.id
-}
+func (s *Simulator) keyStart(k pktKey) int64 { return int64(k >> (s.idBits & 63)) }
+
+//nocvet:noalloc
+func (s *Simulator) keyID(k pktKey) int { return int(k & (1<<(s.idBits&63) - 1)) }
 
 // pktHeap is a binary min-heap of pktKey.
 type pktHeap struct{ a []pktKey }
-
-//nocvet:noalloc
-func (h *pktHeap) len() int { return len(h.a) }
 
 //nocvet:noalloc
 func (h *pktHeap) push(k pktKey) {
@@ -1093,7 +1198,7 @@ func (h *pktHeap) push(k pktKey) {
 	i := len(h.a) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !h.a[i].less(h.a[p]) {
+		if h.a[i] >= h.a[p] {
 			break
 		}
 		h.a[p], h.a[i] = h.a[i], h.a[p]
@@ -1124,10 +1229,10 @@ func (h *pktHeap) pop() pktKey {
 		if m >= last {
 			break
 		}
-		if r := m + 1; r < last && a[r].less(a[m]) {
+		if r := m + 1; r < last && a[r] < a[m] {
 			m = r
 		}
-		if !a[m].less(x) {
+		if a[m] >= x {
 			break
 		}
 		a[i] = a[m]
