@@ -958,8 +958,7 @@ func BenchmarkTieredSearchCDCM(b *testing.B) {
 // scratch like the search lanes (Run would add a scratch allocation per
 // op). "identity" simulates the identity mapping; "random" cycles
 // through 64 seeded random mappings, which is closer to what a search
-// prices; "texec" runs the same random mappings through the texec-only
-// run that CDCM.PriceBelow prices with.
+// prices.
 func BenchmarkWormholeSimLarge(b *testing.B) {
 	mesh, cfg, g := largeInstance(b)
 	sim, err := wormhole.NewSimulator(mesh, cfg, g)
@@ -974,33 +973,23 @@ func BenchmarkWormholeSimLarge(b *testing.B) {
 		}
 	}
 	for _, leg := range []struct {
-		name  string
-		mps   []mapping.Mapping
-		texec bool
+		name string
+		mps  []mapping.Mapping
 	}{
-		{"identity", []mapping.Mapping{mapping.Identity(g.NumCores())}, false},
-		{"random", random, false},
-		{"texec", random, true},
+		{"identity", []mapping.Mapping{mapping.Identity(g.NumCores())}},
+		{"random", random},
 	} {
 		b.Run(leg.name, func(b *testing.B) {
 			sc := sim.NewScratch()
-			run := func(mp mapping.Mapping) error {
-				if leg.texec {
-					_, err := sim.Texec(mp, sc)
-					return err
-				}
-				_, err := sim.RunScratch(mp, sc)
-				return err
-			}
 			for _, mp := range leg.mps { // grow the scratch
-				if err := run(mp); err != nil {
+				if _, err := sim.RunScratch(mp, sc); err != nil {
 					b.Fatal(err)
 				}
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := run(leg.mps[i%len(leg.mps)]); err != nil {
+				if _, err := sim.RunScratch(leg.mps[i%len(leg.mps)], sc); err != nil {
 					b.Fatal(err)
 				}
 			}

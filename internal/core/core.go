@@ -254,9 +254,10 @@ type CDCM struct {
 	Tech energy.Tech
 
 	// Evals, when non-nil, is incremented once per completed simulation
-	// (Evaluate, and therefore Cost/ComponentsInto, and PriceBelow when
-	// it does not skip). Telemetry only; shared by clones so parallel
-	// lanes fold into one total.
+	// (Evaluate, Cost, and PriceBelow when it does not skip); a run the
+	// simulator rejects counts nothing.
+	// Telemetry only; shared by clones so parallel lanes fold into one
+	// total.
 	Evals *obs.Counter
 
 	sim *wormhole.Simulator
@@ -281,49 +282,68 @@ func (c *CDCM) Clone() *CDCM {
 // The run takes the scratch path (allocation-free in steady state);
 // Metrics copies everything out, so nothing retains the scratch.
 func (c *CDCM) Evaluate(mp mapping.Mapping) (Metrics, error) {
-	if c.Evals != nil {
-		c.Evals.Inc()
-	}
-	res, err := c.sim.RunScratch(mp, c.sc)
+	res, err := c.run(mp)
 	if err != nil {
 		return Metrics{}, err
 	}
-	return c.price(res), nil
+	return c.metrics(res), nil
 }
 
-// price converts a simulation result into Metrics.
+// run simulates mp on the lane's scratch and counts the simulation in
+// Evals once it has completed.
 //
 //nocvet:noalloc
-func (c *CDCM) price(res *wormhole.Result) Metrics {
-	var rb, lb int64
-	for _, b := range res.RouterBits {
-		rb += b
+func (c *CDCM) run(mp mapping.Mapping) (*wormhole.Result, error) {
+	res, err := c.sim.RunScratch(mp, c.sc)
+	if err != nil {
+		return nil, err
 	}
-	for _, b := range res.LinkBits {
-		lb += b
+	if c.Evals != nil {
+		c.Evals.Inc()
 	}
-	dyn := c.Tech.DynamicFromTraffic3D(rb, lb, res.TSVBits, res.CoreBits)
-	// The conversion keeps the product from fusing into a later sum, so
-	// bound adds the same rounded terms.
-	st := float64(c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(res.ExecCycles)))
+	return res, nil
+}
+
+// metrics converts a simulation result into Metrics.
+//
+//nocvet:noalloc
+func (c *CDCM) metrics(res *wormhole.Result) Metrics {
 	return Metrics{
 		ExecCycles:       res.ExecCycles,
 		ExecNS:           c.sim.Cfg.CyclesToNS(res.ExecCycles),
-		Energy:           energy.Breakdown{Dynamic: dyn, Static: st},
+		Energy:           c.price(res.Traffic, res.ExecCycles),
 		ContentionCycles: res.TotalContention,
-		TSVBits:          res.TSVBits,
+		TSVBits:          res.Traffic.TSVBits,
+	}
+}
+
+// price is equation (10) for a mapping whose routes carry traffic t and
+// whose run takes texec cycles: EDyNoC, exact from the traffic totals,
+// and EStNoC(texec), monotone in texec. Every CDCM energy goes through
+// it, so a certified lower bound on texec prices at most the exact cost
+// on the computed float64s, and the exact texec prices that cost bit
+// for bit.
+//
+//nocvet:noalloc
+func (c *CDCM) price(t wormhole.Traffic, texec int64) energy.Breakdown {
+	return energy.Breakdown{
+		Dynamic: c.Tech.DynamicFromTraffic3D(t.RouterBits, t.LinkBits, t.TSVBits, t.CoreBits),
+		// The conversion keeps the product from fusing into Total's sum.
+		Static: float64(c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texec))),
 	}
 }
 
 // Cost implements search.Objective: ENoC of equation (10), in joules.
 // It runs on the evaluator's scratch, so the search engines pay no heap
 // allocation per candidate once the scratch is warm.
+//
+//nocvet:noalloc
 func (c *CDCM) Cost(mp mapping.Mapping) (float64, error) {
-	m, err := c.Evaluate(mp)
+	res, err := c.run(mp)
 	if err != nil {
 		return 0, err
 	}
-	return m.Total(), nil
+	return c.price(res.Traffic, res.ExecCycles).Total(), nil
 }
 
 // PriceBelow implements search.CutoffObjective: ENoC of mp like Cost,
@@ -335,9 +355,8 @@ func (c *CDCM) Cost(mp mapping.Mapping) (float64, error) {
 // (wormhole.Simulator.PortLoad) and then the heads-and-tails bound
 // (wormhole.Simulator.HeadTail). A stop at any of them skips the
 // simulation and counts nothing in Evals; the engines count it as a
-// bound skip. Otherwise the mapping is simulated for its texec alone
-// (wormhole.Simulator.Texec) and priced with the traffic totals of the
-// first bound: the same integers and the same float64 sum as Cost.
+// bound skip. Otherwise it returns Cost(mp): the unskipped leg is the
+// same run and the same price.
 //
 //nocvet:noalloc
 func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cost float64, skipped bool, err error) {
@@ -346,7 +365,7 @@ func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cos
 		return 0, false, err
 	}
 	//nocvet:ignore reject is the engine's allocation-free certified-rejection test
-	if reject(c.bound(t, cp)) {
+	if reject(c.price(t, cp).Total()) {
 		return 0, true, nil
 	}
 	if c.sim.PortLoadBound {
@@ -355,7 +374,7 @@ func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cos
 			return 0, false, err
 		}
 		//nocvet:ignore reject is the engine's allocation-free certified-rejection test
-		if load > cp && reject(c.bound(t, load)) {
+		if load > cp && reject(c.price(t, load).Total()) {
 			return 0, true, nil
 		}
 		ht, err := c.sim.HeadTail(mp, c.sc)
@@ -363,35 +382,15 @@ func (c *CDCM) PriceBelow(mp mapping.Mapping, reject func(lb float64) bool) (cos
 			return 0, false, err
 		}
 		//nocvet:ignore reject is the engine's allocation-free certified-rejection test
-		if ht > max(cp, load) && reject(c.bound(t, ht)) {
+		if ht > max(cp, load) && reject(c.price(t, ht).Total()) {
 			return 0, true, nil
 		}
 	}
-	texec, err := c.sim.Texec(mp, c.sc)
-	if err != nil {
-		return 0, false, err
-	}
-	if c.Evals != nil {
-		c.Evals.Inc()
-	}
-	return c.bound(t, texec), false, nil
+	cost, err = c.Cost(mp)
+	return cost, false, err
 }
 
 var _ search.CutoffObjective = (*CDCM)(nil)
-
-// bound prices a texec of a mapping with traffic totals t through the
-// pipeline price uses: the dynamic term is exact from the route-length
-// totals, the same integers a full run's bit aggregates sum to, and the
-// static term is monotone in texec. So at a certified lower bound on
-// texec it is ≤ the exact cost on the computed float64s, and at the
-// simulated texec it is that cost, bit for bit: price(res).Total() adds
-// the same two rounded terms in the same order.
-//
-//nocvet:noalloc
-func (c *CDCM) bound(t wormhole.Traffic, texec int64) float64 {
-	dyn := c.Tech.DynamicFromTraffic3D(t.RouterBits, t.LinkBits, t.TSVBits, t.CoreBits)
-	return dyn + float64(c.Tech.StaticEnergy(c.sim.Mesh.NumTiles(), c.sim.Cfg.CyclesToSeconds(texec)))
-}
 
 // Simulate runs the CDCG on a mapping and returns the raw wormhole result
 // (timeline and occupancies) together with the priced metrics. It runs
@@ -406,5 +405,5 @@ func (c *CDCM) Simulate(mp mapping.Mapping) (*wormhole.Result, Metrics, error) {
 	if err != nil {
 		return nil, Metrics{}, err
 	}
-	return res, c.price(res), nil
+	return res, c.metrics(res), nil
 }

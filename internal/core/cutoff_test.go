@@ -160,10 +160,8 @@ func refPortLoad(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG,
 // refTierA's bound and those cycles priced the same way, bit for bit
 // (on a faulted mesh the intact-route tier-A reference is at most as
 // tight); they never exceed the exact cost; a pricing that is not
-// skipped returns Cost's float64 bits — Cost prices a full Result,
-// PriceBelow the texec-only run with Bound's traffic totals — and counts
-// one evaluation; and stopping at any offer reports skipped and counts
-// none.
+// skipped returns Cost's float64 bits and counts one evaluation; and
+// stopping at any offer reports skipped and counts none.
 func TestPriceBelowMatchesTierAAndCost(t *testing.T) {
 	tech := energy.Tech007
 	var loaded, skipsAtLoad, headed, skipsAtHT int

@@ -617,7 +617,7 @@ func CompareModels(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, opts Comp
 	}
 	for i, tech := range report {
 		pricer.Tech = tech
-		mw := pricer.price(raw)
+		mw := pricer.metrics(raw)
 		cmp.CWMMetrics[tech.Name] = mw
 		randRun, seedRun := randRuns[i], seedRuns[i]
 		best := randRun

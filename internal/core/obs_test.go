@@ -6,8 +6,10 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/mapping"
+	"repro/internal/model"
 	"repro/internal/noc"
 	"repro/internal/obs"
+	"repro/internal/topology"
 )
 
 // TestInstrumentedCWMZeroAlloc pins that attaching the telemetry counter
@@ -50,6 +52,56 @@ func TestInstrumentedCDCMZeroAllocSteadyState(t *testing.T) {
 	}
 	if evals.Value() < 33 {
 		t.Fatalf("eval counter = %d, want at least 33", evals.Value())
+	}
+}
+
+// TestCDCMEvalsCountCompletedRunsOnly pins Evals' contract: a mapping
+// the simulator rejects — one crossing a faulted partition, one placing
+// two cores on a tile — leaves the counter unchanged through Evaluate,
+// Cost and PriceBelow, while a mapping that runs counts once per
+// simulation.
+func TestCDCMEvalsCountCompletedRunsOnly(t *testing.T) {
+	mesh, err := topology.NewMesh(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := topology.NewFaultSet(mesh)
+	if err := fs.FailRouter(3); err != nil {
+		t.Fatal(err)
+	}
+	g := &model.CDCG{
+		Cores:   model.MakeCores(2),
+		Packets: []model.Packet{{ID: 0, Src: 0, Dst: 1, Compute: 2, Bits: 16}},
+	}
+	cdcm, err := NewCDCMFaults(mesh, noc.Default(), energy.Tech007, g, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evals obs.Counter
+	cdcm.Evals = &evals
+	for _, mp := range []mapping.Mapping{{0, 3}, {1, 1}} {
+		if _, err := cdcm.Evaluate(mp); err == nil {
+			t.Fatalf("mapping %v: Evaluate accepted it", mp)
+		}
+		if _, err := cdcm.Cost(mp); err == nil {
+			t.Fatalf("mapping %v: Cost accepted it", mp)
+		}
+		if _, _, err := cdcm.PriceBelow(mp, func(float64) bool { return false }); err == nil {
+			t.Fatalf("mapping %v: PriceBelow accepted it", mp)
+		}
+		if n := evals.Value(); n != 0 {
+			t.Fatalf("mapping %v: rejected runs counted %d evaluations", mp, n)
+		}
+	}
+	mp := mapping.Mapping{0, 1}
+	if _, err := cdcm.Evaluate(mp); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cdcm.PriceBelow(mp, func(float64) bool { return false }); err != nil {
+		t.Fatal(err)
+	}
+	if n := evals.Value(); n != 2 {
+		t.Fatalf("two completed runs counted %d evaluations", n)
 	}
 }
 

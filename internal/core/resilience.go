@@ -232,11 +232,11 @@ type ResilienceScore struct {
 // and returns the full degradation report. Unlike Cost it allocates the
 // report; it is meant for winners, not search loops.
 func (r *Resilience) Score(mp mapping.Mapping) (*ResilienceScore, error) {
-	m0, err := r.intact.Evaluate(mp)
+	res, err := r.intact.run(mp)
 	if err != nil {
 		return nil, err
 	}
-	tech, cfg, n := r.intact.Tech, r.in.Cfg, r.in.Mesh.NumTiles()
+	m0, traffic := r.intact.metrics(res), res.Traffic
 	sc := &ResilienceScore{
 		FaultKey:       r.in.Faults.Key(),
 		BaseExecCycles: m0.ExecCycles,
@@ -252,7 +252,7 @@ func (r *Resilience) Score(mp mapping.Mapping) (*ResilienceScore, error) {
 		case errors.Is(err, topology.ErrUnreachable):
 			imp.Unreachable = true
 			imp.ExecCycles = UnreachablePenaltyFactor * m0.ExecCycles
-			imp.TotalJ = m0.Energy.Dynamic + tech.StaticEnergy(n, cfg.CyclesToSeconds(imp.ExecCycles))
+			imp.TotalJ = r.intact.price(traffic, imp.ExecCycles).Total()
 			sc.Unreachable++
 		case err != nil:
 			return nil, fmt.Errorf("core: fault scenario %s: %w", r.in.elems[i], err)

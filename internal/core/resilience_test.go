@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -157,6 +158,12 @@ func TestResilienceUnreachablePenalty(t *testing.T) {
 	}
 	if sc.Impacts[0].ExecCycles != want || !sc.Impacts[0].Unreachable {
 		t.Fatalf("impact %+v", sc.Impacts[0])
+	}
+	// The penalty is priced as intact dynamic energy plus static energy
+	// over the penalty time, bit for bit.
+	wantJ := m0.Energy.Dynamic + energy.Tech007.StaticEnergy(mesh.NumTiles(), noc.Default().CyclesToSeconds(want))
+	if got := sc.Impacts[0].TotalJ; math.Float64bits(got) != math.Float64bits(wantJ) {
+		t.Fatalf("penalty energy %.17g, want %.17g", got, wantJ)
 	}
 	if sc.Score >= 100/float64(UnreachablePenaltyFactor)+1e-9 {
 		t.Fatalf("score %v not pulled down by the penalty", sc.Score)

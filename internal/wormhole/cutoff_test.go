@@ -313,7 +313,7 @@ func refJackson(jobs []refJob) int64 {
 func TestHeadTailBoundMatchesReference(t *testing.T) {
 	var above int
 	refSweep(t, func(i, run int, fx refFixture, sim *wormhole.Simulator, sc *wormhole.Scratch, mp mapping.Mapping) {
-		want, _, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
+		want, _, _, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
 		if wantErr != nil {
 			return
 		}
@@ -376,7 +376,7 @@ func TestPortLoadBoundMatchesReference(t *testing.T) {
 				mapping.SwapTiles(mp, occ, a, b)
 			}
 			_, prev, hadPrev := wormhole.ScratchLoads(sc)
-			want, _, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
+			want, _, _, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
 			log := &boundLog{}
 			_, err := log.run(sim, mp, sc)
 			if wantErr != nil || err != nil {
@@ -546,15 +546,8 @@ func TestRunBelowBoundSound(t *testing.T) {
 			t.Fatalf("instance %d: bounds %v, want %v (critical path %d, port load %d)",
 				i, log.bounds, wantPre, cp, load)
 		}
-		var rb, lb int64
-		for _, b := range want.RouterBits {
-			rb += b
-		}
-		for _, b := range want.LinkBits {
-			lb += b
-		}
-		if tot := (wormhole.Traffic{RouterBits: rb, LinkBits: lb, TSVBits: want.TSVBits, CoreBits: want.CoreBits}); log.traffic[0] != tot {
-			t.Fatalf("instance %d: traffic totals %+v, full run %+v", i, log.traffic[0], tot)
+		if log.traffic[0] != want.Traffic {
+			t.Fatalf("instance %d: traffic totals %+v, full run %+v", i, log.traffic[0], want.Traffic)
 		}
 		for j, b := range log.bounds {
 			if b > want.ExecCycles {

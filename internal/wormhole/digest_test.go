@@ -92,8 +92,9 @@ func digestInputs(t *testing.T) []digestInput {
 		digestInput{name: "faulted4x4", mesh: fm, cfg: fa, g: g12, fs: fs})
 }
 
-// digestResult folds every field of r into h.
-func digestResult(h hash.Hash64, r *wormhole.Result) {
+// digestResult folds every field of r into h, then the bits each router
+// and link carried (bits), in the order the pinned digest expects.
+func digestResult(h hash.Hash64, r *wormhole.Result, bits refBits) {
 	var buf [8]byte
 	put := func(v int64) {
 		binary.LittleEndian.PutUint64(buf[:], uint64(v))
@@ -101,8 +102,8 @@ func digestResult(h hash.Hash64, r *wormhole.Result) {
 	}
 	put(r.ExecCycles)
 	put(r.TotalContention)
-	put(r.CoreBits)
-	put(r.TSVBits)
+	put(r.Traffic.CoreBits)
+	put(r.Traffic.TSVBits)
 	for _, p := range r.Packets {
 		put(int64(p.ID))
 		put(p.Ready)
@@ -112,19 +113,21 @@ func digestResult(h hash.Hash64, r *wormhole.Result) {
 		put(int64(p.K))
 		put(p.Flits)
 	}
-	for _, v := range r.RouterBits {
+	for _, v := range bits.router {
 		put(v)
 	}
-	for _, v := range r.LinkBits {
+	for _, v := range bits.link {
 		put(v)
 	}
 }
 
 // TestSimulatorDigestPinned is an oracle independent of the kernel's
 // internals: a digest of full Results over 200 seeded random mappings per
-// input, pinned to the value the pre-descriptor simulator produced. The
-// faulted mesh stays connected, so its runs pin the detour routes; an
-// unreachable run would contribute a fixed marker instead of a Result.
+// input, pinned to the value the pre-descriptor simulator produced. It
+// also hashes the bits each router and link carried, rebuilt from each
+// mapping's routes (routeBits). The faulted mesh stays connected,
+// so its runs pin the detour routes; an unreachable run would contribute
+// a fixed marker instead of a Result.
 func TestSimulatorDigestPinned(t *testing.T) {
 	h := fnv.New64a()
 	for i, in := range digestInputs(t) {
@@ -146,7 +149,11 @@ func TestSimulatorDigestPinned(t *testing.T) {
 			case err != nil:
 				t.Fatalf("%s run %d: %v", in.name, run, err)
 			default:
-				digestResult(h, res)
+				bits, err := routeBits(in.mesh, in.cfg, in.g, in.fs, mp)
+				if err != nil {
+					t.Fatalf("%s run %d: %v", in.name, run, err)
+				}
+				digestResult(h, res, bits)
 			}
 		}
 	}

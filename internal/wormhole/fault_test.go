@@ -56,8 +56,9 @@ func TestNewSimulatorFaultsNilBitIdentity(t *testing.T) {
 }
 
 // TestFaultSimulatorAvoidsFailedLink checks that a faulted simulator's
-// traffic never crosses the failed link: its LinkBits stay zero in both
-// directions while the packets still deliver (the 3x3 remains connected).
+// traffic never crosses the failed link: a recording run books no
+// occupancy on it in either direction, while the packets still deliver
+// (the 3x3 remains connected) over links that do record theirs.
 func TestFaultSimulatorAvoidsFailedLink(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	mesh, err := topology.NewMesh(3, 3)
@@ -78,7 +79,7 @@ func TestFaultSimulatorAvoidsFailedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(mapping.Identity(9))
+	res, err := RunRecording(sim, mapping.Identity(9))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,12 +88,16 @@ func TestFaultSimulatorAvoidsFailedLink(t *testing.T) {
 		if !ok {
 			t.Fatal("link 4-5 missing")
 		}
-		if res.LinkBits[li] != 0 {
-			t.Errorf("failed link %d->%d carried %d bits", pair[0], pair[1], res.LinkBits[li])
+		if occ := res.Occupancies(KindLink, li); len(occ) != 0 {
+			t.Errorf("failed link %d->%d carried %d packets", pair[0], pair[1], len(occ))
 		}
 	}
-	if res.ExecCycles <= 0 {
-		t.Fatal("faulted run delivered nothing")
+	var crossings int
+	for li := 0; li < mesh.NumLinks(); li++ {
+		crossings += len(res.Occupancies(KindLink, li))
+	}
+	if res.ExecCycles <= 0 || crossings == 0 {
+		t.Fatalf("faulted run delivered by %d over %d link crossings", res.ExecCycles, crossings)
 	}
 }
 

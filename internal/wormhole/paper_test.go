@@ -281,21 +281,14 @@ func TestPaperTrafficAggregates(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var rb, lb int64
-		for _, b := range res.RouterBits {
-			rb += b
-		}
-		for _, b := range res.LinkBits {
-			lb += b
-		}
-		if rb != 255 {
+		if rb := res.Traffic.RouterBits; rb != 255 {
 			t.Errorf("mapping %s: router bits = %d, want 255", name, rb)
 		}
-		if lb != 135 {
+		if lb := res.Traffic.LinkBits; lb != 135 {
 			t.Errorf("mapping %s: link bits = %d, want 135", name, lb)
 		}
-		if res.CoreBits != 240 { // 2 x 120 total bits
-			t.Errorf("mapping %s: core bits = %d, want 240", name, res.CoreBits)
+		if cb := res.Traffic.CoreBits; cb != 240 { // 2 x 120 total bits
+			t.Errorf("mapping %s: core bits = %d, want 240", name, cb)
 		}
 	}
 }

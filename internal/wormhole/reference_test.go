@@ -55,6 +55,10 @@ type refStep struct {
 // links, split by link orientation.
 type refStalls struct{ planar, vertical int64 }
 
+// refBits is the bit volume that traversed each router (indexed by
+// tile) and each inter-tile link (dense link index).
+type refBits struct{ router, link []int64 }
+
 // refEarliestFit returns the smallest t ≥ arrival at which [t, t+hold]
 // overlaps no booking. The answer is either arrival or one past the end
 // of some booking (the cycle before a minimal t > arrival is blocked by a
@@ -90,17 +94,15 @@ func refBook(book map[refKey][]refInterval, k refKey, t, hold int64) {
 }
 
 // refSimulate runs g on mesh under mp with the reference model and
-// returns the result the simulator must reproduce, plus the inter-tile
-// link stalls seen on the way.
+// returns the result the simulator must reproduce, the bits each router
+// and link carried, and the inter-tile link stalls seen on the way. The
+// Result's traffic totals are summed hop by hop.
 func refSimulate(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *topology.FaultSet,
-	mp mapping.Mapping) (*wormhole.Result, refStalls, error) {
+	mp mapping.Mapping) (*wormhole.Result, refBits, refStalls, error) {
 	tr, tl, tlv := cfg.RoutingCycles, cfg.LinkCycles, cfg.TSVCycles()
 	np := len(g.Packets)
-	res := &wormhole.Result{
-		Packets:    make([]wormhole.PacketSchedule, np),
-		RouterBits: make([]int64, mesh.NumTiles()),
-		LinkBits:   make([]int64, mesh.NumLinks()),
-	}
+	res := &wormhole.Result{Packets: make([]wormhole.PacketSchedule, np)}
+	bits := refBits{router: make([]int64, mesh.NumTiles()), link: make([]int64, mesh.NumLinks())}
 	var stalls refStalls
 	preds := make([][]int, np)
 	for _, d := range g.Deps {
@@ -137,7 +139,7 @@ func refSimulate(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *topolog
 		src, dst := mp[pk.Src], mp[pk.Dst]
 		route, err := mesh.RouteFault(cfg.Routing, fs, src, dst)
 		if err != nil {
-			return nil, stalls, err
+			return nil, bits, stalls, err
 		}
 		f := cfg.Flits(pk.Bits)
 
@@ -162,7 +164,7 @@ func refSimulate(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *topolog
 			}
 			li, ok := mesh.LinkIndex(tile, nt)
 			if dir > topology.Up || !ok {
-				return nil, stalls, errors.New("reference: route step joins non-adjacent tiles")
+				return nil, bits, stalls, errors.New("reference: route step joins non-adjacent tiles")
 			}
 			vert := mesh.LinkVertical(li)
 			r := tl
@@ -192,12 +194,14 @@ func refSimulate(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *topolog
 				h = st.t + tl
 			case refPort:
 				h = st.t + tr
-				res.RouterBits[st.key.idx/wormhole.NumPorts] += pk.Bits
+				bits.router[st.key.idx/wormhole.NumPorts] += pk.Bits
+				res.Traffic.RouterBits += pk.Bits
 			case refLink:
 				h = st.t + st.rate
-				res.LinkBits[st.key.idx] += pk.Bits
+				bits.link[st.key.idx] += pk.Bits
+				res.Traffic.LinkBits += pk.Bits
 				if st.vertical {
-					res.TSVBits += pk.Bits
+					res.Traffic.TSVBits += pk.Bits
 					stalls.vertical += st.stall
 				} else {
 					stalls.planar += st.stall
@@ -210,14 +214,57 @@ func refSimulate(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *topolog
 			refBook(book, st.key, st.t, st.hold)
 		}
 
-		res.CoreBits += 2 * pk.Bits
+		res.Traffic.CoreBits += 2 * pk.Bits
 		res.Packets[next] = wormhole.PacketSchedule{ID: pk.ID, Ready: nextReady, Start: nextStart,
 			Delivered: deliver, Contention: contention, K: len(route.Tiles), Flits: f}
 		res.TotalContention += contention
 		res.ExecCycles = max(res.ExecCycles, deliver)
 		done[next], delivered[next] = true, deliver
 	}
-	return res, stalls, nil
+	return res, bits, stalls, nil
+}
+
+// routeBits rebuilds the bits each router and link carries when g runs
+// on mesh under mp from the mapping's routes alone, as the reference
+// routes them: every packet adds its bits to each router and inter-tile
+// link of its route.
+func routeBits(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *topology.FaultSet,
+	mp mapping.Mapping) (refBits, error) {
+	bits := refBits{router: make([]int64, mesh.NumTiles()), link: make([]int64, mesh.NumLinks())}
+	for _, pk := range g.Packets {
+		route, err := mesh.RouteFault(cfg.Routing, fs, mp[pk.Src], mp[pk.Dst])
+		if err != nil {
+			return bits, err
+		}
+		for i, tile := range route.Tiles {
+			bits.router[tile] += pk.Bits
+			if i+1 < len(route.Tiles) {
+				li, ok := mesh.LinkIndex(tile, route.Tiles[i+1])
+				if !ok {
+					return bits, errors.New("reference: route step joins non-adjacent tiles")
+				}
+				bits.link[li] += pk.Bits
+			}
+		}
+	}
+	return bits, nil
+}
+
+// recordedBits sums, per router and per inter-tile link, the bits of the
+// packets a recording run's occupancies hold there.
+func recordedBits(res *wormhole.Result, mesh *topology.Mesh, g *model.CDCG) refBits {
+	bits := refBits{router: make([]int64, mesh.NumTiles()), link: make([]int64, mesh.NumLinks())}
+	for tile := range bits.router {
+		for _, o := range res.Occupancies(wormhole.KindRouter, tile) {
+			bits.router[tile] += g.Packets[o.Packet].Bits
+		}
+	}
+	for li := range bits.link {
+		for _, o := range res.Occupancies(wormhole.KindLink, li) {
+			bits.link[li] += g.Packets[o.Packet].Bits
+		}
+	}
+	return bits
 }
 
 // refFixture is one random small instance of the reference sweep.
@@ -341,9 +388,12 @@ func refSweep(t *testing.T, check func(i, run int, fx refFixture, sim *wormhole.
 
 // TestSimulatorMatchesReference diffs RunScratch against the reference
 // model on random small instances: texec, every PacketSchedule, the
-// router/link/TSV/core bit aggregates and the total contention must be
+// router/link/TSV/core traffic totals and the total contention must be
 // identical, and an unreachable route must fail both. Two mappings run
-// through one scratch per instance, so scratch reuse is covered too.
+// through one scratch per instance, so scratch reuse is covered too. A
+// recording run of each mapping must return the same Result, and the
+// bits of the packets its occupancies hold on each router and link must
+// be the bits the reference routed there.
 //
 // From the reference's own bookings it also checks the link-stall
 // condition the kernel relies on: with a routing delay of at least a
@@ -354,7 +404,7 @@ func TestSimulatorMatchesReference(t *testing.T) {
 	var compared, unreachable int
 	var planarFail, vertFail refStalls // stalls where the condition fails
 	refSweep(t, func(i, run int, fx refFixture, sim *wormhole.Simulator, sc *wormhole.Scratch, mp mapping.Mapping) {
-		want, stalls, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
+		want, wantBits, stalls, wantErr := refSimulate(fx.mesh, fx.cfg, fx.g, fx.fs, mp)
 		got, gotErr := sim.RunScratch(mp, sc)
 		if wantErr != nil || gotErr != nil {
 			if !errors.Is(wantErr, topology.ErrUnreachable) || !errors.Is(gotErr, wormhole.ErrUnreachable) {
@@ -363,13 +413,22 @@ func TestSimulatorMatchesReference(t *testing.T) {
 			unreachable++
 			return
 		}
-		if got.ExecCycles != want.ExecCycles || got.CoreBits != want.CoreBits ||
-			got.TSVBits != want.TSVBits || got.TotalContention != want.TotalContention ||
-			!reflect.DeepEqual(got.Packets, want.Packets) ||
-			!reflect.DeepEqual(got.RouterBits, want.RouterBits) ||
-			!reflect.DeepEqual(got.LinkBits, want.LinkBits) {
+		if got.ExecCycles != want.ExecCycles || got.Traffic != want.Traffic ||
+			got.TotalContention != want.TotalContention || !reflect.DeepEqual(got.Packets, want.Packets) {
 			t.Fatalf("instance %d run %d (%dx%dx%d %s, cfg %+v, faults %v, mapping %v):\nsimulator %+v\nreference %+v",
 				i, run, fx.mesh.W(), fx.mesh.H(), fx.mesh.D(), fx.mesh.Kind(), fx.cfg, fx.fs.Elements(), mp, got, want)
+		}
+		rec, err := wormhole.RunRecording(sim, mp)
+		if err != nil {
+			t.Fatalf("instance %d run %d: recording run: %v", i, run, err)
+		}
+		if rec.ExecCycles != got.ExecCycles || rec.Traffic != got.Traffic ||
+			rec.TotalContention != got.TotalContention || !reflect.DeepEqual(rec.Packets, got.Packets) {
+			t.Fatalf("instance %d run %d: recording run %+v, plain run %+v", i, run, rec, got)
+		}
+		if gotBits := recordedBits(rec, fx.mesh, fx.g); !reflect.DeepEqual(gotBits, wantBits) {
+			t.Fatalf("instance %d run %d: recorded bits per router %v and link %v, reference %v and %v",
+				i, run, gotBits.router, gotBits.link, wantBits.router, wantBits.link)
 		}
 		compared++
 

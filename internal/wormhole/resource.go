@@ -18,11 +18,13 @@
 // NewSimulatorFaults refuses a CDCG whose certified horizon would not
 // leave the start times room above the IDs.
 //
-// A search needs only texec from a simulation: the energy's traffic
-// totals follow from the routes (Simulator.Bound). Simulator.Texec runs
-// the same kernel as RunScratch without its schedule, bit tallies and
-// contention sums, and core.CDCM.PriceBelow prices with it, bit for bit
-// the cost of a full run.
+// The energy's traffic totals follow from the routes alone: Bound
+// returns them before the first packet, and a run adds each packet's
+// share once, not per hop, into Result.Traffic. So the one run mode,
+// RunScratch, is the exact tier of core.CDCM.PriceBelow as well as the
+// source of every schedule; a recording scratch is the one diagnostic
+// variant, and its occupancies give the per-router and per-link
+// breakdown.
 package wormhole
 
 import (

@@ -105,19 +105,10 @@ type Result struct {
 	ExecCycles int64
 	// Packets holds one schedule per CDCG packet, indexed by PacketID.
 	Packets []PacketSchedule
-	// RouterBits[t] is the total bit volume that traversed the router of
-	// tile t (feeds the ERbit term of the energy model).
-	RouterBits []int64
-	// LinkBits[l] is the total bit volume that traversed inter-tile link
-	// l (dense link index; feeds the ELbit term).
-	LinkBits []int64
-	// CoreBits is the total bit volume over core↔router links (2 per
-	// packet; feeds the optional ECbit term).
-	CoreBits int64
-	// TSVBits is the subset of the LinkBits total that crossed vertical
-	// (TSV) links — always zero on depth-1 grids. It feeds the ETSVbit
-	// term of the 3-D energy model.
-	TSVBits int64
+	// Traffic is the bit volume the packets' routes carried, the totals
+	// the energy model prices (see Traffic). A recording run's
+	// occupancies break it down per router and link.
+	Traffic Traffic
 	// TotalContention is the sum of all packet contention delays.
 	TotalContention int64
 
@@ -166,10 +157,10 @@ func (r *Result) Occupancies(kind ResourceKind, index int) []Occupancy {
 // descriptors, the per-packet constants and the dependence graph — is
 // immutable afterwards, so one Simulator is safe to share across
 // goroutines as long as each goroutine runs with its own Scratch
-// (NewScratch + RunScratch or Texec, Bound, PortLoad): that is how the
+// (NewScratch + RunScratch, Bound, PortLoad, HeadTail): that is how the
 // parallel search engines evaluate the CDCM objective concurrently
-// without re-parsing or locking. Run, the convenience path, simulates on a fresh
-// scratch per call, so it is safe for concurrent use too.
+// without re-parsing or locking. Run, the convenience path, simulates on
+// a fresh scratch per call, so it is safe for concurrent use too.
 type Simulator struct {
 	Mesh *topology.Mesh
 	Cfg  noc.Config
@@ -267,10 +258,10 @@ type pktConst struct {
 
 // Scratch is the mutable per-lane state of one simulation: busy lists,
 // the event heap, dependence counters, the port-load bound's sums and
-// the reusable Result backing arrays. Results returned by RunScratch
-// point into the scratch and are valid only until its next RunScratch —
-// callers that keep a Result across runs must copy what they need (or
-// use Run, which simulates on a scratch of its own).
+// the reusable Result with its schedule array. Results returned by
+// RunScratch point into the scratch and are valid only until its next
+// RunScratch — callers that keep a Result across runs must copy what
+// they need (or use Run, which simulates on a scratch of its own).
 //
 // A Scratch belongs to the Simulator that created it and is not safe for
 // concurrent use; concurrency comes from running many scratches, one per
@@ -313,10 +304,8 @@ type Scratch struct {
 	jobs      []htJob
 	jq        []int32
 
-	res        Result
-	packets    []PacketSchedule
-	routerBits []int64
-	linkBits   []int64
+	res     Result
+	packets []PacketSchedule
 }
 
 // book times one hop at the header's arrival: an arbitrated resource is
@@ -348,10 +337,10 @@ func NewSimulator(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG) (*Simulato
 // NewSimulatorFaults is NewSimulator with an optional fault set: the
 // route table is precomputed with Mesh.RouteFault, so detours around
 // failed links/routers cost nothing at run time and Scratch lanes stay
-// allocation-free. Tile pairs the fault set partitions are marked in an
-// unreachable bitmap; simulating a mapping that routes a packet across a
-// partition fails fast with ErrUnreachable (a static sentinel — the hot
-// path allocates nothing to report it). A nil or empty fault set is
+// allocation-free. Tile pairs the fault set partitions get route length
+// 0 in the rlen table; simulating a mapping that routes a packet across
+// a partition fails fast with ErrUnreachable (a static sentinel — the
+// hot path allocates nothing to report it). A nil or empty fault set is
 // bit-identical to NewSimulator.
 func NewSimulatorFaults(mesh *topology.Mesh, cfg noc.Config, g *model.CDCG, fs *topology.FaultSet) (*Simulator, error) {
 	if err := g.Validate(); err != nil {
@@ -663,8 +652,6 @@ func (s *Simulator) NewScratch() *Scratch {
 		dur:         make([]int64, np),
 		boundMap:    make(mapping.Mapping, s.G.NumCores()),
 		packets:     make([]PacketSchedule, np),
-		routerBits:  make([]int64, n),
-		linkBits:    make([]int64, s.Mesh.NumLinks()),
 	}
 }
 
@@ -693,26 +680,10 @@ func (s *Simulator) RunScratch(mp mapping.Mapping, sc *Scratch) (*Result, error)
 	if err := s.check(mp, sc); err != nil {
 		return nil, err
 	}
-	if _, err := s.run(sc, mp, true); err != nil {
+	if err := s.run(sc, mp); err != nil {
 		return nil, err
 	}
 	return &sc.res, nil
-}
-
-// Texec simulates the CDCG under mp on the caller's scratch and returns
-// only texec, the ExecCycles RunScratch would report. It books the same
-// hops at the same cycles but writes no Result: no packet schedules, no
-// bit tallies, no contention and, whatever RecordOccupancy says, no
-// occupancies. It rejects what RunScratch rejects. It is the exact tier
-// of core.CDCM.PriceBelow, which takes the energy's traffic totals from
-// Bound.
-//
-//nocvet:noalloc
-func (s *Simulator) Texec(mp mapping.Mapping, sc *Scratch) (int64, error) {
-	if err := s.check(mp, sc); err != nil {
-		return 0, err
-	}
-	return s.run(sc, mp, false)
 }
 
 // check validates one run's inputs, the same way for every entry point:
@@ -748,12 +719,34 @@ func (s *Simulator) check(mp mapping.Mapping, sc *Scratch) error {
 }
 
 // Traffic is the bit volume one mapping's routes carry, summed over every
-// packet: Σ bits·K router bits, Σ bits·(K−1) link bits, the vertical
-// (TSV) share of the latter and 2·Σ bits core-link bits. They are the
-// same integers as a full run's RouterBits and LinkBits totals, TSVBits
-// and CoreBits, known before the first packet is scheduled.
+// packet: Σ bits·K router bits (the ERbit term of the energy model),
+// Σ bits·(K−1) inter-tile link bits (ELbit), their vertical (TSV) share
+// (ETSVbit; zero on depth-1 grids) and 2·Σ bits core-link bits (ECbit).
+// It depends on the routes alone, so Bound knows it before the first
+// packet is scheduled, and a run's Result carries the same integers.
 type Traffic struct {
 	RouterBits, LinkBits, TSVBits, CoreBits int64
+}
+
+// add adds one packet of bits over a route of k routers, v of whose
+// links are vertical.
+//
+//nocvet:noalloc
+func (t *Traffic) add(bits, k, v int64) {
+	t.RouterBits += bits * k
+	t.LinkBits += bits * (k - 1)
+	t.TSVBits += bits * v
+	t.CoreBits += 2 * bits
+}
+
+// uncontended is the contention-free duration from a packet's start to
+// its delivery over a route of k routers, v of whose links are vertical:
+// K·(tr+tl) + V·(tTSV−tl) + n·tl for its n flits (n·tl is its linkHold).
+//
+//nocvet:noalloc
+func (s *Simulator) uncontended(pc *pktConst, k, v int64) int64 {
+	tl := s.Cfg.LinkCycles
+	return k*(s.Cfg.RoutingCycles+tl) + v*(s.Cfg.TSVCycles()-tl) + pc.linkHold
 }
 
 // Bound returns the first certified lower bound on mp's texec, the
@@ -773,8 +766,6 @@ func (s *Simulator) Bound(mp mapping.Mapping, sc *Scratch) (texec int64, t Traff
 		return 0, t, err
 	}
 	n := s.numTiles
-	tr, tl := s.Cfg.RoutingCycles, s.Cfg.LinkCycles
-	vadj := s.Cfg.TSVCycles() - tl
 	path := sc.path
 	for i := len(s.topo) - 1; i >= 0; i-- {
 		p := int(s.topo[i])
@@ -789,15 +780,12 @@ func (s *Simulator) Bound(mp mapping.Mapping, sc *Scratch) (texec int64, t Traff
 				}
 			}
 		}
-		t.RouterBits += pc.bits * k
-		t.LinkBits += pc.bits * (k - 1)
-		t.TSVBits += pc.bits * v
-		t.CoreBits += 2 * pc.bits
+		t.add(pc.bits, k, v)
 		var rest int64
 		for _, q := range s.dg.Succ(p) {
 			rest = max(rest, path[q])
 		}
-		path[p] = pc.compute + k*(tr+tl) + v*vadj + pc.flits*tl + rest
+		path[p] = pc.compute + s.uncontended(pc, k, v) + rest
 		texec = max(texec, path[p])
 	}
 	if s.PortLoadBound {
@@ -904,30 +892,16 @@ func (s *Simulator) tsvLoad(p int, route []hop) int64 {
 	return min(pc.vPortHold+1, d)
 }
 
-// run is the simulation core behind RunScratch and Texec, on inputs
-// check has accepted: all mutable state lives in sc, all shared state on
-// s is read-only. It returns texec. With detail (RunScratch) it also
-// writes the schedule, the bit tallies and the contention into sc.res
-// over the scratch's backing arrays, and on a recording scratch the
-// occupancies. Without it (Texec) it books and times every hop the same
-// way and stores nothing else, so both modes return the same texec from
-// one kernel.
+// run is the simulation core behind RunScratch, on inputs check has
+// accepted: all mutable state lives in sc, all shared state on s is
+// read-only. It writes the Result into sc.res over the scratch's
+// schedule array — texec, every packet's schedule, the traffic totals
+// (added once per packet from its route) and the contention — and on a
+// recording scratch the occupancies.
 //
 //nocvet:noalloc
-func (s *Simulator) run(sc *Scratch, mp mapping.Mapping, detail bool) (int64, error) {
-	record := detail && sc.RecordOccupancy
-	res := &sc.res
-	if detail {
-		res.Packets = sc.packets
-		res.RouterBits = sc.routerBits
-		res.LinkBits = sc.linkBits
-		res.CoreBits = 0
-		res.TSVBits = 0
-		res.TotalContention = 0
-		res.occ = nil
-		clear(res.RouterBits)
-		clear(res.LinkBits)
-	}
+func (s *Simulator) run(sc *Scratch, mp mapping.Mapping) error {
+	record := sc.RecordOccupancy
 	for i := range sc.ports {
 		sc.ports[i].reset()
 	}
@@ -965,7 +939,8 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping, detail bool) (int64, er
 	// the same order as one heap of both.
 	sources := s.sources
 	scheduled := 0
-	var texec int64
+	var texec, contention int64
+	var traffic Traffic
 	for len(sources) > 0 || len(sc.heap.a) > 0 {
 		var k pktKey
 		if len(sources) > 0 && (len(sc.heap.a) == 0 || sources[0] < sc.heap.a[0]) {
@@ -980,7 +955,6 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping, detail bool) (int64, er
 		ri := int(srcTile)*n + int(dstTile)
 		route := s.routes[s.routeOff[ri]:s.routeOff[ri+1]]
 		last := len(route) - 1
-		bits := pc.bits
 		var coreOut, coreIn, localPort *busyList
 		if keepLocal {
 			coreOut, coreIn = &sc.coreOut[srcTile], &sc.coreIn[dstTile]
@@ -1003,7 +977,7 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping, detail bool) (int64, er
 		// Inter-tile hops: arbitrated output ports and the links they
 		// feed. A port feeding a vertical link streams its flits at the
 		// TSV rate, so its hold time follows the link's. v counts the
-		// vertical hops for the contention.
+		// vertical hops for the traffic and the contention.
 		var v int64
 		for _, hp := range route[:last] {
 			arrival := h
@@ -1017,36 +991,24 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping, detail bool) (int64, er
 				t = port.acquire(h, pHold, floor, id)
 			}
 			h = t + tr
-			if detail {
+			if record {
+				// Display span: from arrival (incl. buffer wait) to the
+				// last flit leaving the router — the paper's annotation.
 				tile := int(hp.port) / NumPorts
-				res.RouterBits[tile] += bits
-				if record {
-					// Display span: from arrival (incl. buffer wait) to
-					// the last flit leaving the router — the paper's
-					// annotation.
-					sc.routerSpans[tile].iv = append(sc.routerSpans[tile].iv,
-						Occupancy{Packet: id, Start: arrival, End: t + pHold})
-				}
+				sc.routerSpans[tile].iv = append(sc.routerSpans[tile].iv,
+					Occupancy{Packet: id, Start: arrival, End: t + pHold})
 			}
 			if vert {
-				li := ^hp.link
 				if bookTSV {
-					h = sc.links[li].acquire(h, pc.vLinkHold, floor, id)
+					h = sc.links[^hp.link].acquire(h, pc.vLinkHold, floor, id)
 				}
 				h += tlv
-				if detail {
-					res.LinkBits[li] += bits
-					res.TSVBits += bits
-					v++
-				}
+				v++
 			} else {
 				if bookLink {
 					h = sc.links[hp.link].acquire(h, pc.linkHold, floor, id)
 				}
 				h += tl
-				if detail {
-					res.LinkBits[hp.link] += bits
-				}
 			}
 		}
 
@@ -1058,30 +1020,21 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping, detail bool) (int64, er
 		t := book(localPort, h, pc.portHold, floor, arbLocal, id)
 		delivered := book(coreIn, t+tr, pc.linkHold, floor, arbLocal, id) + pc.linkHold
 		texec = max(texec, delivered)
-		if detail {
-			tile := int(dstTile)
-			res.RouterBits[tile] += bits
-			if record {
-				sc.routerSpans[tile].iv = append(sc.routerSpans[tile].iv,
-					Occupancy{Packet: id, Start: arrival, End: t + pc.portHold})
-			}
-			res.CoreBits += 2 * bits
-			// Every cycle between start and delivery beyond the packet's
-			// uncontended duration (Bound's K·(tr+tl) + V·(tTSV−tl) +
-			// n·tl) was spent waiting for a booking.
-			k := int64(len(route))
-			contention := delivered - start - (k*(tr+tl) + v*(tlv-tl) + pc.flits*tl)
-			res.Packets[p] = PacketSchedule{
-				ID:         id,
-				Ready:      start - pc.compute,
-				Start:      start,
-				Delivered:  delivered,
-				Contention: contention,
-				K:          len(route),
-				Flits:      pc.flits,
-			}
-			res.TotalContention += contention
+		if record {
+			sc.routerSpans[dstTile].iv = append(sc.routerSpans[dstTile].iv,
+				Occupancy{Packet: id, Start: arrival, End: t + pc.portHold})
 		}
+		routers := int64(len(route))
+		traffic.add(pc.bits, routers, v)
+		// Every cycle between start and delivery beyond the packet's
+		// uncontended duration was spent waiting for a booking.
+		c := delivered - start - s.uncontended(pc, routers, v)
+		// Field by field: a composite literal is built on the stack and
+		// copied in 16-byte moves that stall on its 8-byte stores.
+		ps := &sc.packets[p]
+		ps.ID, ps.Ready, ps.Start, ps.Delivered = id, start-pc.compute, start, delivered
+		ps.Contention, ps.K, ps.Flits = c, len(route), pc.flits
+		contention += c
 		scheduled++
 
 		for _, succ := range s.dg.Succ(p) {
@@ -1095,18 +1048,15 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping, detail bool) (int64, er
 		}
 	}
 	if scheduled != len(s.pkts) {
-		return 0, errors.New("wormhole: dependence deadlock (cyclic CDCG)")
+		return errors.New("wormhole: dependence deadlock (cyclic CDCG)")
 	}
-	if !detail {
-		return texec, nil
-	}
-	res.ExecCycles = texec
+	sc.res = Result{ExecCycles: texec, Packets: sc.packets, Traffic: traffic, TotalContention: contention}
 	if record {
 		for i := range sc.routerSpans {
 			sortOcc(sc.routerSpans[i].iv)
 		}
 		//nocvet:ignore trace recording is the diagnostic path (a recording scratch), never the annealer steady state
-		res.occ = &occStore{
+		sc.res.occ = &occStore{
 			routerSpans: snapshotAll(sc.routerSpans),
 			ports:       snapshotAll(sc.ports),
 			links:       snapshotAll(sc.links),
@@ -1114,7 +1064,7 @@ func (s *Simulator) run(sc *Scratch, mp mapping.Mapping, detail bool) (int64, er
 			coreIn:      snapshotAll(sc.coreIn),
 		}
 	}
-	return texec, nil
+	return nil
 }
 
 // sortOcc sorts occupancies by (Start, Packet) via insertion sort; display

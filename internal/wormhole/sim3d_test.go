@@ -57,14 +57,10 @@ func TestSim3DTSVLatency(t *testing.T) {
 		if res.ExecCycles != tc.delivered {
 			t.Fatalf("tsv=%d: delivered at %d, want %d", tc.tsvCycles, res.ExecCycles, tc.delivered)
 		}
-		if res.TSVBits != 4 {
-			t.Fatalf("tsv=%d: TSVBits = %d, want 4", tc.tsvCycles, res.TSVBits)
+		if res.Traffic.TSVBits != 4 {
+			t.Fatalf("tsv=%d: TSVBits = %d, want 4", tc.tsvCycles, res.Traffic.TSVBits)
 		}
-		var lb int64
-		for _, b := range res.LinkBits {
-			lb += b
-		}
-		if lb != 4 {
+		if lb := res.Traffic.LinkBits; lb != 4 {
 			t.Fatalf("tsv=%d: total link bits %d, want 4 (one hop)", tc.tsvCycles, lb)
 		}
 	}
@@ -109,8 +105,8 @@ func TestSim3DTSVPortContention(t *testing.T) {
 	if res.Packets[0].Delivered == res.Packets[1].Delivered {
 		t.Fatalf("both packets delivered at %d despite sharing a TSV port", res.Packets[0].Delivered)
 	}
-	if res.TSVBits != 8 {
-		t.Fatalf("TSVBits = %d, want 8", res.TSVBits)
+	if res.Traffic.TSVBits != 8 {
+		t.Fatalf("TSVBits = %d, want 8", res.Traffic.TSVBits)
 	}
 }
 
@@ -129,7 +125,7 @@ func TestSim2DNoTSVTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TSVBits != 0 {
-		t.Fatalf("2D run reports %d TSV bits", res.TSVBits)
+	if res.Traffic.TSVBits != 0 {
+		t.Fatalf("2D run reports %d TSV bits", res.Traffic.TSVBits)
 	}
 }

@@ -310,17 +310,11 @@ func TestQuickSimulatorInvariants(t *testing.T) {
 			}
 			routeBits += pkt.Bits * int64(r.K())
 		}
-		var rb, lb, hopBits int64
-		for _, b := range res.RouterBits {
-			rb += b
-		}
-		for _, b := range res.LinkBits {
-			lb += b
-		}
+		var hopBits int64
 		for i, ps := range res.Packets {
 			hopBits += g.Packets[i].Bits * int64(ps.K-1)
 		}
-		if rb != routeBits || lb != hopBits || res.CoreBits != 2*totalBits {
+		if tr := res.Traffic; tr.RouterBits != routeBits || tr.LinkBits != hopBits || tr.CoreBits != 2*totalBits {
 			return false
 		}
 		// texec >= dependence-chain computation lower bound.
